@@ -35,6 +35,8 @@ impl<T> TryPushError<T> {
 struct QueueState<T> {
     items: VecDeque<T>,
     closed: bool,
+    /// Producers currently parked in [`BoundedQueue::push`].
+    parked: usize,
 }
 
 /// A blocking bounded MPMC queue. See the module docs for the
@@ -60,6 +62,7 @@ impl<T> BoundedQueue<T> {
             state: Mutex::new(QueueState {
                 items: VecDeque::with_capacity(capacity),
                 closed: false,
+                parked: 0,
             }),
             capacity,
             not_full: Condvar::new(),
@@ -107,7 +110,9 @@ impl<T> BoundedQueue<T> {
         let mut parked = false;
         while state.items.len() >= self.capacity && !state.closed {
             parked = true;
+            state.parked += 1;
             state = self.not_full.wait(state).expect("queue lock poisoned");
+            state.parked -= 1;
         }
         if state.closed {
             return Err(item);
@@ -116,6 +121,13 @@ impl<T> BoundedQueue<T> {
         drop(state);
         self.not_empty.notify_one();
         Ok(parked)
+    }
+
+    /// Number of producers parked in [`push`](Self::push) right now, so
+    /// tests can wait for a producer to park instead of sleeping.
+    #[cfg(test)]
+    fn parked_producers(&self) -> usize {
+        self.state.lock().expect("queue lock poisoned").parked
     }
 
     /// Enqueues `item` only if a slot is free right now, **shedding**
@@ -219,7 +231,11 @@ mod tests {
             let q = Arc::clone(&q);
             thread::spawn(move || q.push(1).unwrap())
         };
-        // The producer is parked on the full queue; popping releases it.
+        // Wait until the producer is parked on the full queue; popping
+        // then releases it.
+        while q.parked_producers() == 0 {
+            thread::yield_now();
+        }
         assert_eq!(q.pop(), Some(0));
         assert!(producer.join().unwrap(), "full queue: push reports parking");
         assert_eq!(q.pop(), Some(1));
@@ -233,8 +249,10 @@ mod tests {
             let q = Arc::clone(&q);
             thread::spawn(move || q.push(7))
         };
-        // Give the producer a chance to park, then close underneath it.
-        thread::yield_now();
+        // Wait for the producer to park, then close underneath it.
+        while q.parked_producers() == 0 {
+            thread::yield_now();
+        }
         q.close();
         assert_eq!(producer.join().unwrap(), Err(7));
     }

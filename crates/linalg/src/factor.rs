@@ -52,10 +52,13 @@ pub trait Factorization {
 
 /// [`Lu`]-backed [`Factorization`]: partial pivoting, handles any
 /// nonsingular symmetric system. The slowest backend but the correctness
-/// oracle for the others.
+/// oracle for the others. Same-shaped refactors and solves reuse the
+/// factor and a solve buffer, so steady-state use allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct LuFactor {
     inner: Option<Lu>,
+    factored: bool,
+    scratch: Vec<f64>,
 }
 
 impl LuFactor {
@@ -68,20 +71,35 @@ impl LuFactor {
 
 impl Factorization for LuFactor {
     fn refactor(&mut self, a: &Matrix) -> Result<(), LinalgError> {
-        self.inner = None;
-        self.inner = Some(Lu::factor(a)?);
+        self.factored = false;
+        match self.inner.as_mut() {
+            Some(lu) if a.is_square() && lu.dim() == a.rows() => lu.refactor(a)?,
+            _ => {
+                self.inner = None;
+                self.inner = Some(Lu::factor(a)?);
+            }
+        }
+        self.factored = true;
         Ok(())
     }
 
     fn solve_in_place(&mut self, b: &mut [f64]) -> Result<(), LinalgError> {
-        let lu = self.inner.as_ref().ok_or(LinalgError::Empty)?;
-        let x = lu.solve(b)?;
-        b.copy_from_slice(&x);
+        let lu = self
+            .inner
+            .as_ref()
+            .filter(|_| self.factored)
+            .ok_or(LinalgError::Empty)?;
+        self.scratch.resize(lu.dim(), 0.0);
+        lu.solve_into(b, &mut self.scratch)?;
+        b.copy_from_slice(&self.scratch);
         Ok(())
     }
 
     fn dim(&self) -> usize {
-        self.inner.as_ref().map_or(0, Lu::dim)
+        match &self.inner {
+            Some(lu) if self.factored => lu.dim(),
+            _ => 0,
+        }
     }
 }
 
@@ -264,6 +282,27 @@ mod tests {
                 LinalgError::Empty
             );
         }
+    }
+
+    #[test]
+    fn lu_backend_refactor_matches_fresh_factor_bitwise() {
+        let mut backend = LuFactor::new();
+        backend.refactor(&spd_banded(7)).unwrap();
+        let mut a = spd_banded(7);
+        a.set(0, 6, 2.5);
+        a.set(3, 1, -1.5);
+        backend.refactor(&a).unwrap();
+        let b: Vec<f64> = (0..7).map(|i| 0.7 * i as f64 - 1.0).collect();
+        let expected = Lu::factor(&a).unwrap().solve(&b).unwrap();
+        let mut x = b.clone();
+        backend.solve_in_place(&mut x).unwrap();
+        assert_eq!(
+            x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            expected.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        );
+        // A shape change falls back to a fresh factorization.
+        backend.refactor(&spd_banded(3)).unwrap();
+        assert_eq!(backend.dim(), 3);
     }
 
     #[test]

@@ -5,9 +5,17 @@ use crate::{LinalgError, Matrix};
 /// LU factorization of a square matrix with partial (row) pivoting.
 ///
 /// Factors `P·A = L·U` and solves `A·x = b` by forward/back substitution.
-/// This is the factorization used for the KKT systems inside the active-set
-/// QP solver, which are symmetric but indefinite — hence LU rather than
-/// Cholesky.
+/// This is the factorization used for the KKT systems inside the
+/// interior-point QP solver, which are symmetric but indefinite — hence LU
+/// rather than Cholesky.
+///
+/// The elimination and both substitutions walk whole row slices rather
+/// than indexing element by element, but keep the textbook per-element
+/// operation order: every entry sees the same multiplies and adds, in the
+/// same sequence, as the scalar `get`/`set` formulation, so results are
+/// bit-identical to it. [`Lu::refactor`] and [`Lu::solve_into`] reuse the
+/// factor storage and allocate nothing, for callers that refactor a
+/// same-shaped matrix every iteration.
 ///
 /// # Examples
 ///
@@ -55,48 +63,81 @@ impl Lu {
         if n == 0 {
             return Err(LinalgError::Empty);
         }
-        let mut lu = a.clone();
-        let mut perm: Vec<usize> = (0..n).collect();
-        let mut perm_sign = 1.0;
-        let scale = a.norm_max().max(1.0);
+        let mut lu = Self {
+            lu: a.clone(),
+            perm: (0..n).collect(),
+            perm_sign: 1.0,
+        };
+        lu.eliminate(a.norm_max().max(1.0))?;
+        Ok(lu)
+    }
 
+    /// Refactors a matrix of the same dimension in place, reusing the
+    /// existing factor and permutation storage (no allocation).
+    ///
+    /// # Errors
+    ///
+    /// As [`Lu::factor`], plus [`LinalgError::DimensionMismatch`] if `a`
+    /// does not have the shape of the matrix factored before. On error
+    /// the factor contents are unspecified; refactor again before
+    /// solving.
+    pub fn refactor(&mut self, a: &Matrix) -> Result<(), LinalgError> {
+        if a.shape() != self.lu.shape() {
+            return Err(LinalgError::DimensionMismatch {
+                expected: self.lu.shape(),
+                actual: a.shape(),
+            });
+        }
+        self.lu.as_mut_slice().copy_from_slice(a.as_slice());
+        for (i, p) in self.perm.iter_mut().enumerate() {
+            *p = i;
+        }
+        self.perm_sign = 1.0;
+        self.eliminate(a.norm_max().max(1.0))
+    }
+
+    /// Gaussian elimination with partial pivoting on `self.lu`, in place.
+    /// `perm` must hold the identity and `perm_sign` 1 on entry.
+    fn eliminate(&mut self, scale: f64) -> Result<(), LinalgError> {
+        let n = self.lu.rows();
+        let lu = self.lu.as_mut_slice();
         for k in 0..n {
-            // Find pivot row.
+            // Find pivot row: the first row holding the largest magnitude
+            // in column k, scanning down from the diagonal.
             let mut pivot_row = k;
-            let mut pivot_val = lu.get(k, k).abs();
-            for r in (k + 1)..n {
-                let v = lu.get(r, k).abs();
+            let mut pivot_val = lu[k * n + k].abs();
+            for (r, v) in lu[k * n + k..].iter().step_by(n).enumerate().skip(1) {
+                let v = v.abs();
                 if v > pivot_val {
                     pivot_val = v;
-                    pivot_row = r;
+                    pivot_row = k + r;
                 }
             }
             if pivot_val <= Self::SINGULAR_TOL * scale {
                 return Err(LinalgError::Singular);
             }
             if pivot_row != k {
-                for c in 0..n {
-                    let tmp = lu.get(k, c);
-                    lu.set(k, c, lu.get(pivot_row, c));
-                    lu.set(pivot_row, c, tmp);
-                }
-                perm.swap(k, pivot_row);
-                perm_sign = -perm_sign;
+                let (upper, lower) = lu.split_at_mut(pivot_row * n);
+                upper[k * n..(k + 1) * n].swap_with_slice(&mut lower[..n]);
+                self.perm.swap(k, pivot_row);
+                self.perm_sign = -self.perm_sign;
             }
-            let pivot = lu.get(k, k);
-            for r in (k + 1)..n {
-                let factor = lu.get(r, k) / pivot;
-                lu.set(r, k, factor);
-                for c in (k + 1)..n {
-                    lu.add_at(r, c, -factor * lu.get(k, c));
+            let (upper, lower) = lu.split_at_mut((k + 1) * n);
+            let (pivot, u_row) = upper[k * n + k..]
+                .split_first()
+                .expect("row k has a diagonal entry");
+            for row in lower.chunks_exact_mut(n) {
+                let (l, rest) = row[k..]
+                    .split_first_mut()
+                    .expect("row r has a column k entry");
+                let factor = *l / pivot;
+                *l = factor;
+                for (x, u) in rest.iter_mut().zip(u_row) {
+                    *x += -factor * u;
                 }
             }
         }
-        Ok(Self {
-            lu,
-            perm,
-            perm_sign,
-        })
+        Ok(())
     }
 
     /// Dimension of the factored matrix.
@@ -112,31 +153,50 @@ impl Lu {
     ///
     /// Returns [`LinalgError::DimensionMismatch`] if `b.len() != dim()`.
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
+        let mut x = vec![0.0; self.dim()];
+        self.solve_into(b, &mut x)?;
+        Ok(x)
+    }
+
+    /// Solves `A·x = b` into the caller's buffer `x` (no allocation).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::DimensionMismatch`] if `b` or `x` does not
+    /// have length `dim()`.
+    pub fn solve_into(&self, b: &[f64], x: &mut [f64]) -> Result<(), LinalgError> {
         let n = self.dim();
-        if b.len() != n {
-            return Err(LinalgError::DimensionMismatch {
-                expected: (n, 1),
-                actual: (b.len(), 1),
-            });
+        for len in [b.len(), x.len()] {
+            if len != n {
+                return Err(LinalgError::DimensionMismatch {
+                    expected: (n, 1),
+                    actual: (len, 1),
+                });
+            }
         }
         // Apply permutation, then forward substitution with unit-lower L.
-        let mut x: Vec<f64> = self.perm.iter().map(|&p| b[p]).collect();
-        for r in 1..n {
-            let mut sum = x[r];
-            for c in 0..r {
-                sum -= self.lu.get(r, c) * x[c];
+        for (xi, &p) in x.iter_mut().zip(&self.perm) {
+            *xi = b[p];
+        }
+        let rows = self.lu.as_slice().chunks_exact(n);
+        for (r, row) in rows.clone().enumerate().skip(1) {
+            let (solved, rest) = x.split_at_mut(r);
+            let mut sum = rest[0];
+            for (l, xc) in row[..r].iter().zip(solved.iter()) {
+                sum -= l * xc;
             }
-            x[r] = sum;
+            rest[0] = sum;
         }
         // Back substitution with U.
-        for r in (0..n).rev() {
-            let mut sum = x[r];
-            for c in (r + 1)..n {
-                sum -= self.lu.get(r, c) * x[c];
+        for (r, row) in rows.enumerate().rev() {
+            let (head, solved) = x.split_at_mut(r + 1);
+            let mut sum = head[r];
+            for (u, xc) in row[r + 1..].iter().zip(solved.iter()) {
+                sum -= u * xc;
             }
-            x[r] = sum / self.lu.get(r, r);
+            head[r] = sum / row[r];
         }
-        Ok(x)
+        Ok(())
     }
 
     /// Determinant of the factored matrix.
@@ -159,9 +219,10 @@ impl Lu {
         let n = self.dim();
         let mut inv = Matrix::zeros(n, n);
         let mut e = vec![0.0; n];
+        let mut col = vec![0.0; n];
         for c in 0..n {
             e[c] = 1.0;
-            let col = self.solve(&e)?;
+            self.solve_into(&e, &mut col)?;
             for (r, v) in col.iter().enumerate() {
                 inv.set(r, c, *v);
             }
@@ -251,6 +312,195 @@ mod tests {
     fn solve_rejects_wrong_rhs_len() {
         let lu = Lu::factor(&Matrix::identity(3)).unwrap();
         assert!(lu.solve(&[1.0, 2.0]).is_err());
+    }
+
+    /// The scalar `get`/`set` LU the slice kernels replaced, kept as the
+    /// bitwise oracle: returns (combined L\U, permutation, sign).
+    fn oracle_factor(a: &Matrix) -> Result<(Matrix, Vec<usize>, f64), LinalgError> {
+        let n = a.rows();
+        let mut lu = a.clone();
+        let mut perm: Vec<usize> = (0..n).collect();
+        let mut perm_sign = 1.0;
+        let scale = a.norm_max().max(1.0);
+        for k in 0..n {
+            let mut pivot_row = k;
+            let mut pivot_val = lu.get(k, k).abs();
+            for r in (k + 1)..n {
+                let v = lu.get(r, k).abs();
+                if v > pivot_val {
+                    pivot_val = v;
+                    pivot_row = r;
+                }
+            }
+            if pivot_val <= Lu::SINGULAR_TOL * scale {
+                return Err(LinalgError::Singular);
+            }
+            if pivot_row != k {
+                for c in 0..n {
+                    let tmp = lu.get(k, c);
+                    lu.set(k, c, lu.get(pivot_row, c));
+                    lu.set(pivot_row, c, tmp);
+                }
+                perm.swap(k, pivot_row);
+                perm_sign = -perm_sign;
+            }
+            let pivot = lu.get(k, k);
+            for r in (k + 1)..n {
+                let factor = lu.get(r, k) / pivot;
+                lu.set(r, k, factor);
+                for c in (k + 1)..n {
+                    lu.add_at(r, c, -factor * lu.get(k, c));
+                }
+            }
+        }
+        Ok((lu, perm, perm_sign))
+    }
+
+    /// The scalar substitution the slice kernel replaced.
+    fn oracle_solve(lu: &Matrix, perm: &[usize], b: &[f64]) -> Vec<f64> {
+        let n = lu.rows();
+        let mut x: Vec<f64> = perm.iter().map(|&p| b[p]).collect();
+        for r in 1..n {
+            let mut sum = x[r];
+            for c in 0..r {
+                sum -= lu.get(r, c) * x[c];
+            }
+            x[r] = sum;
+        }
+        for r in (0..n).rev() {
+            let mut sum = x[r];
+            for c in (r + 1)..n {
+                sum -= lu.get(r, c) * x[c];
+            }
+            x[r] = sum / lu.get(r, r);
+        }
+        x
+    }
+
+    /// Deterministic uniform draws in [-1, 1) (splitmix64).
+    fn uniform(seed: &mut u64) -> f64 {
+        *seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *seed;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^= z >> 31;
+        (z >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
+    }
+
+    fn random_matrix(n: usize, seed: &mut u64) -> Matrix {
+        Matrix::from_fn(n, n, |_, _| uniform(seed))
+    }
+
+    /// Tiny diagonal under large anti-diagonal entries: every elimination
+    /// step has to swap rows.
+    fn pivot_heavy(n: usize, seed: &mut u64) -> Matrix {
+        Matrix::from_fn(n, n, |r, c| {
+            let v = uniform(seed);
+            if r + c == n - 1 {
+                100.0 + v
+            } else if r == c {
+                1e-9 * v
+            } else {
+                v
+            }
+        })
+    }
+
+    /// Last row is the sum of the others plus a small perturbation.
+    fn near_singular(n: usize, seed: &mut u64, eps: f64) -> Matrix {
+        let mut a = random_matrix(n, seed);
+        for c in 0..n {
+            let s: f64 = (0..n - 1).map(|r| a.get(r, c)).sum();
+            a.set(n - 1, c, s + eps * uniform(seed));
+        }
+        a
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Factor, refactor and both solves agree with the scalar oracle bit
+    /// for bit (or fail the same way).
+    fn assert_matches_oracle(a: &Matrix, seed: &mut u64) {
+        let n = a.rows();
+        let b: Vec<f64> = (0..n).map(|_| uniform(seed)).collect();
+        let oracle = oracle_factor(a);
+        let fresh = Lu::factor(a);
+        // Refactor over a different same-shaped factorization, so stale
+        // permutation or factor state would show.
+        let mut reused = Lu::factor(&Matrix::identity(n)).unwrap();
+        let refactored = reused.refactor(a);
+        match oracle {
+            Err(e) => {
+                assert_eq!(fresh.unwrap_err(), e);
+                assert_eq!(refactored.unwrap_err(), e);
+            }
+            Ok((lu, perm, sign)) => {
+                let expected = oracle_solve(&lu, &perm, &b);
+                refactored.unwrap();
+                for got in [fresh.unwrap(), reused] {
+                    assert_eq!(bits(got.lu.as_slice()), bits(lu.as_slice()));
+                    assert_eq!(got.perm, perm);
+                    assert_eq!(got.perm_sign, sign);
+                    let mut x = vec![f64::NAN; n];
+                    got.solve_into(&b, &mut x).unwrap();
+                    assert_eq!(bits(&x), bits(&expected));
+                    assert_eq!(bits(&got.solve(&b).unwrap()), bits(&expected));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn slice_kernels_match_scalar_oracle_bitwise() {
+        let mut seed = 7u64;
+        for n in [32, 136] {
+            for _ in 0..3 {
+                let random = random_matrix(n, &mut seed);
+                assert_matches_oracle(&random, &mut seed);
+                let pivots = pivot_heavy(n, &mut seed);
+                assert_matches_oracle(&pivots, &mut seed);
+                // Barely factorable, and exactly dependent (singular).
+                let nearly = near_singular(n, &mut seed, 1e-9);
+                assert!(Lu::factor(&nearly).is_ok());
+                assert_matches_oracle(&nearly, &mut seed);
+                let dependent = near_singular(n, &mut seed, 0.0);
+                assert_matches_oracle(&dependent, &mut seed);
+            }
+        }
+    }
+
+    #[test]
+    fn pivot_heavy_matrices_swap_every_step() {
+        let mut seed = 3u64;
+        let a = pivot_heavy(32, &mut seed);
+        let lu = Lu::factor(&a).unwrap();
+        assert!(lu.perm.iter().enumerate().filter(|(i, p)| i != *p).count() >= 30);
+    }
+
+    #[test]
+    fn refactor_rejects_shape_mismatch() {
+        let mut lu = Lu::factor(&Matrix::identity(3)).unwrap();
+        assert!(matches!(
+            lu.refactor(&Matrix::identity(4)).unwrap_err(),
+            LinalgError::DimensionMismatch {
+                expected: (3, 3),
+                actual: (4, 4),
+            }
+        ));
+        assert!(lu.refactor(&Matrix::zeros(3, 2)).is_err());
+        // A matching shape still refactors after the rejections.
+        let a = Matrix::from_rows(&[&[0.0, 1.0, 0.0], &[2.0, 0.0, 0.0], &[0.0, 0.0, 4.0]]).unwrap();
+        lu.refactor(&a).unwrap();
+        assert_eq!(lu.solve(&[1.0, 2.0, 4.0]).unwrap(), vec![1.0, 1.0, 1.0]);
+    }
+
+    #[test]
+    fn solve_into_rejects_wrong_output_len() {
+        let lu = Lu::factor(&Matrix::identity(3)).unwrap();
+        let mut x = [0.0; 2];
+        assert!(lu.solve_into(&[1.0, 2.0, 3.0], &mut x).is_err());
     }
 
     #[test]

@@ -208,6 +208,14 @@ impl Matrix {
         &self.data
     }
 
+    /// Mutably borrows the underlying row-major storage, for kernels that
+    /// walk whole rows with `chunks_exact_mut(cols)` instead of paying a
+    /// bounds check per element.
+    #[inline]
+    pub fn as_mut_slice(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+
     /// Returns the transpose.
     #[must_use]
     pub fn transpose(&self) -> Self {

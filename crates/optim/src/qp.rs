@@ -87,6 +87,21 @@ impl ConstraintRef<'_> {
         }
     }
 
+    /// `row_i · x`.
+    fn row_dot(&self, i: usize, x: &[f64]) -> f64 {
+        match self {
+            Self::Dense(m) => vecops::dot(m.row(i), x),
+            Self::Sparse(s) => {
+                let (cols, vals) = s.row(i);
+                let mut sum = 0.0;
+                for (c, v) in cols.iter().zip(vals) {
+                    sum += v * x[*c];
+                }
+                sum
+            }
+        }
+    }
+
     /// `out += coeff · row_i` (length `cols`).
     pub(crate) fn add_scaled_row(&self, i: usize, coeff: f64, out: &mut [f64]) {
         match self {
@@ -101,6 +116,147 @@ impl ConstraintRef<'_> {
                     out[*c] += coeff * v;
                 }
             }
+        }
+    }
+}
+
+/// How the KKT workspace treats the interior-point loop's inequality
+/// rows: a view's own Jacobian, or the rows of its elastic relaxation.
+#[derive(Debug, Clone, Copy)]
+enum KktRows<'a> {
+    Nominal(ConstraintRef<'a>),
+    Elastic(&'a ElasticRows<'a>),
+}
+
+/// Row access the interior-point loop needs from its inequality rows.
+/// The loop is generic over it, so the nominal path compiles to direct
+/// calls on the view's Jacobian, exactly as before elastic mode existed.
+trait IpmInequalities: Copy {
+    fn norm_max(&self) -> f64;
+    /// `out = A·x`.
+    fn matvec_into(&self, x: &[f64], out: &mut [f64]);
+    /// `out += coeff · row_i`.
+    fn add_scaled_row(&self, i: usize, coeff: f64, out: &mut [f64]);
+    fn kkt_rows(&self) -> KktRows<'_>;
+}
+
+impl IpmInequalities for ConstraintRef<'_> {
+    fn norm_max(&self) -> f64 {
+        ConstraintRef::norm_max(self)
+    }
+    fn matvec_into(&self, x: &[f64], out: &mut [f64]) {
+        ConstraintRef::matvec_into(self, x, out);
+    }
+    fn add_scaled_row(&self, i: usize, coeff: f64, out: &mut [f64]) {
+        ConstraintRef::add_scaled_row(self, i, coeff, out);
+    }
+    fn kkt_rows(&self) -> KktRows<'_> {
+        KktRows::Nominal(*self)
+    }
+}
+
+impl IpmInequalities for &ElasticRows<'_> {
+    fn norm_max(&self) -> f64 {
+        ElasticRows::norm_max(self)
+    }
+    fn matvec_into(&self, x: &[f64], out: &mut [f64]) {
+        ElasticRows::matvec_into(self, x, out);
+    }
+    fn add_scaled_row(&self, i: usize, coeff: f64, out: &mut [f64]) {
+        ElasticRows::add_scaled_row(self, i, coeff, out);
+    }
+    fn kkt_rows(&self) -> KktRows<'_> {
+        KktRows::Elastic(self)
+    }
+}
+
+/// Curvature `δ` the elastic relaxation puts on every slack, keeping its
+/// Hessian positive definite.
+const ELASTIC_CURVATURE: f64 = 1e-8;
+
+/// The inequality rows of a view's elastic relaxation (see
+/// [`QpSolver::solve_view_elastic`]) over the unknowns `x = (d, t)`, with
+/// `d` the view's `n` variables and one slack `t ≥ 0` per constraint:
+///
+/// ```text
+/// rows 0..2·me          ±(A_eq d − b_eq)ᵣ − tᵣ ≤ 0   (row pair r shares tᵣ)
+/// rows 2·me..2·me+mi    (A_in d − b_in)ᵣ − t_{me+r} ≤ 0
+/// rows 2·me+mi..        −tₖ ≤ 0
+/// ```
+///
+/// This is the row order of the explicit (n+me+mi)-variable formulation,
+/// so multipliers map back the same way; only the KKT solve differs, by
+/// eliminating the slack block (see [`ElasticKkt`]).
+#[derive(Debug, Clone, Copy)]
+struct ElasticRows<'a> {
+    n: usize,
+    eq: Option<ConstraintRef<'a>>,
+    me: usize,
+    ineq: Option<ConstraintRef<'a>>,
+    mi: usize,
+}
+
+impl<'a> ElasticRows<'a> {
+    fn num_rows(&self) -> usize {
+        3 * self.me + 2 * self.mi
+    }
+
+    /// The slacks' own rows hold −1 entries, so the relaxation's max-norm
+    /// is at least one whenever any row exists.
+    fn norm_max(&self) -> f64 {
+        let ones: f64 = if self.me + self.mi > 0 { 1.0 } else { 0.0 };
+        ones.max(self.eq.map_or(0.0, |a| a.norm_max()))
+            .max(self.ineq.map_or(0.0, |a| a.norm_max()))
+    }
+
+    /// The nominal row behind slack `k`: equality `k`, or inequality
+    /// `k − me`.
+    fn slack_row(&self, k: usize) -> (ConstraintRef<'a>, usize) {
+        if k < self.me {
+            (self.eq.expect("me > 0 implies A_eq"), k)
+        } else {
+            (self.ineq.expect("mi > 0 implies A_in"), k - self.me)
+        }
+    }
+
+    fn matvec_into(&self, x: &[f64], out: &mut [f64]) {
+        let (d, t) = x.split_at(self.n);
+        let (me, mi) = (self.me, self.mi);
+        if let Some(eq) = self.eq {
+            for r in 0..me {
+                let v = eq.row_dot(r, d);
+                out[2 * r] = v - t[r];
+                out[2 * r + 1] = -v - t[r];
+            }
+        }
+        if let Some(ineq) = self.ineq {
+            for r in 0..mi {
+                out[2 * me + r] = ineq.row_dot(r, d) - t[me + r];
+            }
+        }
+        for (o, tk) in out[2 * me + mi..].iter_mut().zip(t) {
+            *o = -tk;
+        }
+    }
+
+    fn add_scaled_row(&self, i: usize, coeff: f64, out: &mut [f64]) {
+        let (od, ot) = out.split_at_mut(self.n);
+        let (me, mi) = (self.me, self.mi);
+        if i < 2 * me {
+            let r = i / 2;
+            let signed = if i.is_multiple_of(2) { coeff } else { -coeff };
+            self.eq
+                .expect("me > 0 implies A_eq")
+                .add_scaled_row(r, signed, od);
+            ot[r] -= coeff;
+        } else if i < 2 * me + mi {
+            let r = i - 2 * me;
+            self.ineq
+                .expect("mi > 0 implies A_in")
+                .add_scaled_row(r, coeff, od);
+            ot[me + r] -= coeff;
+        } else {
+            ot[i - 2 * me - mi] -= coeff;
         }
     }
 }
@@ -743,32 +899,122 @@ impl QpSolver {
         self.solve_view_inner(problem, z0, Some(warm))
     }
 
+    /// Solves the *elastic relaxation* of a borrowed-view QP: every
+    /// constraint row gets a slack `t ≥ 0` priced linearly at
+    /// `slack_weight`,
+    ///
+    /// ```text
+    /// minimize    ½ dᵀHd + gᵀd + ½ δ‖t‖² + slack_weight · Σ t
+    /// subject to  ±(A_eq d − b_eq)ᵣ ≤ tᵣ     (both signs share tᵣ)
+    ///             (A_in d − b_in)ᵣ ≤ t_{me+r}
+    ///             t ≥ 0
+    /// ```
+    ///
+    /// with `δ = 1e-8`. The relaxation is feasible whatever the nominal
+    /// rows are, which makes it the recovery path for inconsistent SQP
+    /// linearizations. It starts cold from `(d, t) = 0`; the view's
+    /// structure declaration and any warm-start cache are not used.
+    ///
+    /// The interior-point method runs on the explicit formulation's
+    /// residuals, but each KKT solve eliminates the diagonal slack block,
+    /// so only an `n × n` system is factored. The returned solution is
+    /// laid out like the explicit formulation: `z = (d, t)` has
+    /// `n + me + mi` entries, `y_eq` is empty and `lambda_in` holds the
+    /// `3·me + 2·mi` row multipliers in the row order above (the pair for
+    /// equality `r` at `2r`, `2r + 1`, inequality `r` at `2·me + r`, then
+    /// the slack bounds). A view with no constraints is solved as is.
+    ///
+    /// # Errors
+    ///
+    /// [`OptimError::NonFiniteData`] for a non-finite `slack_weight`;
+    /// otherwise as [`QpSolver::solve_view`].
+    pub fn solve_view_elastic(
+        &self,
+        problem: &QpView<'_>,
+        slack_weight: f64,
+    ) -> Result<QpSolution, OptimError> {
+        if !slack_weight.is_finite() {
+            return Err(OptimError::NonFiniteData);
+        }
+        let n = problem.num_vars();
+        let me = problem.num_eq();
+        let mi = problem.num_ineq();
+        if me + mi == 0 {
+            return self.solve_equality_only(problem, 0);
+        }
+        let rows = ElasticRows {
+            n,
+            eq: problem.a_eq_ref(),
+            me,
+            ineq: problem.a_in_ref(),
+            mi,
+        };
+        let nv = n + me + mi;
+        let mut g = Vec::with_capacity(nv);
+        g.extend_from_slice(problem.g);
+        g.resize(nv, slack_weight);
+        let mut b = Vec::with_capacity(rows.num_rows());
+        for &br in problem.b_eq {
+            b.push(br);
+            b.push(-br);
+        }
+        b.extend_from_slice(problem.b_in);
+        b.resize(rows.num_rows(), 0.0);
+        let ipm = IpmRows {
+            g: &g,
+            a_eq: None,
+            b_eq: &[],
+            a_in: &rows,
+            b_in: &b,
+        };
+        self.interior_point(problem, &ipm, &vec![0.0; nv], None)
+    }
+
     fn solve_view_inner(
         &self,
         problem: &QpView<'_>,
         z0: &[f64],
-        mut warm: Option<&mut QpWarmStart>,
+        warm: Option<&mut QpWarmStart>,
     ) -> Result<QpSolution, OptimError> {
-        let n = problem.num_vars();
-        if z0.len() != n {
+        if z0.len() != problem.num_vars() {
             return Err(OptimError::DimensionMismatch { what: "z0 vs H" });
         }
-        let me = problem.num_eq();
-        let mi = problem.num_ineq();
-
         // No inequalities: the KKT conditions are a single linear system.
-        if mi == 0 {
-            return self.solve_equality_only(problem, me);
-        }
+        let Some(a_in) = problem.a_in_ref().filter(|_| problem.num_ineq() > 0) else {
+            return self.solve_equality_only(problem, problem.num_eq());
+        };
+        let ipm = IpmRows {
+            g: problem.g,
+            a_eq: problem.a_eq_ref(),
+            b_eq: problem.b_eq,
+            a_in,
+            b_in: problem.b_in,
+        };
+        self.interior_point(problem, &ipm, z0, warm)
+    }
 
-        let a_in = problem.a_in_ref().expect("mi > 0 implies A_in");
-        let a_eq = problem.a_eq_ref();
+    /// The Mehrotra predictor–corrector loop over `rows` (the view's own
+    /// rows, or its elastic relaxation), from the primal point `z0`.
+    fn interior_point<R: IpmInequalities>(
+        &self,
+        problem: &QpView<'_>,
+        rows: &IpmRows<'_, R>,
+        z0: &[f64],
+        mut warm: Option<&mut QpWarmStart>,
+    ) -> Result<QpSolution, OptimError> {
+        let n = rows.g.len();
+        let me = rows.b_eq.len();
+        let mi = rows.b_in.len();
+        let elastic = matches!(rows.a_in.kkt_rows(), KktRows::Elastic(_));
+        let a_in = rows.a_in;
+        let a_eq = rows.a_eq;
         let mut z = z0.to_vec();
         let mut y = vec![0.0; me];
 
         // Per-solve workspaces: everything the interior-point loop touches
         // is allocated once here and reused across iterations.
-        let mut ws = KktWorkspace::new(problem, self.options.prefer_dense_cholesky);
+        let mut ws =
+            KktWorkspace::new(problem, a_in.kkt_rows(), self.options.prefer_dense_cholesky);
         let mut hz = vec![0.0; n];
         let mut rd = vec![0.0; n];
         let mut rp = vec![0.0; me];
@@ -798,7 +1044,7 @@ impl QpSolver {
             .map(|w| std::mem::take(&mut w.lam));
         let (mut s, mut lam) = match warm_lam {
             Some(prev) => {
-                let s = problem
+                let s = rows
                     .b_in
                     .iter()
                     .zip(&cz)
@@ -808,7 +1054,7 @@ impl QpSolver {
                 (s, lam)
             }
             None => {
-                let s: Vec<f64> = problem
+                let s: Vec<f64> = rows
                     .b_in
                     .iter()
                     .zip(&cz)
@@ -824,17 +1070,18 @@ impl QpSolver {
         // problems may still couple adjacent blocks inside the band, so
         // the in-band below-block entries are checked once per solve;
         // entries beyond the declared band are already promised zero.
-        // Structure-less problems keep the dense matvec with its
-        // historical summation order.
-        let h_block = problem.structure.and_then(|st| {
+        // Structure-less problems, and elastic relaxations, keep the
+        // dense matvec with its historical summation order.
+        let nh = problem.num_vars();
+        let h_block = problem.structure.filter(|_| !elastic).and_then(|st| {
             let vb = st.vars_per_block;
-            if vb == 0 || !n.is_multiple_of(vb) {
+            if vb == 0 || !nh.is_multiple_of(vb) {
                 return None;
             }
             let w_max = st.bandwidth();
             let stride = vb + st.eq_per_block;
             let var_pos = |j: usize| (j / vb) * stride + (j % vb);
-            let block_diag = (0..n).all(|j| {
+            let block_diag = (0..nh).all(|j| {
                 let block_start = (j / vb) * vb;
                 (0..block_start)
                     .rev()
@@ -850,7 +1097,7 @@ impl QpSolver {
         let h_norm = match h_block {
             Some(vb) => {
                 let mut m = 0.0f64;
-                for b in (0..n).step_by(vb) {
+                for b in (0..nh).step_by(vb) {
                     for r in b..b + vb {
                         for c in b..b + vb {
                             let v = problem.h.get(r, c).abs();
@@ -864,9 +1111,15 @@ impl QpSolver {
             }
             None => problem.h.norm_max(),
         };
+        // The elastic Hessian is block-diagonal (H, δI).
+        let h_norm = if elastic {
+            h_norm.max(ELASTIC_CURVATURE)
+        } else {
+            h_norm
+        };
         let data_scale = 1.0
             + h_norm
-            + vecops::norm_inf(problem.g)
+            + vecops::norm_inf(rows.g)
             + a_eq.map_or(0.0, |a| a.norm_max())
             + a_in.norm_max();
 
@@ -876,8 +1129,7 @@ impl QpSolver {
         // residuals are judged: the constraint right-hand sides bound the
         // geometry of the feasible set the same way the matrix norms in
         // `data_scale` bound the operator magnitudes.
-        let geom_scale =
-            data_scale + vecops::norm_inf(problem.b_in) + vecops::norm_inf(problem.b_eq);
+        let geom_scale = data_scale + vecops::norm_inf(rows.b_in) + vecops::norm_inf(rows.b_eq);
         // Residual threshold separating "still converging" from "stuck":
         // √tol sits orders of magnitude above the convergence tolerance
         // yet far below any genuine constraint gap.
@@ -886,12 +1138,9 @@ impl QpSolver {
         for iter in 0..self.options.max_iterations {
             // Residuals: rd = Hz + g + A_eqᵀy + A_inᵀλ, rp = A_eq·z − b_eq,
             // rc = A_in·z + s − b_in.
-            match h_block {
-                Some(vb) => block_diag_matvec(problem.h, vb, &z, &mut hz),
-                None => matvec_into(problem.h, &z, &mut hz),
-            }
+            hess_matvec(problem.h, h_block, &z, &mut hz);
             for r in 0..n {
-                rd[r] = hz[r] + problem.g[r];
+                rd[r] = hz[r] + rows.g[r];
             }
             // Each transposed product accumulates in its own buffer and is
             // added to rd as one elementwise pass — the exact summation
@@ -916,12 +1165,12 @@ impl QpSolver {
             if let Some(a_eq) = a_eq {
                 a_eq.matvec_into(&z, &mut rp);
                 for r in 0..me {
-                    rp[r] -= problem.b_eq[r];
+                    rp[r] -= rows.b_eq[r];
                 }
             }
             a_in.matvec_into(&z, &mut cz);
             for i in 0..mi {
-                rc[i] = cz[i] + s[i] - problem.b_in[i];
+                rc[i] = cz[i] + s[i] - rows.b_in[i];
             }
             let mu = vecops::dot(&s, &lam) / mi as f64;
 
@@ -930,13 +1179,8 @@ impl QpSolver {
                 && vecops::norm_inf(&rp) <= tol * data_scale
                 && vecops::norm_inf(&rc) <= tol * data_scale;
             if converged {
-                let objective = match h_block {
-                    Some(vb) => {
-                        block_diag_matvec(problem.h, vb, &z, &mut hz);
-                        0.5 * vecops::dot(&z, &hz) + vecops::dot(problem.g, &z)
-                    }
-                    None => problem.objective(&z),
-                };
+                hess_matvec(problem.h, h_block, &z, &mut hz);
+                let objective = 0.5 * vecops::dot(&z, &hz) + vecops::dot(rows.g, &z);
                 if let Some(w) = warm.as_deref_mut() {
                     w.lam.clear();
                     w.lam.extend_from_slice(&lam);
@@ -955,7 +1199,7 @@ impl QpSolver {
             for i in 0..mi {
                 wvec[i] = lam[i] / s[i];
             }
-            ws.factor(problem, a_in, &wvec, reg)?;
+            ws.factor(problem, a_in.kkt_rows(), &wvec, reg)?;
 
             // Affine (predictor) direction: target σ = 0.
             for i in 0..mi {
@@ -1028,19 +1272,19 @@ impl QpSolver {
         }
 
         // Re-evaluate residuals for the error report.
-        matvec_into(problem.h, &z, &mut hz);
+        hess_matvec(problem.h, None, &z, &mut hz);
         for r in 0..n {
-            rd[r] = hz[r] + problem.g[r];
+            rd[r] = hz[r] + rows.g[r];
         }
         if let Some(a_eq) = a_eq {
             a_eq.matvec_into(&z, &mut rp);
             for r in 0..me {
-                rp[r] -= problem.b_eq[r];
+                rp[r] -= rows.b_eq[r];
             }
         }
         a_in.matvec_into(&z, &mut cz);
         for i in 0..mi {
-            rc[i] = cz[i] + s[i] - problem.b_in[i];
+            rc[i] = cz[i] + s[i] - rows.b_in[i];
         }
         let primal_residual = vecops::norm_inf(&rp).max(vecops::norm_inf(&rc));
         // A primal residual stuck far above the convergence scale after a
@@ -1162,13 +1406,39 @@ fn block_diag_matvec(m: &Matrix, vb: usize, x: &[f64], out: &mut [f64]) {
     }
 }
 
+/// `out = H·x` over the view's variables, continued by `δ·t` on the
+/// slack tail of an elastic iterate (empty for a nominal one).
+fn hess_matvec(h: &Matrix, h_block: Option<usize>, x: &[f64], out: &mut [f64]) {
+    let n = h.rows();
+    let (xd, xt) = x.split_at(n);
+    let (od, ot) = out.split_at_mut(n);
+    match h_block {
+        Some(vb) => block_diag_matvec(h, vb, xd, od),
+        None => matvec_into(h, xd, od),
+    }
+    for (o, t) in ot.iter_mut().zip(xt) {
+        *o = ELASTIC_CURVATURE * t;
+    }
+}
+
+/// The linear data the interior-point loop iterates on: a view's own
+/// rows, or the rows of its elastic relaxation (whose `g` carries the
+/// slack prices and whose `a_in` is the [`ElasticRows`]).
+struct IpmRows<'a, R> {
+    g: &'a [f64],
+    a_eq: Option<ConstraintRef<'a>>,
+    b_eq: &'a [f64],
+    a_in: R,
+    b_in: &'a [f64],
+}
+
 /// Solves one Newton system given the factored KKT workspace and the
 /// complementarity right-hand side `r_slam` (entries `sᵢλᵢ − target`),
 /// writing the directions into the provided buffers.
 #[allow(clippy::too_many_arguments)]
-fn newton_step(
+fn newton_step<R: IpmInequalities>(
     ws: &mut KktWorkspace,
-    a_in: ConstraintRef<'_>,
+    a_in: R,
     rd: &[f64],
     rp: &[f64],
     rc: &[f64],
@@ -1197,7 +1467,7 @@ fn newton_step(
     for r in 0..me {
         rhs[n + r] = -rp[r];
     }
-    ws.solve_in_place(rhs)?;
+    ws.solve_in_place(a_in.kkt_rows(), rhs)?;
     dz.copy_from_slice(&rhs[..n]);
     dy.copy_from_slice(&rhs[n..]);
 
@@ -1215,7 +1485,8 @@ fn newton_step(
 /// when the reduced system is SPD (no equalities), dense LU otherwise.
 /// Backends degrade monotonically within one solve: a banded or Cholesky
 /// factorization failure permanently drops to the next denser backend, so
-/// the dense LU oracle is always the last resort.
+/// the dense LU oracle is always the last resort. One dense matrix and one
+/// [`Lu`] serve every iteration of the solve.
 struct KktWorkspace {
     n: usize,
     me: usize,
@@ -1232,13 +1503,74 @@ struct KktWorkspace {
     use_cholesky: bool,
     lu: Option<Lu>,
     backend: QpKktBackend,
+    /// Slack elimination state when solving an elastic relaxation.
+    elastic: Option<ElasticKkt>,
+}
+
+/// The diagonal slack block of an elastic relaxation's KKT system and
+/// its elimination.
+///
+/// Ordering the unknowns `(d, t)`, the relaxation's reduced KKT matrix is
+/// `[K_dd, K_dt; K_td, K_tt]` with `K_tt` diagonal. Slack `k` couples to
+/// `d` only through its nominal row `aₖ`: `K_td[k] = cₖ·aₖ` with
+/// `cₖ = w⁻ − w⁺` for an equality pair and `cₖ = −w₁` for an inequality.
+/// Eliminating it leaves the `n × n` matrix `H + δ_reg·I + Σₖ ωₖ aₖᵀaₖ`
+/// with `ωₖ = w₁(δ′+w₂)/(δ′+w₁+w₂)` (inequality) or
+/// `ωₖ = [(w⁺+w⁻)(δ′+w_b) + 4w⁺w⁻]/K_tt[k]` (equality pair), where
+/// `δ′ = δ + δ_reg`, `w = λ/s` of the row and `w₂`, `w_b` belong to the
+/// slack's bound row. See DESIGN.md for the derivation.
+#[derive(Debug)]
+struct ElasticKkt {
+    /// `K_tt[k]`.
+    ktt: Vec<f64>,
+    /// `cₖ` of `K_td[k] = cₖ·aₖ`.
+    ktd: Vec<f64>,
+    /// Reduced row weights `ωₖ`: equalities then inequalities.
+    omega: Vec<f64>,
+}
+
+impl ElasticKkt {
+    fn new(slacks: usize) -> Self {
+        Self {
+            ktt: vec![0.0; slacks],
+            ktd: vec![0.0; slacks],
+            omega: vec![0.0; slacks],
+        }
+    }
+
+    /// Refreshes the slack block from the relaxation's row weights `w`.
+    fn update(&mut self, rows: &ElasticRows<'_>, w: &[f64], reg: f64) {
+        let (me, mi) = (rows.me, rows.mi);
+        let d = ELASTIC_CURVATURE + reg;
+        let bound = &w[2 * me + mi..];
+        for r in 0..me {
+            let (wp, wm, wb) = (w[2 * r], w[2 * r + 1], bound[r]);
+            let ktt = d + wp + wm + wb;
+            self.ktt[r] = ktt;
+            self.ktd[r] = wm - wp;
+            self.omega[r] = ((wp + wm) * (d + wb) + 4.0 * wp * wm) / ktt;
+        }
+        for r in 0..mi {
+            let k = me + r;
+            let (w1, w2) = (w[2 * me + r], bound[k]);
+            let ktt = d + w1 + w2;
+            self.ktt[k] = ktt;
+            self.ktd[k] = -w1;
+            self.omega[k] = w1 * (d + w2) / ktt;
+        }
+    }
 }
 
 impl KktWorkspace {
-    fn new(problem: &QpView<'_>, prefer_dense_cholesky: bool) -> Self {
+    fn new(problem: &QpView<'_>, a_in: KktRows<'_>, prefer_dense_cholesky: bool) -> Self {
         let n = problem.num_vars();
-        let me = problem.num_eq();
-        let (pos, bandwidth, banded) = match banded_plan(problem) {
+        // An elastic relaxation has no equality block: its equalities
+        // became slack-relaxed row pairs, eliminated down to n × n.
+        let (me, elastic) = match a_in {
+            KktRows::Elastic(rows) => (0, Some(ElasticKkt::new(rows.me + rows.mi))),
+            KktRows::Nominal(_) => (problem.num_eq(), None),
+        };
+        let (pos, bandwidth, banded) = match banded_plan(problem).filter(|_| elastic.is_none()) {
             Some((pos, w)) => (pos, w, true),
             None => (Vec::new(), 0, false),
         };
@@ -1259,6 +1591,7 @@ impl KktWorkspace {
             use_cholesky: prefer_dense_cholesky && me == 0,
             lu: None,
             backend: QpKktBackend::DenseLu,
+            elastic,
         }
     }
 
@@ -1268,10 +1601,24 @@ impl KktWorkspace {
     fn factor(
         &mut self,
         problem: &QpView<'_>,
-        a_in: ConstraintRef<'_>,
+        a_in: KktRows<'_>,
         wvec: &[f64],
         reg: f64,
     ) -> Result<(), OptimError> {
+        let a_in = match a_in {
+            KktRows::Nominal(c) => c,
+            KktRows::Elastic(rows) => {
+                let mut el = self
+                    .elastic
+                    .take()
+                    .expect("elastic rows imply elastic state");
+                el.update(rows, wvec, reg);
+                let (w_eq, w_in) = el.omega.split_at(rows.me);
+                let result = self.factor_dense(problem, &[(rows.eq, w_eq), (rows.ineq, w_in)], reg);
+                self.elastic = Some(el);
+                return result;
+            }
+        };
         if self.banded {
             match self.factor_banded(problem, wvec, reg) {
                 Ok(()) => {
@@ -1284,7 +1631,7 @@ impl KktWorkspace {
                 Err(_) => self.banded = false,
             }
         }
-        self.factor_dense(problem, a_in, wvec, reg)
+        self.factor_dense(problem, &[(Some(a_in), wvec)], reg)
     }
 
     fn factor_banded(
@@ -1354,11 +1701,12 @@ impl KktWorkspace {
         Ok(())
     }
 
+    /// Assembles `[H + Σ CᵀWC + δ_reg·I, A_eqᵀ; A_eq, −δI]` over row slices
+    /// and factors it. `grams` lists each row block `C` with its weights.
     fn factor_dense(
         &mut self,
         problem: &QpView<'_>,
-        a_in: ConstraintRef<'_>,
-        wvec: &[f64],
+        grams: &[(Option<ConstraintRef<'_>>, &[f64])],
         reg: f64,
     ) -> Result<(), OptimError> {
         let (n, me) = (self.n, self.me);
@@ -1367,67 +1715,42 @@ impl KktWorkspace {
             self.dense = Some(Matrix::zeros(dim, dim));
         }
         let kkt = self.dense.as_mut().expect("just ensured");
+        let data = kkt.as_mut_slice();
 
         // Hessian block overwrites last iteration's values wholesale; the
         // constant equality blocks below only rewrite their own entries.
         for r in 0..n {
-            for c in 0..n {
-                kkt.set(r, c, problem.h.get(r, c));
-            }
+            data[r * dim..r * dim + n].copy_from_slice(problem.h.row(r));
         }
-        match a_in {
-            ConstraintRef::Dense(m) => {
-                for i in 0..m.rows() {
-                    let wi = wvec[i];
-                    let row = m.row(i);
-                    for r in 0..n {
-                        let ar = row[r];
-                        if ar == 0.0 {
-                            continue;
-                        }
-                        for c in 0..n {
-                            kkt.add_at(r, c, wi * ar * row[c]);
-                        }
-                    }
-                }
-            }
-            ConstraintRef::Sparse(s) => {
-                for i in 0..s.rows() {
-                    let wi = wvec[i];
-                    let (cols, vals) = s.row(i);
-                    for a in 0..cols.len() {
-                        let va = wi * vals[a];
-                        for b in 0..cols.len() {
-                            kkt.add_at(cols[a], cols[b], va * vals[b]);
-                        }
-                    }
-                }
+        for &(c, w) in grams {
+            if let Some(c) = c {
+                add_weighted_gram(data, dim, n, c, w);
             }
         }
         for r in 0..n {
-            kkt.add_at(r, r, reg);
+            data[r * dim + r] += reg;
         }
         if me > 0 {
-            match problem.a_eq_ref().expect("me > 0 implies A_eq") {
-                ConstraintRef::Dense(m) => {
-                    for r in 0..me {
-                        for c in 0..n {
-                            kkt.set(n + r, c, m.get(r, c));
-                            kkt.set(c, n + r, m.get(r, c));
+            let a_eq = problem.a_eq_ref().expect("me > 0 implies A_eq");
+            for r in 0..me {
+                let pr = n + r;
+                match a_eq {
+                    ConstraintRef::Dense(m) => {
+                        let row = m.row(r);
+                        data[pr * dim..pr * dim + n].copy_from_slice(row);
+                        for (c, v) in row.iter().enumerate() {
+                            data[c * dim + pr] = *v;
                         }
-                        kkt.set(n + r, n + r, -1e-12);
                     }
-                }
-                ConstraintRef::Sparse(s) => {
-                    for r in 0..me {
+                    ConstraintRef::Sparse(s) => {
                         let (cols, vals) = s.row(r);
                         for (c, v) in cols.iter().zip(vals) {
-                            kkt.set(n + r, *c, *v);
-                            kkt.set(*c, n + r, *v);
+                            data[pr * dim + c] = *v;
+                            data[c * dim + pr] = *v;
                         }
-                        kkt.set(n + r, n + r, -1e-12);
                     }
                 }
+                data[pr * dim + pr] = -1e-12;
             }
         }
 
@@ -1451,41 +1774,106 @@ impl KktWorkspace {
             self.cholesky = None;
             self.use_cholesky = false;
         }
-        self.lu = None;
-        self.lu = Some(Lu::factor(kkt)?);
+        match self.lu.as_mut() {
+            Some(lu) => {
+                if let Err(e) = lu.refactor(kkt) {
+                    self.lu = None;
+                    return Err(e.into());
+                }
+            }
+            None => self.lu = Some(Lu::factor(kkt)?),
+        }
         self.backend = QpKktBackend::DenseLu;
         Ok(())
     }
 
-    /// Solves the factored KKT system in place (permuting through the
-    /// stage-interleaved ordering for the banded backend).
-    fn solve_in_place(&mut self, rhs: &mut [f64]) -> Result<(), OptimError> {
+    /// Solves the factored KKT system in place, permuting through the
+    /// stage-interleaved ordering for the banded backend. For an elastic
+    /// relaxation `rhs = (r_d, r_t)`: the slack block is folded into `r_d`
+    /// before the `n × n` solve and the slack steps are recovered after.
+    fn solve_in_place(&mut self, a_in: KktRows<'_>, rhs: &mut [f64]) -> Result<(), OptimError> {
+        let n = self.n;
+        let el_rows = match (a_in, self.elastic.as_ref()) {
+            (KktRows::Elastic(rows), Some(el)) => {
+                // rhs = (r_d, r_t): fold the slack rows into r_d.
+                let (rd, rt) = rhs.split_at_mut(n);
+                for (k, &t) in rt.iter().enumerate() {
+                    let (row, i) = rows.slack_row(k);
+                    row.add_scaled_row(i, -el.ktd[k] * t / el.ktt[k], rd);
+                }
+                Some(rows)
+            }
+            _ => None,
+        };
+        let x = &mut rhs[..n + self.me];
         match self.backend {
             QpKktBackend::Banded => {
                 for (i, &p) in self.pos.iter().enumerate() {
-                    self.perm_rhs[p] = rhs[i];
+                    self.perm_rhs[p] = x[i];
                 }
                 self.band_factor.solve_in_place(&mut self.perm_rhs)?;
                 for (i, &p) in self.pos.iter().enumerate() {
-                    rhs[i] = self.perm_rhs[p];
+                    x[i] = self.perm_rhs[p];
                 }
             }
             QpKktBackend::DenseCholesky => {
                 self.cholesky
                     .as_ref()
                     .expect("backend implies factor")
-                    .solve_in_place(rhs)?;
+                    .solve_in_place(x)?;
             }
             QpKktBackend::DenseLu => {
-                let x = self
-                    .lu
+                self.lu
                     .as_ref()
                     .expect("backend implies factor")
-                    .solve(rhs)?;
-                rhs.copy_from_slice(&x);
+                    .solve_into(x, &mut self.perm_rhs)?;
+                x.copy_from_slice(&self.perm_rhs);
+            }
+        }
+        if let (Some(rows), Some(el)) = (el_rows, self.elastic.as_ref()) {
+            // t = (r_t − K_td·d)/K_tt.
+            let (dd, dt) = rhs.split_at_mut(n);
+            for (k, t) in dt.iter_mut().enumerate() {
+                let (row, i) = rows.slack_row(k);
+                *t = (*t - el.ktd[k] * row.row_dot(i, dd)) / el.ktt[k];
             }
         }
         Ok(())
+    }
+}
+
+/// `K[..n, ..n] += Cᵀ·diag(w)·C` on the row-major `dim`-wide storage,
+/// row slice by row slice. Each entry receives its terms in row order of
+/// `C`, exactly as an element-by-element accumulation would, so the sum
+/// is bit-identical to it.
+fn add_weighted_gram(data: &mut [f64], dim: usize, n: usize, c: ConstraintRef<'_>, w: &[f64]) {
+    match c {
+        ConstraintRef::Dense(m) => {
+            for (i, &wi) in w.iter().enumerate() {
+                let c_row = m.row(i);
+                for (r, &ar) in c_row.iter().enumerate() {
+                    if ar == 0.0 {
+                        continue;
+                    }
+                    let war = wi * ar;
+                    for (k, v) in data[r * dim..r * dim + n].iter_mut().zip(c_row) {
+                        *k += war * v;
+                    }
+                }
+            }
+        }
+        ConstraintRef::Sparse(s) => {
+            for (i, &wi) in w.iter().enumerate() {
+                let (cols, vals) = s.row(i);
+                for (&ca, &va) in cols.iter().zip(vals) {
+                    let va = wi * va;
+                    let row = &mut data[ca * dim..ca * dim + n];
+                    for (&cb, &vb) in cols.iter().zip(vals) {
+                        row[cb] += va * vb;
+                    }
+                }
+            }
+        }
     }
 }
 

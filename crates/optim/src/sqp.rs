@@ -3,9 +3,7 @@
 use ev_linalg::{vecops, Matrix, SparseMatrix};
 
 use crate::observer::{NoopSqpObserver, QpSubproblemStatus, SqpIterationRecord, SqpObserver};
-use crate::{
-    NlpProblem, OptimError, QpProblem, QpSolver, QpSolverOptions, QpStructure, QpView, QpWarmStart,
-};
+use crate::{NlpProblem, OptimError, QpSolver, QpSolverOptions, QpStructure, QpView, QpWarmStart};
 
 /// A constraint Jacobian for one SQP iteration, in whichever form the
 /// problem produced it. Sparse Jacobians flow straight into the QP's CSR
@@ -305,10 +303,8 @@ impl SqpSolver {
                 &b,
                 &grad,
                 j_eq,
-                &c_eq,
                 &neg_c_eq,
                 j_in,
-                &c_in,
                 &neg_c_in,
                 penalty,
                 structure,
@@ -419,9 +415,6 @@ impl SqpSolver {
                     trial_d.copy_from_slice(&d);
                 }
                 alpha *= 0.5;
-            }
-            if std::env::var("SQP_DEBUG").is_ok() {
-                eprintln!("it={iter} z={z:?} f={f:.4} viol={viol:.4} pen={penalty:.2} d={d:?} ddir={ddir:.4} accepted={accepted} alpha={alpha:.4}");
             }
             if observing {
                 let active_set = if observer.wants_active_set() {
@@ -544,8 +537,8 @@ impl SqpSolver {
     /// numerically failed nominal solve (singular KKT mid-IPM) is first
     /// retried with heavily boosted Hessian regularization — a degenerate
     /// active-set guess usually just needs a better-conditioned system —
-    /// before falling back to elastic mode, which builds its own
-    /// enlarged (dense) problem.
+    /// before falling back to elastic mode on the same view
+    /// ([`QpSolver::solve_view_elastic`]).
     #[allow(clippy::too_many_arguments, clippy::type_complexity)]
     fn solve_subproblem(
         &self,
@@ -553,18 +546,16 @@ impl SqpSolver {
         b: &Matrix,
         grad: &[f64],
         j_eq: JacRef<'_>,
-        c_eq: &[f64],
         neg_c_eq: &[f64],
         j_in: JacRef<'_>,
-        c_in: &[f64],
         neg_c_in: &[f64],
         penalty: f64,
         structure: Option<QpStructure>,
         mut qp_warm: Option<&mut QpWarmStart>,
     ) -> Result<(Vec<f64>, Vec<f64>, Vec<f64>, QpSubproblemStatus, usize), OptimError> {
         let n = grad.len();
-        let me = c_eq.len();
-        let mi = c_in.len();
+        let me = neg_c_eq.len();
+        let mi = neg_c_in.len();
 
         let mut qp = QpView::new(b, grad)?;
         if me > 0 {
@@ -629,76 +620,9 @@ impl SqpSolver {
             | OptimError::QpInfeasible { .. }
             | OptimError::QpUnbounded { .. }
             | OptimError::Linalg(_) => {
-                // Densify sparse Jacobians for the (rare, allocating)
-                // elastic rebuild below.
-                let j_eq_store;
-                let j_eq = match j_eq {
-                    JacRef::Dense(m) => m,
-                    JacRef::Sparse(s) => {
-                        j_eq_store = s.to_dense();
-                        &j_eq_store
-                    }
-                };
-                let j_in_store;
-                let j_in = match j_in {
-                    JacRef::Dense(m) => m,
-                    JacRef::Sparse(s) => {
-                        j_in_store = s.to_dense();
-                        &j_in_store
-                    }
-                };
-                // Elastic mode: d plus slack t ≥ 0 on every constraint,
+                // Elastic mode: a slack t ≥ 0 on every constraint,
                 // penalized linearly. Always feasible (t large enough).
-                let nt = n + me + mi;
-                let mut h = Matrix::zeros(nt, nt);
-                for r in 0..n {
-                    for c in 0..n {
-                        h.set(r, c, b.get(r, c));
-                    }
-                }
-                for i in n..nt {
-                    h.set(i, i, 1e-8);
-                }
-                let mut g = vec![0.0; nt];
-                g[..n].copy_from_slice(grad);
-                for gi in g.iter_mut().skip(n) {
-                    *gi = penalty * 10.0;
-                }
-                // Equalities become two-sided inequalities with slack:
-                //   J_eq d − t ≤ −c_eq,  −J_eq d − t ≤ c_eq,  −t ≤ 0
-                let mut rows: Vec<Vec<f64>> = Vec::new();
-                let mut rhs: Vec<f64> = Vec::new();
-                for r in 0..me {
-                    let mut row = vec![0.0; nt];
-                    row[..n].copy_from_slice(j_eq.row(r));
-                    row[n + r] = -1.0;
-                    rows.push(row);
-                    rhs.push(-c_eq[r]);
-                    let mut row2 = vec![0.0; nt];
-                    for c in 0..n {
-                        row2[c] = -j_eq.get(r, c);
-                    }
-                    row2[n + r] = -1.0;
-                    rows.push(row2);
-                    rhs.push(c_eq[r]);
-                }
-                for r in 0..mi {
-                    let mut row = vec![0.0; nt];
-                    row[..n].copy_from_slice(j_in.row(r));
-                    row[n + me + r] = -1.0;
-                    rows.push(row);
-                    rhs.push(-c_in[r]);
-                }
-                for t in 0..(me + mi) {
-                    let mut row = vec![0.0; nt];
-                    row[n + t] = -1.0;
-                    rows.push(row);
-                    rhs.push(0.0);
-                }
-                let refs: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
-                let a_in = Matrix::from_rows(&refs).expect("elastic rows rectangular");
-                let eqp = QpProblem::new(h, g)?.with_inequalities(a_in, rhs)?;
-                let sol = qp_solver.solve(&eqp)?;
+                let sol = qp_solver.solve_view_elastic(&qp, 10.0 * penalty)?;
                 // Map the multipliers of the elasticized rows back to the
                 // original constraints: the first 2·me rows correspond to
                 // the ±equality pair, the next mi to the inequalities.

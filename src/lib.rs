@@ -45,7 +45,7 @@
 //! | [`units`] | physical-quantity newtypes |
 //! | [`linalg`] | dense LU / Cholesky / QR kernel |
 //! | [`ode`] | fixed-step and adaptive integrators |
-//! | [`optim`] | active-set QP and SQP solvers |
+//! | [`optim`] | interior-point QP and SQP solvers |
 //! | [`drive`] | standard driving cycles and drive profiles |
 //! | [`powertrain`] | EV road loads, motor map, regen; ICE reference |
 //! | [`hvac`] | single-zone VAV cabin model |
