@@ -123,6 +123,9 @@ struct MpcMetrics {
     qp_elastic: Counter,
     qp_fallback: Counter,
     qp_regularization_retries: Counter,
+    /// Warm-started QP attempts that failed and were re-solved cold.
+    /// Registry-only: [`MpcDiagnostics`] has no twin of it.
+    qp_warm_restarts: Counter,
 }
 
 impl MpcMetrics {
@@ -150,6 +153,7 @@ impl MpcMetrics {
             qp_elastic: registry.counter("sqp_qp_elastic_total"),
             qp_fallback: registry.counter("sqp_qp_fallback_total"),
             qp_regularization_retries: registry.counter("sqp_qp_regularization_retry_total"),
+            qp_warm_restarts: registry.counter("sqp_qp_warm_restart_total"),
         }
     }
 }
@@ -191,6 +195,9 @@ impl SqpObserver for SolveObserver<'_> {
                 QpSubproblemStatus::RegularizationRetry => m.qp_regularization_retries.inc(),
                 QpSubproblemStatus::Elastic => m.qp_elastic.inc(),
                 QpSubproblemStatus::GradientFallback => m.qp_fallback.inc(),
+            }
+            if record.qp_warm_restart.is_some() {
+                m.qp_warm_restarts.inc();
             }
         }
         if let Some(set) = self.final_active_set.as_deref_mut() {
@@ -449,9 +456,10 @@ pub struct MpcController {
     accessory_power: Watts,
     solver: SqpSolver,
     warm_start: Option<Vec<f64>>,
-    /// Interior-point multiplier cache threaded through consecutive
-    /// multiple-shooting solves (the condensed path stays cold so its
-    /// iterate trajectory remains bit-reproducible run to run).
+    /// Interior-point multiplier cache threaded *across* consecutive
+    /// multiple-shooting solves. The condensed path warm-starts only
+    /// within each solve (`SqpSolver::solve_observed`), so any of its
+    /// solves can be replayed alone from the problem and start point.
     sqp_warm: QpWarmStart,
     cached_input: Option<HvacInput>,
     steps_since_solve: usize,

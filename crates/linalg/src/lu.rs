@@ -5,9 +5,12 @@ use crate::{LinalgError, Matrix};
 /// LU factorization of a square matrix with partial (row) pivoting.
 ///
 /// Factors `P·A = L·U` and solves `A·x = b` by forward/back substitution.
-/// This is the factorization used for the KKT systems inside the
-/// interior-point QP solver, which are symmetric but indefinite — hence LU
-/// rather than Cholesky.
+/// The interior-point QP solver uses it for reduced KKT systems with an
+/// equality block, which are symmetric but indefinite, and as the fallback
+/// when [`crate::Cholesky`] rejects a pivot of an SPD one. Its singularity
+/// test compares every pivot with the largest entry of the whole matrix,
+/// so a well-posed system whose rows differ in scale by more than ~1e13
+/// is reported [`LinalgError::Singular`].
 ///
 /// The elimination and both substitutions walk whole row slices rather
 /// than indexing element by element, but keep the textbook per-element

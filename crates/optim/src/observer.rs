@@ -18,7 +18,8 @@
 /// How the QP subproblem of one SQP iteration was obtained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QpSubproblemStatus {
-    /// The nominal borrowed-view QP solved directly.
+    /// The nominal borrowed-view QP solved directly (warm, or cold after
+    /// a failed warm attempt; see [`SqpIterationRecord::qp_warm_restart`]).
     Nominal,
     /// The nominal QP hit a singular/ill-conditioned KKT system and was
     /// re-solved successfully with boosted Hessian regularization.
@@ -59,6 +60,13 @@ pub struct SqpIterationRecord {
     /// Inner iterations reported by the QP solver (0 for the
     /// gradient-descent fallback).
     pub qp_iterations: usize,
+    /// `Some(k)` when the subproblem's warm-started attempt failed after
+    /// `k` interior-point iterations and the subproblem was re-solved
+    /// cold; [`SqpIterationRecord::qp_status`] and
+    /// [`SqpIterationRecord::qp_iterations`] then describe the cold
+    /// path. `None` when the subproblem started cold or its warm attempt
+    /// converged.
+    pub qp_warm_restart: Option<usize>,
     /// Wall-clock seconds spent in the QP subproblem (factorization +
     /// interior-point iterations).
     pub qp_seconds: f64,

@@ -3,11 +3,12 @@
 //!
 //! The reduced KKT system `[H + CᵀWC, A_eqᵀ; A_eq, −δI]` is assembled from
 //! either dense or sparse (CSR) constraint Jacobians and factored by one of
-//! three interchangeable backends: dense LU (the indefinite-safe oracle),
-//! dense Cholesky (when there are no equality constraints the reduced
-//! matrix is SPD), or — when the problem declares its horizon structure via
-//! [`QpStructure`] — a banded LDLᵀ under a stage-interleaved permutation,
-//! making each interior-point iteration `O(N)` in the horizon length.
+//! three interchangeable backends: dense Cholesky (the default whenever
+//! there is no equality block, so the reduced matrix is SPD), dense LU (for
+//! equality blocks, and the fallback when Cholesky rejects a pivot), or —
+//! when the problem declares its horizon structure via [`QpStructure`] — a
+//! banded LDLᵀ under a stage-interleaved permutation, making each
+//! interior-point iteration `O(N)` in the horizon length.
 
 use ev_linalg::{vecops, BandedCholesky, BandedMatrix, Cholesky, Lu, Matrix, SparseMatrix};
 
@@ -51,9 +52,10 @@ impl QpStructure {
 /// Which factorization backend produced a [`QpSolution`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QpKktBackend {
-    /// Dense LU with partial pivoting (fallback and correctness oracle).
+    /// Dense LU with partial pivoting: systems with an equality block,
+    /// and the fallback when Cholesky rejects a pivot.
     DenseLu,
-    /// Dense Cholesky on the SPD reduced system (no equality constraints).
+    /// Dense Cholesky on the SPD reduced system (no equality block).
     DenseCholesky,
     /// Banded LDLᵀ under the stage-interleaved permutation declared by
     /// [`QpStructure`].
@@ -724,11 +726,11 @@ pub struct QpSolution {
 /// Reusable interior-point warm-start state for
 /// [`QpSolver::solve_view_warm`].
 ///
-/// Holds the inequality multipliers of the last successful solve; a
-/// receding-horizon caller keeps one of these alive across control steps
-/// so each QP restarts near the previous active set. The cache is purely
-/// an accelerator: solves that fail leave it empty (the next solve is
-/// cold), and a dimension mismatch is ignored.
+/// Holds the inequality multipliers of the last successful solve, so the
+/// next QP restarts near its active set: [`crate::SqpSolver`] threads one
+/// through the subproblems of every solve. The cache is purely an
+/// accelerator: solves that fail leave it empty (the next solve is cold),
+/// and a dimension mismatch is ignored.
 #[derive(Debug, Clone, Default)]
 pub struct QpWarmStart {
     lam: Vec<f64>,
@@ -751,6 +753,12 @@ impl QpWarmStart {
     pub fn is_warm(&self) -> bool {
         !self.lam.is_empty()
     }
+
+    /// Replaces the cached multipliers with `lam`.
+    pub(crate) fn store(&mut self, lam: &[f64]) {
+        self.lam.clear();
+        self.lam.extend_from_slice(lam);
+    }
 }
 
 /// Options for the interior-point QP solver.
@@ -762,13 +770,13 @@ pub struct QpSolverOptions {
     pub max_iterations: usize,
     /// Levenberg regularization added to the Hessian diagonal.
     pub regularization: f64,
-    /// Prefer a dense Cholesky factorization over LU when the reduced KKT
-    /// matrix is SPD (no equality constraints). Off by default: Cholesky
-    /// and LU produce different floating-point roundoff, and the default
-    /// dense path doubles as the bit-reproducible oracle behind recorded
-    /// controller traces. Enable for standalone QPs where a ~2× cheaper
-    /// dense factorization matters more than replaying historical
-    /// iterates.
+    /// Factor a reduced KKT matrix without an equality block (then SPD)
+    /// by dense Cholesky, falling back to LU only when Cholesky rejects a
+    /// pivot. On by default: it costs half of LU, and LU's global pivot
+    /// test misreads the well-posed but widely scaled systems of an
+    /// iterate near its active set as singular. `false` makes dense LU
+    /// factor every system, the reference the solver battery
+    /// (`ev-qpbattery`) compares the other backends against.
     pub prefer_dense_cholesky: bool,
 }
 
@@ -778,16 +786,17 @@ impl Default for QpSolverOptions {
             tolerance: 1e-8,
             max_iterations: 100,
             regularization: 1e-10,
-            prefer_dense_cholesky: false,
+            prefer_dense_cholesky: true,
         }
     }
 }
 
 /// Infeasible-start primal-dual interior-point solver for convex QPs.
 ///
-/// Implements the Mehrotra predictor–corrector scheme with a shared LU
-/// factorization of the reduced KKT system per iteration. Designed as the
-/// subproblem engine of [`crate::SqpSolver`] but fully usable on its own.
+/// Implements the Mehrotra predictor–corrector scheme with one
+/// factorization of the reduced KKT system per iteration, shared by the
+/// predictor and corrector solves. Designed as the subproblem engine of
+/// [`crate::SqpSolver`] but fully usable on its own.
 ///
 /// # Examples
 ///
@@ -871,20 +880,21 @@ impl QpSolver {
         problem: &QpView<'_>,
         z0: &[f64],
     ) -> Result<QpSolution, OptimError> {
-        self.solve_view_inner(problem, z0, None)
+        self.solve_view_inner(problem, z0, None, &mut 0)
     }
 
     /// Solves a borrowed-view QP from a warm-start primal point `z0`,
     /// seeding the interior-point duals from `warm` and depositing the
     /// converged multipliers back into it on success.
     ///
-    /// Successive QP subproblems of a receding-horizon controller share
-    /// their active set almost verbatim, so restarting the interior-point
-    /// method from the previous multipliers instead of the cold
-    /// `(s, λ) = (max(b − Cz, 1), 1)` point typically more than halves the
-    /// iteration count. The warm data is only an initial guess — the
-    /// solver still iterates to the same KKT tolerance, so a stale or
-    /// mismatched cache costs iterations, never correctness (a cache whose
+    /// Successive QP subproblems of an SQP solve share their active set
+    /// almost verbatim, so restarting the interior-point method from the
+    /// previous multipliers instead of the cold
+    /// `(s, λ) = (max(b − Cz, 1), 1)` point typically halves the iteration
+    /// count. The warm data is only an initial guess: a warm attempt that
+    /// fails, or whose iterates stall, is abandoned and the QP re-solved
+    /// cold with the full iteration budget, so a stale cache costs
+    /// iterations, never the answer or its error class (a cache whose
     /// dimension does not match `num_ineq` is ignored entirely).
     ///
     /// # Errors
@@ -896,7 +906,35 @@ impl QpSolver {
         z0: &[f64],
         warm: &mut QpWarmStart,
     ) -> Result<QpSolution, OptimError> {
-        self.solve_view_inner(problem, z0, Some(warm))
+        self.solve_view_seeded(problem, z0, warm).0
+    }
+
+    /// [`QpSolver::solve_view_warm`], also reporting the interior-point
+    /// iterations of a warm attempt that failed and was retried cold
+    /// (`None` when the solve started cold or the warm attempt converged).
+    pub(crate) fn solve_view_seeded(
+        &self,
+        problem: &QpView<'_>,
+        z0: &[f64],
+        warm: &mut QpWarmStart,
+    ) -> (Result<QpSolution, OptimError>, Option<usize>) {
+        let mut restart = None;
+        if warm.is_warm() && warm.lam.len() == problem.num_ineq() {
+            let mut spent = 0;
+            match self.solve_view_inner(problem, z0, Some(&warm.lam), &mut spent) {
+                Ok(sol) => {
+                    warm.store(&sol.lambda_in);
+                    return (Ok(sol), None);
+                }
+                Err(_) => restart = Some(spent),
+            }
+        }
+        let cold = self.solve_view_from(problem, z0);
+        match &cold {
+            Ok(sol) => warm.store(&sol.lambda_in),
+            Err(_) => warm.clear(),
+        }
+        (cold, restart)
     }
 
     /// Solves the *elastic relaxation* of a borrowed-view QP: every
@@ -967,14 +1005,17 @@ impl QpSolver {
             a_in: &rows,
             b_in: &b,
         };
-        self.interior_point(problem, &ipm, &vec![0.0; nv], None)
+        self.interior_point(problem, &ipm, &vec![0.0; nv], None, &mut 0)
     }
 
+    /// Solves from `z0`, cold or (with `warm_lam`) warm; `spent` receives
+    /// the interior-point iterations performed.
     fn solve_view_inner(
         &self,
         problem: &QpView<'_>,
         z0: &[f64],
-        warm: Option<&mut QpWarmStart>,
+        warm_lam: Option<&[f64]>,
+        spent: &mut usize,
     ) -> Result<QpSolution, OptimError> {
         if z0.len() != problem.num_vars() {
             return Err(OptimError::DimensionMismatch { what: "z0 vs H" });
@@ -990,17 +1031,22 @@ impl QpSolver {
             a_in,
             b_in: problem.b_in,
         };
-        self.interior_point(problem, &ipm, z0, warm)
+        self.interior_point(problem, &ipm, z0, warm_lam, spent)
     }
 
     /// The Mehrotra predictor–corrector loop over `rows` (the view's own
-    /// rows, or its elastic relaxation), from the primal point `z0`.
+    /// rows, or its elastic relaxation), from the primal point `z0` and,
+    /// when `warm_lam` is given, the duals of a previous solve. A warm
+    /// start gives up as soon as its iterates stall (see [`Stall`]); a
+    /// cold one runs the full budget. `spent` receives the iterations
+    /// performed, whatever the outcome.
     fn interior_point<R: IpmInequalities>(
         &self,
         problem: &QpView<'_>,
         rows: &IpmRows<'_, R>,
         z0: &[f64],
-        mut warm: Option<&mut QpWarmStart>,
+        warm_lam: Option<&[f64]>,
+        spent: &mut usize,
     ) -> Result<QpSolution, OptimError> {
         let n = rows.g.len();
         let me = rows.b_eq.len();
@@ -1033,15 +1079,11 @@ impl QpSolver {
         let mut jt = vec![0.0; n];
 
         // Strictly positive slack/dual initialization: from the previous
-        // solve's multipliers when a matching warm cache was supplied
-        // (slacks re-derived from the *current* constraint values so an
-        // infeasible start still yields s > 0), cold (s ≥ 1, λ = 1)
-        // otherwise.
+        // solve's multipliers when warm (slacks re-derived from the
+        // *current* constraint values so an infeasible start still yields
+        // s > 0), cold (s ≥ 1, λ = 1) otherwise.
         a_in.matvec_into(&z, &mut cz);
-        let warm_lam = warm
-            .as_deref_mut()
-            .filter(|w| w.lam.len() == mi)
-            .map(|w| std::mem::take(&mut w.lam));
+        let mut stall = warm_lam.map(|_| Stall::default());
         let (mut s, mut lam) = match warm_lam {
             Some(prev) => {
                 let s = rows
@@ -1135,6 +1177,7 @@ impl QpSolver {
         // yet far below any genuine constraint gap.
         let stuck_tol = tol.max(f64::EPSILON).sqrt();
 
+        *spent = 0;
         for iter in 0..self.options.max_iterations {
             // Residuals: rd = Hz + g + A_eqᵀy + A_inᵀλ, rp = A_eq·z − b_eq,
             // rc = A_in·z + s − b_in.
@@ -1181,10 +1224,6 @@ impl QpSolver {
             if converged {
                 hess_matvec(problem.h, h_block, &z, &mut hz);
                 let objective = 0.5 * vecops::dot(&z, &hz) + vecops::dot(rows.g, &z);
-                if let Some(w) = warm.as_deref_mut() {
-                    w.lam.clear();
-                    w.lam.extend_from_slice(&lam);
-                }
                 return Ok(QpSolution {
                     objective,
                     z,
@@ -1193,6 +1232,15 @@ impl QpSolver {
                     iterations: iter,
                     kkt_backend: ws.backend,
                 });
+            }
+            if let Some(stall) = stall.as_mut() {
+                let error = mu
+                    .max(vecops::norm_inf(&rd))
+                    .max(vecops::norm_inf(&rp))
+                    .max(vecops::norm_inf(&rc));
+                if stall.stalled(error) {
+                    break;
+                }
             }
 
             // Reduced KKT matrix: [H + CᵀWC  A_eqᵀ; A_eq  −δI], W = Λ/S.
@@ -1269,6 +1317,7 @@ impl QpSolver {
                     }
                 });
             }
+            *spent = iter + 1;
         }
 
         // Re-evaluate residuals for the error report.
@@ -1385,6 +1434,50 @@ impl QpSolver {
     }
 }
 
+/// The stall test of a warm-started interior-point attempt.
+///
+/// A warm start can land where the Mehrotra steps stop making progress:
+/// on the condensed MPC, the warm attempts that fail do not crawl but
+/// circle, their KKT error repeating a short cycle above tolerance until
+/// the budget runs out, while the same QP solves cold in 5–11
+/// iterations. So a warm attempt must keep lowering its KKT error
+/// `max(μ, ‖r_d‖∞, ‖r_p‖∞, ‖r_c‖∞)`: once [`Stall::PATIENCE`] iterations
+/// in a row fail to set a new low, the attempt is abandoned and the QP is
+/// solved cold. A slow but steady descent is left to run. A cold solve
+/// never consults this.
+#[derive(Debug)]
+struct Stall {
+    /// The lowest error seen so far.
+    best: f64,
+    /// Iterations since `best` last fell.
+    since: usize,
+}
+
+impl Default for Stall {
+    fn default() -> Self {
+        Self {
+            best: f64::INFINITY,
+            since: 0,
+        }
+    }
+}
+
+impl Stall {
+    const PATIENCE: usize = 4;
+
+    /// Records this iteration's error; `true` once `PATIENCE` errors in a
+    /// row (NaN included) have not been below every earlier one.
+    fn stalled(&mut self, error: f64) -> bool {
+        if error < self.best {
+            self.best = error;
+            self.since = 0;
+        } else {
+            self.since += 1;
+        }
+        self.since >= Self::PATIENCE
+    }
+}
+
 /// `out = M·x` for a dense matrix without allocating.
 fn matvec_into(m: &Matrix, x: &[f64], out: &mut [f64]) {
     for r in 0..m.rows() {
@@ -1485,8 +1578,8 @@ fn newton_step<R: IpmInequalities>(
 /// when the reduced system is SPD (no equalities), dense LU otherwise.
 /// Backends degrade monotonically within one solve: a banded or Cholesky
 /// factorization failure permanently drops to the next denser backend, so
-/// the dense LU oracle is always the last resort. One dense matrix and one
-/// [`Lu`] serve every iteration of the solve.
+/// pivoted LU is always the last resort. One dense matrix and one factor
+/// serve every iteration of the solve.
 struct KktWorkspace {
     n: usize,
     me: usize,
@@ -1585,9 +1678,7 @@ impl KktWorkspace {
             perm_rhs: vec![0.0; n + me],
             dense: None,
             cholesky: None,
-            // With no equality block the reduced KKT matrix is SPD, but
-            // Cholesky is only used when the caller opted in (it changes
-            // roundoff relative to the historical LU iterates).
+            // With no equality block the reduced KKT matrix is SPD.
             use_cholesky: prefer_dense_cholesky && me == 0,
             lu: None,
             backend: QpKktBackend::DenseLu,
@@ -2310,12 +2401,7 @@ mod tests {
             .unwrap()
             .with_sparse_inequalities(&a_in, &b_in)
             .unwrap();
-        let sparse_sol = QpSolver::new(QpSolverOptions {
-            prefer_dense_cholesky: true,
-            ..QpSolverOptions::default()
-        })
-        .solve_view(&view)
-        .unwrap();
+        let sparse_sol = QpSolver::default().solve_view(&view).unwrap();
         assert_eq!(sparse_sol.kkt_backend, QpKktBackend::DenseCholesky);
         for (zs, zd) in sparse_sol.z.iter().zip(&dense_sol.z) {
             assert!((zs - zd).abs() < 1e-8, "sparse {zs} vs dense {zd}");
@@ -2323,7 +2409,7 @@ mod tests {
     }
 
     #[test]
-    fn banded_backend_matches_dense_lu_oracle() {
+    fn banded_backend_matches_dense_oracle() {
         for with_eq in [false, true] {
             let (h, g, a_in, b_in, a_eq, b_eq) = structured_problem(5, 3, with_eq);
             let structure = QpStructure {
@@ -2351,13 +2437,18 @@ mod tests {
                 .unwrap();
             let oracle_sol = solve(&oracle);
             assert_eq!(banded_sol.kkt_backend, QpKktBackend::Banded);
-            // The dense oracle stays on the LU path unless Cholesky is
-            // explicitly requested.
-            assert_eq!(oracle_sol.kkt_backend, QpKktBackend::DenseLu);
+            // The dense oracle factors by Cholesky unless an equality
+            // block makes its reduced system indefinite.
+            let dense_backend = if with_eq {
+                QpKktBackend::DenseLu
+            } else {
+                QpKktBackend::DenseCholesky
+            };
+            assert_eq!(oracle_sol.kkt_backend, dense_backend);
             for (zb, zo) in banded_sol.z.iter().zip(&oracle_sol.z) {
                 assert!(
                     (zb - zo).abs() < 1e-7,
-                    "with_eq={with_eq}: banded {zb} vs LU {zo}"
+                    "with_eq={with_eq}: banded {zb} vs dense {zo}"
                 );
             }
             for (lb, lo) in banded_sol.lambda_in.iter().zip(&oracle_sol.lambda_in) {
@@ -2410,6 +2501,25 @@ mod tests {
             });
         let sol = QpSolver::default().solve_view(&view).unwrap();
         assert_ne!(sol.kkt_backend, QpKktBackend::Banded);
+    }
+
+    #[test]
+    fn stall_watch_flags_cycles_but_not_progress() {
+        // A warm attempt of the condensed MPC that never converged: its
+        // KKT error circles through four values just above tolerance.
+        let cycle = [1.49e-8, 5.45e-8, 2.90e-8, 6.99e-8];
+        let mut stall = Stall::default();
+        let head = [
+            1.0e-3, 1.0e-3, 1.7e-4, 1.7e-4, 3.6e-6, 2.3e-6, 7.6e-7, 6.2e-7,
+        ];
+        assert!(head.iter().all(|&e| !stall.stalled(e)));
+        let flagged = (0..12).position(|i| stall.stalled(cycle[i % 4])).unwrap();
+        assert_eq!(flagged, Stall::PATIENCE);
+        // A crawl that keeps setting new lows, however slowly, runs on;
+        // NaN never does.
+        let mut slow = Stall::default();
+        assert!((0..100).all(|i| !slow.stalled(0.999f64.powi(i))));
+        assert!((0..Stall::PATIENCE).any(|_| slow.stalled(f64::NAN)));
     }
 
     #[test]

@@ -94,9 +94,11 @@ impl SqpResult {
 /// approximation and an L1-merit backtracking line search.
 ///
 /// Each major iteration linearizes the constraints, builds a convex QP with
-/// the current Hessian approximation and solves it with [`QpSolver`]. If
-/// the linearized constraints are inconsistent, the subproblem is retried
-/// in *elastic mode* (slack variables with a linear penalty), which always
+/// the current Hessian approximation and solves it with [`QpSolver`],
+/// warm-starting its interior-point method from the previous subproblem's
+/// multipliers (the first subproblem of a solve starts cold). If the
+/// linearized constraints are inconsistent, the subproblem is retried in
+/// *elastic mode* (slack variables with a linear penalty), which always
 /// has a solution.
 ///
 /// This is the optimizer the paper's MPC runs every control step
@@ -167,6 +169,10 @@ impl SqpSolver {
     /// (as for [`NoopSqpObserver`]) no record is assembled and no clock
     /// is read, so the hook costs nothing.
     ///
+    /// Each QP subproblem after the first starts from the previous one's
+    /// multipliers; nothing carries over from earlier calls, so a solve
+    /// depends only on its problem, start point and options.
+    ///
     /// # Errors
     ///
     /// Same contract as [`SqpSolver::solve`].
@@ -176,21 +182,20 @@ impl SqpSolver {
         z0: &[f64],
         observer: O,
     ) -> Result<SqpResult, OptimError> {
-        self.solve_inner(problem, z0, None, observer)
+        self.solve_cached(problem, z0, &mut QpWarmStart::new(), observer)
     }
 
     /// Solves the nonlinear program like [`SqpSolver::solve_observed`],
-    /// additionally restarting every QP subproblem's interior-point method
-    /// from the multipliers cached in `warm` (see
-    /// [`QpSolver::solve_view_warm`]).
+    /// but seeds the first QP subproblem from the multipliers left in
+    /// `warm` by an earlier solve, and leaves the last subproblem's
+    /// multipliers there for the next one (see
+    /// [`QpSolver::solve_view_warm`]). With a fresh [`QpWarmStart`] this
+    /// is exactly [`SqpSolver::solve_observed`].
     ///
-    /// A receding-horizon caller keeps the [`QpWarmStart`] alive across
-    /// control steps: consecutive subproblems share their active set, so
-    /// the cached multipliers typically cut the interior-point iteration
-    /// count by more than half. The cache changes only the QP's starting
-    /// point, never its convergence tolerance — but because the iterate
-    /// *path* differs from a cold solve, callers that pin bit-exact
-    /// trajectories should use [`SqpSolver::solve_observed`] instead.
+    /// The cache changes only where the QP starts, never its convergence
+    /// tolerance — but because the iterate *path* then depends on the
+    /// previous solve, callers that re-solve a problem in isolation and
+    /// compare bit for bit should use [`SqpSolver::solve_observed`].
     ///
     /// # Errors
     ///
@@ -200,16 +205,6 @@ impl SqpSolver {
         problem: &P,
         z0: &[f64],
         warm: &mut QpWarmStart,
-        observer: O,
-    ) -> Result<SqpResult, OptimError> {
-        self.solve_inner(problem, z0, Some(warm), observer)
-    }
-
-    fn solve_inner<P: NlpProblem + ?Sized, O: SqpObserver>(
-        &self,
-        problem: &P,
-        z0: &[f64],
-        mut qp_warm: Option<&mut QpWarmStart>,
         mut observer: O,
     ) -> Result<SqpResult, OptimError> {
         let observing = observer.active();
@@ -298,6 +293,7 @@ impl SqpSolver {
             } else {
                 None
             };
+            let mut qp_warm_restart = None;
             let (d, mult_eq, mult_in, qp_status, qp_iterations) = match self.solve_subproblem(
                 &qp_solver,
                 &b,
@@ -308,7 +304,8 @@ impl SqpSolver {
                 &neg_c_in,
                 penalty,
                 structure,
-                qp_warm.as_deref_mut(),
+                warm,
+                &mut qp_warm_restart,
             ) {
                 Ok((d, y_eq, lambda_in, status, qp_iters)) => {
                     let mult = vecops::norm_inf(&y_eq).max(vecops::norm_inf(&lambda_in));
@@ -354,6 +351,7 @@ impl SqpSolver {
                         line_search_steps: 0,
                         qp_status,
                         qp_iterations,
+                        qp_warm_restart,
                         qp_seconds,
                         active_set_size: active_set_size(&mult_in),
                         active_set,
@@ -434,6 +432,7 @@ impl SqpSolver {
                     line_search_steps,
                     qp_status,
                     qp_iterations,
+                    qp_warm_restart,
                     qp_seconds,
                     active_set_size: active_set_size(&mult_in),
                     active_set,
@@ -533,12 +532,18 @@ impl SqpSolver {
     /// Lagrangian BFGS update), which path solved it, and the inner QP
     /// iteration count. The nominal path borrows all problem data
     /// through a [`QpView`] (no clones) and declares the problem's
-    /// horizon structure so the QP can pick the banded KKT backend. A
-    /// numerically failed nominal solve (singular KKT mid-IPM) is first
-    /// retried with heavily boosted Hessian regularization — a degenerate
-    /// active-set guess usually just needs a better-conditioned system —
-    /// before falling back to elastic mode on the same view
-    /// ([`QpSolver::solve_view_elastic`]).
+    /// horizon structure so the QP can pick the banded KKT backend. It
+    /// starts from the multipliers in `warm` when they fit; a warm
+    /// attempt that fails is re-solved cold at nominal regularization,
+    /// its iterations reported through `warm_restart`, and the outcome
+    /// of that cold solve is what counts from here on. A numerically
+    /// failed nominal solve (singular KKT mid-IPM) is retried with
+    /// heavily boosted Hessian regularization — a degenerate active-set
+    /// guess usually just needs a better-conditioned system — before
+    /// falling back to elastic mode on the same view
+    /// ([`QpSolver::solve_view_elastic`]). `warm` ends up holding this
+    /// subproblem's multipliers when a nominal solve succeeded, and
+    /// empty otherwise.
     #[allow(clippy::too_many_arguments, clippy::type_complexity)]
     fn solve_subproblem(
         &self,
@@ -551,7 +556,8 @@ impl SqpSolver {
         neg_c_in: &[f64],
         penalty: f64,
         structure: Option<QpStructure>,
-        mut qp_warm: Option<&mut QpWarmStart>,
+        warm: &mut QpWarmStart,
+        warm_restart: &mut Option<usize>,
     ) -> Result<(Vec<f64>, Vec<f64>, Vec<f64>, QpSubproblemStatus, usize), OptimError> {
         let n = grad.len();
         let me = neg_c_eq.len();
@@ -574,10 +580,9 @@ impl SqpSolver {
             qp = qp.with_structure(st);
         }
         let origin = vec![0.0; n];
-        let first = match match qp_warm.as_deref_mut() {
-            Some(w) => qp_solver.solve_view_warm(&qp, &origin, w),
-            None => qp_solver.solve_view(&qp),
-        } {
+        let (nominal, restart) = qp_solver.solve_view_seeded(&qp, &origin, warm);
+        *warm_restart = restart;
+        let first = match nominal {
             Ok(sol) => {
                 return Ok((
                     sol.z,
@@ -598,11 +603,8 @@ impl SqpSolver {
                 // inconsistent.
                 let mut boosted = *qp_solver.options();
                 boosted.regularization = boosted.regularization.max(1e-12) * 1e6;
-                let retry = QpSolver::new(boosted);
-                if let Ok(sol) = match qp_warm.as_mut() {
-                    Some(w) => retry.solve_view_warm(&qp, &origin, w),
-                    None => retry.solve_view(&qp),
-                } {
+                if let Ok(sol) = QpSolver::new(boosted).solve_view(&qp) {
+                    warm.store(&sol.lambda_in);
                     return Ok((
                         sol.z,
                         sol.y_eq,
@@ -1034,6 +1036,75 @@ mod tests {
         // Both box constraints are active at the optimum.
         assert_eq!(*count_only.sizes.last().unwrap(), 2);
         assert_eq!(count_only.index_lists_seen, 0);
+    }
+
+    /// Everything a solve reports, as bits.
+    fn result_bits(r: &SqpResult) -> (Vec<u64>, u64, SqpStatus, usize, u64) {
+        (
+            r.z.iter().map(|v| v.to_bits()).collect(),
+            r.objective.to_bits(),
+            r.status,
+            r.iterations,
+            r.constraint_violation.to_bits(),
+        )
+    }
+
+    #[test]
+    fn solve_is_solve_cached_from_a_fresh_cache() {
+        let solver = SqpSolver::default();
+        let cases: [(&dyn NlpProblem, &[f64]); 4] = [
+            (&BoxedQuadratic, &[50.0, -50.0]),
+            (&BilinearHvacLike, &[0.1, 5.0]),
+            (&CircleMin, &[1.0, 0.5]),
+            (&Impossible, &[3.0]),
+        ];
+        for (p, z0) in cases {
+            let plain = solver.solve(p, z0).unwrap();
+            let mut warm = QpWarmStart::new();
+            let cached = solver
+                .solve_cached(p, z0, &mut warm, NoopSqpObserver)
+                .unwrap();
+            assert_eq!(result_bits(&plain), result_bits(&cached));
+        }
+    }
+
+    #[test]
+    fn subproblems_after_the_first_start_warm() {
+        let mut trace = crate::SqpTraceObserver::default();
+        SqpSolver::default()
+            .solve_observed(&BilinearHvacLike, &[0.1, 5.0], &mut trace)
+            .unwrap();
+        let iters: Vec<usize> = trace.records.iter().map(|r| r.qp_iterations).collect();
+        assert!(iters.len() > 2, "{iters:?}");
+        // Converged subproblems re-seed the next one, which then needs
+        // fewer interior-point iterations than the cold first one.
+        assert!(iters[1..].iter().all(|&k| k < iters[0]), "{iters:?}");
+        assert!(trace.records.iter().all(|r| r.qp_warm_restart.is_none()));
+    }
+
+    #[test]
+    fn failed_warm_attempt_is_solved_cold_and_reported() {
+        // A cache no converged solve could leave: the warm attempt breaks
+        // down at once and the subproblem is solved cold, so the whole
+        // solve is the one a fresh cache gives.
+        let solver = SqpSolver::default();
+        let plain = solver.solve(&BoxedQuadratic, &[50.0, -50.0]).unwrap();
+        let mut poisoned = QpWarmStart::new();
+        poisoned.store(&[f64::INFINITY; 4]);
+        let mut trace = crate::SqpTraceObserver::default();
+        let cached = solver
+            .solve_cached(&BoxedQuadratic, &[50.0, -50.0], &mut poisoned, &mut trace)
+            .unwrap();
+        assert_eq!(result_bits(&plain), result_bits(&cached));
+        let first = &trace.records[0];
+        let spent = first.qp_warm_restart.expect("the warm attempt failed");
+        assert!(spent < solver.options().qp.max_iterations, "{spent}");
+        assert_eq!(first.qp_status, QpSubproblemStatus::Nominal);
+        assert!(trace.records[1..]
+            .iter()
+            .all(|r| r.qp_warm_restart.is_none()));
+        // The cache now holds the last subproblem's multipliers.
+        assert!(poisoned.is_warm());
     }
 
     #[test]

@@ -3,12 +3,13 @@
 //!
 //! The interior-point solver can factor its reduced KKT system three
 //! ways (dense LU, dense Cholesky, banded LDLᵀ). They must agree — the
-//! LU path doubles as the correctness oracle for the structured paths.
+//! LU path doubles as the correctness oracle for the others.
 //! For each [`GeneratedQp`] this module solves:
 //!
-//! 1. the dense problem with default options (**dense LU** oracle),
-//! 2. the dense problem with `prefer_dense_cholesky` (**dense
-//!    Cholesky** where eligible, i.e. no equality rows),
+//! 1. the dense problem with `prefer_dense_cholesky` switched off
+//!    (**dense LU** oracle),
+//! 2. the dense problem with default options (**dense Cholesky** where
+//!    eligible, i.e. no equality rows),
 //! 3. the sparse-Jacobian view with its declared [`QpStructure`]
 //!    (**banded LDLᵀ** for structured instances),
 //!
@@ -88,6 +89,7 @@ impl DifferentialReport {
     }
 }
 
+/// `prefer_dense_cholesky: false` is the LU reference.
 fn solver(prefer_dense_cholesky: bool) -> QpSolver {
     QpSolver::new(QpSolverOptions {
         tolerance: SOLVE_TOL,

@@ -65,6 +65,32 @@ fn golden_traces_match_baselines() {
 }
 
 #[test]
+fn mpc_goldens_solve_every_qp_subproblem_nominally() {
+    // The pinned MPC runs never need the SQP's recovery paths: with the
+    // SPD reduced KKT systems factored by Cholesky, no subproblem is
+    // misread as singular, so none goes elastic or falls back to a
+    // gradient step. The registry only observes, so these are the
+    // counters of the golden runs themselves.
+    let mut params = experiment_params();
+    params.initial_cabin = Some(params.target);
+    for cycle in CYCLES.map(|c| c()) {
+        let registry = Registry::enabled();
+        let mut controller = ControllerKind::Mpc
+            .instantiate_instrumented(&params, &registry)
+            .expect("controller instantiates");
+        Simulation::new(params.clone(), profile_at(&cycle, AMBIENT_C))
+            .expect("profile non-empty")
+            .run(controller.as_mut())
+            .expect("simulation runs");
+        let snapshot = registry.snapshot();
+        assert!(snapshot.counter("mpc_solves_total").unwrap_or(0) > 0);
+        for name in ["sqp_qp_elastic_total", "sqp_qp_fallback_total"] {
+            assert_eq!(snapshot.counter(name), Some(0), "{}: {name}", cycle.name());
+        }
+    }
+}
+
+#[test]
 fn traces_are_bit_identical_across_runs() {
     // Determinism at full step-level resolution: two independent runs of
     // the same cell must produce byte-for-byte identical traces.
