@@ -15,7 +15,10 @@ use ev_bench::{bench_context, bench_preview, paper_mpc, run_mpc_cell};
 use ev_control::{ClimateController, MpcController};
 use ev_core::EvParams;
 use ev_drive::DriveCycle;
-use ev_optim::NlpProblem;
+use ev_hvac::HvacState;
+use ev_linalg::{Matrix, SparseMatrix};
+use ev_optim::{NlpProblem, QpSolver, QpView};
+use ev_units::Celsius;
 
 /// One gradient + inequality-Jacobian evaluation of the paper MPC's NLP
 /// (32 variables, 104 constraints): the analytic adjoint/sensitivity
@@ -60,6 +63,54 @@ fn bench_derivative_eval(c: &mut Criterion) {
             );
             black_box((g[0], j[0][0]))
         })
+    });
+    group.finish();
+}
+
+/// One cold interior-point solve of a production QP subproblem, the
+/// layer that dominates an h8 control step: the paper MPC's condensed
+/// NLP on a soaked pull-down context (cabin at the 35 °C ambient),
+/// linearized at the controller's cold start, with the identity as
+/// Hessian — the first subproblem of a cold SQP solve, before any BFGS
+/// update. 32 variables, 104 CSR inequality rows.
+fn bench_qp_subproblem(c: &mut Criterion) {
+    let params = EvParams::nissan_leaf_like();
+    let mpc = paper_mpc(&params, false);
+    let preview = bench_preview(64);
+    let ctx = ev_control::ControlContext {
+        state: HvacState::new(Celsius::new(35.0)),
+        ..bench_context(&preview)
+    };
+    let nlp = mpc.nlp(&ctx);
+    let n = nlp.num_vars();
+    // The cold start for a soaked cabin: supply and coil at the 35 °C
+    // mix temperature, 70 % recirculation, mid-range flow (scaled
+    // variables, four per step).
+    let hvac = params.hvac_model();
+    let mid_flow = 0.5 * (hvac.params().min_flow.value() + hvac.params().max_flow.value());
+    let z: Vec<f64> = (0..n)
+        .map(|i| [3.5, 3.5, 0.7, mid_flow / 0.1][i % 4])
+        .collect();
+    let mut g = vec![0.0; n];
+    nlp.gradient(&z, &mut g);
+    let mut b_in = vec![0.0; nlp.num_ineq()];
+    nlp.ineq_constraints(&z, &mut b_in);
+    for v in &mut b_in {
+        *v = -*v;
+    }
+    let mut a_in = SparseMatrix::new();
+    assert!(nlp.ineq_jacobian_sparse_into(&z, &mut a_in));
+    let h = Matrix::identity(n);
+    let view = QpView::new(&h, &g)
+        .and_then(|v| v.with_sparse_inequalities(&a_in, &b_in))
+        .expect("well-formed subproblem");
+    let solver = QpSolver::default();
+    solver.solve_view(&view).expect("the subproblem solves");
+
+    let mut group = c.benchmark_group("mpc_derivatives");
+    group.sample_size(20);
+    group.bench_function("qp_subproblem_h8", |b| {
+        b.iter(|| black_box(solver.solve_view(black_box(&view)).map(|s| s.iterations)))
     });
     group.finish();
 }
@@ -252,6 +303,7 @@ fn bench_sweep_cell(c: &mut Criterion) {
 criterion_group!(
     mpc_derivatives,
     bench_derivative_eval,
+    bench_qp_subproblem,
     bench_control_step,
     bench_fleet_step_labeled_metrics,
     bench_fleet_step_exemplar_metrics,

@@ -10,7 +10,7 @@ use ev_telemetry::{FlightRecorder, Registry, Snapshot};
 use crate::flight::FlightRecorderObserver;
 use crate::observe::{NoopObserver, StepObserver};
 use crate::telemetry::TelemetryObserver;
-use crate::{ControllerKind, ControllerSetup, Simulation, SimulationResult};
+use crate::{ControllerKind, ControllerSetup, EvParams, Simulation, SimulationResult};
 
 use super::{experiment_params, format_table, profile_at, COMPARISON_AMBIENT_C};
 
@@ -80,10 +80,42 @@ where
     // preconditioned cabin so a controller cannot look cheap by simply
     // failing to pull a soaked cabin into the comfort zone.
     params.initial_cabin = Some(params.target);
-    // Every cell is independent; fan them out on the bounded fleet pool
-    // so an arbitrarily large matrix (custom cycle sets, ablation
-    // grids) never spawns more OS threads than the machine has cores.
-    let sims: Vec<(String, Simulation)> = cycles
+    let sims = matrix_sims(&params, ambient_c, cycles);
+    run_matrix(&sims, |name, sim, kind| {
+        let mut controller = kind.instantiate(&params).expect("controller instantiates");
+        let mut observer = make_observer(name, kind);
+        let result = sim
+            .run_observed(controller.as_mut(), &mut observer)
+            .expect("simulation runs");
+        (
+            SweepCell {
+                profile: name.to_owned(),
+                controller: kind,
+                result,
+            },
+            observer,
+        )
+    })
+    .into_iter()
+    .map(|(name, kind, outcome)| {
+        // A bare `.expect()` here loses which cell died — with up to
+        // 15 identical workers the panic was undiagnosable. Re-panic
+        // with the cell identity and the worker's own message.
+        outcome.unwrap_or_else(|payload| {
+            let msg = panic_message(payload.as_ref());
+            panic!("sweep worker for {name} x {kind:?} panicked: {msg}");
+        })
+    })
+    .collect()
+}
+
+/// One simulation per cycle of the matrix, named after the cycle.
+fn matrix_sims(
+    params: &EvParams,
+    ambient_c: f64,
+    cycles: &[DriveCycle],
+) -> Vec<(String, Simulation)> {
+    cycles
         .iter()
         .map(|cycle| {
             let profile = profile_at(cycle, ambient_c);
@@ -92,44 +124,70 @@ where
                 Simulation::new(params.clone(), profile).expect("profile non-empty"),
             )
         })
-        .collect();
-    let mut identities = Vec::with_capacity(sims.len() * 3);
-    let mut jobs = Vec::with_capacity(sims.len() * 3);
-    for (name, sim) in &sims {
-        for kind in ControllerKind::paper_lineup() {
-            identities.push((name.as_str(), kind));
-            let params = &params;
-            let make_observer = &make_observer;
-            jobs.push(move || {
-                let mut controller = kind.instantiate(params).expect("controller instantiates");
-                let mut observer = make_observer(name, kind);
-                let result = sim
-                    .run_observed(controller.as_mut(), &mut observer)
-                    .expect("simulation runs");
-                (
-                    SweepCell {
-                        profile: name.clone(),
-                        controller: kind,
-                        result,
-                    },
-                    observer,
-                )
-            });
-        }
-    }
-    crate::fleet::run_bounded(crate::fleet::available_workers(), jobs)
-        .into_iter()
-        .zip(identities)
-        .map(|(outcome, (name, kind))| {
-            // A bare `.expect()` here loses which cell died — with up to
-            // 15 identical workers the panic was undiagnosable. Re-panic
-            // with the cell identity and the worker's own message.
-            outcome.unwrap_or_else(|payload| {
-                let msg = panic_message(payload.as_ref());
-                panic!("sweep worker for {name} x {kind:?} panicked: {msg}");
-            })
-        })
         .collect()
+}
+
+/// Runs `cell` on every profile × controller cell of the matrix and
+/// returns the outcomes in matrix order: profile by profile, each in
+/// [`ControllerKind::paper_lineup`] order, a worker panic caught in its
+/// cell's slot.
+///
+/// Every cell is independent, so they fan out on the bounded fleet pool
+/// (an arbitrarily large matrix never spawns more OS threads than the
+/// machine has cores), which claims them in the order of
+/// [`claim_order`].
+fn run_matrix<'s, T, F>(
+    sims: &'s [(String, Simulation)],
+    cell: F,
+) -> Vec<(&'s str, ControllerKind, std::thread::Result<T>)>
+where
+    T: Send,
+    F: Fn(&'s str, &'s Simulation, ControllerKind) -> T + Sync,
+{
+    let cells: Vec<(&str, &Simulation, ControllerKind)> = sims
+        .iter()
+        .flat_map(|(name, sim)| {
+            ControllerKind::paper_lineup().map(|kind| (name.as_str(), sim, kind))
+        })
+        .collect();
+    let order = claim_order(&cells);
+    let cell = &cell;
+    let jobs: Vec<_> = order
+        .iter()
+        .map(|&i| {
+            let (name, sim, kind) = cells[i];
+            move || cell(name, sim, kind)
+        })
+        .collect();
+    let mut outcomes: Vec<Option<std::thread::Result<T>>> = cells.iter().map(|_| None).collect();
+    let ran = crate::fleet::run_bounded(crate::fleet::available_workers(), jobs);
+    for (&i, outcome) in order.iter().zip(ran) {
+        outcomes[i] = Some(outcome);
+    }
+    cells
+        .into_iter()
+        .zip(outcomes)
+        .map(|((name, _, kind), outcome)| (name, kind, outcome.expect("every cell ran")))
+        .collect()
+}
+
+/// The order in which the pool claims the cells (indices into `cells`):
+/// by expected cost, the MPC cells first, then fuzzy, then the rest, and
+/// longer profiles first within each. Claimed in matrix order, the
+/// longest cell (UDDS × MPC) came last and ran while the other workers
+/// idled.
+fn claim_order(cells: &[(&str, &Simulation, ControllerKind)]) -> Vec<usize> {
+    let kind_rank = |kind: ControllerKind| match kind {
+        ControllerKind::Mpc => 0,
+        ControllerKind::Fuzzy => 1,
+        ControllerKind::Pid | ControllerKind::OnOff => 2,
+    };
+    let mut order: Vec<usize> = (0..cells.len()).collect();
+    order.sort_by_key(|&i| {
+        let (_, sim, kind) = cells[i];
+        (kind_rank(kind), std::cmp::Reverse(sim.profile().len()))
+    });
+    order
 }
 
 /// How one sweep cell ended.
@@ -251,91 +309,72 @@ pub fn evaluation_sweep_run_recorded(
     // Match `evaluation_sweep_observed`: start from a preconditioned
     // cabin so the comparison is about regulation, not pull-down.
     params.initial_cabin = Some(params.target);
-    let sims: Vec<(String, Simulation)> = cycles
-        .iter()
-        .map(|cycle| {
-            let profile = profile_at(cycle, ambient_c);
-            (
-                cycle.name().to_owned(),
-                Simulation::new(params.clone(), profile).expect("profile non-empty"),
+    let sims = matrix_sims(&params, ambient_c, cycles);
+    let cells = run_matrix(&sims, |_, sim, kind| {
+        let registry = Registry::with_enabled(telemetry);
+        let recorder = FlightRecorder::with_enabled(postmortem_dir.is_some());
+        let t0 = std::time::Instant::now();
+        let mut controller = kind
+            .instantiate_configured(
+                &params,
+                &ControllerSetup {
+                    telemetry: registry.clone(),
+                    recorder: recorder.clone(),
+                    ..ControllerSetup::default()
+                },
             )
-        })
-        .collect();
-    let mut identities = Vec::with_capacity(sims.len() * 3);
-    let mut jobs = Vec::with_capacity(sims.len() * 3);
-    for (name, sim) in &sims {
-        for kind in ControllerKind::paper_lineup() {
-            identities.push((name.clone(), kind));
-            let params = &params;
-            jobs.push(move || {
-                let registry = Registry::with_enabled(telemetry);
-                let recorder = FlightRecorder::with_enabled(postmortem_dir.is_some());
-                let t0 = std::time::Instant::now();
-                let mut controller = kind
-                    .instantiate_configured(
-                        params,
-                        &ControllerSetup {
-                            telemetry: registry.clone(),
-                            recorder: recorder.clone(),
-                            ..ControllerSetup::default()
-                        },
-                    )
-                    .expect("controller instantiates");
-                let mut observer = (
-                    TelemetryObserver::new(&registry),
-                    FlightRecorderObserver::new(&recorder),
-                );
-                let run = catch_unwind(AssertUnwindSafe(|| {
-                    sim.run_observed(controller.as_mut(), &mut observer)
-                }));
-                let outcome = match run {
-                    Ok(Ok(result)) => SweepOutcome::Completed(Box::new(result)),
-                    Ok(Err(err)) => SweepOutcome::Failed(err.to_string()),
-                    Err(payload) => SweepOutcome::Failed(panic_message(payload.as_ref())),
-                };
+            .expect("controller instantiates");
+        let mut observer = (
+            TelemetryObserver::new(&registry),
+            FlightRecorderObserver::new(&recorder),
+        );
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            sim.run_observed(controller.as_mut(), &mut observer)
+        }));
+        let outcome = match run {
+            Ok(Ok(result)) => SweepOutcome::Completed(Box::new(result)),
+            Ok(Err(err)) => SweepOutcome::Failed(err.to_string()),
+            Err(payload) => SweepOutcome::Failed(panic_message(payload.as_ref())),
+        };
+        (
+            outcome,
+            controller.solver_diagnostics(),
+            registry.snapshot(),
+            t0.elapsed().as_secs_f64(),
+            recorder,
+        )
+    })
+    .into_iter()
+    .map(|(profile, controller, worker)| {
+        // The job caught run-time panics itself; an Err slot means
+        // something outside the guarded region blew up (instantiation).
+        let (outcome, diagnostics, telemetry, wall_seconds, recorder) =
+            worker.unwrap_or_else(|payload| {
                 (
-                    outcome,
-                    controller.solver_diagnostics(),
-                    registry.snapshot(),
-                    t0.elapsed().as_secs_f64(),
-                    recorder,
+                    SweepOutcome::Failed(panic_message(payload.as_ref())),
+                    None,
+                    Snapshot::default(),
+                    0.0,
+                    FlightRecorder::disabled(),
                 )
             });
-        }
-    }
-    let cells = crate::fleet::run_bounded(crate::fleet::available_workers(), jobs)
-        .into_iter()
-        .zip(identities)
-        .map(|(worker, (profile, controller))| {
-            // The job caught run-time panics itself; an Err slot means
-            // something outside the guarded region blew up (instantiation).
-            let (outcome, diagnostics, telemetry, wall_seconds, recorder) =
-                worker.unwrap_or_else(|payload| {
-                    (
-                        SweepOutcome::Failed(panic_message(payload.as_ref())),
-                        None,
-                        Snapshot::default(),
-                        0.0,
-                        FlightRecorder::disabled(),
-                    )
-                });
-            let postmortem = match (&outcome, postmortem_dir) {
-                (SweepOutcome::Failed(reason), Some(dir)) => {
-                    write_cell_postmortem(dir, &profile, controller, reason, &recorder)
-                }
-                _ => None,
-            };
-            SweepCellResult {
-                profile,
-                controller,
-                outcome,
-                diagnostics,
-                telemetry,
-                wall_seconds,
-                postmortem,
+        let postmortem = match (&outcome, postmortem_dir) {
+            (SweepOutcome::Failed(reason), Some(dir)) => {
+                write_cell_postmortem(dir, profile, controller, reason, &recorder)
             }
-        })
-        .collect();
+            _ => None,
+        };
+        SweepCellResult {
+            profile: profile.to_owned(),
+            controller,
+            outcome,
+            diagnostics,
+            telemetry,
+            wall_seconds,
+            postmortem,
+        }
+    })
+    .collect();
     SweepResult { ambient_c, cells }
 }
 
@@ -620,6 +659,40 @@ mod tests {
             .expect("panicked row rendered");
         let dashes = panicked.split_whitespace().filter(|t| *t == "-").count();
         assert_eq!(dashes, 8, "{panicked}");
+    }
+
+    #[test]
+    fn cells_are_claimed_costliest_first_and_returned_in_matrix_order() {
+        use ControllerKind::{Fuzzy, Mpc, OnOff};
+        let cycles = [DriveCycle::ece15(), DriveCycle::udds(), DriveCycle::us06()];
+        let sims = matrix_sims(&experiment_params(), 35.0, &cycles);
+        let cells: Vec<_> = sims
+            .iter()
+            .flat_map(|(name, sim)| {
+                ControllerKind::paper_lineup().map(|kind| (name.as_str(), sim, kind))
+            })
+            .collect();
+        let claimed: Vec<(ControllerKind, usize)> = claim_order(&cells)
+            .into_iter()
+            .map(|i| (cells[i].2, cells[i].1.profile().len()))
+            .collect();
+        let kinds: Vec<_> = claimed.iter().map(|&(kind, _)| kind).collect();
+        assert_eq!(
+            kinds,
+            [Mpc, Mpc, Mpc, Fuzzy, Fuzzy, Fuzzy, OnOff, OnOff, OnOff]
+        );
+        for same_kind in claimed.chunks(3) {
+            assert!(same_kind.windows(2).all(|w| w[0].1 > w[1].1), "{claimed:?}");
+        }
+        let udds = sims.iter().find(|(name, _)| name == "UDDS").unwrap();
+        assert_eq!(claimed[0], (Mpc, udds.1.profile().len()));
+
+        let ran = run_matrix(&sims, |name, _, kind| format!("{name} x {kind:?}"));
+        assert_eq!(ran.len(), cells.len());
+        for ((name, kind, outcome), (cell_name, _, cell_kind)) in ran.iter().zip(&cells) {
+            assert_eq!((*name, *kind), (*cell_name, *cell_kind));
+            assert_eq!(outcome.as_ref().unwrap(), &format!("{name} x {kind:?}"));
+        }
     }
 
     #[test]

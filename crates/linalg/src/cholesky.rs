@@ -46,7 +46,8 @@ impl Cholesky {
     ///
     /// Only the lower triangle of `a` is read; symmetry of the upper
     /// triangle is the caller's responsibility (checked loosely in debug
-    /// builds).
+    /// builds). Callers that fill only the lower triangle use
+    /// [`Cholesky::factor_lower`].
     ///
     /// # Errors
     ///
@@ -54,6 +55,19 @@ impl Cholesky {
     /// [`LinalgError::NotPositiveDefinite`] if a diagonal pivot is not
     /// strictly positive.
     pub fn factor(a: &Matrix) -> Result<Self, LinalgError> {
+        debug_assert_symmetric(a);
+        Self::factor_lower(a)
+    }
+
+    /// Factors the symmetric positive-definite matrix whose lower
+    /// triangle (diagonal included) is that of `a`. The strict upper
+    /// triangle is never read and may hold anything, so this makes no
+    /// symmetry check.
+    ///
+    /// # Errors
+    ///
+    /// As [`Cholesky::factor`].
+    pub fn factor_lower(a: &Matrix) -> Result<Self, LinalgError> {
         let mut u = Matrix::zeros(a.rows().max(1), a.cols().max(1));
         factor_into(a, &mut u)?;
         Ok(Self { u })
@@ -68,6 +82,17 @@ impl Cholesky {
     /// if `a` does not match the current [`Cholesky::dim`]. On error the
     /// factor contents are unspecified; discard this instance.
     pub fn refactor(&mut self, a: &Matrix) -> Result<(), LinalgError> {
+        debug_assert_symmetric(a);
+        self.refactor_lower(a)
+    }
+
+    /// [`Cholesky::refactor`] reading only the lower triangle of `a`, as
+    /// [`Cholesky::factor_lower`] does.
+    ///
+    /// # Errors
+    ///
+    /// As [`Cholesky::refactor`].
+    pub fn refactor_lower(&mut self, a: &Matrix) -> Result<(), LinalgError> {
         if a.shape() != self.u.shape() {
             return Err(LinalgError::DimensionMismatch {
                 expected: self.u.shape(),
@@ -151,11 +176,28 @@ impl Cholesky {
     }
 }
 
-/// Writes the factor `U = Lᵀ` of `a` into `u` (same shape).
+/// Loose symmetry check for the full-matrix entry points (debug builds
+/// only); shape errors are left to the factorization to report.
+fn debug_assert_symmetric(a: &Matrix) {
+    debug_assert!(
+        !a.is_square() || a.is_symmetric(1e-8 * a.norm_max().max(1.0)),
+        "Cholesky::factor called with an asymmetric matrix"
+    );
+}
+
+/// Rows finished together before their products update the trailing
+/// rows (the trailing update below is written out for four).
+const PANEL: usize = 4;
+
+/// Writes the factor `U = Lᵀ` of `a`'s lower triangle into `u` (same
+/// shape).
 ///
-/// Right-looking: row `k` of `U` is finished from its fully updated
-/// entries, then every later row `r` subtracts `u_kr · u_k[r..]` from its
-/// own slice. Entry `(r, c)` thus receives `− l_rk·l_ck` for
+/// Right-looking in panels of [`PANEL`] rows. Inside a panel, row `k` of
+/// `U` is finished from its fully updated entries, then every later row
+/// `r` of the panel subtracts `u_kr · u_k[r..]` from its own slice. Once
+/// the panel is finished, every trailing entry `(r, c)` subtracts the
+/// panel's four products `l_rk·l_ck` in ascending `k`, with one load and
+/// one store. Either way entry `(r, c)` receives `− l_rk·l_ck` for
 /// k = 0, 1, …, r − 1 in order, exactly the sequence of the left-looking
 /// scalar recurrence, and IEEE multiplication commutes.
 fn factor_into(a: &Matrix, u: &mut Matrix) -> Result<(), LinalgError> {
@@ -169,38 +211,62 @@ fn factor_into(a: &Matrix, u: &mut Matrix) -> Result<(), LinalgError> {
     if n == 0 {
         return Err(LinalgError::Empty);
     }
-    debug_assert!(
-        a.is_symmetric(1e-8 * a.norm_max().max(1.0)),
-        "Cholesky::factor called with an asymmetric matrix"
-    );
-    // Row r of U starts as column r of A's lower triangle; the strict
-    // lower triangle of U is zero.
+    // Row r of U starts as column r of A's lower triangle. The strict
+    // lower triangle of U is never written: it keeps the zeros `u` was
+    // created with.
     let src = a.as_slice();
     for (r, row) in u.as_mut_slice().chunks_exact_mut(n).enumerate() {
-        let (lower, upper) = row.split_at_mut(r);
-        lower.fill(0.0);
-        for (c, v) in upper.iter_mut().enumerate() {
+        for (c, v) in row[r..].iter_mut().enumerate() {
             *v = src[(r + c) * n + r];
         }
     }
+    // Every row update below walks equal-length slices by index, so the
+    // loops compile without bounds checks.
     let data = u.as_mut_slice();
-    for k in 0..n {
-        let (done, rest) = data.split_at_mut((k + 1) * n);
-        let row_k = &mut done[k * n..];
-        let d = row_k[k];
-        if d <= 0.0 || !d.is_finite() {
-            return Err(LinalgError::NotPositiveDefinite);
+    for k0 in (0..n).step_by(PANEL) {
+        let k1 = (k0 + PANEL).min(n);
+        for k in k0..k1 {
+            let (done, rest) = data.split_at_mut((k + 1) * n);
+            let row_k = &mut done[k * n..];
+            let d = row_k[k];
+            if d <= 0.0 || !d.is_finite() {
+                return Err(LinalgError::NotPositiveDefinite);
+            }
+            let dk = d.sqrt();
+            row_k[k] = dk;
+            for v in &mut row_k[k + 1..] {
+                *v /= dk;
+            }
+            let row_k = &*row_k;
+            for (r, row) in (k + 1..k1).zip(rest.chunks_exact_mut(n)) {
+                let l_rk = row_k[r];
+                let v = &mut row[r..];
+                let l_c = &row_k[r..][..v.len()];
+                for j in 0..v.len() {
+                    v[j] -= l_rk * l_c[j];
+                }
+            }
         }
-        let dk = d.sqrt();
-        row_k[k] = dk;
-        for v in &mut row_k[k + 1..] {
-            *v /= dk;
+        if k1 == n {
+            break;
         }
-        let row_k = &*row_k;
-        for (r, row) in (k + 1..n).zip(rest.chunks_exact_mut(n)) {
-            let l_rk = row_k[r];
-            for (v, l_ck) in row[r..].iter_mut().zip(&row_k[r..]) {
-                *v -= l_rk * l_ck;
+        // A panel that ends before n is full.
+        let (panel, trailing) = data.split_at_mut(k1 * n);
+        let (p0, rest) = panel[k0 * n..].split_at(n);
+        let (p1, rest) = rest.split_at(n);
+        let (p2, p3) = rest.split_at(n);
+        for (r, row) in (k1..n).zip(trailing.chunks_exact_mut(n)) {
+            let (l0, l1, l2, l3) = (p0[r], p1[r], p2[r], p3[r]);
+            let v = &mut row[r..];
+            let len = v.len();
+            let (c0, c1, c2, c3) = (
+                &p0[r..][..len],
+                &p1[r..][..len],
+                &p2[r..][..len],
+                &p3[r..][..len],
+            );
+            for j in 0..len {
+                v[j] = v[j] - l0 * c0[j] - l1 * c1[j] - l2 * c2[j] - l3 * c3[j];
             }
         }
     }
@@ -263,7 +329,7 @@ mod tests {
         assert!(ch.solve(&[1.0]).is_err());
     }
 
-    /// The scalar left-looking `get`/`set` factorization the row-slice
+    /// The scalar left-looking `get`/`set` factorization the panel
     /// kernel replaced, kept as the bitwise oracle: the lower factor `L`,
     /// or the index of the first non-positive pivot.
     fn oracle_factor(a: &Matrix) -> Result<Matrix, usize> {
@@ -346,9 +412,21 @@ mod tests {
     fn spread(a: &Matrix) -> Matrix {
         let n = a.rows();
         let s: Vec<f64> = (0..n)
-            .map(|i| 10f64.powf(4.0 * i as f64 / (n - 1) as f64))
+            .map(|i| 10f64.powf(4.0 * i as f64 / (n.max(2) - 1) as f64))
             .collect();
         Matrix::from_fn(n, n, |r, c| s[r] * a.get(r, c) * s[c])
+    }
+
+    /// `a` with its strict upper triangle overwritten by garbage, which
+    /// the lower-triangle entry points must never read.
+    fn lower_only(a: &Matrix) -> Matrix {
+        Matrix::from_fn(a.rows(), a.cols(), |r, c| {
+            if c > r {
+                f64::NAN
+            } else {
+                a.get(r, c)
+            }
+        })
     }
 
     fn bits(v: &[f64]) -> Vec<u64> {
@@ -356,19 +434,30 @@ mod tests {
     }
 
     /// Factor, refactor and solve agree with the scalar oracle bit for
-    /// bit, or reject the same leading pivot.
+    /// bit, or reject the same leading pivot; so do the lower-triangle
+    /// entry points on a copy whose upper triangle is garbage.
     fn assert_matches_oracle(a: &Matrix, seed: &mut u64) {
         let n = a.rows();
         let b: Vec<f64> = (0..n).map(|_| uniform(seed)).collect();
+        let lower = lower_only(a);
         let fresh = Cholesky::factor(a);
+        let fresh_lower = Cholesky::factor_lower(&lower);
         // Refactor over a different same-shaped factor, so stale state
         // would show.
         let mut reused = Cholesky::factor(&gram(n, n, 1.0, seed)).unwrap();
         let refactored = reused.refactor(a);
+        let mut reused_lower = Cholesky::factor(&gram(n, n, 1.0, seed)).unwrap();
+        let refactored_lower = reused_lower.refactor_lower(&lower);
         match oracle_factor(a) {
             Err(pivot) => {
-                assert_eq!(fresh.unwrap_err(), LinalgError::NotPositiveDefinite);
-                assert_eq!(refactored.unwrap_err(), LinalgError::NotPositiveDefinite);
+                for result in [
+                    fresh.map(drop),
+                    fresh_lower.map(drop),
+                    refactored,
+                    refactored_lower,
+                ] {
+                    assert_eq!(result.unwrap_err(), LinalgError::NotPositiveDefinite);
+                }
                 // Same pivot: the leading block up to it factors (bit for
                 // bit), the one that includes it does not.
                 if pivot > 0 {
@@ -386,7 +475,8 @@ mod tests {
             Ok(l) => {
                 let expected = oracle_solve(&l, &b);
                 refactored.unwrap();
-                for got in [fresh.unwrap(), reused] {
+                refactored_lower.unwrap();
+                for got in [fresh.unwrap(), fresh_lower.unwrap(), reused, reused_lower] {
                     assert_eq!(bits(got.l().as_slice()), bits(l.as_slice()));
                     assert_eq!(bits(&got.solve(&b).unwrap()), bits(&expected));
                     let mut x = b.clone();
@@ -397,15 +487,20 @@ mod tests {
         }
     }
 
+    /// Sizes below, at and around multiples of the four-row panel.
+    const SIZES: [usize; 9] = [1, 2, 3, 4, 5, 31, 32, 33, 128];
+
     #[test]
     fn slice_kernels_match_scalar_oracle_bitwise() {
         let mut seed = 11u64;
-        for n in [32, 128] {
+        for n in SIZES {
             for _ in 0..3 {
                 let random = gram(n, n, 0.1, &mut seed);
                 assert_matches_oracle(&random, &mut seed);
                 let spread_out = spread(&gram(n, n, 1.0, &mut seed));
-                assert!(spread_out.get(n - 1, n - 1) / spread_out.get(0, 0) > 1e7);
+                if n > 1 {
+                    assert!(spread_out.get(n - 1, n - 1) / spread_out.get(0, 0) > 1e7);
+                }
                 assert_matches_oracle(&spread_out, &mut seed);
                 // Rank n − 1 plus a whisper of shift: barely definite.
                 let nearly = gram(n, n - 1, 1e-9, &mut seed);
@@ -422,15 +517,18 @@ mod tests {
     #[test]
     fn rejects_the_same_pivot_as_the_scalar_oracle() {
         let mut seed = 5u64;
-        for n in [32, 128] {
-            // Exactly rank-deficient, and indefinite from pivot n/2 on.
+        for n in SIZES {
+            // Exactly rank-deficient (from pivot ⌈n/2⌉ on) ...
             let deficient = gram(n, n / 2, 0.0, &mut seed);
+            assert!(oracle_factor(&deficient).is_err());
             assert_matches_oracle(&deficient, &mut seed);
-            let mut indefinite = gram(n, n, 0.5, &mut seed);
-            let p = n / 2;
-            indefinite.set(p, p, -1.0);
-            assert_eq!(oracle_factor(&indefinite).unwrap_err(), p);
-            assert_matches_oracle(&indefinite, &mut seed);
+            // ... and indefinite at pivot p, in and across panels.
+            for p in [0, n / 2, (n / 2 + 1).min(n - 1), n - 1] {
+                let mut indefinite = gram(n, n, 0.5, &mut seed);
+                indefinite.set(p, p, -1.0);
+                assert_eq!(oracle_factor(&indefinite).unwrap_err(), p);
+                assert_matches_oracle(&indefinite, &mut seed);
+            }
         }
     }
 

@@ -80,11 +80,7 @@ impl ConstraintRef<'_> {
     /// `out = A·x` without allocating.
     pub(crate) fn matvec_into(&self, x: &[f64], out: &mut [f64]) {
         match self {
-            Self::Dense(m) => {
-                for r in 0..m.rows() {
-                    out[r] = vecops::dot(m.row(r), x);
-                }
-            }
+            Self::Dense(m) => matvec_into(m, x, out),
             Self::Sparse(s) => s.matvec(x, out).expect("dimensions checked at view build"),
         }
     }
@@ -880,7 +876,17 @@ impl QpSolver {
         problem: &QpView<'_>,
         z0: &[f64],
     ) -> Result<QpSolution, OptimError> {
-        self.solve_view_inner(problem, z0, None, &mut 0)
+        self.solve_view_in(problem, z0, &mut IpmWorkspace::default())
+    }
+
+    /// [`QpSolver::solve_view_from`] in a caller-owned workspace.
+    pub(crate) fn solve_view_in(
+        &self,
+        problem: &QpView<'_>,
+        z0: &[f64],
+        ws: &mut IpmWorkspace,
+    ) -> Result<QpSolution, OptimError> {
+        self.solve_view_inner(problem, z0, None, &mut 0, ws)
     }
 
     /// Solves a borrowed-view QP from a warm-start primal point `z0`,
@@ -906,22 +912,25 @@ impl QpSolver {
         z0: &[f64],
         warm: &mut QpWarmStart,
     ) -> Result<QpSolution, OptimError> {
-        self.solve_view_seeded(problem, z0, warm).0
+        self.solve_view_seeded(problem, z0, warm, &mut IpmWorkspace::default())
+            .0
     }
 
-    /// [`QpSolver::solve_view_warm`], also reporting the interior-point
-    /// iterations of a warm attempt that failed and was retried cold
-    /// (`None` when the solve started cold or the warm attempt converged).
+    /// [`QpSolver::solve_view_warm`] in a caller-owned workspace, also
+    /// reporting the interior-point iterations of a warm attempt that
+    /// failed and was retried cold (`None` when the solve started cold or
+    /// the warm attempt converged).
     pub(crate) fn solve_view_seeded(
         &self,
         problem: &QpView<'_>,
         z0: &[f64],
         warm: &mut QpWarmStart,
+        ws: &mut IpmWorkspace,
     ) -> (Result<QpSolution, OptimError>, Option<usize>) {
         let mut restart = None;
         if warm.is_warm() && warm.lam.len() == problem.num_ineq() {
             let mut spent = 0;
-            match self.solve_view_inner(problem, z0, Some(&warm.lam), &mut spent) {
+            match self.solve_view_inner(problem, z0, Some(&warm.lam), &mut spent, ws) {
                 Ok(sol) => {
                     warm.store(&sol.lambda_in);
                     return (Ok(sol), None);
@@ -929,7 +938,7 @@ impl QpSolver {
                 Err(_) => restart = Some(spent),
             }
         }
-        let cold = self.solve_view_from(problem, z0);
+        let cold = self.solve_view_in(problem, z0, ws);
         match &cold {
             Ok(sol) => warm.store(&sol.lambda_in),
             Err(_) => warm.clear(),
@@ -971,6 +980,16 @@ impl QpSolver {
         problem: &QpView<'_>,
         slack_weight: f64,
     ) -> Result<QpSolution, OptimError> {
+        self.solve_view_elastic_in(problem, slack_weight, &mut IpmWorkspace::default())
+    }
+
+    /// [`QpSolver::solve_view_elastic`] in a caller-owned workspace.
+    pub(crate) fn solve_view_elastic_in(
+        &self,
+        problem: &QpView<'_>,
+        slack_weight: f64,
+        ws: &mut IpmWorkspace,
+    ) -> Result<QpSolution, OptimError> {
         if !slack_weight.is_finite() {
             return Err(OptimError::NonFiniteData);
         }
@@ -1005,7 +1024,7 @@ impl QpSolver {
             a_in: &rows,
             b_in: &b,
         };
-        self.interior_point(problem, &ipm, &vec![0.0; nv], None, &mut 0)
+        self.interior_point(problem, &ipm, &vec![0.0; nv], None, &mut 0, ws)
     }
 
     /// Solves from `z0`, cold or (with `warm_lam`) warm; `spent` receives
@@ -1016,6 +1035,7 @@ impl QpSolver {
         z0: &[f64],
         warm_lam: Option<&[f64]>,
         spent: &mut usize,
+        ws: &mut IpmWorkspace,
     ) -> Result<QpSolution, OptimError> {
         if z0.len() != problem.num_vars() {
             return Err(OptimError::DimensionMismatch { what: "z0 vs H" });
@@ -1031,7 +1051,7 @@ impl QpSolver {
             a_in,
             b_in: problem.b_in,
         };
-        self.interior_point(problem, &ipm, z0, warm_lam, spent)
+        self.interior_point(problem, &ipm, z0, warm_lam, spent, ws)
     }
 
     /// The Mehrotra predictor–corrector loop over `rows` (the view's own
@@ -1039,7 +1059,9 @@ impl QpSolver {
     /// when `warm_lam` is given, the duals of a previous solve. A warm
     /// start gives up as soon as its iterates stall (see [`Stall`]); a
     /// cold one runs the full budget. `spent` receives the iterations
-    /// performed, whatever the outcome.
+    /// performed, whatever the outcome. Everything the loop touches lives
+    /// in `ws`, resized to this solve and overwritten before it is read.
+    #[allow(clippy::too_many_arguments)]
     fn interior_point<R: IpmInequalities>(
         &self,
         problem: &QpView<'_>,
@@ -1047,6 +1069,7 @@ impl QpSolver {
         z0: &[f64],
         warm_lam: Option<&[f64]>,
         spent: &mut usize,
+        ws: &mut IpmWorkspace,
     ) -> Result<QpSolution, OptimError> {
         let n = rows.g.len();
         let me = rows.b_eq.len();
@@ -1054,57 +1077,69 @@ impl QpSolver {
         let elastic = matches!(rows.a_in.kkt_rows(), KktRows::Elastic(_));
         let a_in = rows.a_in;
         let a_eq = rows.a_eq;
-        let mut z = z0.to_vec();
-        let mut y = vec![0.0; me];
-
-        // Per-solve workspaces: everything the interior-point loop touches
-        // is allocated once here and reused across iterations.
-        let mut ws =
-            KktWorkspace::new(problem, a_in.kkt_rows(), self.options.prefer_dense_cholesky);
-        let mut hz = vec![0.0; n];
-        let mut rd = vec![0.0; n];
-        let mut rp = vec![0.0; me];
-        let mut cz = vec![0.0; mi];
-        let mut rc = vec![0.0; mi];
-        let mut wvec = vec![0.0; mi];
-        let mut r_slam = vec![0.0; mi];
-        let mut rhs = vec![0.0; n + me];
-        let mut dz = vec![0.0; n];
-        let mut dy = vec![0.0; me];
-        let mut ds = vec![0.0; mi];
-        let mut dlam = vec![0.0; mi];
-        let mut ds_aff = vec![0.0; mi];
-        let mut dlam_aff = vec![0.0; mi];
-        let mut cdz = vec![0.0; mi];
-        let mut jt = vec![0.0; n];
+        ws.resize(n, me, mi);
+        let IpmWorkspace {
+            kkt,
+            z,
+            y,
+            s,
+            lam,
+            hz,
+            rd,
+            rp,
+            cz,
+            rc,
+            wvec,
+            r_slam,
+            rhs,
+            dz,
+            dy,
+            ds,
+            dlam,
+            ds_aff,
+            dlam_aff,
+            cdz,
+            jt,
+            coeff,
+            columns,
+        } = ws;
+        // Plain slices from here on: their pointers and lengths stay in
+        // registers, where a `&mut Vec` would be re-read after every store.
+        let [z, y, s, lam, hz, rd, rp, cz, rc, wvec, r_slam, rhs, dz, dy, ds, dlam, ds_aff, dlam_aff, cdz, jt, coeff] =
+            [
+                z, y, s, lam, hz, rd, rp, cz, rc, wvec, r_slam, rhs, dz, dy, ds, dlam, ds_aff,
+                dlam_aff, cdz, jt, coeff,
+            ]
+            .map(Vec::as_mut_slice);
+        kkt.prepare(problem, a_in.kkt_rows(), self.options.prefer_dense_cholesky);
+        let columns = match a_in.kkt_rows() {
+            KktRows::Nominal(ConstraintRef::Sparse(a)) => {
+                columns.fill(a);
+                Some(&*columns)
+            }
+            _ => None,
+        };
+        z.copy_from_slice(z0);
+        y.fill(0.0);
 
         // Strictly positive slack/dual initialization: from the previous
         // solve's multipliers when warm (slacks re-derived from the
         // *current* constraint values so an infeasible start still yields
         // s > 0), cold (s ≥ 1, λ = 1) otherwise.
-        a_in.matvec_into(&z, &mut cz);
+        a_in.matvec_into(z, cz);
         let mut stall = warm_lam.map(|_| Stall::default());
-        let (mut s, mut lam) = match warm_lam {
+        let floor = if warm_lam.is_some() { 1e-3 } else { 1.0 };
+        for ((si, b), c) in s.iter_mut().zip(rows.b_in).zip(cz.iter()) {
+            *si = (b - c).max(floor);
+        }
+        match warm_lam {
             Some(prev) => {
-                let s = rows
-                    .b_in
-                    .iter()
-                    .zip(&cz)
-                    .map(|(b, c)| (b - c).max(1e-3))
-                    .collect();
-                let lam = prev.iter().map(|l| l.max(1e-3)).collect();
-                (s, lam)
+                for (l, p) in lam.iter_mut().zip(prev) {
+                    *l = p.max(floor);
+                }
             }
-            None => {
-                let s: Vec<f64> = rows
-                    .b_in
-                    .iter()
-                    .zip(&cz)
-                    .map(|(b, c)| (b - c).max(1.0))
-                    .collect();
-                (s, vec![1.0; mi])
-            }
-        };
+            None => lam.fill(1.0),
+        }
 
         // When the declared horizon structure comes with a truly
         // block-diagonal Hessian (the SQP's partitioned BFGS maintains
@@ -1181,7 +1216,7 @@ impl QpSolver {
         for iter in 0..self.options.max_iterations {
             // Residuals: rd = Hz + g + A_eqᵀy + A_inᵀλ, rp = A_eq·z − b_eq,
             // rc = A_in·z + s − b_in.
-            hess_matvec(problem.h, h_block, &z, &mut hz);
+            hess_matvec(problem.h, h_block, z, hz);
             for r in 0..n {
                 rd[r] = hz[r] + rows.g[r];
             }
@@ -1192,52 +1227,50 @@ impl QpSolver {
             if let Some(a_eq) = a_eq {
                 jt.fill(0.0);
                 for r in 0..me {
-                    a_eq.add_scaled_row(r, y[r], &mut jt);
+                    a_eq.add_scaled_row(r, y[r], jt);
                 }
                 for r in 0..n {
                     rd[r] += jt[r];
                 }
             }
             jt.fill(0.0);
-            for i in 0..mi {
-                a_in.add_scaled_row(i, lam[i], &mut jt);
-            }
+            add_transposed(a_in, columns, lam, jt);
             for r in 0..n {
                 rd[r] += jt[r];
             }
             if let Some(a_eq) = a_eq {
-                a_eq.matvec_into(&z, &mut rp);
+                a_eq.matvec_into(z, rp);
                 for r in 0..me {
                     rp[r] -= rows.b_eq[r];
                 }
             }
-            a_in.matvec_into(&z, &mut cz);
+            a_in.matvec_into(z, cz);
             for i in 0..mi {
                 rc[i] = cz[i] + s[i] - rows.b_in[i];
             }
-            let mu = vecops::dot(&s, &lam) / mi as f64;
+            let mu = vecops::dot(s, lam) / mi as f64;
 
             let converged = mu <= tol * data_scale
-                && vecops::norm_inf(&rd) <= tol * data_scale
-                && vecops::norm_inf(&rp) <= tol * data_scale
-                && vecops::norm_inf(&rc) <= tol * data_scale;
+                && vecops::norm_inf(rd) <= tol * data_scale
+                && vecops::norm_inf(rp) <= tol * data_scale
+                && vecops::norm_inf(rc) <= tol * data_scale;
             if converged {
-                hess_matvec(problem.h, h_block, &z, &mut hz);
-                let objective = 0.5 * vecops::dot(&z, &hz) + vecops::dot(rows.g, &z);
+                // `hz` still holds H·z for this very iterate.
+                let objective = 0.5 * vecops::dot(z, hz) + vecops::dot(rows.g, z);
                 return Ok(QpSolution {
                     objective,
-                    z,
-                    y_eq: y,
-                    lambda_in: lam,
+                    z: z.to_vec(),
+                    y_eq: y.to_vec(),
+                    lambda_in: lam.to_vec(),
                     iterations: iter,
-                    kkt_backend: ws.backend,
+                    kkt_backend: kkt.backend,
                 });
             }
             if let Some(stall) = stall.as_mut() {
                 let error = mu
-                    .max(vecops::norm_inf(&rd))
-                    .max(vecops::norm_inf(&rp))
-                    .max(vecops::norm_inf(&rc));
+                    .max(vecops::norm_inf(rd))
+                    .max(vecops::norm_inf(rp))
+                    .max(vecops::norm_inf(rc));
                 if stall.stalled(error) {
                     break;
                 }
@@ -1247,29 +1280,17 @@ impl QpSolver {
             for i in 0..mi {
                 wvec[i] = lam[i] / s[i];
             }
-            ws.factor(problem, a_in.kkt_rows(), &wvec, reg)?;
+            kkt.factor(problem, a_in.kkt_rows(), wvec, reg)?;
 
             // Affine (predictor) direction: target σ = 0.
             for i in 0..mi {
                 r_slam[i] = s[i] * lam[i];
             }
             newton_step(
-                &mut ws,
-                a_in,
-                &rd,
-                &rp,
-                &rc,
-                &s,
-                &lam,
-                &r_slam,
-                &mut rhs,
-                &mut dz,
-                &mut dy,
-                &mut ds_aff,
-                &mut dlam_aff,
-                &mut cdz,
+                kkt, a_in, columns, rd, rp, rc, s, lam, r_slam, coeff, rhs, dz, dy, ds_aff,
+                dlam_aff, cdz,
             )?;
-            let alpha_aff = step_length(&s, &ds_aff, &lam, &dlam_aff);
+            let alpha_aff = step_length(s, ds_aff, lam, dlam_aff);
             let mu_aff = {
                 let mut acc = 0.0;
                 for i in 0..mi {
@@ -1284,16 +1305,15 @@ impl QpSolver {
                 r_slam[i] = s[i] * lam[i] + ds_aff[i] * dlam_aff[i] - sigma * mu;
             }
             newton_step(
-                &mut ws, a_in, &rd, &rp, &rc, &s, &lam, &r_slam, &mut rhs, &mut dz, &mut dy,
-                &mut ds, &mut dlam, &mut cdz,
+                kkt, a_in, columns, rd, rp, rc, s, lam, r_slam, coeff, rhs, dz, dy, ds, dlam, cdz,
             )?;
 
-            let alpha = 0.995 * step_length(&s, &ds, &lam, &dlam);
+            let alpha = 0.995 * step_length(s, ds, lam, dlam);
             let alpha = alpha.min(1.0);
-            vecops::axpy(alpha, &dz, &mut z);
-            vecops::axpy(alpha, &dy, &mut y);
-            vecops::axpy(alpha, &ds, &mut s);
-            vecops::axpy(alpha, &dlam, &mut lam);
+            vecops::axpy(alpha, dz, z);
+            vecops::axpy(alpha, dy, y);
+            vecops::axpy(alpha, ds, s);
+            vecops::axpy(alpha, dlam, lam);
 
             // Divergence guard: the iterates of a solvable QP stay within
             // a bounded multiple of the problem geometry, so a primal
@@ -1302,13 +1322,13 @@ impl QpSolver {
             // (an LP ray the constraints fail to cap); divergence with an
             // irreducible primal residual is the dual ray of an
             // infeasible constraint set.
-            let z_norm = vecops::norm_inf(&z);
+            let z_norm = vecops::norm_inf(z);
             if z_norm > 1e10 * geom_scale {
                 // Judged relative to the diverged iterate: along a feasible
                 // ray the residual stays bounded while ‖z‖ explodes
                 // (unbounded objective); if the residual grew with the
                 // iterate, no feasible ray exists (infeasible constraints).
-                let primal = vecops::norm_inf(&rp).max(vecops::norm_inf(&rc));
+                let primal = vecops::norm_inf(rp).max(vecops::norm_inf(rc));
                 return Err(if primal <= stuck_tol * z_norm {
                     OptimError::QpUnbounded { z_norm }
                 } else {
@@ -1321,21 +1341,21 @@ impl QpSolver {
         }
 
         // Re-evaluate residuals for the error report.
-        hess_matvec(problem.h, None, &z, &mut hz);
+        hess_matvec(problem.h, None, z, hz);
         for r in 0..n {
             rd[r] = hz[r] + rows.g[r];
         }
         if let Some(a_eq) = a_eq {
-            a_eq.matvec_into(&z, &mut rp);
+            a_eq.matvec_into(z, rp);
             for r in 0..me {
                 rp[r] -= rows.b_eq[r];
             }
         }
-        a_in.matvec_into(&z, &mut cz);
+        a_in.matvec_into(z, cz);
         for i in 0..mi {
             rc[i] = cz[i] + s[i] - rows.b_in[i];
         }
-        let primal_residual = vecops::norm_inf(&rp).max(vecops::norm_inf(&rc));
+        let primal_residual = vecops::norm_inf(rp).max(vecops::norm_inf(rc));
         // A primal residual stuck far above the convergence scale after a
         // full iteration budget is the signature of inconsistent
         // constraints: route it as infeasibility so callers (SQP elastic
@@ -1346,9 +1366,9 @@ impl QpSolver {
             return Err(OptimError::QpInfeasible { primal_residual });
         }
         Err(OptimError::QpMaxIterations {
-            mu: vecops::dot(&s, &lam) / mi as f64,
+            mu: vecops::dot(s, lam) / mi as f64,
             primal_residual,
-            dual_residual: vecops::norm_inf(&rd),
+            dual_residual: vecops::norm_inf(rd),
         })
     }
 
@@ -1478,10 +1498,44 @@ impl Stall {
     }
 }
 
-/// `out = M·x` for a dense matrix without allocating.
+/// `out = M·x` for a dense matrix without allocating, bit-identical to
+/// `out[r] = vecops::dot(M.row(r), x)`.
 fn matvec_into(m: &Matrix, x: &[f64], out: &mut [f64]) {
-    for r in 0..m.rows() {
-        out[r] = vecops::dot(m.row(r), x);
+    dot_rows(|r| m.row(r), x, &mut out[..m.rows()]);
+}
+
+/// `out[r] = vecops::dot(row(r), x)` for every `r < out.len()`, bit for
+/// bit.
+///
+/// Four rows at a time share each load of `x`, but every row keeps its
+/// own accumulator, started from the value `f64`'s `Sum` starts from and
+/// fed its products left to right, so each entry is the same sequence of
+/// IEEE operations as the iterator sum.
+///
+/// # Panics
+///
+/// Panics if a row's length differs from `x.len()`, as `vecops::dot`
+/// does.
+pub(crate) fn dot_rows<'a>(row: impl Fn(usize) -> &'a [f64], x: &[f64], out: &mut [f64]) {
+    let start: f64 = std::iter::empty::<f64>().sum();
+    let quads = out.len() - out.len() % 4;
+    for (r, o) in (0..quads).step_by(4).zip(out.chunks_exact_mut(4)) {
+        let (r0, r1, r2, r3) = (row(r), row(r + 1), row(r + 2), row(r + 3));
+        assert!(
+            [r0.len(), r1.len(), r2.len(), r3.len()] == [x.len(); 4],
+            "dot_rows: length mismatch"
+        );
+        let (mut s0, mut s1, mut s2, mut s3) = (start, start, start, start);
+        for ((((xc, a0), a1), a2), a3) in x.iter().zip(r0).zip(r1).zip(r2).zip(r3) {
+            s0 += a0 * xc;
+            s1 += a1 * xc;
+            s2 += a2 * xc;
+            s3 += a3 * xc;
+        }
+        o.copy_from_slice(&[s0, s1, s2, s3]);
+    }
+    for (r, o) in out.iter_mut().enumerate().skip(quads) {
+        *o = vecops::dot(row(r), x);
     }
 }
 
@@ -1514,6 +1568,148 @@ fn hess_matvec(h: &Matrix, h_block: Option<usize>, x: &[f64], out: &mut [f64]) {
     }
 }
 
+/// Everything an interior-point solve works in: the reduced-KKT
+/// workspace (matrix and factors) and the iterate, residual and direction
+/// vectors.
+///
+/// [`crate::SqpSolver`] keeps one for a whole solve and hands it to every
+/// QP it solves there (warm attempts, cold retries, boosted-regularization
+/// and elastic retries), so the subproblems of a solve allocate none of
+/// it. Each QP solve resizes it to its own dimensions and overwrites every
+/// entry before reading it, so a reused workspace yields exactly the bits
+/// of a fresh one.
+#[derive(Debug, Default)]
+pub(crate) struct IpmWorkspace {
+    kkt: KktWorkspace,
+    z: Vec<f64>,
+    y: Vec<f64>,
+    s: Vec<f64>,
+    lam: Vec<f64>,
+    hz: Vec<f64>,
+    rd: Vec<f64>,
+    rp: Vec<f64>,
+    cz: Vec<f64>,
+    rc: Vec<f64>,
+    wvec: Vec<f64>,
+    r_slam: Vec<f64>,
+    rhs: Vec<f64>,
+    dz: Vec<f64>,
+    dy: Vec<f64>,
+    ds: Vec<f64>,
+    dlam: Vec<f64>,
+    ds_aff: Vec<f64>,
+    dlam_aff: Vec<f64>,
+    cdz: Vec<f64>,
+    jt: Vec<f64>,
+    /// Newton right-hand-side coefficients, one per inequality row.
+    coeff: Vec<f64>,
+    columns: Columns,
+}
+
+impl IpmWorkspace {
+    /// Sizes the vectors for `n` unknowns, `me` equality and `mi`
+    /// inequality rows.
+    fn resize(&mut self, n: usize, me: usize, mi: usize) {
+        for (v, len) in [
+            (&mut self.z, n),
+            (&mut self.hz, n),
+            (&mut self.rd, n),
+            (&mut self.dz, n),
+            (&mut self.jt, n),
+            (&mut self.rhs, n + me),
+            (&mut self.y, me),
+            (&mut self.rp, me),
+            (&mut self.dy, me),
+            (&mut self.s, mi),
+            (&mut self.lam, mi),
+            (&mut self.cz, mi),
+            (&mut self.rc, mi),
+            (&mut self.wvec, mi),
+            (&mut self.r_slam, mi),
+            (&mut self.ds, mi),
+            (&mut self.dlam, mi),
+            (&mut self.ds_aff, mi),
+            (&mut self.dlam_aff, mi),
+            (&mut self.cdz, mi),
+            (&mut self.coeff, mi),
+        ] {
+            v.resize(len, 0.0);
+        }
+    }
+}
+
+/// A CSR inequality Jacobian regrouped by column, each column's entries
+/// in ascending row order. Rebuilt at the start of every solve over a
+/// CSR Jacobian, it turns the loop's `out += Aᵀx` products from a
+/// row-by-row scatter into one running sum per `out[c]` that receives the
+/// same terms `x_i·a_ic` in the same order.
+#[derive(Debug, Default)]
+struct Columns {
+    /// Column `c` spans `start[c]..start[c + 1]` of `row`/`val`.
+    start: Vec<usize>,
+    row: Vec<usize>,
+    val: Vec<f64>,
+}
+
+impl Columns {
+    fn fill(&mut self, a: &SparseMatrix) {
+        let n = a.cols();
+        self.start.clear();
+        self.start.resize(n + 1, 0);
+        self.row.resize(a.nnz(), 0);
+        self.val.resize(a.nnz(), 0.0);
+        let (start, row, val) = (&mut self.start[..], &mut self.row[..], &mut self.val[..]);
+        // Count each column into the slot after it and sum, so start[c]
+        // is the column's first slot; then fill the rows in order, using
+        // start[c] as the column's cursor, which leaves it at the next
+        // column's start; shifting back restores it.
+        for r in 0..a.rows() {
+            for &c in a.row(r).0 {
+                start[c + 1] += 1;
+            }
+        }
+        for c in 0..n {
+            start[c + 1] += start[c];
+        }
+        for r in 0..a.rows() {
+            let (cols, vals) = a.row(r);
+            for (&c, &v) in cols.iter().zip(vals) {
+                let slot = start[c];
+                row[slot] = r;
+                val[slot] = v;
+                start[c] = slot + 1;
+            }
+        }
+        start.copy_within(..n, 1);
+        start[0] = 0;
+    }
+
+    /// `out += Aᵀx`.
+    fn add_transposed(&self, x: &[f64], out: &mut [f64]) {
+        for (o, span) in out.iter_mut().zip(self.start.windows(2)) {
+            let (rows, vals) = (&self.row[span[0]..span[1]], &self.val[span[0]..span[1]]);
+            let mut acc = *o;
+            for (&i, &v) in rows.iter().zip(vals) {
+                acc += x[i] * v;
+            }
+            *o = acc;
+        }
+    }
+}
+
+/// `out += Aᵀx` in row order of `A`: from its column copy when the rows
+/// are a CSR Jacobian, row by row otherwise.
+fn add_transposed<R: IpmInequalities>(a: R, columns: Option<&Columns>, x: &[f64], out: &mut [f64]) {
+    match columns {
+        Some(columns) => columns.add_transposed(x, out),
+        None => {
+            for (i, &xi) in x.iter().enumerate() {
+                a.add_scaled_row(i, xi, out);
+            }
+        }
+    }
+}
+
 /// The linear data the interior-point loop iterates on: a view's own
 /// rows, or the rows of its elastic relaxation (whose `g` carries the
 /// slack prices and whose `a_in` is the [`ElasticRows`]).
@@ -1532,12 +1728,14 @@ struct IpmRows<'a, R> {
 fn newton_step<R: IpmInequalities>(
     ws: &mut KktWorkspace,
     a_in: R,
+    columns: Option<&Columns>,
     rd: &[f64],
     rp: &[f64],
     rc: &[f64],
     s: &[f64],
     lam: &[f64],
     r_slam: &[f64],
+    coeff: &mut [f64],
     rhs: &mut [f64],
     dz: &mut [f64],
     dy: &mut [f64],
@@ -1554,9 +1752,9 @@ fn newton_step<R: IpmInequalities>(
         rhs[r] = -rd[r];
     }
     for i in 0..mi {
-        let coeff = (r_slam[i] - lam[i] * rc[i]) / s[i];
-        a_in.add_scaled_row(i, coeff, &mut rhs[..n]);
+        coeff[i] = (r_slam[i] - lam[i] * rc[i]) / s[i];
     }
+    add_transposed(a_in, columns, coeff, &mut rhs[..n]);
     for r in 0..me {
         rhs[n + r] = -rp[r];
     }
@@ -1572,14 +1770,16 @@ fn newton_step<R: IpmInequalities>(
     Ok(())
 }
 
-/// Per-solve scratch for assembling and factoring the reduced KKT matrix
+/// Scratch for assembling and factoring the reduced KKT matrix
 /// `[H + CᵀWC, A_eqᵀ; A_eq, −δI]` with whichever backend fits the problem:
 /// banded LDLᵀ when a valid [`QpStructure`] plan exists, dense Cholesky
 /// when the reduced system is SPD (no equalities), dense LU otherwise.
 /// Backends degrade monotonically within one solve: a banded or Cholesky
 /// factorization failure permanently drops to the next denser backend, so
 /// pivoted LU is always the last resort. One dense matrix and one factor
-/// serve every iteration of the solve.
+/// per backend serve every iteration of a solve, and every later solve
+/// through the same [`IpmWorkspace`].
+#[derive(Debug)]
 struct KktWorkspace {
     n: usize,
     me: usize,
@@ -1591,13 +1791,36 @@ struct KktWorkspace {
     band: BandedMatrix,
     band_factor: BandedCholesky,
     perm_rhs: Vec<f64>,
-    dense: Option<Matrix>,
+    /// The reduced matrix. Assembly writes only its lower triangle, all
+    /// that Cholesky reads; the LU path mirrors it into the upper one.
+    dense: Matrix,
     cholesky: Option<Cholesky>,
     use_cholesky: bool,
     lu: Option<Lu>,
     backend: QpKktBackend,
-    /// Slack elimination state when solving an elastic relaxation.
-    elastic: Option<ElasticKkt>,
+    /// Slack elimination state, used when solving an elastic relaxation.
+    elastic: ElasticKkt,
+}
+
+impl Default for KktWorkspace {
+    fn default() -> Self {
+        Self {
+            n: 0,
+            me: 0,
+            pos: Vec::new(),
+            bandwidth: 0,
+            banded: false,
+            band: BandedMatrix::default(),
+            band_factor: BandedCholesky::new(),
+            perm_rhs: Vec::new(),
+            dense: Matrix::zeros(0, 0),
+            cholesky: None,
+            use_cholesky: false,
+            lu: None,
+            backend: QpKktBackend::DenseLu,
+            elastic: ElasticKkt::default(),
+        }
+    }
 }
 
 /// The diagonal slack block of an elastic relaxation's KKT system and
@@ -1612,7 +1835,7 @@ struct KktWorkspace {
 /// `ωₖ = [(w⁺+w⁻)(δ′+w_b) + 4w⁺w⁻]/K_tt[k]` (equality pair), where
 /// `δ′ = δ + δ_reg`, `w = λ/s` of the row and `w₂`, `w_b` belong to the
 /// slack's bound row. See DESIGN.md for the derivation.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct ElasticKkt {
     /// `K_tt[k]`.
     ktt: Vec<f64>,
@@ -1623,17 +1846,12 @@ struct ElasticKkt {
 }
 
 impl ElasticKkt {
-    fn new(slacks: usize) -> Self {
-        Self {
-            ktt: vec![0.0; slacks],
-            ktd: vec![0.0; slacks],
-            omega: vec![0.0; slacks],
-        }
-    }
-
     /// Refreshes the slack block from the relaxation's row weights `w`.
     fn update(&mut self, rows: &ElasticRows<'_>, w: &[f64], reg: f64) {
         let (me, mi) = (rows.me, rows.mi);
+        for v in [&mut self.ktt, &mut self.ktd, &mut self.omega] {
+            v.resize(me + mi, 0.0);
+        }
         let d = ELASTIC_CURVATURE + reg;
         let bound = &w[2 * me + mi..];
         for r in 0..me {
@@ -1655,35 +1873,33 @@ impl ElasticKkt {
 }
 
 impl KktWorkspace {
-    fn new(problem: &QpView<'_>, a_in: KktRows<'_>, prefer_dense_cholesky: bool) -> Self {
+    /// Sets the workspace up for one QP solve, keeping its storage.
+    fn prepare(&mut self, problem: &QpView<'_>, a_in: KktRows<'_>, prefer_dense_cholesky: bool) {
         let n = problem.num_vars();
         // An elastic relaxation has no equality block: its equalities
         // became slack-relaxed row pairs, eliminated down to n × n.
         let (me, elastic) = match a_in {
-            KktRows::Elastic(rows) => (0, Some(ElasticKkt::new(rows.me + rows.mi))),
-            KktRows::Nominal(_) => (problem.num_eq(), None),
+            KktRows::Elastic(_) => (0, true),
+            KktRows::Nominal(_) => (problem.num_eq(), false),
         };
-        let (pos, bandwidth, banded) = match banded_plan(problem).filter(|_| elastic.is_none()) {
-            Some((pos, w)) => (pos, w, true),
-            None => (Vec::new(), 0, false),
-        };
-        Self {
-            n,
-            me,
-            pos,
-            bandwidth,
-            banded,
-            band: BandedMatrix::default(),
-            band_factor: BandedCholesky::new(),
-            perm_rhs: vec![0.0; n + me],
-            dense: None,
-            cholesky: None,
-            // With no equality block the reduced KKT matrix is SPD.
-            use_cholesky: prefer_dense_cholesky && me == 0,
-            lu: None,
-            backend: QpKktBackend::DenseLu,
-            elastic,
+        match banded_plan(problem).filter(|_| !elastic) {
+            Some((pos, w)) => {
+                self.pos = pos;
+                self.bandwidth = w;
+                self.banded = true;
+            }
+            None => {
+                self.pos.clear();
+                self.bandwidth = 0;
+                self.banded = false;
+            }
         }
+        self.n = n;
+        self.me = me;
+        self.perm_rhs.resize(n + me, 0.0);
+        // With no equality block the reduced KKT matrix is SPD.
+        self.use_cholesky = prefer_dense_cholesky && me == 0;
+        self.backend = QpKktBackend::DenseLu;
     }
 
     /// Assembles and factors the KKT matrix for the current weights
@@ -1699,14 +1915,11 @@ impl KktWorkspace {
         let a_in = match a_in {
             KktRows::Nominal(c) => c,
             KktRows::Elastic(rows) => {
-                let mut el = self
-                    .elastic
-                    .take()
-                    .expect("elastic rows imply elastic state");
+                let mut el = std::mem::take(&mut self.elastic);
                 el.update(rows, wvec, reg);
                 let (w_eq, w_in) = el.omega.split_at(rows.me);
                 let result = self.factor_dense(problem, &[(rows.eq, w_eq), (rows.ineq, w_in)], reg);
-                self.elastic = Some(el);
+                self.elastic = el;
                 return result;
             }
         };
@@ -1792,8 +2005,9 @@ impl KktWorkspace {
         Ok(())
     }
 
-    /// Assembles `[H + Σ CᵀWC + δ_reg·I, A_eqᵀ; A_eq, −δI]` over row slices
-    /// and factors it. `grams` lists each row block `C` with its weights.
+    /// Assembles the lower triangle of
+    /// `[H + Σ CᵀWC + δ_reg·I, A_eqᵀ; A_eq, −δI]` over row slices and
+    /// factors it. `grams` lists each row block `C` with its weights.
     fn factor_dense(
         &mut self,
         problem: &QpView<'_>,
@@ -1802,20 +2016,19 @@ impl KktWorkspace {
     ) -> Result<(), OptimError> {
         let (n, me) = (self.n, self.me);
         let dim = n + me;
-        if self.dense.as_ref().is_none_or(|m| m.rows() != dim) {
-            self.dense = Some(Matrix::zeros(dim, dim));
+        if self.dense.rows() != dim {
+            self.dense = Matrix::zeros(dim, dim);
         }
-        let kkt = self.dense.as_mut().expect("just ensured");
-        let data = kkt.as_mut_slice();
+        let data = self.dense.as_mut_slice();
 
-        // Hessian block overwrites last iteration's values wholesale; the
-        // constant equality blocks below only rewrite their own entries.
-        for r in 0..n {
-            data[r * dim..r * dim + n].copy_from_slice(problem.h.row(r));
+        // Every lower-triangle entry is rewritten from scratch on each
+        // call; the strict upper triangle is left as it is.
+        for (r, row) in data.chunks_exact_mut(dim).take(n).enumerate() {
+            row[..=r].copy_from_slice(&problem.h.row(r)[..=r]);
         }
         for &(c, w) in grams {
             if let Some(c) = c {
-                add_weighted_gram(data, dim, n, c, w);
+                add_weighted_gram_lower(data, dim, c, w);
             }
         }
         for r in 0..n {
@@ -1825,30 +2038,26 @@ impl KktWorkspace {
             let a_eq = problem.a_eq_ref().expect("me > 0 implies A_eq");
             for r in 0..me {
                 let pr = n + r;
+                let row = &mut data[pr * dim..=pr * dim + pr];
+                row.fill(0.0);
                 match a_eq {
-                    ConstraintRef::Dense(m) => {
-                        let row = m.row(r);
-                        data[pr * dim..pr * dim + n].copy_from_slice(row);
-                        for (c, v) in row.iter().enumerate() {
-                            data[c * dim + pr] = *v;
-                        }
-                    }
+                    ConstraintRef::Dense(m) => row[..n].copy_from_slice(m.row(r)),
                     ConstraintRef::Sparse(s) => {
                         let (cols, vals) = s.row(r);
                         for (c, v) in cols.iter().zip(vals) {
-                            data[pr * dim + c] = *v;
-                            data[c * dim + pr] = *v;
+                            row[*c] = *v;
                         }
                     }
                 }
-                data[pr * dim + pr] = -1e-12;
+                row[pr] = -1e-12;
             }
         }
 
         if self.use_cholesky {
+            let kkt = &self.dense;
             let ok = match self.cholesky.as_mut() {
-                Some(c) if c.dim() == dim => c.refactor(kkt).is_ok(),
-                _ => match Cholesky::factor(kkt) {
+                Some(c) if c.dim() == dim => c.refactor_lower(kkt).is_ok(),
+                _ => match Cholesky::factor_lower(kkt) {
                     Ok(c) => {
                         self.cholesky = Some(c);
                         true
@@ -1865,14 +2074,22 @@ impl KktWorkspace {
             self.cholesky = None;
             self.use_cholesky = false;
         }
+        // LU reads the whole matrix: mirror the lower triangle.
+        let data = self.dense.as_mut_slice();
+        for r in 1..dim {
+            for c in 0..r {
+                data[c * dim + r] = data[r * dim + c];
+            }
+        }
+        let kkt = &self.dense;
         match self.lu.as_mut() {
-            Some(lu) => {
+            Some(lu) if lu.dim() == dim => {
                 if let Err(e) = lu.refactor(kkt) {
                     self.lu = None;
                     return Err(e.into());
                 }
             }
-            None => self.lu = Some(Lu::factor(kkt)?),
+            _ => self.lu = Some(Lu::factor(kkt)?),
         }
         self.backend = QpKktBackend::DenseLu;
         Ok(())
@@ -1884,9 +2101,10 @@ impl KktWorkspace {
     /// before the `n × n` solve and the slack steps are recovered after.
     fn solve_in_place(&mut self, a_in: KktRows<'_>, rhs: &mut [f64]) -> Result<(), OptimError> {
         let n = self.n;
-        let el_rows = match (a_in, self.elastic.as_ref()) {
-            (KktRows::Elastic(rows), Some(el)) => {
+        let el_rows = match a_in {
+            KktRows::Elastic(rows) => {
                 // rhs = (r_d, r_t): fold the slack rows into r_d.
+                let el = &self.elastic;
                 let (rd, rt) = rhs.split_at_mut(n);
                 for (k, &t) in rt.iter().enumerate() {
                     let (row, i) = rows.slack_row(k);
@@ -1894,7 +2112,7 @@ impl KktWorkspace {
                 }
                 Some(rows)
             }
-            _ => None,
+            KktRows::Nominal(_) => None,
         };
         let x = &mut rhs[..n + self.me];
         match self.backend {
@@ -1921,8 +2139,9 @@ impl KktWorkspace {
                 x.copy_from_slice(&self.perm_rhs);
             }
         }
-        if let (Some(rows), Some(el)) = (el_rows, self.elastic.as_ref()) {
+        if let Some(rows) = el_rows {
             // t = (r_t − K_td·d)/K_tt.
+            let el = &self.elastic;
             let (dd, dt) = rhs.split_at_mut(n);
             for (k, t) in dt.iter_mut().enumerate() {
                 let (row, i) = rows.slack_row(k);
@@ -1933,11 +2152,14 @@ impl KktWorkspace {
     }
 }
 
-/// `K[..n, ..n] += Cᵀ·diag(w)·C` on the row-major `dim`-wide storage,
-/// row slice by row slice. Each entry receives its terms in row order of
-/// `C`, exactly as an element-by-element accumulation would, so the sum
-/// is bit-identical to it.
-fn add_weighted_gram(data: &mut [f64], dim: usize, n: usize, c: ConstraintRef<'_>, w: &[f64]) {
+/// `K[..n, ..n] += Cᵀ·diag(w)·C` on the lower triangle (column ≤ row) of
+/// the row-major `dim`-wide storage, row slice by row slice. Lower entry
+/// `(r, k)` receives `(wᵢ·c_ir)·c_ik` in row order `i` of `C`, exactly the
+/// terms and order an element-by-element accumulation of the full matrix
+/// gives it, so the triangle is bit-identical to that one's; a dense row
+/// skips its zero `c_ir` the same way. CSR columns ascend within a row,
+/// so the pairs `b ≤ a` of a row's entries are its lower-triangle ones.
+fn add_weighted_gram_lower(data: &mut [f64], dim: usize, c: ConstraintRef<'_>, w: &[f64]) {
     match c {
         ConstraintRef::Dense(m) => {
             for (i, &wi) in w.iter().enumerate() {
@@ -1947,7 +2169,7 @@ fn add_weighted_gram(data: &mut [f64], dim: usize, n: usize, c: ConstraintRef<'_
                         continue;
                     }
                     let war = wi * ar;
-                    for (k, v) in data[r * dim..r * dim + n].iter_mut().zip(c_row) {
+                    for (k, v) in data[r * dim..=r * dim + r].iter_mut().zip(c_row) {
                         *k += war * v;
                     }
                 }
@@ -1956,10 +2178,10 @@ fn add_weighted_gram(data: &mut [f64], dim: usize, n: usize, c: ConstraintRef<'_
         ConstraintRef::Sparse(s) => {
             for (i, &wi) in w.iter().enumerate() {
                 let (cols, vals) = s.row(i);
-                for (&ca, &va) in cols.iter().zip(vals) {
+                for (a, (&ca, &va)) in cols.iter().zip(vals).enumerate() {
                     let va = wi * va;
-                    let row = &mut data[ca * dim..ca * dim + n];
-                    for (&cb, &vb) in cols.iter().zip(vals) {
+                    let row = &mut data[ca * dim..=ca * dim + ca];
+                    for (&cb, &vb) in cols[..=a].iter().zip(&vals[..=a]) {
                         row[cb] += va * vb;
                     }
                 }
@@ -2520,6 +2742,312 @@ mod tests {
         let mut slow = Stall::default();
         assert!((0..100).all(|i| !slow.stalled(0.999f64.powi(i))));
         assert!((0..Stall::PATIENCE).any(|_| slow.stalled(f64::NAN)));
+    }
+
+    /// Deterministic uniform draws in [-1, 1) (splitmix64).
+    fn uniform(seed: &mut u64) -> f64 {
+        *seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *seed;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^= z >> 31;
+        (z >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// An `m × n` CSR matrix mixing the row shapes of the condensed MPC
+    /// Jacobian: empty rows, single entries, dense prefixes and scattered
+    /// subsets, with stored `+0.0` and `−0.0` among the values.
+    fn mixed_csr(m: usize, n: usize, seed: &mut u64) -> SparseMatrix {
+        let mut a = SparseMatrix::new();
+        a.reset(n);
+        for i in 0..m {
+            let cols: Vec<usize> = match i % 4 {
+                0 => Vec::new(),
+                1 => vec![i % n.max(1)],
+                2 => (0..=(i % n.max(1))).collect(),
+                _ => (0..n).filter(|_| uniform(seed) > 0.0).collect(),
+            };
+            for c in cols.into_iter().filter(|&c| c < n) {
+                let v = match c % 7 {
+                    3 => 0.0,
+                    5 => -0.0,
+                    _ => uniform(seed) * 10f64.powi((c % 5) as i32 - 2),
+                };
+                a.push(c, v);
+            }
+            a.finish_row();
+        }
+        a
+    }
+
+    /// Barrier weights spread over sixteen orders of magnitude, with
+    /// zeros of both signs.
+    fn weights(m: usize, seed: &mut u64) -> Vec<f64> {
+        (0..m)
+            .map(|i| match i % 9 {
+                4 => 0.0,
+                7 => -0.0,
+                _ => 10f64.powf(8.0 * uniform(seed)),
+            })
+            .collect()
+    }
+
+    /// The full-matrix gram the triangle-only assembly replaced, kept as
+    /// its oracle: `K[..n, ..n] += Cᵀ·diag(w)·C` on the row-major
+    /// `dim`-wide storage, every entry receiving its terms in row order of
+    /// `C`.
+    fn full_gram(data: &mut [f64], dim: usize, n: usize, c: ConstraintRef<'_>, w: &[f64]) {
+        match c {
+            ConstraintRef::Dense(m) => {
+                for (i, &wi) in w.iter().enumerate() {
+                    let c_row = m.row(i);
+                    for (r, &ar) in c_row.iter().enumerate() {
+                        if ar == 0.0 {
+                            continue;
+                        }
+                        let war = wi * ar;
+                        for (k, v) in data[r * dim..r * dim + n].iter_mut().zip(c_row) {
+                            *k += war * v;
+                        }
+                    }
+                }
+            }
+            ConstraintRef::Sparse(s) => {
+                for (i, &wi) in w.iter().enumerate() {
+                    let (cols, vals) = s.row(i);
+                    for (&ca, &va) in cols.iter().zip(vals) {
+                        let va = wi * va;
+                        let row = &mut data[ca * dim..ca * dim + n];
+                        for (&cb, &vb) in cols.iter().zip(vals) {
+                            row[cb] += va * vb;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The triangle-only gram of `c` with weights `w` leaves exactly the
+    /// lower triangle of the full gram and touches nothing else.
+    fn assert_gram_is_lower_triangle(c: ConstraintRef<'_>, n: usize, w: &[f64], seed: &mut u64) {
+        // Room for an equality block the gram must not touch.
+        let dim = n + 2;
+        let start: Vec<f64> = (0..dim * dim).map(|_| uniform(seed)).collect();
+        let mut full = start.clone();
+        full_gram(&mut full, dim, n, c, w);
+        let mut lower = start.clone();
+        add_weighted_gram_lower(&mut lower, dim, c, w);
+        for r in 0..dim {
+            for k in 0..dim {
+                let idx = r * dim + k;
+                let want = if k <= r { full[idx] } else { start[idx] };
+                assert_eq!(lower[idx].to_bits(), want.to_bits(), "entry ({r}, {k})");
+            }
+        }
+    }
+
+    #[test]
+    fn triangle_gram_matches_the_full_gram_bitwise() {
+        let mut seed = 3u64;
+        for (m, n) in [(0, 3), (5, 1), (40, 9), (104, 32)] {
+            let a = mixed_csr(m, n, &mut seed);
+            let w = weights(m, &mut seed);
+            assert_gram_is_lower_triangle(ConstraintRef::Sparse(&a), n, &w, &mut seed);
+            let dense = a.to_dense();
+            assert_gram_is_lower_triangle(ConstraintRef::Dense(&dense), n, &w, &mut seed);
+
+            // Elastic relaxations weigh the same rows by their reduced ω.
+            let me = m / 3;
+            let a_eq = mixed_csr(me, n, &mut seed);
+            let rows = ElasticRows {
+                n,
+                eq: Some(ConstraintRef::Sparse(&a_eq)),
+                me,
+                ineq: Some(ConstraintRef::Sparse(&a)),
+                mi: m,
+            };
+            let w_el: Vec<f64> = weights(rows.num_rows(), &mut seed)
+                .iter()
+                .map(|v| v.abs())
+                .collect();
+            let mut el = ElasticKkt::default();
+            el.update(&rows, &w_el, 1e-10);
+            let (w_eq, w_in) = el.omega.split_at(me);
+            assert_gram_is_lower_triangle(ConstraintRef::Sparse(&a_eq), n, w_eq, &mut seed);
+            assert_gram_is_lower_triangle(ConstraintRef::Sparse(&a), n, w_in, &mut seed);
+        }
+    }
+
+    #[test]
+    fn interleaved_matvec_matches_row_dots_bitwise() {
+        let mut seed = 9u64;
+        for rows in [0, 1, 3, 4, 5, 7, 8, 9, 13, 32] {
+            for cols in [0, 1, 2, 5, 32] {
+                let mut m = Matrix::from_fn(rows, cols, |_, _| uniform(&mut seed));
+                // An all-zero row, a row of negative zeros (which sums to
+                // the start value of `f64`'s `Sum`) and a stray −0.0.
+                if rows > 1 {
+                    m.row_mut(1).fill(0.0);
+                }
+                if rows > 2 {
+                    m.row_mut(2).fill(-0.0);
+                }
+                if rows > 4 && cols > 0 {
+                    m.set(4, 0, -0.0);
+                }
+                let x: Vec<f64> = (0..cols)
+                    .map(|j| {
+                        if j % 4 == 3 {
+                            -0.0
+                        } else {
+                            uniform(&mut seed).abs()
+                        }
+                    })
+                    .collect();
+                let mut out = vec![f64::NAN; rows];
+                matvec_into(&m, &x, &mut out);
+                for (r, got) in out.iter().enumerate() {
+                    let want = vecops::dot(m.row(r), &x);
+                    assert_eq!(got.to_bits(), want.to_bits(), "{rows}×{cols}, row {r}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn column_copy_transposed_products_match_the_row_scatter_bitwise() {
+        let mut seed = 21u64;
+        let mut columns = Columns::default();
+        // Refilled from larger to smaller and back, as a reused workspace
+        // is.
+        for (m, n) in [(104, 32), (7, 3), (0, 4), (40, 9)] {
+            let a = mixed_csr(m, n, &mut seed);
+            columns.fill(&a);
+            let x: Vec<f64> = (0..m)
+                .map(|i| if i % 5 == 2 { -0.0 } else { uniform(&mut seed) })
+                .collect();
+            let start: Vec<f64> = (0..n)
+                .map(|j| if j % 3 == 0 { 0.0 } else { uniform(&mut seed) })
+                .collect();
+            let mut scattered = start.clone();
+            for (i, &xi) in x.iter().enumerate() {
+                ConstraintRef::Sparse(&a).add_scaled_row(i, xi, &mut scattered);
+            }
+            let mut gathered = start;
+            columns.add_transposed(&x, &mut gathered);
+            assert_eq!(bits(&gathered), bits(&scattered), "{m}×{n}");
+        }
+    }
+
+    /// Two solve outcomes agree bit for bit.
+    fn assert_same(a: &Result<QpSolution, OptimError>, b: &Result<QpSolution, OptimError>) {
+        match (a, b) {
+            (Ok(a), Ok(b)) => {
+                assert_eq!(bits(&a.z), bits(&b.z));
+                assert_eq!(bits(&a.y_eq), bits(&b.y_eq));
+                assert_eq!(bits(&a.lambda_in), bits(&b.lambda_in));
+                assert_eq!(a.objective.to_bits(), b.objective.to_bits());
+                assert_eq!(a.iterations, b.iterations);
+                assert_eq!(a.kkt_backend, b.kkt_backend);
+            }
+            (Err(a), Err(b)) => assert_eq!(format!("{a:?}"), format!("{b:?}")),
+            _ => panic!("outcomes differ: {a:?} vs {b:?}"),
+        }
+    }
+
+    #[test]
+    fn a_reused_workspace_solves_exactly_like_a_fresh_one() {
+        let (h, g, a_in, b_in, a_eq, b_eq) = structured_problem(5, 3, true);
+        let ineq = QpView::new(&h, &g)
+            .unwrap()
+            .with_sparse_inequalities(&a_in, &b_in)
+            .unwrap();
+        let eq = ineq.with_sparse_equalities(&a_eq, &b_eq).unwrap();
+        // The same equality rows without their lookback entries: a
+        // different pattern in a KKT matrix of the same size.
+        let mut a_eq_local = SparseMatrix::new();
+        a_eq_local.reset(a_eq.cols());
+        for r in 0..a_eq.rows() {
+            let (cols, vals) = a_eq.row(r);
+            for (c, v) in cols.iter().zip(vals).filter(|(&c, _)| c >= 3 * r) {
+                a_eq_local.push(*c, *v);
+            }
+            a_eq_local.finish_row();
+        }
+        let eq_local = ineq.with_sparse_equalities(&a_eq_local, &b_eq).unwrap();
+        let banded = eq.with_structure(QpStructure {
+            vars_per_block: 3,
+            eq_per_block: 1,
+            lookback: 1,
+        });
+        // A dense-row problem of another size, and an infeasible one.
+        let box_h = Matrix::from_diag(&[2.0, 3.0, 1.0, 4.0]);
+        let box_g = [-10.0, 3.0, 1.0, -2.0];
+        let box_a = Matrix::from_fn(8, 4, |r, c| match (r / 2 == c, r % 2) {
+            (true, 0) => 1.0,
+            (true, _) => -1.0,
+            _ => 0.0,
+        });
+        let box_b = [1.0; 8];
+        let dense = QpView::new(&box_h, &box_g)
+            .unwrap()
+            .with_inequalities(&box_a, &box_b)
+            .unwrap();
+        let one = Matrix::from_diag(&[2.0]);
+        let contradictory = Matrix::from_rows(&[&[1.0], &[-1.0]]).unwrap();
+        let infeasible = QpView::new(&one, &[0.0])
+            .unwrap()
+            .with_inequalities(&contradictory, &[0.0, -1.0])
+            .unwrap();
+
+        let solver = QpSolver::default();
+        let boosted = QpSolver::new(QpSolverOptions {
+            regularization: 1e-4,
+            ..QpSolverOptions::default()
+        });
+        let mut ws = IpmWorkspace::default();
+        for _ in 0..2 {
+            let views = [&ineq, &eq, &eq_local, &banded, &dense, &infeasible];
+            for view in views {
+                let z0 = vec![0.0; view.num_vars()];
+                for s in [&solver, &boosted] {
+                    assert_same(&s.solve_view_in(view, &z0, &mut ws), &s.solve_view(view));
+                }
+            }
+            for view in views {
+                assert_same(
+                    &solver.solve_view_elastic_in(view, 10.0, &mut ws),
+                    &solver.solve_view_elastic(view, 10.0),
+                );
+            }
+            // A warm attempt that breaks down and is re-solved cold ...
+            let z0 = vec![0.0; ineq.num_vars()];
+            let mut poisoned = QpWarmStart::new();
+            poisoned.store(&vec![f64::INFINITY; ineq.num_ineq()]);
+            let mut fresh_cache = poisoned.clone();
+            let (reused, restart) = solver.solve_view_seeded(&ineq, &z0, &mut poisoned, &mut ws);
+            let (fresh, fresh_restart) = solver.solve_view_seeded(
+                &ineq,
+                &z0,
+                &mut fresh_cache,
+                &mut IpmWorkspace::default(),
+            );
+            assert!(restart.is_some());
+            assert_eq!(restart, fresh_restart);
+            assert_same(&reused, &fresh);
+            assert_same(&reused, &solver.solve_view(&ineq));
+            // ... and a warm start that converges.
+            assert_same(
+                &solver
+                    .solve_view_seeded(&ineq, &z0, &mut poisoned, &mut ws)
+                    .0,
+                &solver.solve_view_warm(&ineq, &z0, &mut fresh_cache),
+            );
+        }
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use ev_linalg::{vecops, Matrix, SparseMatrix};
 
 use crate::observer::{NoopSqpObserver, QpSubproblemStatus, SqpIterationRecord, SqpObserver};
+use crate::qp::{dot_rows, IpmWorkspace};
 use crate::{NlpProblem, OptimError, QpSolver, QpSolverOptions, QpStructure, QpView, QpWarmStart};
 
 /// A constraint Jacobian for one SQP iteration, in whichever form the
@@ -12,6 +13,50 @@ use crate::{NlpProblem, OptimError, QpSolver, QpSolverOptions, QpStructure, QpVi
 enum JacRef<'a> {
     Dense(&'a Matrix),
     Sparse(&'a SparseMatrix),
+}
+
+/// A constraint Jacobian kept across major iterations: CSR storage that
+/// is refilled in place, or the dense matrix of a problem without a CSR
+/// form.
+struct Jacobian {
+    sparse: SparseMatrix,
+    dense: Option<Matrix>,
+}
+
+impl Jacobian {
+    fn new() -> Self {
+        Self {
+            sparse: SparseMatrix::new(),
+            dense: None,
+        }
+    }
+
+    /// Evaluates the equality Jacobian at `z`.
+    fn eval_eq<P: NlpProblem + ?Sized>(&mut self, problem: &P, z: &[f64]) {
+        self.dense = if problem.num_eq() > 0 && problem.eq_jacobian_sparse_into(z, &mut self.sparse)
+        {
+            None
+        } else {
+            Some(problem.eq_jacobian(z))
+        };
+    }
+
+    /// Evaluates the inequality Jacobian at `z`.
+    fn eval_ineq<P: NlpProblem + ?Sized>(&mut self, problem: &P, z: &[f64]) {
+        self.dense =
+            if problem.num_ineq() > 0 && problem.ineq_jacobian_sparse_into(z, &mut self.sparse) {
+                None
+            } else {
+                Some(problem.ineq_jacobian(z))
+            };
+    }
+
+    fn as_ref(&self) -> JacRef<'_> {
+        match &self.dense {
+            Some(m) => JacRef::Dense(m),
+            None => JacRef::Sparse(&self.sparse),
+        }
+    }
 }
 
 impl JacRef<'_> {
@@ -240,9 +285,10 @@ impl SqpSolver {
         let mut merit_window: Vec<f64> = Vec::with_capacity(5);
 
         // Workspace buffers reused across major iterations and every
-        // line-search trial: the hot loop below performs no allocations of
-        // its own (the QP subproblem borrows `b`/`grad`/Jacobians through
-        // a [`QpView`] instead of cloning them).
+        // line-search trial. The QP subproblem borrows `b`/`grad`/Jacobians
+        // through a [`QpView`] instead of cloning them, and every QP of the
+        // solve runs in `ipm`; only its solution vectors are allocated per
+        // major iteration.
         let mut z_trial = vec![0.0; n];
         let mut c_eq_trial = vec![0.0; me];
         let mut c_in_trial = vec![0.0; mi];
@@ -255,30 +301,24 @@ impl SqpSolver {
         let mut neg_c_eq = vec![0.0; me];
         let mut neg_c_in = vec![0.0; mi];
         let mut jt_buf = vec![0.0; n];
-        // CSR workspaces refilled in place each iteration when the problem
-        // produces sparse Jacobians (`*_new` hold the trial-point Jacobians
-        // for the Lagrangian BFGS update).
-        let mut j_eq_s = SparseMatrix::new();
-        let mut j_in_s = SparseMatrix::new();
-        let mut j_eq_s_new = SparseMatrix::new();
-        let mut j_in_s_new = SparseMatrix::new();
+        let mut bfgs_bs = vec![0.0; n];
+        let mut bfgs_r = vec![0.0; n];
+        let mut ipm = IpmWorkspace::default();
+        // The Jacobians at `z`. After an accepted step the Lagrangian BFGS
+        // update evaluates them at the trial point into `*_new`, and the
+        // buffers swap along with `z`, so each iterate's Jacobians are
+        // evaluated once.
+        let mut j_eq_at_z = Jacobian::new();
+        let mut j_in_at_z = Jacobian::new();
+        let mut j_eq_new = Jacobian::new();
+        let mut j_in_new = Jacobian::new();
+        j_eq_at_z.eval_eq(problem, &z);
+        j_in_at_z.eval_ineq(problem, &z);
         let structure = problem.qp_structure();
 
         for iter in 0..opts.max_iterations {
-            let j_eq_dense;
-            let j_eq = if me > 0 && problem.eq_jacobian_sparse_into(&z, &mut j_eq_s) {
-                JacRef::Sparse(&j_eq_s)
-            } else {
-                j_eq_dense = problem.eq_jacobian(&z);
-                JacRef::Dense(&j_eq_dense)
-            };
-            let j_in_dense;
-            let j_in = if mi > 0 && problem.ineq_jacobian_sparse_into(&z, &mut j_in_s) {
-                JacRef::Sparse(&j_in_s)
-            } else {
-                j_in_dense = problem.ineq_jacobian(&z);
-                JacRef::Dense(&j_in_dense)
-            };
+            let j_eq = j_eq_at_z.as_ref();
+            let j_in = j_in_at_z.as_ref();
 
             // QP subproblem in the step d (right-hand sides are the
             // negated constraint values).
@@ -306,6 +346,7 @@ impl SqpSolver {
                 structure,
                 warm,
                 &mut qp_warm_restart,
+                &mut ipm,
             ) {
                 Ok((d, y_eq, lambda_in, status, qp_iters)) => {
                     let mult = vecops::norm_inf(&y_eq).max(vecops::norm_inf(&lambda_in));
@@ -461,27 +502,19 @@ impl SqpSolver {
             if me > 0 {
                 j_eq.matvec_transposed_into(&mult_eq, &mut jt_buf)?;
                 vecops::axpy(1.0, &jt_buf, &mut gl_old);
-                let j_eq_new_dense;
-                let j_eq_new = if problem.eq_jacobian_sparse_into(&z_trial, &mut j_eq_s_new) {
-                    JacRef::Sparse(&j_eq_s_new)
-                } else {
-                    j_eq_new_dense = problem.eq_jacobian(&z_trial);
-                    JacRef::Dense(&j_eq_new_dense)
-                };
-                j_eq_new.matvec_transposed_into(&mult_eq, &mut jt_buf)?;
+                j_eq_new.eval_eq(problem, &z_trial);
+                j_eq_new
+                    .as_ref()
+                    .matvec_transposed_into(&mult_eq, &mut jt_buf)?;
                 vecops::axpy(1.0, &jt_buf, &mut gl_new);
             }
             if mi > 0 {
                 j_in.matvec_transposed_into(&mult_in, &mut jt_buf)?;
                 vecops::axpy(1.0, &jt_buf, &mut gl_old);
-                let j_in_new_dense;
-                let j_in_new = if problem.ineq_jacobian_sparse_into(&z_trial, &mut j_in_s_new) {
-                    JacRef::Sparse(&j_in_s_new)
-                } else {
-                    j_in_new_dense = problem.ineq_jacobian(&z_trial);
-                    JacRef::Dense(&j_in_new_dense)
-                };
-                j_in_new.matvec_transposed_into(&mult_in, &mut jt_buf)?;
+                j_in_new.eval_ineq(problem, &z_trial);
+                j_in_new
+                    .as_ref()
+                    .matvec_transposed_into(&mult_in, &mut jt_buf)?;
                 vecops::axpy(1.0, &jt_buf, &mut gl_new);
             }
             for i in 0..n {
@@ -496,19 +529,33 @@ impl SqpSolver {
                     let vb = st.vars_per_block;
                     for k in 0..n / vb {
                         let r = k * vb..(k + 1) * vb;
-                        bfgs_update_block(&mut b, &step_s[r.clone()], &yv[r.clone()], r.start);
+                        bfgs_update_block(
+                            &mut b,
+                            &step_s[r.clone()],
+                            &yv[r.clone()],
+                            r.start,
+                            &mut bfgs_bs[r.clone()],
+                            &mut bfgs_r[r],
+                        );
                     }
                 }
-                _ => bfgs_update(&mut b, &step_s, &yv),
+                _ => bfgs_update_block(&mut b, &step_s, &yv, 0, &mut bfgs_bs, &mut bfgs_r),
             }
 
             // Adopt the accepted trial point by swapping buffers; the
-            // trial buffers are fully overwritten on the next use.
+            // trial buffers are fully overwritten on the next use. A
+            // Jacobian without rows was not re-evaluated and need not be.
             std::mem::swap(&mut z, &mut z_trial);
             f = f_new;
             std::mem::swap(&mut grad, &mut grad_new);
             std::mem::swap(&mut c_eq, &mut c_eq_trial);
             std::mem::swap(&mut c_in, &mut c_in_trial);
+            if me > 0 {
+                std::mem::swap(&mut j_eq_at_z, &mut j_eq_new);
+            }
+            if mi > 0 {
+                std::mem::swap(&mut j_in_at_z, &mut j_in_new);
+            }
             let v = violation(&c_eq, &c_in);
             if v < best.2 || (v <= best.2 + opts.tolerance && f < best.1) {
                 best.0.copy_from_slice(&z);
@@ -558,6 +605,7 @@ impl SqpSolver {
         structure: Option<QpStructure>,
         warm: &mut QpWarmStart,
         warm_restart: &mut Option<usize>,
+        ipm: &mut IpmWorkspace,
     ) -> Result<(Vec<f64>, Vec<f64>, Vec<f64>, QpSubproblemStatus, usize), OptimError> {
         let n = grad.len();
         let me = neg_c_eq.len();
@@ -580,7 +628,7 @@ impl SqpSolver {
             qp = qp.with_structure(st);
         }
         let origin = vec![0.0; n];
-        let (nominal, restart) = qp_solver.solve_view_seeded(&qp, &origin, warm);
+        let (nominal, restart) = qp_solver.solve_view_seeded(&qp, &origin, warm, ipm);
         *warm_restart = restart;
         let first = match nominal {
             Ok(sol) => {
@@ -603,7 +651,7 @@ impl SqpSolver {
                 // inconsistent.
                 let mut boosted = *qp_solver.options();
                 boosted.regularization = boosted.regularization.max(1e-12) * 1e6;
-                if let Ok(sol) = QpSolver::new(boosted).solve_view(&qp) {
+                if let Ok(sol) = QpSolver::new(boosted).solve_view_in(&qp, &origin, ipm) {
                     warm.store(&sol.lambda_in);
                     return Ok((
                         sol.z,
@@ -624,7 +672,7 @@ impl SqpSolver {
             | OptimError::Linalg(_) => {
                 // Elastic mode: a slack t ≥ 0 on every constraint,
                 // penalized linearly. Always feasible (t large enough).
-                let sol = qp_solver.solve_view_elastic(&qp, 10.0 * penalty)?;
+                let sol = qp_solver.solve_view_elastic_in(&qp, 10.0 * penalty, ipm)?;
                 // Map the multipliers of the elasticized rows back to the
                 // original constraints: the first 2·me rows correspond to
                 // the ±equality pair, the next mi to the inequalities.
@@ -721,23 +769,23 @@ fn violation(c_eq: &[f64], c_in: &[f64]) -> f64 {
     c_eq.iter().map(|v| v.abs()).sum::<f64>() + c_in.iter().map(|v| v.max(0.0)).sum::<f64>()
 }
 
-/// Damped BFGS update (Powell damping) of `b` in place.
-fn bfgs_update(b: &mut Matrix, s: &[f64], y: &[f64]) {
-    bfgs_update_block(b, s, y, 0);
-}
-
-/// Damped BFGS on the `s.len() × s.len()` diagonal sub-block of `b`
-/// starting at row/column `lo`, using the matching slices of the step and
-/// gradient-difference vectors. With `lo = 0` and full-length slices this
-/// is the classic full-matrix update; structured problems call it once per
+/// Damped BFGS (Powell damping) on the `s.len() × s.len()` diagonal
+/// sub-block of `b` starting at row/column `lo`, using the matching
+/// slices of the step and gradient-difference vectors and `bs`, `r` (the
+/// same length) as scratch. With `lo = 0` and full-length slices this is
+/// the classic full-matrix update; structured problems call it once per
 /// variable block so the approximation stays block-diagonal.
-fn bfgs_update_block(b: &mut Matrix, s: &[f64], y: &[f64], lo: usize) {
-    let n = s.len();
-    let mut bs = vec![0.0; n];
-    for i in 0..n {
-        bs[i] = (0..n).map(|j| b.get(lo + i, lo + j) * s[j]).sum();
-    }
-    let sbs = vecops::dot(s, &bs);
+fn bfgs_update_block(
+    b: &mut Matrix,
+    s: &[f64],
+    y: &[f64],
+    lo: usize,
+    bs: &mut [f64],
+    r: &mut [f64],
+) {
+    let block = lo..lo + s.len();
+    dot_rows(|i| &b.row(lo + i)[block.clone()], s, bs);
+    let sbs = vecops::dot(s, bs);
     if sbs <= 1e-14 || vecops::norm2(s) < 1e-14 {
         return;
     }
@@ -748,19 +796,18 @@ fn bfgs_update_block(b: &mut Matrix, s: &[f64], y: &[f64], lo: usize) {
     } else {
         0.8 * sbs / (sbs - sy)
     };
-    let mut r = vec![0.0; n];
-    for i in 0..n {
-        r[i] = theta * y[i] + (1.0 - theta) * bs[i];
+    for ((ri, yi), bsi) in r.iter_mut().zip(y).zip(&*bs) {
+        *ri = theta * yi + (1.0 - theta) * bsi;
     }
-    let sr = vecops::dot(s, &r);
+    let sr = vecops::dot(s, r);
     if sr <= 1e-14 {
         return;
     }
     // B ← B − (Bs)(Bs)ᵀ/sᵀBs + r rᵀ/sᵀr
-    for i in 0..n {
-        for j in 0..n {
-            let upd = -bs[i] * bs[j] / sbs + r[i] * r[j] / sr;
-            b.add_at(lo + i, lo + j, upd);
+    for (i, (bsi, ri)) in bs.iter().zip(&*r).enumerate() {
+        let row = &mut b.row_mut(lo + i)[block.clone()];
+        for ((v, bsj), rj) in row.iter_mut().zip(&*bs).zip(&*r) {
+            *v += -bsi * bsj / sbs + ri * rj / sr;
         }
     }
 }
@@ -1107,15 +1154,185 @@ mod tests {
         assert!(poisoned.is_warm());
     }
 
+    /// Forwards to an NLP and logs the point of every gradient and
+    /// Jacobian evaluation, as bits.
+    struct Logged<'a> {
+        inner: &'a dyn NlpProblem,
+        log: std::cell::RefCell<Vec<(&'static str, Vec<u64>)>>,
+    }
+
+    impl Logged<'_> {
+        fn note(&self, what: &'static str, z: &[f64]) {
+            let bits = z.iter().map(|v| v.to_bits()).collect();
+            self.log.borrow_mut().push((what, bits));
+        }
+
+        fn points(&self, what: &str) -> Vec<Vec<u64>> {
+            let log = self.log.borrow();
+            log.iter()
+                .filter(|(w, _)| *w == what)
+                .map(|(_, z)| z.clone())
+                .collect()
+        }
+    }
+
+    impl NlpProblem for Logged<'_> {
+        fn num_vars(&self) -> usize {
+            self.inner.num_vars()
+        }
+        fn objective(&self, z: &[f64]) -> f64 {
+            self.inner.objective(z)
+        }
+        fn gradient(&self, z: &[f64], grad: &mut [f64]) {
+            self.note("gradient", z);
+            self.inner.gradient(z, grad);
+        }
+        fn num_eq(&self) -> usize {
+            self.inner.num_eq()
+        }
+        fn eq_constraints(&self, z: &[f64], out: &mut [f64]) {
+            self.inner.eq_constraints(z, out);
+        }
+        fn eq_jacobian(&self, z: &[f64]) -> Matrix {
+            self.note("eq_jacobian", z);
+            self.inner.eq_jacobian(z)
+        }
+        fn num_ineq(&self) -> usize {
+            self.inner.num_ineq()
+        }
+        fn ineq_constraints(&self, z: &[f64], out: &mut [f64]) {
+            self.inner.ineq_constraints(z, out);
+        }
+        fn ineq_jacobian(&self, z: &[f64]) -> Matrix {
+            self.note("ineq_jacobian", z);
+            self.inner.ineq_jacobian(z)
+        }
+    }
+
+    #[test]
+    fn jacobian_reuse_matches_the_recompute_path() {
+        // Result bits of `SqpSolver::solve` from the implementation that
+        // re-evaluated both Jacobians at the top of every major iteration:
+        // (z, objective, iterations, status, violation).
+        let h = f64::from_bits;
+        let rosenbrock = SqpSolver::new(SqpOptions {
+            max_iterations: 300,
+            tolerance: 1e-8,
+            ..SqpOptions::default()
+        });
+        let default = SqpSolver::default();
+        #[allow(clippy::type_complexity)]
+        let recompute: [(
+            &SqpSolver,
+            &dyn NlpProblem,
+            &[f64],
+            &[f64],
+            f64,
+            usize,
+            SqpStatus,
+            f64,
+        ); 6] = [
+            (
+                &rosenbrock,
+                &Rosenbrock,
+                &[-1.2, 1.0],
+                &[h(0x3fef_ffff_ff88_2668), h(0x3fef_ffff_ff00_20ab)],
+                h(0x3c43_c8d9_7fa0_2080),
+                46,
+                SqpStatus::Converged,
+                -0.0,
+            ),
+            (
+                &default,
+                &CircleMin,
+                &[1.0, 0.5],
+                &[h(0xbfef_ffff_f00d_b92e), h(0xbff0_0000_0801_ba2d)],
+                h(0xc000_0000_0004_4b62),
+                14,
+                SqpStatus::Converged,
+                h(0x3df1_2d90_0000_0000),
+            ),
+            (
+                &default,
+                &BoxedQuadratic,
+                &[50.0, -50.0],
+                &[h(0x3fef_ffff_ff79_7486), h(0xbfef_ffff_ffb3_780a)],
+                h(0x4014_0000_0056_67ba),
+                2,
+                SqpStatus::Converged,
+                0.0,
+            ),
+            (
+                &default,
+                &BilinearHvacLike,
+                &[0.1, 5.0],
+                &[h(0x3fc6_aa6e_ace4_79d8), h(0x4013_c3fb_b55d_4136)],
+                h(0x3fee_0000_0003_4e97),
+                4,
+                SqpStatus::Converged,
+                0.0,
+            ),
+            (
+                &default,
+                &Impossible,
+                &[3.0],
+                &[h(0xbd9e_2259_3030_b4f9)],
+                h(0x3b4c_608c_18da_4f2b),
+                22,
+                SqpStatus::LineSearchStalled,
+                1.0,
+            ),
+            (
+                &default,
+                &BoxedQuadratic,
+                &[0.0, 0.0],
+                &[h(0x3fef_ffff_f949_a242), h(0xbfef_ffff_f8a5_6852)],
+                h(0x4014_0000_0531_d4cc),
+                1,
+                SqpStatus::Converged,
+                0.0,
+            ),
+        ];
+        for (solver, p, z0, z, objective, iterations, status, violation) in recompute {
+            let logged = Logged {
+                inner: p,
+                log: std::cell::RefCell::default(),
+            };
+            let r = solver.solve(&logged, z0).unwrap();
+            let expected = SqpResult {
+                z: z.to_vec(),
+                objective,
+                status,
+                iterations,
+                constraint_violation: violation,
+            };
+            assert_eq!(result_bits(&r), result_bits(&expected));
+            // The gradient is evaluated at the start point and at every
+            // accepted trial point; each Jacobian with rows is evaluated
+            // exactly there too, once per iterate.
+            let iterates = logged.points("gradient");
+            assert!(iterates.len() > 1);
+            for (jacobian, rows) in [("eq_jacobian", p.num_eq()), ("ineq_jacobian", p.num_ineq())] {
+                let evaluated = logged.points(jacobian);
+                if rows > 0 {
+                    assert_eq!(evaluated, iterates, "{jacobian}");
+                } else {
+                    assert_eq!(evaluated, iterates[..1], "{jacobian}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn bfgs_update_keeps_descent_usable() {
         let mut b = Matrix::identity(2);
-        bfgs_update(&mut b, &[1.0, 0.0], &[2.0, 0.0]);
+        let (mut bs, mut r) = ([0.0; 2], [0.0; 2]);
+        bfgs_update_block(&mut b, &[1.0, 0.0], &[2.0, 0.0], 0, &mut bs, &mut r);
         // Curvature along s doubled.
         assert!((b.get(0, 0) - 2.0).abs() < 1e-12);
         // Degenerate inputs are no-ops.
         let before = b.clone();
-        bfgs_update(&mut b, &[0.0, 0.0], &[1.0, 1.0]);
+        bfgs_update_block(&mut b, &[0.0, 0.0], &[1.0, 1.0], 0, &mut bs, &mut r);
         assert_eq!(b, before);
     }
 }
