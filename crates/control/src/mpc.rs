@@ -493,6 +493,12 @@ const TZ_SCALE: f64 = 10.0;
 const MS_VARS_PER_STEP: usize = 5;
 /// Inequality constraints per horizon step.
 const INEQ_PER_STEP: usize = 13;
+/// Unit of the condensed NLP's power-cap rows (C8–C10): they read
+/// `(P − P_max)/100 W`, in hectowatts. In watts their Jacobian entries
+/// reach thousands while every other row stays at or below ~17, and the
+/// largest row sets both the SQP's L1 merit penalty and the QP's
+/// stopping tolerance (see `DESIGN.md`, "Constraint units").
+const POWER_ROW_SCALE_W: f64 = 100.0;
 /// Comfort funnel: when the cabin starts outside the band (hot or cold
 /// soak), a hard C2 would make every rollout infeasible. The band is
 /// therefore widened to the current state plus slack and tightened at the
@@ -507,6 +513,10 @@ const SOAK_SLACK_K: f64 = 0.5;
 /// bounds, C5 coil floor, C4 coil ≤ mix, C3 coil ≤ supply, C6 supply
 /// cap, C2 comfort funnel, C8/C9/C10 heater/cooler/fan power caps.
 /// Shared with `evsim explain` so dumps render with constraint names.
+///
+/// Each row is `g ≤ 0` in its own unit: kg/s for C1, the recirculation
+/// fraction for C7, kelvins for C5/C4/C3/C6/C2, and hectowatts for
+/// C8–C10 (watts in the bench-only multiple-shooting transcription).
 pub const CONSTRAINT_ROW_LABELS: [&str; INEQ_PER_STEP] = [
     "C1-", "C1+", "C7-", "C7+", "C5", "C4", "C3", "C6", "C2-", "C2+", "C8", "C9", "C10",
 ];
@@ -1214,9 +1224,9 @@ impl MpcNlp<'_> {
             out[o + 7] = ts - hp.max_supply_temp.value(); // C6
             out[o + 8] = lo_k - r.tz[k]; // C2 lower (funnel)
             out[o + 9] = r.tz[k] - hi_k; // C2 upper (funnel)
-            out[o + 10] = ph - hp.max_heating_power.value(); // C8
-            out[o + 11] = pc - hp.max_cooling_power.value(); // C9
-            out[o + 12] = pf - hp.max_fan_power.value(); // C10
+            out[o + 10] = (ph - hp.max_heating_power.value()) / POWER_ROW_SCALE_W; // C8
+            out[o + 11] = (pc - hp.max_cooling_power.value()) / POWER_ROW_SCALE_W; // C9
+            out[o + 12] = (pf - hp.max_fan_power.value()) / POWER_ROW_SCALE_W; // C10
         }
     }
 
@@ -1354,21 +1364,21 @@ impl MpcNlp<'_> {
                 let row = jac.row_mut(o + 9); // C2 upper: Tz_k − hi
                 row.copy_from_slice(&stz);
             }
-            // C8: ph = ch·mz·(ts − tc).
-            jac.set(o + 10, c_ts, ch * mz * TS_SCALE);
-            jac.set(o + 10, c_tc, -ch * mz * TC_SCALE);
-            jac.set(o + 10, c_mz, ch * (ts - tc) * MZ_SCALE);
+            // C8: ph = ch·mz·(ts − tc). C8–C10 are in hectowatts.
+            jac.set(o + 10, c_ts, ch * mz * TS_SCALE / POWER_ROW_SCALE_W);
+            jac.set(o + 10, c_tc, -ch * mz * TC_SCALE / POWER_ROW_SCALE_W);
+            jac.set(o + 10, c_mz, ch * (ts - tc) * MZ_SCALE / POWER_ROW_SCALE_W);
             // C9: pc = cc·mz·(tm − tc) — inherits tm's sensitivities.
             {
                 let row = jac.row_mut(o + 11);
                 for (out, sm) in row.iter_mut().zip(&stm) {
-                    *out = cc * mz * sm;
+                    *out = cc * mz * sm / POWER_ROW_SCALE_W;
                 }
-                row[c_tc] -= cc * mz * TC_SCALE;
-                row[c_mz] += cc * (r.tm[k] - tc) * MZ_SCALE;
+                row[c_tc] -= cc * mz * TC_SCALE / POWER_ROW_SCALE_W;
+                row[c_mz] += cc * (r.tm[k] - tc) * MZ_SCALE / POWER_ROW_SCALE_W;
             }
             // C10: pf = kf·mz².
-            jac.set(o + 12, c_mz, 2.0 * kf * mz * MZ_SCALE);
+            jac.set(o + 12, c_mz, 2.0 * kf * mz * MZ_SCALE / POWER_ROW_SCALE_W);
         }
         jac
     }
@@ -1470,24 +1480,30 @@ impl MpcNlp<'_> {
                 out.push(j * VARS_PER_STEP + 3, stz_mz_next[j]);
             }
             out.finish_row();
-            // C8: ph = ch·mz·(ts − tc).
-            out.push(c_ts, ch * mz * TS_SCALE);
-            out.push(c_tc, -ch * mz * TC_SCALE);
-            out.push(c_mz, ch * (ts - tc) * MZ_SCALE);
+            // C8: ph = ch·mz·(ts − tc). C8–C10 are in hectowatts.
+            out.push(c_ts, ch * mz * TS_SCALE / POWER_ROW_SCALE_W);
+            out.push(c_tc, -ch * mz * TC_SCALE / POWER_ROW_SCALE_W);
+            out.push(c_mz, ch * (ts - tc) * MZ_SCALE / POWER_ROW_SCALE_W);
             out.finish_row();
             // C9: pc = cc·mz·(tm − tc) — inherits tm's sensitivities
             // (via the *incoming* cabin state). Grouping matches the dense
-            // path's `cc·mz·(dr·stz)` so both emit identical bits.
+            // path's `cc·mz·(dr·stz)/100` so both emit identical bits.
             for j in 0..k {
-                out.push(j * VARS_PER_STEP, cc * mz * (dr * stz_ts[j]));
-                out.push(j * VARS_PER_STEP + 3, cc * mz * (dr * stz_mz[j]));
+                out.push(
+                    j * VARS_PER_STEP,
+                    cc * mz * (dr * stz_ts[j]) / POWER_ROW_SCALE_W,
+                );
+                out.push(
+                    j * VARS_PER_STEP + 3,
+                    cc * mz * (dr * stz_mz[j]) / POWER_ROW_SCALE_W,
+                );
             }
-            out.push(c_tc, -cc * mz * TC_SCALE);
-            out.push(c_dr, cc * mz * (tz_in - to));
-            out.push(c_mz, cc * (r.tm[k] - tc) * MZ_SCALE);
+            out.push(c_tc, -cc * mz * TC_SCALE / POWER_ROW_SCALE_W);
+            out.push(c_dr, cc * mz * (tz_in - to) / POWER_ROW_SCALE_W);
+            out.push(c_mz, cc * (r.tm[k] - tc) * MZ_SCALE / POWER_ROW_SCALE_W);
             out.finish_row();
             // C10: pf = kf·mz².
-            out.push(c_mz, 2.0 * kf * mz * MZ_SCALE);
+            out.push(c_mz, 2.0 * kf * mz * MZ_SCALE / POWER_ROW_SCALE_W);
             out.finish_row();
             std::mem::swap(&mut stz_ts, &mut stz_ts_next);
             std::mem::swap(&mut stz_mz, &mut stz_mz_next);
@@ -2227,6 +2243,74 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn condensed_rows_share_one_scale() {
+        // The production configuration (h8, 4-s blocks, the builder's
+        // defaults) at a hot soak, a cold soak and a preconditioned hot
+        // day. In watts the power caps' entries reached thousands, and the
+        // largest row sets the SQP's merit penalty and the QP's tolerance.
+        let hp = HvacParams::default();
+        let c =
+            MpcController::builder(Hvac::new(CabinParams::default(), hp), HvacLimits::default())
+                .build()
+                .expect("valid config");
+        let caps = [
+            hp.max_heating_power.value(),
+            hp.max_cooling_power.value(),
+            hp.max_fan_power.value(),
+        ];
+        let (mut held, mut broken) = (0, 0);
+        for (tz0, to) in [(35.0, 35.0), (-10.0, -10.0), (24.0, 35.0)] {
+            let preview = preview_const(9_000.0, to, 32);
+            let context = ctx(tz0, to, &preview);
+            let nlp = c.build_nlp(&context);
+            let cold = c.cold_start(&context);
+            // Mid flow with the supply at its cap and the coil at its
+            // floor: where the power rows are steepest at that flow.
+            let mid_flow = 0.5 * (hp.min_flow.value() + hp.max_flow.value());
+            let step = [
+                hp.max_supply_temp.value() / TS_SCALE,
+                hp.min_coil_temp.value() / TC_SCALE,
+                0.35,
+                mid_flow / MZ_SCALE,
+            ];
+            let mid = step.repeat(c.horizon());
+            for z in [&cold, &mid] {
+                let mut jac = SparseMatrix::new();
+                assert!(nlp.ineq_jacobian_sparse_into(z, &mut jac));
+                for row in 0..jac.rows() {
+                    let peak = jac.row(row).1.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
+                    assert!(
+                        peak <= 100.0,
+                        "{} at step {} (cabin {tz0}, ambient {to}): |J| reaches {peak:e}",
+                        CONSTRAINT_ROW_LABELS[row % INEQ_PER_STEP],
+                        row / INEQ_PER_STEP
+                    );
+                }
+                let mut cons = vec![0.0; nlp.num_ineq()];
+                nlp.ineq_constraints(z, &mut cons);
+                let r = nlp.rollout(z);
+                for (k, &(ph, pc, pf)) in r.powers.iter().enumerate() {
+                    for (i, (p, cap)) in [ph, pc, pf].into_iter().zip(caps).enumerate() {
+                        let g = cons[k * INEQ_PER_STEP + 10 + i];
+                        assert_eq!(
+                            g <= 0.0,
+                            p <= cap,
+                            "{} at step {k}: row {g} vs {p} W against {cap} W",
+                            CONSTRAINT_ROW_LABELS[10 + i]
+                        );
+                        if p <= cap {
+                            held += 1;
+                        } else {
+                            broken += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(held > 0 && broken > 0, "held {held}, broken {broken}");
     }
 
     /// Builds a multiple-shooting controller plus a perturbed iterate in

@@ -57,6 +57,13 @@ pub fn fig7_from(cells: &[SweepCell]) -> Vec<Fig7Row> {
         .collect()
 }
 
+/// The Fig. 7 headline: the MPC's ΔSoH improvement over On/Off, in
+/// percent, averaged over the profiles.
+#[must_use]
+pub fn mean_soh_improvement_pct(rows: &[Fig7Row]) -> f64 {
+    rows.iter().map(|r| 100.0 - r.mpc_pct).sum::<f64>() / rows.len() as f64
+}
+
 /// Runs the full sweep and produces the Fig. 7 rows.
 ///
 /// # Panics
@@ -96,11 +103,10 @@ pub fn render_fig7(rows: &[Fig7Row]) -> String {
             ]
         })
         .collect();
-    let avg_impr: f64 = rows.iter().map(|r| 100.0 - r.mpc_pct).sum::<f64>() / rows.len() as f64;
     format!(
         "Fig. 7 — SoH degradation per drive profile (% of On/Off)\n{}\naverage ΔSoH improvement vs On/Off: {:.1} % (paper: ~14 %)\n",
         format_table(&header, &body),
-        avg_impr
+        mean_soh_improvement_pct(rows)
     )
 }
 

@@ -48,6 +48,20 @@ pub fn fig8_from(cells: &[SweepCell]) -> Vec<Fig8Row> {
         .collect()
 }
 
+/// The Fig. 8 headline: the MPC's average-HVAC-power reduction, in
+/// percent of the baseline's power, averaged over the profiles —
+/// `(vs On/Off, vs fuzzy)`.
+#[must_use]
+pub fn mean_hvac_reduction_pct(rows: &[Fig8Row]) -> (f64, f64) {
+    let mean = |baseline: fn(&Fig8Row) -> f64| {
+        rows.iter()
+            .map(|r| 100.0 * (baseline(r) - r.mpc_kw) / baseline(r))
+            .sum::<f64>()
+            / rows.len() as f64
+    };
+    (mean(|r| r.onoff_kw), mean(|r| r.fuzzy_kw))
+}
+
 /// Runs the full sweep and produces the Fig. 8 rows.
 ///
 /// # Panics
@@ -76,16 +90,7 @@ pub fn render_fig8(rows: &[Fig8Row]) -> String {
             ]
         })
         .collect();
-    let avg_vs_onoff: f64 = rows
-        .iter()
-        .map(|r| 100.0 * (r.onoff_kw - r.mpc_kw) / r.onoff_kw)
-        .sum::<f64>()
-        / rows.len() as f64;
-    let avg_vs_fuzzy: f64 = rows
-        .iter()
-        .map(|r| 100.0 * (r.fuzzy_kw - r.mpc_kw) / r.fuzzy_kw)
-        .sum::<f64>()
-        / rows.len() as f64;
+    let (avg_vs_onoff, avg_vs_fuzzy) = mean_hvac_reduction_pct(rows);
     format!(
         "Fig. 8 — average HVAC power per drive profile\n{}\naverage reduction vs On/Off: {:.1} % (paper: ~39 %); vs fuzzy: {:.1} % (paper: ~6 %)\n",
         format_table(&header, &body),

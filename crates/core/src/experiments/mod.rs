@@ -34,8 +34,8 @@ pub use ablation::{ablation_horizon, ablation_w2, render_ablation, AblationRow};
 pub use fig1::{fig1, render_fig1, Fig1Row};
 pub use fig5::{fig5, render_fig5, Fig5Series};
 pub use fig6::{fig6, render_fig6, Fig6Data};
-pub use fig7::{fig7, fig7_from, render_fig7, Fig7Row};
-pub use fig8::{fig8, fig8_from, render_fig8, Fig8Row};
+pub use fig7::{fig7, fig7_from, mean_soh_improvement_pct, render_fig7, Fig7Row};
+pub use fig8::{fig8, fig8_from, mean_hvac_reduction_pct, render_fig8, Fig8Row};
 pub use full_cycle::{full_cycle, render_full_cycle, FullCycleRow};
 pub use plot::ascii_chart;
 pub use robustness::{render_robustness, robustness_sweep, NoisyPreview, RobustnessRow};

@@ -144,7 +144,10 @@ pub struct DecisionRecord {
     pub iterations: usize,
     /// Objective value at the returned iterate (NaN on [`SolveOutcome::Error`]).
     pub objective: f64,
-    /// L1 constraint violation at the returned iterate.
+    /// L1 constraint violation at the returned iterate, summed over rows
+    /// in their own units: kg/s (C1), recirculation fraction (C7),
+    /// kelvins (C2–C6) and hectowatts (C8–C10; watts when the controller
+    /// runs the multiple-shooting transcription).
     pub constraint_violation: f64,
     /// Provenance of the starting point.
     pub warm_start: WarmStart,

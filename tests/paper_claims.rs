@@ -1,11 +1,13 @@
 //! Integration tests for the paper's headline claims: the orderings and
 //! relative improvements its evaluation section reports must emerge from
-//! our reproduction (absolute magnitudes are calibration-dependent and
-//! recorded in EXPERIMENTS.md instead).
+//! our reproduction, and the claims ledger holds the reproduction's own
+//! headline magnitudes in explicit bands (EXPERIMENTS.md compares them
+//! with the paper's).
 
 use ev_testkit::InvariantObserver;
 use evclimate::core::experiments::{
-    evaluation_sweep_at, evaluation_sweep_observed, experiment_params, find, table1_row,
+    evaluation_sweep, evaluation_sweep_at, evaluation_sweep_observed, experiment_params, fig7_from,
+    fig8_from, find, mean_hvac_reduction_pct, mean_soh_improvement_pct, table1_row,
 };
 use evclimate::core::ControllerKind;
 use evclimate::prelude::*;
@@ -39,6 +41,39 @@ fn lineup(ambient_c: f64, cycle: &DriveCycle) -> (Metrics, Metrics, Metrics) {
         get(ControllerKind::Fuzzy),
         get(ControllerKind::Mpc),
     )
+}
+
+/// The claims ledger. Fig. 7 and Fig. 8 use the bands the repository
+/// benchmark checks its sweep against; the hot and cold Table I rows
+/// hold ±0.2 pp around their measured values, which solver changes have
+/// moved by at most 0.01 pp, and the mild row stays below 1 % because
+/// our calibration leaves the HVAC nearly idle at 21 °C. The paper's own
+/// figures are in the messages.
+#[test]
+fn headline_magnitudes_stay_in_their_bands() {
+    let cells = evaluation_sweep();
+    let soh = mean_soh_improvement_pct(&fig7_from(&cells));
+    assert!(
+        (soh - 13.0).abs() <= 0.2,
+        "Fig. 7 mean ΔSoH improvement vs On/Off {soh:.3} %, band 13.0 ± 0.2 (paper ~14 %)"
+    );
+    let (hvac, _) = mean_hvac_reduction_pct(&fig8_from(&cells));
+    assert!(
+        (hvac - 54.5).abs() <= 0.5,
+        "Fig. 8 mean HVAC reduction vs On/Off {hvac:.3} %, band 54.5 ± 0.5 (paper ~39 %)"
+    );
+    for (ambient_c, center, half_width, paper) in [
+        (0.0, 18.8, 0.2, 31.8),
+        (43.0, 16.6, 0.2, 19.6),
+        (21.0, 0.0, 1.0, 12.3),
+    ] {
+        let got = table1_row(ambient_c).soh_improvement_vs_onoff_pct;
+        assert!(
+            (got - center).abs() < half_width + 1e-9,
+            "Table I at {ambient_c} °C: ΔSoH improvement vs On/Off {got:.3} %, \
+             band {center} ± {half_width} (paper {paper} %)"
+        );
+    }
 }
 
 #[test]
