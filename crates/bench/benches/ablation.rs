@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use ev_control::{MpcController, MpcWeights};
+use ev_control::MpcWeights;
 use ev_core::{EvParams, Simulation};
 use ev_drive::{AmbientConditions, DriveCycle, DriveProfile};
 use ev_units::{Celsius, Seconds};
@@ -33,13 +33,11 @@ fn run_mpc(
     weights: MpcWeights,
     recompute: usize,
 ) -> (f64, f64) {
-    let mut mpc = MpcController::builder(params.hvac_model(), params.limits())
-        .target(params.target)
+    let mut mpc = params
+        .mpc_builder()
         .horizon(horizon)
         .recompute_every(recompute)
         .weights(weights)
-        .battery(params.mpc_battery_model())
-        .accessory_power(params.accessory_power)
         .build()
         .expect("valid config");
     let r = sim.run(&mut mpc).expect("runs");

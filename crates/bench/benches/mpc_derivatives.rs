@@ -1,19 +1,21 @@
-//! Analytic vs finite-difference MPC derivative benchmarks.
+//! MPC solve benchmarks.
 //!
 //! The MPC NLP supplies an adjoint objective gradient and a
-//! forward-sensitivity inequality Jacobian; the solver's fallback is
-//! central differencing (2·n extra rollouts per gradient, another 2·n per
-//! Jacobian). These benches pin the speedup at the two granularities that
-//! matter: one `MpcController::control` solve and a whole
-//! evaluation-sweep cell. `BENCH_mpc.json` at the repository root records
-//! the baseline medians.
+//! forward-sensitivity inequality Jacobian. `derivative_eval_*` times
+//! them against central differencing (2·n extra rollouts per gradient,
+//! another 2·n per Jacobian), the oracle the derivative tests compare
+//! against. The other arms time the production MPC at the granularities
+//! that matter: one QP subproblem, one `MpcController::control` solve
+//! (with and without observability attached, and at long horizons) and a
+//! whole evaluation-sweep cell. `BENCH_mpc.json` at the repository root
+//! records the baseline medians.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use ev_bench::{bench_context, bench_preview, paper_mpc, run_mpc_cell};
-use ev_control::{ClimateController, MpcController};
-use ev_core::EvParams;
+use ev_bench::{bench_context, bench_preview, run_cell};
+use ev_control::ClimateController;
+use ev_core::{ControllerKind, EvParams};
 use ev_drive::DriveCycle;
 use ev_hvac::HvacState;
 use ev_linalg::{Matrix, SparseMatrix};
@@ -27,7 +29,7 @@ use ev_units::Celsius;
 /// end-to-end solves dilute it with QP time.
 fn bench_derivative_eval(c: &mut Criterion) {
     let params = EvParams::nissan_leaf_like();
-    let mpc = paper_mpc(&params, false);
+    let mpc = params.mpc_builder().build().expect("valid config");
     let preview = bench_preview(64);
     let ctx = bench_context(&preview);
     let nlp = mpc.nlp(&ctx);
@@ -75,7 +77,7 @@ fn bench_derivative_eval(c: &mut Criterion) {
 /// update. 32 variables, 104 CSR inequality rows.
 fn bench_qp_subproblem(c: &mut Criterion) {
     let params = EvParams::nissan_leaf_like();
-    let mpc = paper_mpc(&params, false);
+    let mpc = params.mpc_builder().build().expect("valid config");
     let preview = bench_preview(64);
     let ctx = ev_control::ControlContext {
         state: HvacState::new(Celsius::new(35.0)),
@@ -115,10 +117,9 @@ fn bench_qp_subproblem(c: &mut Criterion) {
     group.finish();
 }
 
-/// One full MPC solve (horizon 8, re-solve every call), analytic vs
-/// finite-difference derivatives on the same hot-day context, plus an
-/// analytic variant with a live telemetry registry attached and one with
-/// an explicitly attached — but disabled — flight recorder. The
+/// One full MPC solve (horizon 8, re-solve every call) on a hot-day
+/// context, plus a variant with a live telemetry registry attached and
+/// one with an explicitly attached — but disabled — flight recorder. The
 /// observability acceptance bar is that `control_step_analytic` and
 /// `control_step_flight_recorder_disabled` stay at the
 /// `control_step_analytic` baseline in `BENCH_mpc.json` (both inert
@@ -128,24 +129,16 @@ fn bench_control_step(c: &mut Criterion) {
     let preview = bench_preview(64);
     let mut group = c.benchmark_group("mpc_derivatives");
     group.sample_size(15);
-    for (label, fd, telemetry) in [
-        ("control_step_analytic", false, false),
-        ("control_step_finite_diff", true, false),
-        ("control_step_telemetry", false, true),
-        ("control_step_flight_recorder_disabled", false, false),
+    for (label, telemetry) in [
+        ("control_step_analytic", false),
+        ("control_step_telemetry", true),
+        ("control_step_flight_recorder_disabled", false),
     ] {
         group.bench_function(label, |b| {
             let params = EvParams::nissan_leaf_like();
             let registry = ev_telemetry::Registry::with_enabled(telemetry);
             let recorder = ev_telemetry::FlightRecorder::disabled();
-            let mut builder = MpcController::builder(params.hvac_model(), params.limits())
-                .target(params.target)
-                .horizon(8)
-                .recompute_every(1)
-                .battery(params.mpc_battery_model())
-                .accessory_power(params.accessory_power)
-                .finite_difference_derivatives(fd)
-                .telemetry(&registry);
+            let mut builder = params.mpc_builder().recompute_every(1).telemetry(&registry);
             if label == "control_step_flight_recorder_disabled" {
                 builder = builder.flight_recorder(&recorder);
             }
@@ -179,12 +172,9 @@ fn bench_fleet_step_labeled_metrics(c: &mut Criterion) {
             ev_telemetry::HistogramSpec::latency_seconds(),
             &[("cmd", "step")],
         );
-        let mut mpc = MpcController::builder(params.hvac_model(), params.limits())
-            .target(params.target)
-            .horizon(8)
+        let mut mpc = params
+            .mpc_builder()
             .recompute_every(1)
-            .battery(params.mpc_battery_model())
-            .accessory_power(params.accessory_power)
             .telemetry(&registry)
             .trace(&trace)
             .build()
@@ -220,12 +210,9 @@ fn bench_fleet_step_exemplar_metrics(c: &mut Criterion) {
             ev_telemetry::HistogramSpec::latency_seconds(),
             &[("cmd", "step")],
         );
-        let mut mpc = MpcController::builder(params.hvac_model(), params.limits())
-            .target(params.target)
-            .horizon(8)
+        let mut mpc = params
+            .mpc_builder()
             .recompute_every(1)
-            .battery(params.mpc_battery_model())
-            .accessory_power(params.accessory_power)
             .telemetry(&registry)
             .trace(&trace)
             .build()
@@ -265,12 +252,10 @@ fn bench_horizon_scaling(c: &mut Criterion) {
         group.bench_function(label, |b| {
             let params = EvParams::nissan_leaf_like();
             let preview = bench_preview(horizon.max(64));
-            let mut mpc = MpcController::builder(params.hvac_model(), params.limits())
-                .target(params.target)
+            let mut mpc = params
+                .mpc_builder()
                 .horizon(horizon)
                 .recompute_every(1)
-                .battery(params.mpc_battery_model())
-                .accessory_power(params.accessory_power)
                 .multiple_shooting(ms)
                 .build()
                 .expect("valid config");
@@ -285,18 +270,13 @@ fn bench_horizon_scaling(c: &mut Criterion) {
 }
 
 /// One whole ECE-15 × MPC evaluation-sweep cell (the granularity
-/// `evaluation_sweep` parallelizes over), analytic vs finite-difference.
+/// `evaluation_sweep` parallelizes over).
 fn bench_sweep_cell(c: &mut Criterion) {
     let mut group = c.benchmark_group("mpc_derivatives");
     group.sample_size(2);
-    for (label, fd) in [
-        ("sweep_cell_ece15_analytic", false),
-        ("sweep_cell_ece15_finite_diff", true),
-    ] {
-        group.bench_function(label, |b| {
-            b.iter(|| black_box(run_mpc_cell(&DriveCycle::ece15(), 35.0, fd)))
-        });
-    }
+    group.bench_function("sweep_cell_ece15_analytic", |b| {
+        b.iter(|| black_box(run_cell(&DriveCycle::ece15(), 35.0, ControllerKind::Mpc)))
+    });
     group.finish();
 }
 

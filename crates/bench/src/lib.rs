@@ -10,21 +10,11 @@
 #![warn(missing_docs)]
 
 use ev_control::{ControlContext, PreviewSample};
+use ev_core::experiments::profile_at;
 use ev_core::{ControllerKind, EvParams, Simulation, SimulationResult};
-use ev_drive::{AmbientConditions, DriveCycle, DriveProfile};
+use ev_drive::DriveCycle;
 use ev_hvac::HvacState;
 use ev_units::{Celsius, Percent, Seconds, Watts};
-
-/// Builds the standard benchmark profile: a cycle at 1 Hz and constant
-/// ambient.
-#[must_use]
-pub fn bench_profile(cycle: &DriveCycle, ambient_c: f64) -> DriveProfile {
-    DriveProfile::from_cycle(
-        cycle,
-        AmbientConditions::constant(Celsius::new(ambient_c)),
-        Seconds::new(1.0),
-    )
-}
 
 /// Runs one cycle × controller cell, preconditioned like the paper's
 /// evaluation sweep.
@@ -36,48 +26,10 @@ pub fn bench_profile(cycle: &DriveCycle, ambient_c: f64) -> DriveProfile {
 pub fn run_cell(cycle: &DriveCycle, ambient_c: f64, kind: ControllerKind) -> SimulationResult {
     let mut params = EvParams::nissan_leaf_like();
     params.initial_cabin = Some(params.target);
-    let sim = Simulation::new(params.clone(), bench_profile(cycle, ambient_c))
-        .expect("profile non-empty");
+    let sim =
+        Simulation::new(params.clone(), profile_at(cycle, ambient_c)).expect("profile non-empty");
     let mut controller = kind.instantiate(&params).expect("controller instantiates");
     sim.run(controller.as_mut()).expect("simulation runs")
-}
-
-/// Builds the paper-configured MPC controller (the configuration
-/// [`ControllerKind::Mpc`] instantiates), optionally forced onto the
-/// central-difference derivative fallback so the analytic-derivative
-/// speedup can be measured A/B on identical problems.
-///
-/// # Panics
-///
-/// Panics if the built-in configuration fails to construct (it does not).
-#[must_use]
-pub fn paper_mpc(params: &EvParams, finite_diff: bool) -> ev_control::MpcController {
-    ev_control::MpcController::builder(params.hvac_model(), params.limits())
-        .target(params.target)
-        .horizon(8)
-        .prediction_dt(Seconds::new(4.0))
-        .recompute_every(4)
-        .battery(params.mpc_battery_model())
-        .accessory_power(params.accessory_power)
-        .finite_difference_derivatives(finite_diff)
-        .build()
-        .expect("paper mpc config is valid")
-}
-
-/// Runs one cycle × MPC cell like [`run_cell`], but through
-/// [`paper_mpc`] so the derivative mode can be selected.
-///
-/// # Panics
-///
-/// Panics if the built-in configuration fails to construct (it does not).
-#[must_use]
-pub fn run_mpc_cell(cycle: &DriveCycle, ambient_c: f64, finite_diff: bool) -> SimulationResult {
-    let mut params = EvParams::nissan_leaf_like();
-    params.initial_cabin = Some(params.target);
-    let sim = Simulation::new(params.clone(), bench_profile(cycle, ambient_c))
-        .expect("profile non-empty");
-    let mut mpc = paper_mpc(&params, finite_diff);
-    sim.run(&mut mpc).expect("simulation runs")
 }
 
 /// A representative hot-day control context for single-step controller

@@ -3,9 +3,18 @@
 //! [`MpcDiagnostics`] is a handful of plain `u64` counters the MPC
 //! controller bumps on every solve — cheap enough to stay on
 //! unconditionally, unlike the optional `ev_telemetry` histograms. It is
-//! the source for the sweep run-report columns (SQP iteration counts,
-//! warm-start hit rate, solver outcome mix) and is exposed through
-//! [`crate::ClimateController::solver_diagnostics`].
+//! exposed through [`crate::ClimateController::solver_diagnostics`] and
+//! holds exactly the counters a per-controller reader uses: solves, the
+//! four solve outcomes (converged, max-iterations, stalled, error), SQP
+//! iterations and warm-start hits and misses. Those readers are the
+//! sweep run report's columns and evbench's solo replay, which tells
+//! solved steps from held ones by `solves`.
+//!
+//! The controller's other counters live in its telemetry registry only:
+//! `mpc_warm_start_invalidated_total`, `mpc_rollout_cache_hits_total`,
+//! `mpc_rollout_cache_misses_total` and `sqp_qp_warm_restart_total`.
+//! `MpcDiagnostics` cannot be a view over the registry instead: in a
+//! fleet, every session on a shard records into that shard's series.
 
 /// Cumulative counters describing every MPC solve a controller has run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -27,13 +36,6 @@ pub struct MpcDiagnostics {
     pub warm_start_hits: u64,
     /// Solves that had to cold-start.
     pub warm_start_misses: u64,
-    /// Warm starts dropped because the solver errored (the stale plan
-    /// would have anchored later solves in the past).
-    pub warm_start_invalidated: u64,
-    /// NLP evaluations served from the per-iterate rollout cache.
-    pub rollout_cache_hits: u64,
-    /// NLP evaluations that had to run a fresh rollout.
-    pub rollout_cache_misses: u64,
 }
 
 impl MpcDiagnostics {

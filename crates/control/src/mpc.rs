@@ -219,7 +219,6 @@ pub struct MpcBuilder {
     weights: MpcWeights,
     battery: MpcBatteryModel,
     accessory_power: Watts,
-    finite_difference_derivatives: bool,
     multiple_shooting: bool,
     telemetry: Registry,
     max_sqp_iterations: usize,
@@ -286,16 +285,6 @@ impl MpcBuilder {
         self
     }
 
-    /// Forces the solver onto the central-difference derivative fallback
-    /// instead of the analytic adjoint/sensitivity derivatives. Exists for
-    /// A/B benchmarking and derivative regression tests; the default
-    /// (`false`) is strictly faster and more accurate.
-    #[must_use]
-    pub fn finite_difference_derivatives(mut self, fd: bool) -> Self {
-        self.finite_difference_derivatives = fd;
-        self
-    }
-
     /// Switches the solver onto the multiple-shooting transcription: the
     /// predicted cabin temperature becomes a decision variable per step
     /// (5 variables/step instead of 4) tied to the trapezoidal dynamics by
@@ -304,10 +293,7 @@ impl MpcBuilder {
     /// [`QpStructure`] and the SQP's KKT solves run on the banded
     /// backend in O(N) instead of the dense path's O(N³). The condensed
     /// (single-shooting) default keeps the smaller variable count; both
-    /// transcriptions optimize the same trajectory. Ignored when
-    /// [`MpcBuilder::finite_difference_derivatives`] is set — the
-    /// finite-difference fallback exists to exercise the condensed
-    /// derivative path.
+    /// transcriptions optimize the same trajectory.
     #[must_use]
     pub fn multiple_shooting(mut self, ms: bool) -> Self {
         self.multiple_shooting = ms;
@@ -401,8 +387,7 @@ impl MpcBuilder {
             sqp_warm: QpWarmStart::new(),
             cached_input: None,
             steps_since_solve: 0,
-            use_finite_diff: self.finite_difference_derivatives,
-            use_multiple_shooting: self.multiple_shooting && !self.finite_difference_derivatives,
+            use_multiple_shooting: self.multiple_shooting,
             metrics: MpcMetrics::bind(&self.telemetry),
             diagnostics: MpcDiagnostics::default(),
             recorder: self.recorder,
@@ -463,7 +448,6 @@ pub struct MpcController {
     sqp_warm: QpWarmStart,
     cached_input: Option<HvacInput>,
     steps_since_solve: usize,
-    use_finite_diff: bool,
     use_multiple_shooting: bool,
     metrics: MpcMetrics,
     diagnostics: MpcDiagnostics,
@@ -536,7 +520,6 @@ impl MpcController {
             weights: MpcWeights::default(),
             battery: MpcBatteryModel::default(),
             accessory_power: Watts::new(300.0),
-            finite_difference_derivatives: false,
             multiple_shooting: false,
             telemetry: Registry::disabled(),
             max_sqp_iterations: 25,
@@ -665,7 +648,7 @@ impl MpcController {
     /// Builds the receding-horizon NLP for the given context without
     /// solving it. Public so harnesses (benchmarks, derivative
     /// cross-checks) can evaluate the problem's exact derivatives against
-    /// the finite-difference fallback at arbitrary points.
+    /// central differences at arbitrary points.
     #[must_use]
     pub fn nlp(&self, ctx: &ControlContext<'_>) -> impl NlpProblem + '_ {
         self.build_nlp(ctx)
@@ -747,24 +730,20 @@ impl MpcController {
                 metrics: self.metrics.enabled.then_some(&self.metrics),
                 final_active_set: recording.then_some(&mut final_active_set),
             };
-            match (&ms_nlp, self.use_finite_diff) {
-                (Some(ms), _) => self.solver.solve_cached(ms, &z0, &mut sqp_warm, observer),
-                (None, true) => self
-                    .solver
-                    .solve_observed(&FiniteDiffMpcNlp(&nlp), &z0, observer),
-                (None, false) => self.solver.solve_observed(&nlp, &z0, observer),
+            match &ms_nlp {
+                Some(ms) => self.solver.solve_cached(ms, &z0, &mut sqp_warm, observer),
+                None => self.solver.solve_observed(&nlp, &z0, observer),
             }
         } else {
-            match (&ms_nlp, self.use_finite_diff) {
-                (Some(ms), _) => self
+            match &ms_nlp {
+                Some(ms) => self
                     .solver
                     .solve_cached(ms, &z0, &mut sqp_warm, NoopSqpObserver),
-                (None, true) => self.solver.solve(&FiniteDiffMpcNlp(&nlp), &z0),
-                (None, false) => self.solver.solve(&nlp, &z0),
+                None => self.solver.solve(&nlp, &z0),
             }
         };
         // Assemble the flight record while the NLP (and its preview) is
-        // still alive; uncached rollouts keep the cache-hit diagnostics
+        // still alive; uncached rollouts keep the cache-hit counters
         // identical to an unrecorded run. In multiple-shooting mode the
         // record is captured through the condensed lens: the per-step
         // cabin variables are dropped and the plan re-rolled from the
@@ -806,8 +785,6 @@ impl MpcController {
 
         self.diagnostics.solves += 1;
         self.metrics.solves.inc();
-        self.diagnostics.rollout_cache_hits += cache_hits;
-        self.diagnostics.rollout_cache_misses += cache_misses;
         self.metrics.rollout_cache_hits.add(cache_hits);
         self.metrics.rollout_cache_misses.add(cache_misses);
         if warm_started {
@@ -849,7 +826,6 @@ impl MpcController {
                 self.diagnostics.solver_errors += 1;
                 self.metrics.errors.inc();
                 if self.warm_start.is_some() {
-                    self.diagnostics.warm_start_invalidated += 1;
                     self.metrics.warm_invalidated.inc();
                 }
                 self.warm_start = None;
@@ -873,7 +849,7 @@ impl MpcController {
 
     /// Assembles the [`DecisionRecord`] for one solve. Only called when
     /// the flight recorder is enabled; uses the uncached [`MpcNlp::rollout`]
-    /// directly so the rollout-cache diagnostics stay identical to an
+    /// directly so the rollout-cache counters stay identical to an
     /// unrecorded run.
     fn capture_decision(
         &self,
@@ -1543,30 +1519,6 @@ impl NlpProblem for MpcNlp<'_> {
 
     fn has_exact_derivatives(&self) -> bool {
         true
-    }
-}
-
-/// Wrapper exposing the same MPC problem *without* the analytic-derivative
-/// overrides, so the solver falls back to central finite differences (the
-/// documented [`NlpProblem`] fallback). Exists for A/B benchmarking and
-/// for regression-testing the derivative speedup claim.
-struct FiniteDiffMpcNlp<'a, 'b>(&'b MpcNlp<'a>);
-
-impl NlpProblem for FiniteDiffMpcNlp<'_, '_> {
-    fn num_vars(&self) -> usize {
-        self.0.num_vars()
-    }
-
-    fn objective(&self, z: &[f64]) -> f64 {
-        self.0.objective(z)
-    }
-
-    fn num_ineq(&self) -> usize {
-        self.0.num_ineq()
-    }
-
-    fn ineq_constraints(&self, z: &[f64], out: &mut [f64]) {
-        self.0.ineq_constraints(z, out);
     }
 }
 
@@ -2526,13 +2478,11 @@ mod tests {
     }
 
     #[test]
-    fn nlp_advertises_exact_derivatives_and_fd_wrapper_does_not() {
+    fn nlp_advertises_exact_derivatives() {
         let c = mpc();
         let preview = preview_const(5_000.0, 30.0, 24);
         let context = ctx(25.0, 30.0, &preview);
-        let nlp = c.build_nlp(&context);
-        assert!(nlp.has_exact_derivatives());
-        assert!(!FiniteDiffMpcNlp(&nlp).has_exact_derivatives());
+        assert!(c.build_nlp(&context).has_exact_derivatives());
     }
 
     #[test]
@@ -2645,16 +2595,16 @@ mod tests {
         assert_eq!(d.warm_start_misses, 1);
         assert_eq!(d.warm_start_hits, 2);
         assert!(d.sqp_iterations > 0);
-        assert!(d.rollout_cache_hits > 0, "solver re-evaluates per iterate");
         assert!(plain.solver_diagnostics().is_some());
 
-        // The registry saw the same story, plus timing histograms.
+        // The registry saw the same story, plus timing histograms and
+        // the registry-only rollout-cache counters.
         let snap = registry.snapshot();
         assert_eq!(snap.counter("mpc_solves_total"), Some(3));
         assert_eq!(snap.counter("mpc_warm_start_hits_total"), Some(2));
-        assert_eq!(
-            snap.counter("mpc_rollout_cache_hits_total"),
-            Some(d.rollout_cache_hits)
+        assert!(
+            snap.counter("mpc_rollout_cache_hits_total").unwrap_or(0) > 0,
+            "solver re-evaluates per iterate"
         );
         assert_eq!(snap.histogram("mpc_control_step_seconds").unwrap().count, 6);
         assert_eq!(snap.histogram("mpc_solve_seconds").unwrap().count, 3);
@@ -2663,6 +2613,36 @@ mod tests {
             d.sqp_iterations as f64
         );
         assert!(snap.histogram("sqp_qp_seconds").unwrap().count >= d.sqp_iterations);
+
+        // The rollout-cache counters are registry-only, so the plain
+        // controller cannot report them; compare its solve against the
+        // metrics-observed one on the NLP's own counters instead.
+        let context = ctx(26.0, 35.0, &preview);
+        let z0 = plain.cold_start(&context);
+        let plain_nlp = plain.build_nlp(&context);
+        let observed_nlp = instrumented.build_nlp(&context);
+        let a = plain.solver.solve(&plain_nlp, &z0).unwrap();
+        let observer = SolveObserver {
+            metrics: Some(&instrumented.metrics),
+            final_active_set: None,
+        };
+        let b = instrumented
+            .solver
+            .solve_observed(&observed_nlp, &z0, observer)
+            .unwrap();
+        assert_eq!(a.z, b.z);
+        assert!(
+            plain_nlp.cache_hits.get() > 0,
+            "solver re-evaluates per iterate"
+        );
+        assert_eq!(
+            (plain_nlp.cache_hits.get(), plain_nlp.cache_misses.get()),
+            (
+                observed_nlp.cache_hits.get(),
+                observed_nlp.cache_misses.get()
+            ),
+            "telemetry must not add NLP evaluations"
+        );
     }
 
     #[test]
@@ -2670,18 +2650,22 @@ mod tests {
         use ev_telemetry::FlightRecord;
         let hvac = Hvac::new(CabinParams::default(), HvacParams::default());
         let recorder = FlightRecorder::enabled(64);
-        let mk = |rec: Option<&FlightRecorder>| {
+        // Each controller records into its own registry, which is where
+        // the rollout-cache counters live.
+        let (plain_registry, recorded_registry) = (Registry::enabled(), Registry::enabled());
+        let mk = |reg: &Registry, rec: Option<&FlightRecorder>| {
             let b = MpcController::builder(hvac.clone(), HvacLimits::default())
                 .horizon(6)
-                .recompute_every(2);
+                .recompute_every(2)
+                .telemetry(reg);
             let b = match rec {
                 Some(r) => b.flight_recorder(r),
                 None => b,
             };
             b.build().unwrap()
         };
-        let mut plain = mk(None);
-        let mut recorded = mk(Some(&recorder));
+        let mut plain = mk(&plain_registry, None);
+        let mut recorded = mk(&recorded_registry, Some(&recorder));
         let preview = preview_const(8_000.0, 35.0, 24);
         for step in 0..6 {
             let context = ctx(26.0 - 0.1 * step as f64, 35.0, &preview);
@@ -2689,9 +2673,27 @@ mod tests {
             let b = recorded.control(&context);
             assert_eq!(a, b, "recording must not perturb the command");
         }
-        // Including the rollout-cache counters the capture path must not
-        // touch (it re-rolls outside the cache).
         assert_eq!(plain.diagnostics(), recorded.diagnostics());
+        // The capture path re-rolls outside the rollout cache, so it must
+        // not touch the cache counters.
+        let (plain_snap, recorded_snap) = (plain_registry.snapshot(), recorded_registry.snapshot());
+        for name in [
+            "mpc_rollout_cache_hits_total",
+            "mpc_rollout_cache_misses_total",
+            "mpc_warm_start_invalidated_total",
+        ] {
+            assert_eq!(
+                plain_snap.counter(name),
+                recorded_snap.counter(name),
+                "{name}"
+            );
+        }
+        assert!(
+            plain_snap
+                .counter("mpc_rollout_cache_hits_total")
+                .unwrap_or(0)
+                > 0
+        );
 
         let records = recorder.records();
         let decisions: Vec<&DecisionRecord> = records

@@ -7,9 +7,8 @@
 //! lifetime-aware* at all. These ablations quantify each claim on the
 //! ECE_EUDC hot-day scenario.
 
-use ev_control::{MpcController, MpcWeights};
+use ev_control::MpcWeights;
 use ev_drive::DriveCycle;
-use ev_units::Seconds;
 
 use crate::Simulation;
 
@@ -36,14 +35,10 @@ fn run(config: &str, horizon: usize, weights: MpcWeights) -> AblationRow {
     params.initial_cabin = Some(params.target);
     let profile = profile_at(&DriveCycle::ece_eudc(), COMPARISON_AMBIENT_C);
     let sim = Simulation::new(params.clone(), profile).expect("profile non-empty");
-    let mut mpc = MpcController::builder(params.hvac_model(), params.limits())
-        .target(params.target)
+    let mut mpc = params
+        .mpc_builder()
         .horizon(horizon)
-        .prediction_dt(Seconds::new(4.0))
-        .recompute_every(4)
         .weights(weights)
-        .battery(params.mpc_battery_model())
-        .accessory_power(params.accessory_power)
         .build()
         .expect("valid config");
     let r = sim.run(&mut mpc).expect("runs");

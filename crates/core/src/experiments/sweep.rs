@@ -283,7 +283,7 @@ impl SweepResult {
 /// [`SweepOutcome::Failed`] row instead of poisoning the whole sweep.
 /// With `telemetry` on, each cell gets its own [`Registry`] capturing the
 /// controller's solver metrics (via
-/// [`ControllerKind::instantiate_instrumented`]) and the plant-side
+/// [`ControllerKind::instantiate_configured`]) and the plant-side
 /// [`TelemetryObserver`] stream; off, registries are disabled and the hot
 /// paths stay on their uninstrumented code.
 #[must_use]

@@ -14,7 +14,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use ev_drive::{AmbientConditions, DriveCycle, DriveProfile};
-use ev_telemetry::{Registry, TraceRing};
 use ev_units::{Celsius, Seconds};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -43,12 +42,6 @@ pub struct LoadgenConfig {
     pub queue_capacity: usize,
     /// Controller every session runs.
     pub controller: ControllerKind,
-    /// Fault injection: cap the MPC's SQP iterations per solve
-    /// (`None` = the controller default). A cap of 1 forces most
-    /// solves to hit the iteration limit, driving
-    /// `mpc_solve_max_iterations_total` — the seeded breach the SLO CI
-    /// job proves the alert pipeline on.
-    pub max_sqp_iterations: Option<usize>,
 }
 
 impl Default for LoadgenConfig {
@@ -61,7 +54,6 @@ impl Default for LoadgenConfig {
             shards: 0,
             queue_capacity: 256,
             controller: ControllerKind::Mpc,
-            max_sqp_iterations: None,
         }
     }
 }
@@ -143,56 +135,26 @@ const AMBIENT_MIX_C: [f64; 4] = [-10.0, 0.0, 20.0, 35.0];
 
 /// Runs the synthetic fleet and reports. See [`LoadgenConfig`].
 ///
-/// # Panics
-///
-/// Panics if `sessions` is zero or a built-in drive profile fails to
-/// construct (it does not).
-#[must_use]
-pub fn run_loadgen(config: &LoadgenConfig) -> LoadgenReport {
-    run_loadgen_on(config, &Registry::enabled())
-}
-
-/// [`run_loadgen`] recording into a caller-supplied registry — the
-/// `evsim serve` path, where the same registry backs the scrape
-/// endpoint so a burst's metrics are observable while it runs.
+/// `setup` becomes the engine's [`FleetConfig::setup`], shared by every
+/// session. Its registry backs the report's warm-start counts and
+/// latency quantiles, which read zero and `n/a` when it is disabled. Its
+/// trace ring captures the sessions its sampling policy picks. Its
+/// `max_sqp_iterations` is the fault injection: a cap of 1 makes most
+/// solves end at the iteration limit.
 ///
 /// # Panics
 ///
 /// Panics if `sessions` is zero or a built-in drive profile fails to
 /// construct (it does not).
 #[must_use]
-pub fn run_loadgen_on(config: &LoadgenConfig, registry: &Registry) -> LoadgenReport {
-    run_loadgen_traced(config, registry, &TraceRing::disabled())
-}
-
-/// [`run_loadgen_on`] additionally capturing begin/end events into
-/// `trace` — the `evsim trace` path. The ring's sampling policy decides
-/// which sessions land in the capture; metrics cover all of them either
-/// way.
-///
-/// # Panics
-///
-/// Panics if `sessions` is zero or a built-in drive profile fails to
-/// construct (it does not).
-#[must_use]
-pub fn run_loadgen_traced(
-    config: &LoadgenConfig,
-    registry: &Registry,
-    trace: &TraceRing,
-) -> LoadgenReport {
+pub fn run_loadgen(config: &LoadgenConfig, setup: &ControllerSetup) -> LoadgenReport {
     assert!(config.sessions > 0, "loadgen needs at least one session");
     let params = EvParams::nissan_leaf_like();
-    let registry = registry.clone();
     let fleet = FleetEngine::new(FleetConfig {
         shards: config.shards,
         queue_capacity: config.queue_capacity,
         params: params.clone(),
-        setup: ControllerSetup {
-            telemetry: registry.clone(),
-            trace: trace.clone(),
-            max_sqp_iterations: config.max_sqp_iterations,
-            ..ControllerSetup::default()
-        },
+        setup: setup.clone(),
     });
     let shards = fleet.shards();
     let cycles = cycle_mix();
@@ -271,7 +233,7 @@ pub fn run_loadgen_traced(
 
     let stats = fleet.shutdown();
     let wall_seconds = started.elapsed().as_secs_f64();
-    let snapshot = registry.snapshot();
+    let snapshot = setup.telemetry.snapshot();
     // MPC metrics are per-shard labeled series now; quantiles and
     // totals come from the label-merged aggregates.
     let (p50, p99) = snapshot
@@ -347,6 +309,15 @@ pub fn render_loadgen_report(r: &LoadgenReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ev_telemetry::{Registry, TraceRing};
+
+    /// The default setup with a live registry: what `evsim loadgen` runs.
+    fn metered() -> ControllerSetup {
+        ControllerSetup {
+            telemetry: Registry::enabled(),
+            ..ControllerSetup::default()
+        }
+    }
 
     fn quick_config() -> LoadgenConfig {
         LoadgenConfig {
@@ -357,14 +328,13 @@ mod tests {
             shards: 2,
             queue_capacity: 32,
             controller: ControllerKind::Mpc,
-            max_sqp_iterations: None,
         }
     }
 
     #[test]
     fn loadgen_executes_every_generated_step() {
         let config = quick_config();
-        let report = run_loadgen(&config);
+        let report = run_loadgen(&config, &metered());
         assert_eq!(report.sessions, 12);
         assert_eq!(report.total_steps, 12 * 40);
         assert!(
@@ -377,8 +347,8 @@ mod tests {
     #[test]
     fn same_seed_same_deterministic_fields() {
         let config = quick_config();
-        let a = run_loadgen(&config);
-        let b = run_loadgen(&config);
+        let a = run_loadgen(&config, &metered());
+        let b = run_loadgen(&config, &metered());
         assert_eq!(a.total_steps, b.total_steps);
         assert_eq!(a.finished_drives, b.finished_drives);
         assert_eq!(a.warm_start_hits, b.warm_start_hits);
@@ -388,11 +358,14 @@ mod tests {
 
     #[test]
     fn different_seed_changes_the_mix() {
-        let a = run_loadgen(&quick_config());
-        let b = run_loadgen(&LoadgenConfig {
-            seed: 8,
-            ..quick_config()
-        });
+        let a = run_loadgen(&quick_config(), &metered());
+        let b = run_loadgen(
+            &LoadgenConfig {
+                seed: 8,
+                ..quick_config()
+            },
+            &metered(),
+        );
         assert_ne!(
             a.fleet_digest, b.fleet_digest,
             "a different arrival mix must change the fleet digest"
@@ -401,10 +374,9 @@ mod tests {
 
     #[test]
     fn shutdown_gauges_match_loadgen_totals_and_series_are_per_shard() {
-        let config = quick_config();
-        let registry = Registry::enabled();
-        let report = run_loadgen_on(&config, &registry);
-        let snap = registry.snapshot();
+        let setup = metered();
+        let report = run_loadgen(&quick_config(), &setup);
+        let snap = setup.telemetry.snapshot();
         // The shutdown fold makes the final totals scrapeable.
         assert_eq!(
             snap.gauge("fleet_shutdown_steps_final"),
@@ -469,7 +441,11 @@ mod tests {
     #[test]
     fn traced_loadgen_captures_session_step_and_solve_spans() {
         let trace = TraceRing::enabled(8192);
-        let report = run_loadgen_traced(&quick_config(), &Registry::enabled(), &trace);
+        let setup = ControllerSetup {
+            trace: trace.clone(),
+            ..metered()
+        };
+        let report = run_loadgen(&quick_config(), &setup);
         assert_eq!(report.total_steps, 12 * 40, "tracing must not drop steps");
         let events = trace.events();
         assert!(!events.is_empty());
@@ -497,7 +473,11 @@ mod tests {
     #[test]
     fn sampled_trace_keeps_a_session_subset() {
         let trace = TraceRing::sampled(8192, 4);
-        let _ = run_loadgen_traced(&quick_config(), &Registry::enabled(), &trace);
+        let setup = ControllerSetup {
+            trace: trace.clone(),
+            ..metered()
+        };
+        let _ = run_loadgen(&quick_config(), &setup);
         let events = trace.events();
         assert!(!events.is_empty(), "vehicle ids divisible by 4 are sampled");
         assert!(
@@ -508,12 +488,13 @@ mod tests {
 
     #[test]
     fn report_renders_without_invalid_tokens() {
-        let text = render_loadgen_report(&run_loadgen(&LoadgenConfig {
+        let config = LoadgenConfig {
             sessions: 4,
             steps_per_session: 10,
             controller: ControllerKind::OnOff,
             ..quick_config()
-        }));
+        };
+        let text = render_loadgen_report(&run_loadgen(&config, &metered()));
         assert!(text.contains("fleet digest"));
         assert!(text.contains("solve p99          n/a"), "{text}");
     }

@@ -8,7 +8,8 @@
 //! * [`BoundedQueue`] — MPMC command queue with explicit backpressure
 //!   (`push` parks, `try_push` sheds; capacity is a hard bound);
 //! * [`run_bounded`] — scoped worker pool that replaced the
-//!   thread-per-cell fan-out in [`crate::experiments::sweep`];
+//!   thread-per-cell fan-out of
+//!   [`evaluation_sweep_run`](crate::experiments::evaluation_sweep_run);
 //! * [`Slab`] — stable-key arena for per-shard session state;
 //! * [`VehicleSession`] — one vehicle's plant + exclusively-owned
 //!   controller (the warm-start isolation boundary);
@@ -25,10 +26,7 @@ mod slab;
 
 pub use bounded::{BoundedQueue, TryPushError};
 pub use engine::{FleetConfig, FleetEngine, FleetError, FleetStats, ShardStats};
-pub use loadgen::{
-    render_loadgen_report, run_loadgen, run_loadgen_on, run_loadgen_traced, LoadgenConfig,
-    LoadgenReport,
-};
+pub use loadgen::{render_loadgen_report, run_loadgen, LoadgenConfig, LoadgenReport};
 pub use pool::{available_workers, run_bounded};
 pub use session::{SessionSummary, VehicleSession};
 pub use slab::Slab;

@@ -2,13 +2,13 @@
 
 use ev_battery::{BatteryParams, PackThermalParams, SohParams};
 use ev_control::{
-    ClimateController, FuzzyController, MpcBatteryModel, MpcConfigError, MpcController, MpcWeights,
+    ClimateController, FuzzyController, MpcBatteryModel, MpcBuilder, MpcConfigError, MpcController,
     OnOffController, PidController,
 };
 use ev_hvac::{CabinParams, Hvac, HvacLimits, HvacParams};
 use ev_powertrain::VehicleParams;
 use ev_telemetry::{FlightRecorder, Registry, TraceRing};
-use ev_units::{Celsius, Seconds, Watts};
+use ev_units::{Celsius, Watts};
 use serde::{Deserialize, Serialize};
 
 /// Every parameter of the simulated EV in one place: chassis, cabin,
@@ -82,6 +82,20 @@ impl EvParams {
             peukert: self.battery.peukert_constant,
         }
     }
+
+    /// The paper's MPC for this EV, ready to build: the builder's
+    /// defaults (N = 8 steps of 4 s, a re-solve every 4 simulation steps,
+    /// default weights) with this vehicle's comfort limits, target,
+    /// battery model and accessory load. [`ControllerKind::Mpc`]
+    /// instantiates exactly this; callers that vary one knob (ablations,
+    /// benches) start from it too.
+    #[must_use]
+    pub fn mpc_builder(&self) -> MpcBuilder {
+        MpcController::builder(self.hvac_model(), self.limits())
+            .target(self.target)
+            .battery(self.mpc_battery_model())
+            .accessory_power(self.accessory_power)
+    }
 }
 
 impl Default for EvParams {
@@ -133,38 +147,15 @@ impl ControllerKind {
         self,
         params: &EvParams,
     ) -> Result<Box<dyn ClimateController>, MpcConfigError> {
-        self.instantiate_instrumented(params, &Registry::disabled())
-    }
-
-    /// Instantiates the controller with solver telemetry bound to
-    /// `telemetry`. Rule-based controllers have no solver and ignore the
-    /// registry; the MPC records solve/QP timings, SQP iteration counts
-    /// and warm-start counters into it. With a disabled registry this is
-    /// exactly [`ControllerKind::instantiate`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`MpcConfigError`] if the MPC configuration is invalid
-    /// (cannot happen for the built-in defaults).
-    pub fn instantiate_instrumented(
-        self,
-        params: &EvParams,
-        telemetry: &Registry,
-    ) -> Result<Box<dyn ClimateController>, MpcConfigError> {
-        self.instantiate_configured(
-            params,
-            &ControllerSetup {
-                telemetry: telemetry.clone(),
-                ..ControllerSetup::default()
-            },
-        )
+        self.instantiate_configured(params, &ControllerSetup::default())
     }
 
     /// Instantiates the controller with the full observability wiring: a
     /// telemetry registry, a flight recorder (the MPC records one
-    /// decision per solve into it) and an optional SQP iteration cap
-    /// override. The default setup is fully inert, making this exactly
-    /// [`ControllerKind::instantiate`].
+    /// decision per solve into it), a trace ring and an optional SQP
+    /// iteration cap override. Rule-based controllers have no solver and
+    /// ignore the setup. The default setup is fully inert, making this
+    /// exactly [`ControllerKind::instantiate`].
     ///
     /// # Errors
     ///
@@ -183,14 +174,8 @@ impl ControllerKind {
             Self::Fuzzy => Box::new(FuzzyController::new(hvac, limits, params.target)),
             Self::Pid => Box::new(PidController::new(hvac, limits, params.target)),
             Self::Mpc => {
-                let mut builder = MpcController::builder(hvac, limits)
-                    .target(params.target)
-                    .horizon(8)
-                    .prediction_dt(Seconds::new(4.0))
-                    .recompute_every(4)
-                    .weights(MpcWeights::default())
-                    .battery(params.mpc_battery_model())
-                    .accessory_power(params.accessory_power)
+                let mut builder = params
+                    .mpc_builder()
                     .telemetry(&setup.telemetry)
                     .flight_recorder(&setup.recorder)
                     .trace(&setup.trace);
@@ -206,7 +191,8 @@ impl ControllerKind {
 /// Observability wiring for [`ControllerKind::instantiate_configured`]:
 /// which telemetry registry and flight recorder the controller should
 /// record into, and an optional SQP iteration-cap override (used by the
-/// flight-recorder smoke harness to force a `MaxIterations` outcome).
+/// flight-recorder smoke run and the fleet's SLO fault injection to
+/// force `MaxIterations` outcomes).
 /// The `Default` is fully inert — disabled registry, disabled recorder,
 /// built-in iteration cap.
 #[derive(Debug, Clone, Default)]
@@ -266,6 +252,51 @@ mod tests {
             let c = kind.instantiate(&p).expect("instantiates");
             assert!(!c.name().is_empty());
         }
+    }
+
+    #[test]
+    fn the_mpc_kind_builds_exactly_the_paper_mpc() {
+        use crate::experiments::profile_at;
+        use crate::{Simulation, StepRecord, TraceRecorder};
+        use ev_control::MpcWeights;
+        use ev_drive::DriveCycle;
+        use ev_units::Seconds;
+
+        let mut p = EvParams::nissan_leaf_like();
+        p.initial_cabin = Some(p.target);
+        let mut built = p.mpc_builder().build().expect("valid config");
+        assert_eq!(built.horizon(), 8);
+        assert_eq!(built.weights(), MpcWeights::default());
+        // The paper configuration spelled out, as evbench's solo replay
+        // (`evbench/src/ledger.rs`) hard-codes it: the builder's defaults
+        // must stay these constants.
+        let mut spelled_out = MpcController::builder(p.hvac_model(), p.limits())
+            .target(p.target)
+            .horizon(8)
+            .prediction_dt(Seconds::new(4.0))
+            .recompute_every(4)
+            .weights(MpcWeights::default())
+            .battery(p.mpc_battery_model())
+            .accessory_power(p.accessory_power)
+            .build()
+            .expect("valid config");
+
+        let sim = Simulation::new(p.clone(), profile_at(&DriveCycle::ece15(), 35.0))
+            .expect("profile non-empty");
+        let commands = |controller: &mut dyn ClimateController| {
+            let mut trace = TraceRecorder::new();
+            sim.run_observed(controller, &mut trace)
+                .expect("simulation runs");
+            let bits = |r: &StepRecord| {
+                [r.supply_temp, r.coil_temp, r.recirculation, r.flow].map(f64::to_bits)
+            };
+            trace.records().iter().map(bits).collect::<Vec<_>>()
+        };
+        let mut kind = ControllerKind::Mpc.instantiate(&p).expect("instantiates");
+        let reference = commands(kind.as_mut());
+        assert!(!reference.is_empty());
+        assert_eq!(reference, commands(&mut built), "mpc_builder()");
+        assert_eq!(reference, commands(&mut spelled_out), "builder defaults");
     }
 
     #[test]

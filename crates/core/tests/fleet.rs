@@ -11,8 +11,9 @@
 use std::sync::Arc;
 
 use ev_core::fleet::{run_loadgen, FleetConfig, FleetEngine, LoadgenConfig, VehicleSession};
-use ev_core::{ControllerKind, EvParams, Simulation};
+use ev_core::{ControllerKind, ControllerSetup, EvParams, Simulation};
 use ev_drive::{AmbientConditions, DriveCycle, DriveProfile};
+use ev_telemetry::Registry;
 use ev_units::{Celsius, Seconds};
 
 fn sim(cycle: DriveCycle, ambient_c: f64) -> Arc<Simulation> {
@@ -122,7 +123,9 @@ fn loadgen_digest_is_invariant_under_shard_count() {
     // The fleet digest folds per-session digests with an
     // order-independent sum, and every session's trajectory is
     // scheduling-independent — so the deterministic report fields must
-    // not change when the same fleet is served by 1 shard or 3.
+    // not change when the same fleet is served by 1 shard or 3. That
+    // holds under an SQP iteration cap too, and only if the cap reaches
+    // the sessions of every shard.
     let base = LoadgenConfig {
         sessions: 12,
         steps_per_session: 25,
@@ -130,16 +133,40 @@ fn loadgen_digest_is_invariant_under_shard_count() {
         shards: 1,
         ..LoadgenConfig::default()
     };
-    let one = run_loadgen(&base);
-    let three = run_loadgen(&LoadgenConfig { shards: 3, ..base });
+    let setup = |max_sqp_iterations| ControllerSetup {
+        telemetry: Registry::enabled(),
+        max_sqp_iterations,
+        ..ControllerSetup::default()
+    };
+    let mut digests = Vec::new();
+    for cap in [None, Some(1)] {
+        let one_setup = setup(cap);
+        let one = run_loadgen(&base, &one_setup);
+        let three = run_loadgen(
+            &LoadgenConfig {
+                shards: 3,
+                ..base.clone()
+            },
+            &setup(cap),
+        );
 
-    assert_eq!(one.total_steps, three.total_steps);
-    assert_eq!(one.finished_drives, three.finished_drives);
-    assert_eq!(one.warm_start_hits, three.warm_start_hits);
-    assert_eq!(one.warm_start_misses, three.warm_start_misses);
-    assert_eq!(
-        one.fleet_digest, three.fleet_digest,
-        "fleet digest depends on shard scheduling"
-    );
-    assert_eq!(three.shards, 3);
+        assert_eq!(one.total_steps, three.total_steps);
+        assert_eq!(one.finished_drives, three.finished_drives);
+        assert_eq!(one.warm_start_hits, three.warm_start_hits);
+        assert_eq!(one.warm_start_misses, three.warm_start_misses);
+        assert_eq!(
+            one.fleet_digest, three.fleet_digest,
+            "fleet digest depends on shard scheduling (cap {cap:?})"
+        );
+        assert_eq!(three.shards, 3);
+        if cap.is_some() {
+            let max_iterations = one_setup
+                .telemetry
+                .snapshot()
+                .counter_sum("mpc_solve_max_iterations_total");
+            assert!(max_iterations > Some(0), "the cap never bound a solve");
+        }
+        digests.push(one.fleet_digest);
+    }
+    assert_ne!(digests[0], digests[1], "the cap did not change the fleet");
 }

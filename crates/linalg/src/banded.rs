@@ -166,10 +166,10 @@ impl BandedMatrix {
 
 /// LDLᵀ factorization of a symmetric [`BandedMatrix`].
 ///
-/// Despite the name (kept parallel to the dense [`Cholesky`]
-/// [`crate::Cholesky`]), this is a root-free LDLᵀ: pivots may be negative,
-/// so the quasidefinite KKT matrices of an interior-point method factor
-/// without pivoting. Only a pivot that is numerically zero is rejected.
+/// Despite the name (kept parallel to the dense [`crate::Cholesky`]),
+/// this is a root-free LDLᵀ: pivots may be negative, so the
+/// quasidefinite KKT matrices of an interior-point method factor without
+/// pivoting. Only a pivot that is numerically zero is rejected.
 ///
 /// The struct is a reusable workspace: [`BandedCholesky::factor`] resizes
 /// internal buffers once and refactoring a same-shaped matrix is

@@ -10,7 +10,7 @@
 //!    (**dense LU** oracle),
 //! 2. the dense problem with default options (**dense Cholesky** where
 //!    eligible, i.e. no equality rows),
-//! 3. the sparse-Jacobian view with its declared [`QpStructure`]
+//! 3. the sparse-Jacobian view with its declared [`ev_optim::QpStructure`]
 //!    (**banded LDLᵀ** for structured instances),
 //!
 //! then checks that every backend's solution satisfies the KKT

@@ -14,8 +14,8 @@
 //! * [`golden`] — [`GoldenTrace`] snapshots pin a downsampled trace per
 //!   (cycle × controller) cell to `tests/golden/`; drift is reported as
 //!   the first diverging step, and `UPDATE_GOLDEN=1` re-baselines.
-//! * [`run`] — one-call runners ([`run_checked`], [`run_traced`]) that
-//!   wire the observers into a simulation.
+//! * [`run`] — one-call runners ([`run_checked`], [`run_recorded`],
+//!   [`run_with`]) that wire the observers into a simulation.
 //!
 //! # Examples
 //!
@@ -48,4 +48,4 @@ pub use invariants::{
     check_trace, InvariantConfig, InvariantObserver, InvariantReport, InvariantViolation,
 };
 pub use qpgen::{GeneratedQp, QpAsNlp, QpFamily};
-pub use run::{dump_on_violation, run_checked, run_recorded, run_traced, run_with};
+pub use run::{dump_on_violation, run_checked, run_recorded, run_with};

@@ -11,36 +11,15 @@ use ev_telemetry::FlightRecorder;
 
 use crate::invariants::{InvariantObserver, InvariantReport};
 
-/// Runs one (profile × controller) cell and returns the result together
-/// with the full step-level trace.
-///
-/// # Panics
-///
-/// Panics if the profile is empty or the controller cannot be
-/// instantiated for `params` (cannot happen for the built-in cycles and
-/// parameter sets).
-#[must_use]
-pub fn run_traced(
-    params: &EvParams,
-    profile: DriveProfile,
-    kind: ControllerKind,
-) -> (SimulationResult, TraceRecorder) {
-    let sim = ev_core::Simulation::new(params.clone(), profile).expect("profile non-empty");
-    let mut controller = kind.instantiate(params).expect("controller instantiates");
-    let mut recorder = TraceRecorder::new();
-    let result = sim
-        .run_observed(controller.as_mut(), &mut recorder)
-        .expect("simulation runs");
-    (result, recorder)
-}
-
 /// Runs one cell with both a trace recorder and an invariant observer
 /// attached, returning the result, the trace and the invariant report.
 /// The harness behind the golden-trace suite.
 ///
 /// # Panics
 ///
-/// Panics as [`run_traced`] does.
+/// Panics if the profile is empty or the controller cannot be
+/// instantiated for `params` (cannot happen for the built-in cycles and
+/// parameter sets).
 #[must_use]
 pub fn run_checked(
     params: &EvParams,
@@ -65,7 +44,7 @@ pub fn run_checked(
 ///
 /// # Panics
 ///
-/// Panics as [`run_traced`] does, or if a due post-mortem dump cannot be
+/// Panics as [`run_checked`] does, or if a due post-mortem dump cannot be
 /// written.
 #[must_use]
 pub fn run_recorded(
@@ -130,7 +109,7 @@ pub fn dump_on_violation(
 ///
 /// # Panics
 ///
-/// Panics as [`run_traced`] does.
+/// Panics as [`run_checked`] does.
 #[must_use]
 pub fn run_with<O: StepObserver>(
     params: &EvParams,

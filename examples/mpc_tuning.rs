@@ -9,7 +9,7 @@
 //! cargo run --release --example mpc_tuning
 //! ```
 
-use evclimate::control::{MpcController, MpcWeights};
+use evclimate::control::MpcWeights;
 use evclimate::core::experiments::ascii_chart;
 use evclimate::prelude::*;
 
@@ -18,14 +18,7 @@ fn run_weights(
     sim: &Simulation,
     weights: MpcWeights,
 ) -> Result<(f64, f64, f64), Box<dyn std::error::Error>> {
-    let mut mpc = MpcController::builder(params.hvac_model(), params.limits())
-        .target(params.target)
-        .horizon(8)
-        .recompute_every(4)
-        .weights(weights)
-        .battery(params.mpc_battery_model())
-        .accessory_power(Watts::new(300.0))
-        .build()?;
+    let mut mpc = params.mpc_builder().weights(weights).build()?;
     let r = sim.run(&mut mpc)?;
     let m = r.metrics();
     Ok((

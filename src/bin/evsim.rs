@@ -27,7 +27,7 @@
 //!
 //! evsim loadgen [--sessions <n>] [--steps <n>] [--chunk <n>] [--seed <n>]
 //!               [--shards <n>] [--queue-capacity <n>]
-//!               [--controller <onoff|fuzzy|pid|mpc>]
+//!               [--controller <onoff|fuzzy|pid|mpc>] [--max-sqp-iterations <n>]
 //!     Drive a deterministic synthetic fleet through the session engine
 //!     and print the throughput/latency report (same seed → same
 //!     deterministic fields and fleet digest).
@@ -93,9 +93,7 @@
 use std::process::ExitCode;
 
 use evclimate::control::CONSTRAINT_ROW_LABELS;
-use evclimate::core::fleet::{
-    render_loadgen_report, run_loadgen, run_loadgen_on, run_loadgen_traced, LoadgenConfig,
-};
+use evclimate::core::fleet::{render_loadgen_report, run_loadgen, LoadgenConfig};
 use evclimate::core::{
     ControllerKind, ControllerSetup, EvParams, FlightRecorderObserver, Simulation,
     SimulationResult, TelemetryObserver,
@@ -118,7 +116,8 @@ fn usage() -> &'static str {
      evsim validate-telemetry <path.jsonl>\n  \
      evsim explain <dump.jsonl>\n  \
      evsim loadgen [--sessions <n>] [--steps <n>] [--chunk <n>] [--seed <n>] \
-     [--shards <n>] [--queue-capacity <n>] [--controller <name>]\n  \
+     [--shards <n>] [--queue-capacity <n>] [--controller <name>] \
+     [--max-sqp-iterations <n>]\n  \
      evsim serve [--addr <host:port>] [--for-seconds <n>] \
      [--burst-sessions <n>] [--burst-steps <n>] [--seed <n>]\n  \
      evsim scrape --addr <host:port> [--require-histogram <name>] \
@@ -206,16 +205,7 @@ impl Args {
         }
     }
 
-    fn get_usize(&self, key: &str, default: usize) -> Result<usize, String> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("--{key} expects a non-negative integer, got '{v}'")),
-        }
-    }
-
-    fn get_u64(&self, key: &str, default: u64) -> Result<u64, String> {
+    fn get_int<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
         match self.get(key) {
             None => Ok(default),
             Some(v) => v
@@ -298,13 +288,6 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
     let (params, sim) = build_sim(args)?;
     let telemetry_path = args.get("telemetry");
     let recorder_path = args.get("flight-recorder");
-    let max_sqp_iterations = match args.get("max-sqp-iterations") {
-        None => None,
-        Some(v) => Some(
-            v.parse::<usize>()
-                .map_err(|_| format!("--max-sqp-iterations expects a count, got '{v}'"))?,
-        ),
-    };
     let registry = Registry::with_enabled(telemetry_path.is_some());
     // With a dump path configured, solver failures (max-iter, structural
     // errors) auto-dump the window at the moment of failure; a healthy
@@ -318,8 +301,7 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
     let setup = ControllerSetup {
         telemetry: registry.clone(),
         recorder: recorder.clone(),
-        max_sqp_iterations,
-        ..ControllerSetup::default()
+        ..controller_setup(args)?
     };
     let mut controller = kind
         .instantiate_configured(&params, &setup)
@@ -793,7 +775,26 @@ fn cmd_compare(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Build a [`LoadgenConfig`] from the shared synthetic-fleet flags.
+/// The controller wiring the flags ask for: `--max-sqp-iterations` caps
+/// the MPC's SQP iterations per solve, the fault injection that forces
+/// `max_iterations` outcomes. Callers attach their own registry,
+/// recorder and trace ring.
+fn controller_setup(args: &Args) -> Result<ControllerSetup, String> {
+    let max_sqp_iterations = args
+        .get("max-sqp-iterations")
+        .map(|v| {
+            v.parse()
+                .map_err(|_| format!("--max-sqp-iterations expects a count, got '{v}'"))
+        })
+        .transpose()?;
+    Ok(ControllerSetup {
+        max_sqp_iterations,
+        ..ControllerSetup::default()
+    })
+}
+
+/// Build a [`LoadgenConfig`] from the shared synthetic-fleet flags over
+/// `defaults`.
 ///
 /// `sessions_key`/`steps_key` differ between `loadgen` (primary flags)
 /// and `serve` (burst flags), so the caller names them.
@@ -801,38 +802,34 @@ fn loadgen_config(
     args: &Args,
     sessions_key: &str,
     steps_key: &str,
+    defaults: LoadgenConfig,
 ) -> Result<LoadgenConfig, String> {
-    let defaults = LoadgenConfig::default();
     let controller = match args.get("controller") {
         None => defaults.controller,
         Some(name) => controller_by_name(name)
             .ok_or_else(|| format!("unknown controller '{name}' (onoff|fuzzy|pid|mpc)"))?,
     };
-    let max_sqp_iterations = match args.get("max-sqp-iterations") {
-        None => None,
-        Some(v) => Some(
-            v.parse::<usize>()
-                .map_err(|_| format!("--max-sqp-iterations expects a count, got '{v}'"))?,
-        ),
-    };
     Ok(LoadgenConfig {
-        sessions: args.get_usize(sessions_key, defaults.sessions)?,
-        steps_per_session: args.get_usize(steps_key, defaults.steps_per_session)?,
-        chunk: args.get_usize("chunk", defaults.chunk)?,
-        seed: args.get_u64("seed", defaults.seed)?,
-        shards: args.get_usize("shards", defaults.shards)?,
-        queue_capacity: args.get_usize("queue-capacity", defaults.queue_capacity)?,
+        sessions: args.get_int(sessions_key, defaults.sessions)?,
+        steps_per_session: args.get_int(steps_key, defaults.steps_per_session)?,
+        chunk: args.get_int("chunk", defaults.chunk)?,
+        seed: args.get_int("seed", defaults.seed)?,
+        shards: args.get_int("shards", defaults.shards)?,
+        queue_capacity: args.get_int("queue-capacity", defaults.queue_capacity)?,
         controller,
-        max_sqp_iterations,
     })
 }
 
 fn cmd_loadgen(args: &Args) -> Result<(), String> {
-    let config = loadgen_config(args, "sessions", "steps")?;
+    let config = loadgen_config(args, "sessions", "steps", LoadgenConfig::default())?;
     if config.sessions == 0 {
         return Err("--sessions must be at least 1".into());
     }
-    let report = run_loadgen(&config);
+    let setup = ControllerSetup {
+        telemetry: Registry::enabled(),
+        ..controller_setup(args)?
+    };
+    let report = run_loadgen(&config, &setup);
     print!("{}", render_loadgen_report(&report));
     Ok(())
 }
@@ -840,7 +837,7 @@ fn cmd_loadgen(args: &Args) -> Result<(), String> {
 fn cmd_serve(args: &Args) -> Result<(), String> {
     let addr = args.get("addr").unwrap_or("127.0.0.1:0");
     let hold_seconds = args.get_f64("for-seconds", 0.0)?;
-    let burst_sessions = args.get_usize("burst-sessions", 0)?;
+    let burst_sessions: usize = args.get_int("burst-sessions", 0)?;
 
     let registry = Registry::enabled();
     let mut server =
@@ -853,9 +850,16 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let _ = std::io::stdout().flush();
 
     if burst_sessions > 0 {
-        let mut config = loadgen_config(args, "burst-sessions", "burst-steps")?;
-        config.steps_per_session = args.get_usize("burst-steps", 60)?;
-        let report = run_loadgen_on(&config, &registry);
+        let defaults = LoadgenConfig {
+            steps_per_session: 60,
+            ..LoadgenConfig::default()
+        };
+        let config = loadgen_config(args, "burst-sessions", "burst-steps", defaults)?;
+        let setup = ControllerSetup {
+            telemetry: registry.clone(),
+            ..controller_setup(args)?
+        };
+        let report = run_loadgen(&config, &setup);
         print!("{}", render_loadgen_report(&report));
         let _ = std::io::stdout().flush();
     }
@@ -1155,18 +1159,22 @@ fn cmd_top(args: &Args) -> Result<(), String> {
 
 fn cmd_trace(args: &Args) -> Result<(), String> {
     let out_path = args.get("out").unwrap_or("trace.json");
-    let capacity = args.get_usize("capacity", 65_536)?;
-    let sample = args.get_u64("sample", 1)?;
+    let capacity = args.get_int("capacity", 65_536)?;
+    let sample = args.get_int("sample", 1)?;
     if sample == 0 {
         return Err("--sample must be at least 1".into());
     }
-    let config = loadgen_config(args, "sessions", "steps")?;
+    let config = loadgen_config(args, "sessions", "steps", LoadgenConfig::default())?;
     if config.sessions == 0 {
         return Err("--sessions must be at least 1".into());
     }
-    let registry = Registry::enabled();
     let trace = TraceRing::sampled(capacity, sample);
-    let report = run_loadgen_traced(&config, &registry, &trace);
+    let setup = ControllerSetup {
+        telemetry: Registry::enabled(),
+        trace: trace.clone(),
+        ..controller_setup(args)?
+    };
+    let report = run_loadgen(&config, &setup);
     print!("{}", render_loadgen_report(&report));
     export::write_text(std::path::Path::new(out_path), &trace.to_chrome_json())
         .map_err(|e| format!("{out_path}: {e}"))?;
@@ -1243,23 +1251,28 @@ fn cmd_record(args: &Args) -> Result<(), String> {
         if interval <= 0.0 {
             return Err("--interval must be positive".into());
         }
-        let config = loadgen_config(args, "sessions", "steps")?;
+        let config = loadgen_config(args, "sessions", "steps", LoadgenConfig::default())?;
         if config.sessions == 0 {
             return Err("--sessions must be at least 1".into());
         }
-        let sample = args.get_u64("sample", 1)?;
+        let sample = args.get_int("sample", 1)?;
         if sample == 0 {
             return Err("--sample must be at least 1".into());
         }
         let trace_out = args.get("trace-out");
         let registry = Registry::enabled();
         let trace = match trace_out {
-            Some(_) => TraceRing::sampled(args.get_usize("capacity", 65_536)?, sample),
+            Some(_) => TraceRing::sampled(args.get_int("capacity", 65_536)?, sample),
             None => TraceRing::disabled(),
         };
+        let setup = ControllerSetup {
+            telemetry: registry.clone(),
+            trace: trace.clone(),
+            ..controller_setup(args)?
+        };
         let worker = {
-            let (config, registry, trace) = (config.clone(), registry.clone(), trace.clone());
-            std::thread::spawn(move || run_loadgen_traced(&config, &registry, &trace))
+            let config = config.clone();
+            std::thread::spawn(move || run_loadgen(&config, &setup))
         };
         while !worker.is_finished() {
             writer
@@ -1402,7 +1415,7 @@ fn cmd_query(args: &Args) -> Result<(), String> {
                 .iter()
                 .map(|(k, v)| (k.as_str(), v.as_str()))
                 .collect();
-            let window_s = args.get_u64("window-s", 60)?;
+            let window_s: u64 = args.get_int("window-s", 60)?;
             let t0 = t1.saturating_sub(window_s.saturating_mul(1000));
             if let Some(q_raw) = args.get("quantile") {
                 let q: f64 = q_raw
@@ -1869,8 +1882,8 @@ mod tests {
             "--controller",
             "onoff",
         ]);
-        let config = loadgen_config(&args, "sessions", "steps").expect("parses");
         let defaults = LoadgenConfig::default();
+        let config = loadgen_config(&args, "sessions", "steps", defaults.clone()).expect("parses");
         assert_eq!(config.sessions, 7);
         assert_eq!(config.steps_per_session, 11);
         assert_eq!(config.seed, 99);
@@ -1879,7 +1892,7 @@ mod tests {
         assert_eq!(config.queue_capacity, defaults.queue_capacity);
 
         let bad = parse(&["--controller", "thermostat"]);
-        assert!(loadgen_config(&bad, "sessions", "steps").is_err());
+        assert!(loadgen_config(&bad, "sessions", "steps", defaults).is_err());
     }
 
     #[test]
@@ -1947,7 +1960,11 @@ mod tests {
             shards: 2,
             ..LoadgenConfig::default()
         };
-        let _ = run_loadgen_on(&config, &registry);
+        let setup = ControllerSetup {
+            telemetry: registry.clone(),
+            ..ControllerSetup::default()
+        };
+        let _ = run_loadgen(&config, &setup);
         let text = export::to_prometheus(&registry.snapshot());
         let samples = export::parse_prometheus(&text).expect("scrape parses");
         let view = render_top("127.0.0.1:0", &samples, None).expect("per-shard series present");
@@ -2004,7 +2021,11 @@ mod tests {
             shards: 2,
             ..LoadgenConfig::default()
         };
-        let report = run_loadgen_on(&config, &registry);
+        let setup = ControllerSetup {
+            telemetry: registry.clone(),
+            ..ControllerSetup::default()
+        };
+        let report = run_loadgen(&config, &setup);
         assert_eq!(report.total_steps, 4 * 30);
 
         let ok = probe_scrape(

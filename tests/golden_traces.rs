@@ -14,7 +14,7 @@ use std::path::PathBuf;
 
 use ev_testkit::{golden_filename, run_checked, verify_or_update, GoldenTrace};
 use evclimate::core::experiments::{experiment_params, profile_at};
-use evclimate::core::ControllerKind;
+use evclimate::core::{ControllerKind, ControllerSetup};
 use evclimate::prelude::*;
 
 /// The snapshotted matrix: both ECE cycles × the paper's three
@@ -74,15 +74,18 @@ fn mpc_goldens_solve_every_qp_subproblem_nominally() {
     let mut params = experiment_params();
     params.initial_cabin = Some(params.target);
     for cycle in CYCLES.map(|c| c()) {
-        let registry = Registry::enabled();
+        let setup = ControllerSetup {
+            telemetry: Registry::enabled(),
+            ..ControllerSetup::default()
+        };
         let mut controller = ControllerKind::Mpc
-            .instantiate_instrumented(&params, &registry)
+            .instantiate_configured(&params, &setup)
             .expect("controller instantiates");
         Simulation::new(params.clone(), profile_at(&cycle, AMBIENT_C))
             .expect("profile non-empty")
             .run(controller.as_mut())
             .expect("simulation runs");
-        let snapshot = registry.snapshot();
+        let snapshot = setup.telemetry.snapshot();
         assert!(snapshot.counter("mpc_solves_total").unwrap_or(0) > 0);
         for name in ["sqp_qp_elastic_total", "sqp_qp_fallback_total"] {
             assert_eq!(snapshot.counter(name), Some(0), "{}: {name}", cycle.name());
