@@ -354,36 +354,6 @@ fn parse_label_set(
     Ok(labels)
 }
 
-/// Parse a series identifier (`name` or `name{k="v",...}`) into the
-/// metric name and its **unescaped** label pairs, in source order.
-/// The label set must close the string (see [`parse_label_set`] for
-/// the strictness rules inside the braces).
-#[cfg(test)]
-pub(crate) fn parse_series(series: &str) -> Result<(String, Vec<(String, String)>), String> {
-    let mut chars = series.chars().peekable();
-    let mut name = String::new();
-    while let Some(&c) = chars.peek() {
-        if c == '{' {
-            break;
-        }
-        name.push(c);
-        chars.next();
-    }
-    if !valid_metric_name(&name) {
-        return Err(format!("bad metric name {name:?}"));
-    }
-    let labels = if chars.peek() == Some(&'{') {
-        chars.next();
-        parse_label_set(&mut chars)?
-    } else {
-        Vec::new()
-    };
-    if chars.next().is_some() {
-        return Err("trailing characters after label set".to_string());
-    }
-    Ok((name, labels))
-}
-
 /// Parse a sample-value token: a finite decimal or one of the exact
 /// spellings `NaN`, `+Inf`, `-Inf`. `null` (JSON leakage) and Rust's
 /// `inf`/`-inf` debug spellings are rejected.
@@ -553,9 +523,23 @@ fn parse_sample_line(line: &str) -> Result<PromSample, String> {
     })
 }
 
-/// Shared walk behind [`validate_prometheus`] and [`parse_prometheus`]:
-/// checks `# TYPE` comments and parses every sample line strictly.
-fn parse_exposition(text: &str) -> Result<Vec<PromSample>, String> {
+/// Parse a Prometheus text exposition into its samples, strictly.
+///
+/// Enforces the failure modes this workspace has actually shipped:
+/// every sample value and every `le` label must be a finite decimal or
+/// one of the exact tokens `NaN`, `+Inf`, `-Inf` — `null` (JSON
+/// leakage) and Rust's `inf`/`-inf` spellings are rejected — metric
+/// names must be well-formed, `# TYPE` comments must name a known type,
+/// label sets must parse strictly (quoted values, known escapes only,
+/// no duplicate label names), and an OpenMetrics ` # {…} value`
+/// exemplar suffix, when present, must parse under the same rules.
+/// Consumers like `evsim scrape`, the `evsim top` dashboard and the
+/// tsdb recorder build their views from the returned list.
+///
+/// # Errors
+///
+/// Returns a message naming the first offending line.
+pub fn parse_prometheus(text: &str) -> Result<Vec<PromSample>, String> {
     let mut samples = Vec::new();
     for (idx, line) in text.lines().enumerate() {
         let err = |msg: String| Err(format!("line {}: {msg}", idx + 1));
@@ -584,37 +568,6 @@ fn parse_exposition(text: &str) -> Result<Vec<PromSample>, String> {
         }
     }
     Ok(samples)
-}
-
-/// Strictly validates a Prometheus text exposition, returning the
-/// number of samples (non-comment lines) on success.
-///
-/// Enforces the failure modes this workspace has actually shipped:
-/// every sample value and every `le` label must be a finite decimal or
-/// one of the exact tokens `NaN`, `+Inf`, `-Inf` — `null` (JSON
-/// leakage) and Rust's `inf`/`-inf` spellings are rejected — metric
-/// names must be well-formed, label sets must parse strictly (quoted
-/// values, known escapes only, no duplicate label names), and an
-/// OpenMetrics ` # {…} value` exemplar suffix, when present, must parse
-/// under the same rules.
-///
-/// # Errors
-///
-/// Returns a message naming the first offending line.
-pub fn validate_prometheus(text: &str) -> Result<usize, String> {
-    Ok(parse_exposition(text)?.len())
-}
-
-/// Parse a Prometheus text exposition into its samples, with the same
-/// strictness as [`validate_prometheus`]. Consumers like the `evsim
-/// top` dashboard and the tsdb recorder build per-label-set views from
-/// the returned list.
-///
-/// # Errors
-///
-/// Returns a message naming the first offending line.
-pub fn parse_prometheus(text: &str) -> Result<Vec<PromSample>, String> {
-    parse_exposition(text)
 }
 
 /// Flatten a [`Snapshot`] into the same sample list that rendering it
@@ -857,7 +810,7 @@ mod tests {
         assert!(out.contains("poisoned_seconds_sum NaN\n"), "{out}");
         assert!(!out.contains("null"), "JSON null leaked: {out}");
         assert!(!out.to_lowercase().contains(" inf"), "bare inf: {out}");
-        validate_prometheus(&out).expect("exposition must stay parseable");
+        parse_prometheus(&out).expect("exposition must stay parseable");
     }
 
     #[test]
@@ -886,12 +839,14 @@ mod tests {
         );
         assert!(out.contains("weird_seconds_sum -Inf\n"), "{out}");
         assert!(!out.contains("\"inf\""), "debug inf spelling leaked: {out}");
-        validate_prometheus(&out).expect("exposition must stay parseable");
+        parse_prometheus(&out).expect("exposition must stay parseable");
     }
 
     #[test]
     fn validator_counts_samples_and_rejects_json_and_debug_spellings() {
-        let n = validate_prometheus(&to_prometheus(&sample_snapshot())).unwrap();
+        let n = parse_prometheus(&to_prometheus(&sample_snapshot()))
+            .unwrap()
+            .len();
         // 1 counter + 3 finite buckets + +Inf bucket + sum + count.
         assert_eq!(n, 7);
         for bad in [
@@ -905,9 +860,9 @@ mod tests {
             "just_a_name\n",
             "# TYPE m weird\n",
         ] {
-            assert!(validate_prometheus(bad).is_err(), "accepted {bad:?}");
+            assert!(parse_prometheus(bad).is_err(), "accepted {bad:?}");
         }
-        assert!(validate_prometheus("m_sum NaN\nm_total +Inf\n\n# free comment\n").is_ok());
+        assert!(parse_prometheus("m_sum NaN\nm_total +Inf\n\n# free comment\n").is_ok());
     }
 
     fn labeled_snapshot() -> Snapshot {
@@ -953,7 +908,9 @@ mod tests {
             out.contains("fleet_cmd_seconds_count{cmd=\"step\",shard=\"0\"} 2\n"),
             "{out}"
         );
-        let n = validate_prometheus(&out).expect("labeled exposition validates");
+        let n = parse_prometheus(&out)
+            .expect("labeled exposition validates")
+            .len();
         // 2 counters + 1 gauge + (3 buckets + Inf + sum + count).
         assert_eq!(n, 9);
     }
@@ -993,7 +950,7 @@ mod tests {
         );
         // Untraced buckets keep the byte-identical pre-exemplar line.
         assert!(out.contains("lat_seconds_bucket{le=\"0.01\"} 1\n"), "{out}");
-        validate_prometheus(&out).expect("exemplar exposition validates");
+        parse_prometheus(&out).expect("exemplar exposition validates");
         let samples = parse_prometheus(&out).expect("parses");
         let with_ex = samples
             .iter()
@@ -1010,10 +967,8 @@ mod tests {
     #[test]
     fn exemplar_suffix_parsing_is_strict() {
         // A valid exemplar, with and without the optional timestamp.
-        assert!(validate_prometheus("m_bucket{le=\"1\"} 2 # {trace_id=\"7\"} 0.5\n").is_ok());
-        assert!(
-            validate_prometheus("m_bucket{le=\"1\"} 2 # {trace_id=\"7\"} 0.5 1234.5\n").is_ok()
-        );
+        assert!(parse_prometheus("m_bucket{le=\"1\"} 2 # {trace_id=\"7\"} 0.5\n").is_ok());
+        assert!(parse_prometheus("m_bucket{le=\"1\"} 2 # {trace_id=\"7\"} 0.5 1234.5\n").is_ok());
         for bad in [
             "m_bucket{le=\"1\"} 2 # trace_id=\"7\" 0.5\n", // no label set braces
             "m_bucket{le=\"1\"} 2 # {trace_id=\"7\"}\n",   // no exemplar value
@@ -1021,7 +976,7 @@ mod tests {
             "m_bucket{le=\"1\"} 2 # {trace_id=\"7\"} 0.5 zz\n", // bad timestamp
             "m_bucket{le=\"1\"} 2 # {trace_id=\"7\"} 0.5 1 2\n", // trailing garbage
         ] {
-            assert!(validate_prometheus(bad).is_err(), "accepted {bad:?}");
+            assert!(parse_prometheus(bad).is_err(), "accepted {bad:?}");
         }
     }
 
@@ -1050,13 +1005,13 @@ mod tests {
             out.contains("odd_total{note=\"quote\\\" slash\\\\ newline\\n end\"} 1\n"),
             "{out}"
         );
-        validate_prometheus(&out).expect("escaped labels validate");
         // Round-trip: the parser recovers the original value exactly.
-        let line = out.lines().find(|l| l.starts_with("odd_total{")).unwrap();
-        let series = line.rsplit_once(' ').unwrap().0;
-        let (name, labels) = parse_series(series).unwrap();
-        assert_eq!(name, "odd_total");
-        assert_eq!(labels, vec![("note".to_string(), tricky.to_string())]);
+        let samples = parse_prometheus(&out).expect("escaped labels validate");
+        assert_eq!(samples[0].name, "odd_total");
+        assert_eq!(
+            samples[0].labels,
+            vec![("note".to_string(), tricky.to_string())]
+        );
     }
 
     #[test]
@@ -1071,12 +1026,12 @@ mod tests {
             "m{le=\"zzz\"} 1\n",      // non-numeric bucket bound
             "m{a=1} 1\n",             // unquoted value
         ] {
-            assert!(validate_prometheus(bad).is_err(), "accepted {bad:?}");
+            assert!(parse_prometheus(bad).is_err(), "accepted {bad:?}");
         }
         // Spaces and commas inside quoted values are fine, as is a
         // trailing comma before the closing brace.
         for good in ["m{a=\"x, y z\"} 1\n", "m{a=\"1\",} 1\n", "m{} 1\n"] {
-            assert!(validate_prometheus(good).is_ok(), "rejected {good:?}");
+            assert!(parse_prometheus(good).is_ok(), "rejected {good:?}");
         }
     }
 

@@ -270,7 +270,9 @@ mod tests {
         let body = scrape_once(&server.addr().to_string()).expect("scrape succeeds");
         assert!(body.contains("scrape_test_total 3\n"), "{body}");
         assert!(body.contains("scrape_test_seconds_count 1\n"), "{body}");
-        let samples = crate::export::validate_prometheus(&body).expect("valid exposition");
+        let samples = crate::export::parse_prometheus(&body)
+            .expect("valid exposition")
+            .len();
         assert!(samples > 0);
     }
 

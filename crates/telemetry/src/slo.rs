@@ -1,12 +1,11 @@
 //! SLO rules and multi-window burn-rate alerting over the [`crate::tsdb`].
 //!
 //! A rule names a windowed expression over the store — a gauge level, a
-//! counter rate, a histogram quantile computed from bucket deltas, or a
-//! multi-window **burn rate** (the fraction of events violating an
-//! objective, normalized by the error budget) — plus a comparison that
-//! defines a *breach*. The engine evaluates all rules against the store
-//! at a timestamp and drives each through the classic alert state
-//! machine:
+//! histogram quantile computed from bucket deltas, or a multi-window
+//! **burn rate** (the fraction of events violating an objective,
+//! normalized by the error budget) — plus a threshold: a value above it
+//! is a *breach*. The engine evaluates all rules against the store at a
+//! timestamp and drives each through the classic alert state machine:
 //!
 //! ```text
 //! Inactive --breach--> Pending --breach for `for_s`--> Firing
@@ -16,8 +15,8 @@
 //!
 //! `Resolved` is sticky for visibility ("this fired earlier in the
 //! run") and [`SloEngine::ever_fired`] survives resolution — that is
-//! what `evsim slo --once` turns into a non-zero exit code so CI can
-//! assert "this soak stayed within budget".
+//! what `evsim slo` turns into a non-zero exit code so CI can assert
+//! "this soak stayed within budget".
 //!
 //! Burn-rate rules follow the multi-window pattern: the alert requires
 //! the budget to be burning **both** over a fast window (catches
@@ -26,71 +25,21 @@
 //! budget). A burn of 1.0 means "exactly consuming the budget"; the
 //! threshold is the multiple of budget-consumption-rate that pages.
 //!
-//! Rules load from a minimal TOML subset ([`parse_config`]) or are
-//! built programmatically via [`RawRule`].
+//! Rules load from a minimal TOML subset ([`parse_config`]).
 
 use std::fmt;
 
-use crate::tsdb::Tsdb;
-
-/// Comparison applied to `value` vs `threshold`; the rule breaches when
-/// the comparison holds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Comparison {
-    /// Breach when `value > threshold`.
-    Gt,
-    /// Breach when `value < threshold`.
-    Lt,
-}
-
-impl Comparison {
-    fn holds(self, value: f64, threshold: f64) -> bool {
-        match self {
-            Comparison::Gt => value > threshold,
-            Comparison::Lt => value < threshold,
-        }
-    }
-
-    fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "gt" | ">" => Ok(Comparison::Gt),
-            "lt" | "<" => Ok(Comparison::Lt),
-            other => Err(format!(
-                "unknown comparison {other:?} (want \"gt\" or \"lt\")"
-            )),
-        }
-    }
-}
-
-impl fmt::Display for Comparison {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Comparison::Gt => ">",
-            Comparison::Lt => "<",
-        })
-    }
-}
+use crate::tsdb::{parse_labels, Tsdb};
 
 /// The windowed expression a rule evaluates.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
-    /// Current level of a gauge (worst across matching series: max for
-    /// [`Comparison::Gt`] rules, min for [`Comparison::Lt`]).
+    /// Current level of a gauge: the highest across matching series.
     Gauge {
         /// Gauge metric name.
         metric: String,
         /// Label subset the series must carry.
         labels: Vec<(String, String)>,
-    },
-    /// Per-second rate of a counter over a trailing window, summed
-    /// across matching series (shards).
-    Rate {
-        /// Counter metric name (with its `_total` suffix).
-        metric: String,
-        /// Label subset the series must carry.
-        labels: Vec<(String, String)>,
-        /// Trailing window length, seconds.
-        window_s: u64,
     },
     /// A histogram quantile over a trailing window, computed from
     /// bucket deltas summed across matching series.
@@ -124,17 +73,15 @@ pub enum Expr {
     },
 }
 
-/// One SLO rule: a named expression, a breach comparison, and how long
-/// a breach must persist before firing.
+/// One SLO rule: a named expression, the threshold it must stay at or
+/// below, and how long a breach must persist before firing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Rule {
     /// Rule name (shown in alerts and used in exit summaries).
     pub name: String,
     /// The windowed expression.
     pub expr: Expr,
-    /// Breach comparison.
-    pub op: Comparison,
-    /// Breach threshold.
+    /// Breach threshold: a value above it breaches.
     pub threshold: f64,
     /// Seconds a breach must persist before `Pending` becomes
     /// `Firing` (0 fires immediately).
@@ -192,8 +139,6 @@ pub struct RuleStatus {
     pub value: Option<f64>,
     /// Rule threshold (for rendering).
     pub threshold: f64,
-    /// Breach comparison (for rendering).
-    pub op: Comparison,
     /// Whether this evaluation breached.
     pub breached: bool,
     /// Alert state after this evaluation.
@@ -228,23 +173,11 @@ impl SloEngine {
         }
     }
 
-    /// The rules under evaluation.
-    #[must_use]
-    pub fn rules(&self) -> Vec<&Rule> {
-        self.slots.iter().map(|s| &s.rule).collect()
-    }
-
     /// Whether any rule ever reached `Firing` (survives resolution) —
-    /// the `evsim slo --once` exit-code signal.
+    /// the `evsim slo` exit-code signal.
     #[must_use]
     pub fn ever_fired(&self) -> bool {
         self.slots.iter().any(|s| s.ever_fired)
-    }
-
-    /// Rules currently firing.
-    #[must_use]
-    pub fn firing_count(&self) -> usize {
-        self.slots.iter().filter(|s| s.state.is_firing()).count()
     }
 
     /// Evaluate every rule against `db` at `now_ms`, advancing alert
@@ -254,9 +187,8 @@ impl SloEngine {
         self.slots
             .iter_mut()
             .map(|slot| {
-                let value = eval_expr(&slot.rule.expr, &slot.rule, db, now_ms);
-                let breached = value
-                    .is_some_and(|v| !v.is_nan() && slot.rule.op.holds(v, slot.rule.threshold));
+                let value = eval_expr(&slot.rule.expr, db, now_ms);
+                let breached = value.is_some_and(|v| v > slot.rule.threshold);
                 slot.state = step_state(slot.state, breached, slot.rule.for_s, now_ms);
                 if slot.state.is_firing() {
                     slot.ever_fired = true;
@@ -265,7 +197,6 @@ impl SloEngine {
                     name: slot.rule.name.clone(),
                     value,
                     threshold: slot.rule.threshold,
-                    op: slot.rule.op,
                     breached,
                     state: slot.state,
                 }
@@ -297,55 +228,21 @@ fn step_state(state: AlertState, breached: bool, for_s: u64, now_ms: u64) -> Ale
     }
 }
 
-fn borrow_labels(labels: &[(String, String)]) -> Vec<(&str, &str)> {
-    labels
-        .iter()
-        .map(|(k, v)| (k.as_str(), v.as_str()))
-        .collect()
-}
-
-fn eval_expr(expr: &Expr, rule: &Rule, db: &Tsdb, now_ms: u64) -> Option<f64> {
+fn eval_expr(expr: &Expr, db: &Tsdb, now_ms: u64) -> Option<f64> {
     let window_start = |w_s: u64| now_ms.saturating_sub(w_s.saturating_mul(1000));
     match expr {
-        Expr::Gauge { metric, labels } => {
-            let labels = borrow_labels(labels);
-            let values: Vec<f64> = db
-                .find(metric, &labels)
-                .into_iter()
-                .filter_map(|idx| db.get(idx).and_then(|s| s.value_at(now_ms)))
-                .filter(|v| !v.is_nan())
-                .collect();
-            if values.is_empty() {
-                return None;
-            }
-            // Worst value across series for the rule's direction.
-            Some(match rule.op {
-                Comparison::Gt => values.iter().copied().fold(f64::MIN, f64::max),
-                Comparison::Lt => values.iter().copied().fold(f64::MAX, f64::min),
-            })
-        }
-        Expr::Rate {
-            metric,
-            labels,
-            window_s,
-        } => db.rate_sum(
-            metric,
-            &borrow_labels(labels),
-            window_start(*window_s),
-            now_ms,
-        ),
+        Expr::Gauge { metric, labels } => db
+            .find(metric, labels)
+            .into_iter()
+            .filter_map(|idx| db.get(idx).and_then(|s| s.value_at(now_ms)))
+            .filter(|v| !v.is_nan())
+            .reduce(f64::max),
         Expr::Quantile {
             metric,
             labels,
             q,
             window_s,
-        } => db.windowed_quantile(
-            metric,
-            &borrow_labels(labels),
-            window_start(*window_s),
-            now_ms,
-            *q,
-        ),
+        } => db.windowed_quantile(metric, labels, window_start(*window_s), now_ms, *q),
         Expr::BurnRate {
             bad_metric,
             bad_labels,
@@ -357,12 +254,12 @@ fn eval_expr(expr: &Expr, rule: &Rule, db: &Tsdb, now_ms: u64) -> Option<f64> {
         } => {
             let burn = |w_s: u64| -> Option<f64> {
                 let t0 = window_start(w_s);
-                let total = db.rate_sum(total_metric, &borrow_labels(total_labels), t0, now_ms)?;
+                let total = db.rate_sum(total_metric, total_labels, t0, now_ms)?;
                 if total <= 0.0 {
                     return Some(0.0); // no traffic burns no budget
                 }
                 let bad = db
-                    .rate_sum(bad_metric, &borrow_labels(bad_labels), t0, now_ms)
+                    .rate_sum(bad_metric, bad_labels, t0, now_ms)
                     .unwrap_or(0.0);
                 Some((bad / total) / objective.max(f64::MIN_POSITIVE))
             };
@@ -379,94 +276,60 @@ fn eval_expr(expr: &Expr, rule: &Rule, db: &Tsdb, now_ms: u64) -> Option<f64> {
 // Config: a minimal TOML subset.
 // ---------------------------------------------------------------------
 
-/// A rule under construction — every field optional, validated by
-/// [`RawRule::build`]. This is both the config-parser target and the
-/// programmatic entry point for callers that assemble rules from other
-/// formats (e.g. `evsim` building rules from JSON flags).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RawRule {
+/// A `[[slo]]` table under construction — every field optional,
+/// validated by [`RawRule::build`].
+#[derive(Default)]
+struct RawRule {
     /// Rule name (required).
-    pub name: Option<String>,
-    /// Expression kind: `"gauge"`, `"rate"`, `"quantile"`,
-    /// `"burn_rate"` (required).
-    pub kind: Option<String>,
-    /// Metric name for gauge/rate/quantile rules.
-    pub metric: Option<String>,
+    name: Option<String>,
+    /// Expression kind: `"gauge"`, `"quantile"`, `"burn_rate"`
+    /// (required).
+    kind: Option<String>,
+    /// Metric name for gauge/quantile rules.
+    metric: Option<String>,
     /// Label subset as `"k=v,k2=v2"`.
-    pub labels: Option<String>,
+    labels: Option<String>,
     /// Quantile for `quantile` rules.
-    pub q: Option<f64>,
-    /// Window seconds for rate/quantile rules.
-    pub window_s: Option<u64>,
-    /// Breach comparison: `"gt"`/`">"` or `"lt"`/`"<"`.
-    pub op: Option<String>,
+    q: Option<f64>,
+    /// Window seconds for `quantile` rules.
+    window_s: Option<u64>,
     /// Breach threshold (required for all kinds).
-    pub threshold: Option<f64>,
+    threshold: Option<f64>,
     /// Pending duration before firing (default 0).
-    pub for_s: Option<u64>,
+    for_s: Option<u64>,
     /// Bad-event counter for `burn_rate` rules.
-    pub bad_metric: Option<String>,
+    bad_metric: Option<String>,
     /// Label subset for the bad counter, `"k=v"` form.
-    pub bad_labels: Option<String>,
+    bad_labels: Option<String>,
     /// Total-event counter for `burn_rate` rules.
-    pub total_metric: Option<String>,
+    total_metric: Option<String>,
     /// Label subset for the total counter, `"k=v"` form.
-    pub total_labels: Option<String>,
+    total_labels: Option<String>,
     /// Error budget (allowed bad fraction) for `burn_rate` rules.
-    pub objective: Option<f64>,
+    objective: Option<f64>,
     /// Fast window seconds for `burn_rate` rules.
-    pub fast_window_s: Option<u64>,
+    fast_window_s: Option<u64>,
     /// Slow window seconds for `burn_rate` rules.
-    pub slow_window_s: Option<u64>,
-}
-
-/// Parse a `"k=v,k2=v2"` label subset (empty/missing → no constraint).
-fn parse_label_subset(s: Option<&String>) -> Result<Vec<(String, String)>, String> {
-    let Some(s) = s else {
-        return Ok(Vec::new());
-    };
-    let s = s.trim();
-    if s.is_empty() {
-        return Ok(Vec::new());
-    }
-    s.split(',')
-        .map(|pair| {
-            let (k, v) = pair
-                .split_once('=')
-                .ok_or_else(|| format!("label pair {pair:?} is not k=v"))?;
-            Ok((k.trim().to_string(), v.trim().to_string()))
-        })
-        .collect()
+    slow_window_s: Option<u64>,
 }
 
 impl RawRule {
-    /// Validate and assemble into a [`Rule`].
-    ///
-    /// # Errors
-    ///
-    /// Describes the first missing or malformed field.
-    pub fn build(self) -> Result<Rule, String> {
+    /// Validate and assemble into a [`Rule`]; the error describes the
+    /// first missing or malformed field.
+    fn build(self) -> Result<Rule, String> {
         let name = self.name.clone().ok_or("rule missing name")?;
         let fail = |msg: &str| format!("rule {name:?}: {msg}");
+        let labels =
+            |raw: &Option<String>| parse_labels(raw.as_deref().unwrap_or("")).map_err(|e| fail(&e));
         let kind = self.kind.as_deref().ok_or_else(|| fail("missing kind"))?;
-        let op = match self.op.as_deref() {
-            Some(s) => Comparison::parse(s).map_err(|e| fail(&e))?,
-            None => Comparison::Gt,
-        };
         let threshold = self.threshold.ok_or_else(|| fail("missing threshold"))?;
-        let labels = parse_label_subset(self.labels.as_ref()).map_err(|e| fail(&e))?;
         let metric = |raw: &Option<String>| -> Result<String, String> {
             raw.clone().ok_or_else(|| fail("missing metric"))
         };
         let expr = match kind {
             "gauge" => Expr::Gauge {
                 metric: metric(&self.metric)?,
-                labels,
-            },
-            "rate" => Expr::Rate {
-                metric: metric(&self.metric)?,
-                labels,
-                window_s: self.window_s.ok_or_else(|| fail("missing window_s"))?,
+                labels: labels(&self.labels)?,
             },
             "quantile" => {
                 let q = self.q.ok_or_else(|| fail("missing q"))?;
@@ -475,7 +338,7 @@ impl RawRule {
                 }
                 Expr::Quantile {
                     metric: metric(&self.metric)?,
-                    labels,
+                    labels: labels(&self.labels)?,
                     q,
                     window_s: self.window_s.ok_or_else(|| fail("missing window_s"))?,
                 }
@@ -487,13 +350,11 @@ impl RawRule {
                 }
                 Expr::BurnRate {
                     bad_metric: self.bad_metric.ok_or_else(|| fail("missing bad_metric"))?,
-                    bad_labels: parse_label_subset(self.bad_labels.as_ref())
-                        .map_err(|e| fail(&e))?,
+                    bad_labels: labels(&self.bad_labels)?,
                     total_metric: self
                         .total_metric
                         .ok_or_else(|| fail("missing total_metric"))?,
-                    total_labels: parse_label_subset(self.total_labels.as_ref())
-                        .map_err(|e| fail(&e))?,
+                    total_labels: labels(&self.total_labels)?,
                     objective,
                     fast_window_s: self
                         .fast_window_s
@@ -508,7 +369,6 @@ impl RawRule {
         Ok(Rule {
             name,
             expr,
-            op,
             threshold,
             for_s: self.for_s.unwrap_or(0),
         })
@@ -541,7 +401,6 @@ impl RawRule {
             "labels" => self.labels = Some(as_str(value)?),
             "q" => self.q = Some(as_f64(value)?),
             "window_s" => self.window_s = Some(as_u64(value)?),
-            "op" => self.op = Some(as_str(value)?),
             "threshold" => self.threshold = Some(as_f64(value)?),
             "for_s" => self.for_s = Some(as_u64(value)?),
             "bad_metric" => self.bad_metric = Some(as_str(value)?),
@@ -670,18 +529,9 @@ mod tests {
 name = "queue-depth"
 kind = "gauge"
 metric = "fleet_queue_depth"
-op = "gt"
+labels = "shard=0"
 threshold = 100        # commands
 for_s = 5
-
-[[slo]]
-name = "step-rate-floor"
-kind = "rate"
-metric = "fleet_steps_total"
-labels = "shard=0"
-window_s = 60
-op = "lt"
-threshold = 1.5
 
 [[slo]]
 name = "step-p99"
@@ -703,11 +553,16 @@ slow_window_s = 120
 threshold = 1.0
 "#;
         let rules = parse_config(text).unwrap();
-        assert_eq!(rules.len(), 4);
+        assert_eq!(rules.len(), 3);
         assert_eq!(rules[0].name, "queue-depth");
         assert_eq!(rules[0].for_s, 5);
-        assert_eq!(rules[1].op, Comparison::Lt);
-        match &rules[2].expr {
+        match &rules[0].expr {
+            Expr::Gauge { labels, .. } => {
+                assert_eq!(labels, &[("shard".to_string(), "0".to_string())]);
+            }
+            other => panic!("wrong expr {other:?}"),
+        }
+        match &rules[1].expr {
             Expr::Quantile {
                 q,
                 window_s,
@@ -720,7 +575,7 @@ threshold = 1.0
             }
             other => panic!("wrong expr {other:?}"),
         }
-        match &rules[3].expr {
+        match &rules[2].expr {
             Expr::BurnRate { objective, .. } => assert_eq!(*objective, 0.01),
             other => panic!("wrong expr {other:?}"),
         }
@@ -739,6 +594,15 @@ threshold = 1.0
             parse_config("[[slo]]\nname = \"x\"\nkind = \"quantile\"\nthreshold = 1\nq = 3\n")
                 .unwrap_err();
         assert!(err.contains("q out of"), "{err}");
+        // A value above the threshold is the only breach: no `op` key,
+        // and no counter-rate kind.
+        let err = parse_config("[[slo]]\nop = \"lt\"\n").unwrap_err();
+        assert!(err.contains("line 2: unknown key \"op\""), "{err}");
+        let err = parse_config(
+            "[[slo]]\nname = \"r\"\nkind = \"rate\"\nmetric = \"x_total\"\nthreshold = 1\n",
+        )
+        .unwrap_err();
+        assert!(err.contains("unknown kind \"rate\""), "{err}");
     }
 
     #[test]
@@ -762,15 +626,14 @@ threshold = 1.0
         let s = engine.evaluate(&db, 3000);
         assert_eq!(s[0].state, AlertState::Firing { since_ms: 1000 });
         assert!(engine.ever_fired());
-        assert_eq!(engine.firing_count(), 1);
         // Clears: resolved, and stays resolved; ever_fired persists.
         db.ingest(4000, &[sample("depth", &[], 1.0)]);
         let s = engine.evaluate(&db, 4000);
         assert_eq!(s[0].state, AlertState::Resolved { at_ms: 4000 });
         let s = engine.evaluate(&db, 5000);
         assert_eq!(s[0].state, AlertState::Resolved { at_ms: 4000 });
+        assert!(!s[0].state.is_firing());
         assert!(engine.ever_fired());
-        assert_eq!(engine.firing_count(), 0);
     }
 
     #[test]
@@ -792,7 +655,7 @@ threshold = 1.0
     #[test]
     fn no_data_never_breaches() {
         let rules = parse_config(
-            "[[slo]]\nname = \"q\"\nkind = \"rate\"\nmetric = \"absent_total\"\nwindow_s = 10\nthreshold = 1\n",
+            "[[slo]]\nname = \"q\"\nkind = \"quantile\"\nmetric = \"absent_seconds\"\nq = 0.99\nwindow_s = 10\nthreshold = 1\n",
         )
         .unwrap();
         let mut engine = SloEngine::new(rules);

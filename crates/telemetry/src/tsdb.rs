@@ -4,10 +4,10 @@
 //! [`crate::TraceRing`] answers *what happened in the last few
 //! milliseconds*, this module keeps **history**: registry snapshots —
 //! taken in-process or parsed from [`crate::scrape_once`] expositions —
-//! are appended to a crash-safe segment file and mirrored into an
-//! in-memory multi-resolution store that the SLO engine
-//! ([`crate::slo`]) and `evsim query` evaluate windowed expressions
-//! over. Dependency-free by design, like the rest of the crate.
+//! are appended to a crash-safe segment file, and a [`Tsdb`] indexes a
+//! decoded segment so the SLO engine ([`crate::slo`]) and `evsim query`
+//! can evaluate windowed expressions over it. Dependency-free by
+//! design, like the rest of the crate.
 //!
 //! ## Segment format
 //!
@@ -36,35 +36,34 @@
 //! mid-append leaves at most one torn record *at the tail*; the reader
 //! verifies each CRC and stops at the first invalid record, returning
 //! everything before it plus a `truncated` flag — it never errors on a
-//! torn tail.
+//! torn tail. A record whose checksum holds but whose contents do not
+//! decode (a count or length past the payload, a counter that overflows)
+//! ends the decode the same way.
 //!
-//! ## Downsampling invariants
+//! ## Windows over a replayed segment
 //!
-//! The in-memory store keeps three resolutions per series — raw points,
-//! 10-second rollups, 1-minute rollups — each under its own retention
-//! cap (oldest evicted first). Rollups are *sealed append-only*: a
-//! rollup bucket only ever aggregates points whose timestamps fall in
-//! its window, raw eviction never rewrites a rollup, and for counters
-//! each rollup's `last` equals the raw cumulative value at the bucket's
-//! final point — so rates computed from rollups agree with rates
-//! computed from raw at every bucket boundary, and windowed queries
-//! degrade in *resolution*, never in *truth*, as raw history ages out.
+//! A [`Tsdb`] replays one finite segment that [`read_segment`] has
+//! already decoded into memory, so it keeps every point of every series:
+//! no retention cap, no downsampling. A windowed delta reads each series
+//! at the window edges, and a window that starts before a series' first
+//! point anchors at that point — attaching to a running server never
+//! counts its whole uptime as one window. The registry creates every
+//! series at zero, so a counter series that first appears after an
+//! earlier frame starts with a 0 point at that frame's time: a burst
+//! that mints and moves its counters between two frames still shows its
+//! whole increase.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{BufWriter, Write};
 use std::path::Path;
 
-use crate::export::{snapshot_samples, PromExemplar, PromSample};
+use crate::export::{PromExemplar, PromSample};
 use crate::metrics::Exemplar;
-use crate::registry::Snapshot;
 
 const MAGIC: &[u8; 8] = b"EVTSDB1\n";
 const REC_SERIES_DEF: u8 = 1;
 const REC_FRAME: u8 = 2;
 const REC_EXEMPLAR: u8 = 3;
-
-const R10_MS: u64 = 10_000;
-const R60_MS: u64 = 60_000;
 
 // ---------------------------------------------------------------------
 // CRC32 (IEEE 802.3), table-driven, computed at compile time.
@@ -94,8 +93,7 @@ static CRC_TABLE: [u32; 256] = crc32_table();
 
 /// CRC32 (IEEE) of `data` — the per-record checksum of the segment
 /// format.
-#[must_use]
-pub fn crc32(data: &[u8]) -> u32 {
+fn crc32(data: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
     for &b in data {
         c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
@@ -150,9 +148,10 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
 }
 
 fn get_str(data: &[u8], pos: &mut usize) -> Option<String> {
-    let len = get_varint(data, pos)? as usize;
-    let bytes = data.get(*pos..*pos + len)?;
-    *pos += len;
+    let len = usize::try_from(get_varint(data, pos)?).ok()?;
+    let end = pos.checked_add(len)?;
+    let bytes = data.get(*pos..end)?;
+    *pos = end;
     String::from_utf8(bytes.to_vec()).ok()
 }
 
@@ -379,24 +378,12 @@ impl SegmentData {
             })
             .collect()
     }
-
-    /// The latest exemplar per series id, in segment order.
-    #[must_use]
-    pub fn latest_exemplars(&self) -> HashMap<u32, (u64, f64)> {
-        let mut out = HashMap::new();
-        for frame in &self.frames {
-            for &(id, span_id, value) in &frame.exemplars {
-                out.insert(id, (span_id, value));
-            }
-        }
-        out
-    }
 }
 
-/// Decode the segment at `path`. A torn or corrupt record stops the
-/// decode at that point (`truncated = true`) rather than erroring — the
-/// append-only format guarantees a crash leaves damage only at the
-/// tail.
+/// Decode the segment at `path`. A torn, corrupt or undecodable record
+/// stops the decode at that point (`truncated = true`) rather than
+/// erroring — the append-only format guarantees a crash leaves damage
+/// only at the tail.
 ///
 /// # Errors
 ///
@@ -433,12 +420,14 @@ pub fn read_segment(path: &Path) -> Result<SegmentData, String> {
             break;
         }
         pos += 8 + len;
-        if !decode_record(
+        if decode_record(
             payload,
             &mut out,
             &mut counter_state,
             &mut pending_exemplars,
-        ) {
+        )
+        .is_none()
+        {
             out.truncated = true;
             break;
         }
@@ -446,43 +435,30 @@ pub fn read_segment(path: &Path) -> Result<SegmentData, String> {
     Ok(out)
 }
 
-/// Decode one checksummed payload into `out`; returns false on a
-/// structurally invalid record (treated as truncation by the caller).
+/// Decode one checksummed payload into `out`; `None` on a structurally
+/// invalid record (treated as truncation by the caller). Counts read
+/// from the payload never size an allocation: a loop over a false count
+/// runs out of payload instead.
 fn decode_record(
     payload: &[u8],
     out: &mut SegmentData,
     counter_state: &mut Vec<i64>,
     pending_exemplars: &mut Vec<(u32, u64, f64)>,
-) -> bool {
-    let Some(&tag) = payload.first() else {
-        return false;
-    };
+) -> Option<()> {
     let mut pos = 1usize;
-    match tag {
+    match *payload.first()? {
         REC_SERIES_DEF => {
-            let Some(&kind_byte) = payload.get(pos) else {
-                return false;
-            };
+            let kind_byte = *payload.get(pos)?;
             pos += 1;
-            let Some(id) = get_varint(payload, &mut pos) else {
-                return false;
-            };
-            let Some(name) = get_str(payload, &mut pos) else {
-                return false;
-            };
-            let Some(n_labels) = get_varint(payload, &mut pos) else {
-                return false;
-            };
-            let mut labels = Vec::with_capacity(n_labels as usize);
+            let id = get_varint(payload, &mut pos)?;
+            let name = get_str(payload, &mut pos)?;
+            let n_labels = get_varint(payload, &mut pos)?;
+            let mut labels = Vec::new();
             for _ in 0..n_labels {
-                let (Some(k), Some(v)) = (get_str(payload, &mut pos), get_str(payload, &mut pos))
-                else {
-                    return false;
-                };
-                labels.push((k, v));
+                labels.push((get_str(payload, &mut pos)?, get_str(payload, &mut pos)?));
             }
-            if id as usize != out.series.len() {
-                return false; // ids are dense and in declaration order
+            if id != out.series.len() as u64 {
+                return None; // ids are dense and in declaration order
             }
             out.series.push(SeriesDecl {
                 name,
@@ -494,36 +470,22 @@ fn decode_record(
                 },
             });
             counter_state.push(0);
-            true
         }
         REC_FRAME => {
-            let Some(t_ms) = get_varint(payload, &mut pos) else {
-                return false;
-            };
-            let Some(n) = get_varint(payload, &mut pos) else {
-                return false;
-            };
-            let mut samples = Vec::with_capacity(n as usize);
+            let t_ms = get_varint(payload, &mut pos)?;
+            let n = get_varint(payload, &mut pos)?;
+            let mut samples = Vec::new();
             for _ in 0..n {
-                let Some(id) = get_varint(payload, &mut pos) else {
-                    return false;
-                };
-                let Some(decl) = out.series.get(id as usize) else {
-                    return false;
-                };
-                let value = match decl.kind {
+                let id = usize::try_from(get_varint(payload, &mut pos)?).ok()?;
+                let value = match out.series.get(id)?.kind {
                     SeriesKind::Counter => {
-                        let Some(raw) = get_varint(payload, &mut pos) else {
-                            return false;
-                        };
-                        let state = &mut counter_state[id as usize];
-                        *state += unzigzag(raw);
+                        let delta = unzigzag(get_varint(payload, &mut pos)?);
+                        let state = &mut counter_state[id];
+                        *state = state.checked_add(delta)?;
                         *state as f64
                     }
                     SeriesKind::Gauge => {
-                        let Some(bytes) = payload.get(pos..pos + 8) else {
-                            return false;
-                        };
+                        let bytes = payload.get(pos..pos + 8)?;
                         pos += 8;
                         f64::from_le_bytes(bytes.try_into().expect("8 bytes"))
                     }
@@ -535,113 +497,30 @@ fn decode_record(
                 samples,
                 exemplars: std::mem::take(pending_exemplars),
             });
-            true
         }
         REC_EXEMPLAR => {
-            let Some(id) = get_varint(payload, &mut pos) else {
-                return false;
-            };
-            let Some(span_id) = get_varint(payload, &mut pos) else {
-                return false;
-            };
-            let Some(bytes) = payload.get(pos..pos + 8) else {
-                return false;
-            };
+            let id = get_varint(payload, &mut pos)?;
+            let span_id = get_varint(payload, &mut pos)?;
+            let bytes = payload.get(pos..pos + 8)?;
             let value = f64::from_le_bytes(bytes.try_into().expect("8 bytes"));
             pending_exemplars.push((id as u32, span_id, value));
-            true
         }
-        _ => true, // unknown record type: skip (forward compatibility)
+        _ => {} // unknown record type: skip (forward compatibility)
     }
+    Some(())
 }
 
 // ---------------------------------------------------------------------
-// In-memory multi-resolution store.
+// In-memory store.
 // ---------------------------------------------------------------------
 
-/// One raw observation of a series.
+/// One observation of a series.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Point {
     /// Milliseconds since the Unix epoch.
     pub t_ms: u64,
     /// Observed value (cumulative for counters).
     pub v: f64,
-}
-
-/// One sealed downsampling bucket.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Rollup {
-    /// Bucket start (aligned to the resolution width).
-    pub t_start_ms: u64,
-    /// Timestamp of the bucket's last folded point. [`Series::value_at`]
-    /// only answers from buckets whose last point is at or before the
-    /// asked time — a rollup must never leak values from the future of
-    /// the query point, or short-window deltas would collapse to zero.
-    pub t_last_ms: u64,
-    /// First observed value in the bucket.
-    pub first: f64,
-    /// Last observed value in the bucket — for counters, the cumulative
-    /// value at the bucket's final point (the downsampling invariant
-    /// rates rely on).
-    pub last: f64,
-    /// Minimum observed value.
-    pub min: f64,
-    /// Maximum observed value.
-    pub max: f64,
-    /// Observations folded into the bucket.
-    pub count: u32,
-}
-
-impl Rollup {
-    fn new(t_start_ms: u64, t_ms: u64, v: f64) -> Self {
-        Rollup {
-            t_start_ms,
-            t_last_ms: t_ms,
-            first: v,
-            last: v,
-            min: v,
-            max: v,
-            count: 1,
-        }
-    }
-
-    fn fold(&mut self, t_ms: u64, v: f64) {
-        self.t_last_ms = t_ms;
-        self.last = v;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-        self.count += 1;
-    }
-}
-
-/// Query resolution for [`Series::rollups`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Resolution {
-    /// 10-second rollup buckets.
-    TenSeconds,
-    /// 1-minute rollup buckets.
-    Minute,
-}
-
-/// Retention caps per resolution (oldest evicted first).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetentionPolicy {
-    /// Raw points kept per series.
-    pub raw_points: usize,
-    /// 10-second rollups kept per series.
-    pub rollups_10s: usize,
-    /// 1-minute rollups kept per series.
-    pub rollups_1m: usize,
-}
-
-impl Default for RetentionPolicy {
-    fn default() -> Self {
-        RetentionPolicy {
-            raw_points: 4096,
-            rollups_10s: 2048,
-            rollups_1m: 2048,
-        }
-    }
 }
 
 /// One series held in the in-memory store.
@@ -655,142 +534,54 @@ pub struct Series {
     pub kind: SeriesKind,
     /// Latest exemplar seen on this series (bucket series only).
     pub exemplar: Option<Exemplar>,
-    raw: VecDeque<Point>,
-    r10: VecDeque<Rollup>,
-    r60: VecDeque<Rollup>,
+    points: Vec<Point>,
 }
 
 impl Series {
-    /// Raw points within `[t0, t1]`, oldest first.
+    /// Every point, oldest first.
     #[must_use]
-    pub fn points(&self, t0_ms: u64, t1_ms: u64) -> Vec<Point> {
-        self.raw
-            .iter()
-            .filter(|p| p.t_ms >= t0_ms && p.t_ms <= t1_ms)
-            .copied()
-            .collect()
+    pub fn points(&self) -> &[Point] {
+        &self.points
     }
 
-    /// The most recent raw point.
+    /// The most recent point.
     #[must_use]
     pub fn latest(&self) -> Option<Point> {
-        self.raw.back().copied()
+        self.points.last().copied()
     }
 
-    /// Raw points currently retained.
-    #[must_use]
-    pub fn raw_len(&self) -> usize {
-        self.raw.len()
-    }
-
-    /// Rollup buckets of `res` overlapping `[t0, t1]`, oldest first.
-    #[must_use]
-    pub fn rollups(&self, res: Resolution, t0_ms: u64, t1_ms: u64) -> Vec<Rollup> {
-        let (deque, width) = match res {
-            Resolution::TenSeconds => (&self.r10, R10_MS),
-            Resolution::Minute => (&self.r60, R60_MS),
-        };
-        deque
-            .iter()
-            .filter(|r| r.t_start_ms + width > t0_ms && r.t_start_ms <= t1_ms)
-            .copied()
-            .collect()
-    }
-
-    /// The value at or before `t_ms`: raw history first, then 10 s,
-    /// then 1 min rollups. A rollup answers with its `last` only when
-    /// the bucket's final point is at or before `t_ms` — never a value
-    /// from the future of the query point (that would zero out deltas
-    /// whose window edge lands inside a still-open bucket). `None` when
-    /// no retained observation provably precedes `t_ms`; windowed
-    /// queries then anchor at [`Series::earliest`].
+    /// The value of the last point at or before `t_ms`; `None` when the
+    /// series starts after `t_ms`.
     #[must_use]
     pub fn value_at(&self, t_ms: u64) -> Option<f64> {
-        if let Some(p) = self.raw.iter().rev().find(|p| p.t_ms <= t_ms) {
-            return Some(p.v);
-        }
-        if let Some(r) = self.r10.iter().rev().find(|r| r.t_last_ms <= t_ms) {
-            return Some(r.last);
-        }
-        self.r60
-            .iter()
-            .rev()
-            .find(|r| r.t_last_ms <= t_ms)
-            .map(|r| r.last)
+        let n = self.points.partition_point(|p| p.t_ms <= t_ms);
+        self.points[..n].last().map(|p| p.v)
     }
 
-    /// The earliest retained observation (from the coarsest surviving
-    /// resolution), used to anchor windows that reach past history.
-    #[must_use]
-    pub fn earliest(&self) -> Option<Point> {
-        if let Some(r) = self.r60.front() {
-            return Some(Point {
-                t_ms: r.t_start_ms,
-                v: r.first,
-            });
-        }
-        if let Some(r) = self.r10.front() {
-            return Some(Point {
-                t_ms: r.t_start_ms,
-                v: r.first,
-            });
-        }
-        self.raw.front().copied()
-    }
-
-    fn push(&mut self, t_ms: u64, v: f64, policy: &RetentionPolicy) {
-        // Drop out-of-order points: segments and live scrapes are both
-        // append-ordered, so a regression is a replay artifact.
-        if self.raw.back().is_some_and(|p| p.t_ms > t_ms) {
+    fn push(&mut self, t_ms: u64, v: f64) {
+        // Drop out-of-order points: `value_at` searches a time-ordered
+        // series.
+        if self.points.last().is_some_and(|p| p.t_ms > t_ms) {
             return;
         }
-        self.raw.push_back(Point { t_ms, v });
-        while self.raw.len() > policy.raw_points {
-            self.raw.pop_front();
-        }
-        Self::roll(&mut self.r10, R10_MS, t_ms, v, policy.rollups_10s);
-        Self::roll(&mut self.r60, R60_MS, t_ms, v, policy.rollups_1m);
-    }
-
-    fn roll(deque: &mut VecDeque<Rollup>, width_ms: u64, t_ms: u64, v: f64, cap: usize) {
-        let start = t_ms - t_ms % width_ms;
-        match deque.back_mut() {
-            Some(r) if r.t_start_ms == start => r.fold(t_ms, v),
-            Some(r) if r.t_start_ms > start => {} // out of order: drop
-            _ => {
-                deque.push_back(Rollup::new(start, t_ms, v));
-                while deque.len() > cap {
-                    deque.pop_front();
-                }
-            }
-        }
+        self.points.push(Point { t_ms, v });
     }
 }
 
 /// The in-memory store: series keyed by `(name, labels)`, each holding
-/// raw + 10 s + 1 min history under a [`RetentionPolicy`].
+/// every point ingested for it.
 #[derive(Debug, Default)]
 pub struct Tsdb {
     series: Vec<Series>,
     index: HashMap<SeriesKey, usize>,
-    policy: RetentionPolicy,
+    last_frame_ms: Option<u64>,
 }
 
 impl Tsdb {
-    /// An empty store with the default retention policy.
+    /// An empty store.
     #[must_use]
     pub fn new() -> Self {
-        Tsdb::with_policy(RetentionPolicy::default())
-    }
-
-    /// An empty store with an explicit retention policy.
-    #[must_use]
-    pub fn with_policy(policy: RetentionPolicy) -> Self {
-        Tsdb {
-            series: Vec::new(),
-            index: HashMap::new(),
-            policy,
-        }
+        Tsdb::default()
     }
 
     /// All series currently held, in first-seen order.
@@ -799,28 +590,38 @@ impl Tsdb {
         &self.series
     }
 
-    /// Ingest one frame of samples observed at `t_ms`.
+    /// Ingest one frame of samples observed at `t_ms`. A counter series
+    /// first seen after an earlier frame starts with a 0 point at that
+    /// frame's time: the registry creates every series at zero, so the
+    /// earlier frame saw it at zero (see the module docs).
     pub fn ingest(&mut self, t_ms: u64, samples: &[PromSample]) {
+        let zero_start = self.last_frame_ms.filter(|&t_prev| t_prev <= t_ms);
         for s in samples {
             let idx = match self.index.get(&sample_key(s)) {
                 Some(&idx) => idx,
                 None => {
                     let idx = self.series.len();
+                    let kind = classify(&s.name);
+                    let points = match zero_start {
+                        Some(t_prev) if kind == SeriesKind::Counter => vec![Point {
+                            t_ms: t_prev,
+                            v: 0.0,
+                        }],
+                        _ => Vec::new(),
+                    };
                     self.index.insert(sample_key(s), idx);
                     self.series.push(Series {
                         name: s.name.clone(),
                         labels: s.labels.clone(),
-                        kind: classify(&s.name),
+                        kind,
                         exemplar: None,
-                        raw: VecDeque::new(),
-                        r10: VecDeque::new(),
-                        r60: VecDeque::new(),
+                        points,
                     });
                     idx
                 }
             };
             let series = &mut self.series[idx];
-            series.push(t_ms, s.value, &self.policy);
+            series.push(t_ms, s.value);
             if let Some(ex) = &s.exemplar {
                 if let Some(span_id) = ex.span_id() {
                     if span_id != 0 {
@@ -832,12 +633,7 @@ impl Tsdb {
                 }
             }
         }
-    }
-
-    /// Ingest a registry snapshot directly (the in-process hook path),
-    /// flattened exactly as its scrape exposition would parse.
-    pub fn ingest_snapshot(&mut self, t_ms: u64, snapshot: &Snapshot) {
-        self.ingest(t_ms, &snapshot_samples(snapshot));
+        self.last_frame_ms = Some(t_ms);
     }
 
     /// Replay a decoded segment into the store, oldest frame first.
@@ -850,7 +646,7 @@ impl Tsdb {
     /// Indices of series named `name` whose labels contain every pair
     /// in `labels` (subset match; `le` is a label like any other).
     #[must_use]
-    pub fn find(&self, name: &str, labels: &[(&str, &str)]) -> Vec<usize> {
+    pub fn find(&self, name: &str, labels: &[(String, String)]) -> Vec<usize> {
         self.series
             .iter()
             .enumerate()
@@ -872,24 +668,16 @@ impl Tsdb {
 
     /// Windowed increase of a cumulative series over `[t0, t1]`,
     /// clamped at 0 (a counter reset yields 0, not a negative rate).
-    /// When the window reaches past retained history the earliest
-    /// observation anchors the left edge — attaching mid-flight never
-    /// counts a server's whole uptime as one window. `None` when the
-    /// series has no value at or before `t1`.
+    /// When the window starts before the series' first point, that
+    /// point anchors the left edge — attaching mid-flight never counts a
+    /// server's whole uptime as one window. `None` when the series has
+    /// no value at or before `t1`.
     #[must_use]
     pub fn delta(&self, idx: usize, t0_ms: u64, t1_ms: u64) -> Option<f64> {
         let series = self.series.get(idx)?;
         let v1 = series.value_at(t1_ms)?;
-        let v0 = match series.value_at(t0_ms) {
-            Some(v) => v,
-            None => {
-                let earliest = series.earliest()?;
-                if earliest.t_ms > t1_ms {
-                    return None;
-                }
-                earliest.v
-            }
-        };
+        // `value_at(t1)` answered, so the series has a first point.
+        let v0 = series.value_at(t0_ms).unwrap_or(series.points[0].v);
         Some((v1 - v0).max(0.0))
     }
 
@@ -910,7 +698,7 @@ impl Tsdb {
     pub fn rate_sum(
         &self,
         name: &str,
-        labels: &[(&str, &str)],
+        labels: &[(String, String)],
         t0_ms: u64,
         t1_ms: u64,
     ) -> Option<f64> {
@@ -934,7 +722,7 @@ impl Tsdb {
     pub fn histogram_delta(
         &self,
         name: &str,
-        labels: &[(&str, &str)],
+        labels: &[(String, String)],
         t0_ms: u64,
         t1_ms: u64,
     ) -> Option<Vec<(f64, f64)>> {
@@ -977,7 +765,7 @@ impl Tsdb {
     pub fn windowed_quantile(
         &self,
         name: &str,
-        labels: &[(&str, &str)],
+        labels: &[(String, String)],
         t0_ms: u64,
         t1_ms: u64,
         q: f64,
@@ -987,12 +775,31 @@ impl Tsdb {
     }
 }
 
-/// Parse a `le` label value (`+Inf` included) to f64.
-fn parse_le(v: &str) -> f64 {
+/// Parse a `le` label value (`+Inf` included) to f64; NaN for garbage.
+#[must_use]
+pub fn parse_le(v: &str) -> f64 {
     match v {
         "+Inf" => f64::INFINITY,
         v => v.parse().unwrap_or(f64::NAN),
     }
+}
+
+/// Parse a `k=v,k2=v2` label filter into owned pairs, keys and values
+/// trimmed. Empty pairs are skipped, so `""` means no constraint.
+///
+/// # Errors
+///
+/// Names the first pair without an `=`.
+pub fn parse_labels(s: &str) -> Result<Vec<(String, String)>, String> {
+    s.split(',')
+        .filter(|pair| !pair.trim().is_empty())
+        .map(|pair| {
+            let (k, v) = pair
+                .split_once('=')
+                .ok_or_else(|| format!("label pair {pair:?} is not k=v"))?;
+            Ok((k.trim().to_string(), v.trim().to_string()))
+        })
+        .collect()
 }
 
 /// Estimate the `q`-quantile from ascending **cumulative** `(le,
@@ -1030,6 +837,7 @@ pub fn quantile_from_cumulative(buckets: &[(f64, f64)], q: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::export::snapshot_samples;
     use crate::{HistogramSpec, Registry};
 
     fn temp_path(tag: &str) -> std::path::PathBuf {
@@ -1185,40 +993,44 @@ mod tests {
     }
 
     #[test]
-    fn rollups_downsample_and_retention_evicts_oldest() {
-        let policy = RetentionPolicy {
-            raw_points: 8,
-            rollups_10s: 4,
-            rollups_1m: 2,
+    fn crafted_records_end_the_decode_as_truncated() {
+        // Payloads as varint fields; a one-byte name is its length, 1,
+        // then the byte.
+        let rec = |tag: u8, fields: &[u64]| {
+            let mut p = vec![tag];
+            fields.iter().for_each(|&f| put_varint(&mut p, f));
+            p
         };
-        let mut db = Tsdb::with_policy(policy);
-        // 1 sample/second for 100 s.
-        for t in 0..100u64 {
-            db.ingest(t * 1000, &[sample("steps_total", &[], (t * 5) as f64)]);
+        let gauge_def = |n_labels| rec(REC_SERIES_DEF, &[0, 0, 1, u64::from(b'g'), n_labels]);
+        let counter_frame = |delta| rec(REC_FRAME, &[1000, 1, 0, zigzag(delta)]);
+        let cases = [
+            // A frame that claims 2^60 samples, a series that claims
+            // 2^60 labels, a name whose length overflows the position.
+            vec![gauge_def(0), rec(REC_FRAME, &[1000, 1 << 60])],
+            vec![gauge_def(1 << 60)],
+            vec![rec(REC_SERIES_DEF, &[0, 0, u64::MAX])],
+            // Counter deltas whose running sum overflows i64.
+            vec![
+                rec(REC_SERIES_DEF, &[1, 0, 1, u64::from(b'c'), 0]),
+                counter_frame(i64::MAX),
+                counter_frame(1),
+            ],
+        ];
+        let path = temp_path("crafted");
+        for (i, records) in cases.iter().enumerate() {
+            let mut data = MAGIC.to_vec();
+            for p in records {
+                data.extend_from_slice(&(p.len() as u32).to_le_bytes());
+                data.extend_from_slice(&crc32(p).to_le_bytes());
+                data.extend_from_slice(p);
+            }
+            std::fs::write(&path, data).unwrap();
+            let seg = read_segment(&path).expect("crafted records never error");
+            assert!(seg.truncated, "case {i}");
         }
-        let s = &db.series()[0];
-        assert_eq!(s.raw_len(), 8, "raw capped");
-        let r10 = s.rollups(Resolution::TenSeconds, 0, u64::MAX);
-        assert_eq!(r10.len(), 4, "10s rollups capped");
-        // Counter invariant: each sealed rollup's `last` is the raw
-        // cumulative value at its final point.
-        for r in &r10 {
-            let last_t = (r.t_start_ms / 1000) + 9;
-            assert_eq!(r.last, (last_t * 5) as f64, "rollup at {}", r.t_start_ms);
-            assert_eq!(r.count, 10);
-        }
-        let r60 = s.rollups(Resolution::Minute, 0, u64::MAX);
-        assert_eq!(r60.len(), 2, "1m rollups capped");
-        // value_at falls back raw -> r10 -> r60 as history coarsens,
-        // but only answers from buckets whose final point is at or
-        // before the asked time — never a value from the future.
-        assert_eq!(s.value_at(99_000), Some(495.0)); // raw
-                                                     // 65 s: the r10 bucket [60s,70s) ends at 69 s (in the future),
-                                                     // so the answer comes from the sealed r60 bucket [0,60s).
-        assert_eq!(s.value_at(65_000), Some((59 * 5) as f64));
-        // 10 s: every retained bucket ends after 10 s — no answer.
-        assert_eq!(s.value_at(10_000), None);
-        assert_eq!(s.value_at(0), None, "before all provable history");
+        // The frame before the overflowing one survives.
+        assert_eq!(read_segment(&path).unwrap().frames.len(), 1);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -1227,7 +1039,7 @@ mod tests {
         db.ingest(0, &[sample("hits_total", &[("shard", "0")], 0.0)]);
         db.ingest(10_000, &[sample("hits_total", &[("shard", "0")], 100.0)]);
         db.ingest(20_000, &[sample("hits_total", &[("shard", "0")], 150.0)]);
-        let idx = db.find("hits_total", &[("shard", "0")])[0];
+        let idx = db.find("hits_total", &parse_labels("shard=0").unwrap())[0];
         assert_eq!(db.delta(idx, 0, 20_000), Some(150.0));
         assert_eq!(db.delta(idx, 10_000, 20_000), Some(50.0));
         assert_eq!(db.rate(idx, 10_000, 20_000), Some(5.0));
@@ -1241,6 +1053,26 @@ mod tests {
         db.ingest(40_000, &[sample("hits_total", &[("shard", "1")], 20.0)]);
         let total = db.rate_sum("hits_total", &[], 30_000, 40_000).unwrap();
         assert!((total - ((10.0 - 10.0) + 2.0)).abs() < 1e-9, "{total}");
+        // A counter first seen after an earlier frame starts from 0 at
+        // that frame's time; a gauge does not.
+        db.ingest(
+            50_000,
+            &[sample("late_total", &[], 5.0), sample("late", &[], 3.0)],
+        );
+        let late = db.find("late_total", &[])[0];
+        assert_eq!(db.delta(late, 0, 50_000), Some(5.0));
+        assert_eq!(
+            db.get(late).unwrap().points()[0],
+            Point {
+                t_ms: 40_000,
+                v: 0.0
+            }
+        );
+        assert_eq!(db.get(db.find("late", &[])[0]).unwrap().points().len(), 1);
+        // A counter in the store's first frame gets no zero point.
+        let mut fresh = Tsdb::new();
+        fresh.ingest(1000, &[sample("up_total", &[], 7.0)]);
+        assert_eq!(fresh.delta(0, 0, 1000), Some(0.0));
     }
 
     #[test]
@@ -1276,19 +1108,19 @@ mod tests {
             h.record(2.0);
         }
         let snap_t0 = reg.snapshot();
-        db.ingest_snapshot(10_000, &snap_t0);
+        db.ingest(10_000, &snapshot_samples(&snap_t0));
         // Inside the window: fast samples with a 2% slow tail, so the
         // p99 rank lands past the fast buckets.
         for i in 0..200 {
             h.record(if i % 50 == 0 { 0.5 } else { 0.002 });
         }
         let snap_t1 = reg.snapshot();
-        db.ingest_snapshot(20_000, &snap_t1);
+        db.ingest(20_000, &snapshot_samples(&snap_t1));
 
         let from_db = db
             .windowed_quantile(
                 "fleet_cmd_seconds",
-                &[("cmd", "step")],
+                &parse_labels("cmd=step").unwrap(),
                 10_000,
                 20_000,
                 0.99,
@@ -1352,7 +1184,7 @@ mod tests {
         assert_eq!(live.series().len(), replayed.series().len());
         for (a, b) in live.series().iter().zip(replayed.series().iter()) {
             assert_eq!(a.name, b.name);
-            assert_eq!(a.points(0, u64::MAX), b.points(0, u64::MAX), "{}", a.name);
+            assert_eq!(a.points(), b.points(), "{}", a.name);
         }
         let _ = std::fs::remove_file(&path);
     }

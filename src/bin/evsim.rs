@@ -15,7 +15,8 @@
 //!     JSONL. `--max-sqp-iterations` caps the SQP solver (useful for
 //!     forcing `max_iterations` outcomes when exercising the recorder).
 //!
-//! evsim compare --cycle <name> [--ambient <°C>] [--precondition]
+//! evsim compare --cycle <name> [--ambient <°C>] [--target <°C>]
+//!               [--precondition]
 //!     Run the paper's three-controller comparison on one cycle.
 //!
 //! evsim validate-telemetry <path.jsonl>
@@ -67,8 +68,9 @@
 //!               [--capacity <events>])
 //!     Record fleet health history into a crash-safe tsdb segment.
 //!     With `--addr`, polls an existing scrape endpoint; otherwise runs
-//!     a loadgen burst in-process and samples its registry while it
-//!     runs (`--trace-out` additionally captures the Chrome trace that
+//!     a loadgen burst in-process and samples its registry once before
+//!     the burst and then every `--interval` while it runs
+//!     (`--trace-out` additionally captures the Chrome trace that
 //!     histogram exemplars resolve against; `--max-sqp-iterations` is
 //!     the fault-injection hook the SLO CI job breaches on).
 //!
@@ -80,15 +82,17 @@
 //!     histogram exemplars — resolving each trace-span id against a
 //!     Chrome-trace export so a p99 exemplar points at the exact solve.
 //!
-//! evsim slo [--rules <path.toml>] [--once]
-//!           (--segment <seg.evts> |
-//!            --addr <host:port> [--interval <secs>] [--for-seconds <n>])
-//!     Evaluate SLO rules (windowed rates, bucket-delta quantiles,
-//!     multi-window burn rates) over a recorded segment or a live
-//!     endpoint, printing alert transitions and a final per-rule
-//!     verdict. Exits non-zero if any alert ever fired — the CI
-//!     contract: a healthy soak passes, a fault-injected one fails.
+//! evsim slo --segment <seg.evts> [--rules <path.toml>]
+//!     Replay a recorded segment through SLO rules (gauge levels,
+//!     bucket-delta quantiles, multi-window burn rates), printing alert
+//!     transitions and a final per-rule verdict. Exits non-zero if any
+//!     alert ever fired — the CI contract: a healthy soak passes, a
+//!     fault-injected one fails. To judge a live endpoint, `record
+//!     --addr` it first.
 //! ```
+//!
+//! Every subcommand rejects a `--flag` it does not take, before it
+//! starts any work.
 
 use std::process::ExitCode;
 
@@ -101,7 +105,7 @@ use evclimate::core::{
 use evclimate::drive::{AmbientConditions, DriveCycle, DriveProfile};
 use evclimate::telemetry::export::PromSample;
 use evclimate::telemetry::slo::{self, SloEngine};
-use evclimate::telemetry::tsdb::{self, quantile_from_cumulative, Tsdb};
+use evclimate::telemetry::tsdb::{self, parse_labels, parse_le, quantile_from_cumulative, Tsdb};
 use evclimate::telemetry::{
     export, scrape_once, FlightRecorder, Registry, ScrapeServer, TraceRing,
 };
@@ -112,7 +116,7 @@ fn usage() -> &'static str {
      [--ambient <°C>] [--target <°C>] [--precondition] [--json <path>] \
      [--telemetry <path.jsonl>] [--flight-recorder <path.jsonl>] \
      [--max-sqp-iterations <n>]\n  \
-     evsim compare --cycle <name> [--ambient <°C>] [--precondition]\n  \
+     evsim compare --cycle <name> [--ambient <°C>] [--target <°C>] [--precondition]\n  \
      evsim validate-telemetry <path.jsonl>\n  \
      evsim explain <dump.jsonl>\n  \
      evsim loadgen [--sessions <n>] [--steps <n>] [--chunk <n>] [--seed <n>] \
@@ -130,8 +134,7 @@ fn usage() -> &'static str {
      [--max-sqp-iterations <n>] [--trace-out <path.json>])\n  \
      evsim query --segment <seg.evts> [--metric <name>] [--labels k=v,..] \
      [--window-s <n>] [--quantile <q> | --rate] [--exemplars [--trace <path.json>]]\n  \
-     evsim slo [--rules <path.toml>] [--once] (--segment <seg.evts> | \
-     --addr <host:port> [--interval <secs>] [--for-seconds <n>])"
+     evsim slo --segment <seg.evts> [--rules <path.toml>]"
 }
 
 /// Looks up a built-in cycle by (case-insensitive) name.
@@ -166,7 +169,8 @@ struct Args {
 }
 
 impl Args {
-    fn parse(argv: &[String]) -> Result<Self, String> {
+    /// Parse `argv`, rejecting any `--key` that no group in `keys` names.
+    fn parse(argv: &[String], keys: &[&str]) -> Result<Self, String> {
         let mut pairs = Vec::new();
         let mut flags = Vec::new();
         let mut it = argv.iter().peekable();
@@ -174,6 +178,9 @@ impl Args {
             let Some(key) = a.strip_prefix("--") else {
                 return Err(format!("unexpected argument '{a}'"));
             };
+            if !keys.iter().any(|group| group.split(' ').any(|k| k == key)) {
+                return Err(format!("unknown flag '--{key}'"));
+            }
             match it.peek() {
                 Some(v) if !v.starts_with("--") => {
                     pairs.push((key.to_owned(), (*v).clone()));
@@ -213,6 +220,47 @@ impl Args {
                 .map_err(|_| format!("--{key} expects a non-negative integer, got '{v}'")),
         }
     }
+}
+
+/// A subcommand's entry point.
+type Handler = fn(&Args) -> Result<(), String>;
+
+/// The flags [`build_sim`] reads.
+const SIM_FLAGS: &str = "cycle ambient target precondition";
+
+/// The flags [`loadgen_config`] and [`controller_setup`] read, shared by
+/// every subcommand that runs a loadgen burst. Each names its own
+/// session and step-count flags.
+const LOADGEN_FLAGS: &str = "chunk seed shards queue-capacity controller max-sqp-iterations";
+
+/// Every subcommand that takes `--` flags: its name, the flags it reads
+/// (groups of space-separated names) and its entry point.
+#[rustfmt::skip]
+const COMMANDS: &[(&str, &[&str], Handler)] = &[
+    ("cycles", &[], cmd_cycles),
+    ("simulate", &[SIM_FLAGS, "controller json telemetry flight-recorder max-sqp-iterations"],
+        cmd_simulate),
+    ("compare", &[SIM_FLAGS], cmd_compare),
+    ("loadgen", &[LOADGEN_FLAGS, "sessions steps"], cmd_loadgen),
+    ("serve", &[LOADGEN_FLAGS, "addr for-seconds burst-sessions burst-steps"], cmd_serve),
+    ("scrape", &["addr require-histogram require-counter"], cmd_scrape),
+    ("top", &["addr interval once"], cmd_top),
+    ("trace", &[LOADGEN_FLAGS, "sessions steps out sample capacity"], cmd_trace),
+    ("record", &[LOADGEN_FLAGS, "sessions steps out interval addr for-seconds",
+        "trace-out sample capacity"], cmd_record),
+    ("query", &["segment metric labels window-s quantile rate exemplars trace"], cmd_query),
+    ("slo", &["segment rules"], cmd_slo),
+];
+
+/// Look up `command` and parse its flags, so a flag it does not take
+/// fails before any work starts.
+fn parse_command(command: &str, argv: &[String]) -> Result<(Handler, Args), String> {
+    let &(_, keys, run) = COMMANDS
+        .iter()
+        .find(|(name, ..)| *name == command)
+        .ok_or_else(|| format!("unknown command '{command}'\n{}", usage()))?;
+    let args = Args::parse(argv, keys).map_err(|e| format!("evsim {command}: {e}"))?;
+    Ok((run, args))
 }
 
 fn build_sim(args: &Args) -> Result<(EvParams, Simulation), String> {
@@ -261,7 +309,7 @@ fn print_metrics(result: &SimulationResult) {
     );
 }
 
-fn cmd_cycles() {
+fn cmd_cycles(_: &Args) -> Result<(), String> {
     println!(
         "{:<10} {:>9} {:>10} {:>10} {:>10}",
         "cycle", "time s", "dist km", "avg km/h", "max km/h"
@@ -279,6 +327,7 @@ fn cmd_cycles() {
             s.max_speed.to_kilometers_per_hour().value(),
         );
     }
+    Ok(())
 }
 
 fn cmd_simulate(args: &Args) -> Result<(), String> {
@@ -871,46 +920,24 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Summed value of the samples named `sample` in a Prometheus
-/// exposition — a line's name is its first token (before whitespace or
-/// a `{` label block), matched exactly. Fleet metrics are per-shard
-/// labeled series, so the fleet-wide view of a counter or histogram
-/// count is the sum across label sets; `None` when no series matches.
-fn sample_value(text: &str, sample: &str) -> Option<f64> {
-    let mut sum = 0.0;
-    let mut found = false;
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let name_end = line.find(['{', ' ']).unwrap_or(line.len());
-        if &line[..name_end] != sample {
-            continue;
-        }
-        let value = line.rsplit(' ').next()?;
-        if let Ok(v) = value.parse::<f64>() {
-            sum += v;
-            found = true;
-        }
-    }
-    found.then_some(sum)
-}
-
-/// One-shot scrape probe: fetch, validate strictly, and enforce the
-/// optional `--require-*` population checks. Returns the report text.
+/// One-shot scrape probe: fetch, parse strictly, and enforce the
+/// optional `--require-*` population checks. Fleet metrics are
+/// per-shard labeled series, so a counter or histogram count is summed
+/// across label sets. Returns the report text.
 fn probe_scrape(
     addr: &str,
     require_histogram: Option<&str>,
     require_counter: Option<&str>,
 ) -> Result<String, String> {
     let text = scrape_once(addr)?;
-    let samples = export::validate_prometheus(&text)
+    let samples = export::parse_prometheus(&text)
         .map_err(|e| format!("invalid Prometheus exposition from {addr}: {e}"))?;
-    let mut report = format!("scrape ok: {samples} samples from http://{addr}/metrics\n");
+    let mut report = format!(
+        "scrape ok: {} samples from http://{addr}/metrics\n",
+        samples.len()
+    );
     if let Some(name) = require_histogram {
-        let count_sample = format!("{name}_count");
-        let count = sample_value(&text, &count_sample)
+        let count = series_sum(&samples, &format!("{name}_count"), None)
             .ok_or_else(|| format!("histogram '{name}' missing from scrape"))?;
         if count <= 0.0 {
             return Err(format!("histogram '{name}' is present but empty (count 0)"));
@@ -918,7 +945,7 @@ fn probe_scrape(
         report.push_str(&format!("histogram {name}: count {count}\n"));
     }
     if let Some(name) = require_counter {
-        let value = sample_value(&text, name)
+        let value = series_sum(&samples, name, None)
             .ok_or_else(|| format!("counter '{name}' missing from scrape"))?;
         if value <= 0.0 {
             return Err(format!("counter '{name}' is present but zero"));
@@ -954,15 +981,6 @@ fn series_sum(samples: &[PromSample], name: &str, shard: Option<&str>) -> Option
         found = true;
     }
     found.then_some(sum)
-}
-
-/// Parse a `le` label value, `+Inf` included (NaN for garbage).
-fn parse_le(v: &str) -> f64 {
-    if v == "+Inf" {
-        f64::INFINITY
-    } else {
-        v.parse().unwrap_or(f64::NAN)
-    }
 }
 
 /// Cumulative `(le, count)` pairs of the `fleet_cmd_seconds` step-latency
@@ -1205,22 +1223,6 @@ fn fmt_series(name: &str, labels: &[(String, String)]) -> String {
     format!("{name}{{{}}}", pairs.join(","))
 }
 
-/// Parse a `k=v,k2=v2` label-filter flag into owned pairs.
-fn parse_label_filter(raw: Option<&str>) -> Result<Vec<(String, String)>, String> {
-    let Some(raw) = raw else {
-        return Ok(Vec::new());
-    };
-    raw.split(',')
-        .filter(|p| !p.trim().is_empty())
-        .map(|pair| {
-            let (k, v) = pair
-                .split_once('=')
-                .ok_or_else(|| format!("--labels pair '{pair}' is not k=v"))?;
-            Ok((k.trim().to_owned(), v.trim().to_owned()))
-        })
-        .collect()
-}
-
 fn cmd_record(args: &Args) -> Result<(), String> {
     let out_path = args.get("out").unwrap_or("fleet.evts");
     let mut writer = tsdb::SegmentWriter::create(std::path::Path::new(out_path))
@@ -1270,22 +1272,30 @@ fn cmd_record(args: &Args) -> Result<(), String> {
             trace: trace.clone(),
             ..controller_setup(args)?
         };
+        let append = |writer: &mut tsdb::SegmentWriter| {
+            writer
+                .append(now_ms(), &export::snapshot_samples(&registry.snapshot()))
+                .map_err(|e| format!("{out_path}: {e}"))
+        };
+        // A frame before the burst, so every counter the burst mints
+        // starts from a recorded zero (see `Tsdb::ingest`) however soon
+        // the burst ends.
+        append(&mut writer)?;
         let worker = {
             let config = config.clone();
             std::thread::spawn(move || run_loadgen(&config, &setup))
         };
-        while !worker.is_finished() {
-            writer
-                .append(now_ms(), &export::snapshot_samples(&registry.snapshot()))
-                .map_err(|e| format!("{out_path}: {e}"))?;
+        loop {
             std::thread::sleep(std::time::Duration::from_secs_f64(interval));
+            if worker.is_finished() {
+                break;
+            }
+            append(&mut writer)?;
         }
         let report = worker.join().map_err(|_| "loadgen thread panicked")?;
         // One final frame so the segment always carries the shutdown
         // totals and the complete histograms.
-        writer
-            .append(now_ms(), &export::snapshot_samples(&registry.snapshot()))
-            .map_err(|e| format!("{out_path}: {e}"))?;
+        append(&mut writer)?;
         print!("{}", render_loadgen_report(&report));
         if let Some(path) = trace_out {
             export::write_text(std::path::Path::new(path), &trace.to_chrome_json())
@@ -1337,15 +1347,22 @@ fn trace_span_index(
     Ok(index)
 }
 
-fn cmd_query(args: &Args) -> Result<(), String> {
-    let seg_path = args.get("segment").ok_or("missing --segment <seg.evts>")?;
-    let segment = tsdb::read_segment(std::path::Path::new(seg_path))?;
+/// The segment `--segment` names; an error unless it holds a complete
+/// frame.
+fn read_segment_flag(args: &Args) -> Result<(&str, tsdb::SegmentData), String> {
+    let path = args.get("segment").ok_or("missing --segment <seg.evts>")?;
+    let segment = tsdb::read_segment(std::path::Path::new(path))?;
     if segment.frames.is_empty() {
-        return Err(format!("{seg_path}: segment holds no complete frames"));
+        return Err(format!("{path}: segment holds no complete frames"));
     }
     if segment.truncated {
-        eprintln!("note: {seg_path} has a torn tail; decoded the intact prefix");
+        eprintln!("note: {path} has a torn tail; using the intact prefix");
     }
+    Ok((path, segment))
+}
+
+fn cmd_query(args: &Args) -> Result<(), String> {
+    let (seg_path, segment) = read_segment_flag(args)?;
     let mut db = Tsdb::new();
     db.ingest_segment(&segment);
     let t1 = segment.frames.last().map_or(0, |f| f.t_ms);
@@ -1405,16 +1422,13 @@ fn cmd_query(args: &Args) -> Result<(), String> {
                 println!(
                     "{:<60} {:>5} pts latest {latest}",
                     fmt_series(&s.name, &s.labels),
-                    s.raw_len(),
+                    s.points().len(),
                 );
             }
         }
         Some(metric) => {
-            let labels = parse_label_filter(args.get("labels"))?;
-            let label_refs: Vec<(&str, &str)> = labels
-                .iter()
-                .map(|(k, v)| (k.as_str(), v.as_str()))
-                .collect();
+            let labels = parse_labels(args.get("labels").unwrap_or(""))
+                .map_err(|e| format!("--labels: {e}"))?;
             let window_s: u64 = args.get_int("window-s", 60)?;
             let t0 = t1.saturating_sub(window_s.saturating_mul(1000));
             if let Some(q_raw) = args.get("quantile") {
@@ -1422,16 +1436,16 @@ fn cmd_query(args: &Args) -> Result<(), String> {
                     .parse()
                     .map_err(|_| format!("--quantile expects a number, got '{q_raw}'"))?;
                 let v = db
-                    .windowed_quantile(metric, &label_refs, t0, t1, q)
+                    .windowed_quantile(metric, &labels, t0, t1, q)
                     .ok_or_else(|| format!("no {metric}_bucket series match"))?;
                 println!("{metric} p{:.0} over {window_s}s: {v}", q * 100.0);
             } else if args.flag("rate") {
                 let v = db
-                    .rate_sum(metric, &label_refs, t0, t1)
+                    .rate_sum(metric, &labels, t0, t1)
                     .ok_or_else(|| format!("no {metric} series match"))?;
                 println!("{metric} rate over {window_s}s: {v:.3}/s");
             } else {
-                let matches = db.find(metric, &label_refs);
+                let matches = db.find(metric, &labels);
                 if matches.is_empty() {
                     return Err(format!("no series named {metric} match the label filter"));
                 }
@@ -1458,7 +1472,6 @@ metric = "fleet_cmd_seconds"
 labels = "cmd=step"
 q = 0.99
 window_s = 10
-op = "gt"
 threshold = 0.25
 
 # Shard command queues must not stay saturated.
@@ -1466,7 +1479,6 @@ threshold = 0.25
 name = "queue-depth"
 kind = "gauge"
 metric = "fleet_queue_depth"
-op = "gt"
 threshold = 1000
 for_s = 2
 
@@ -1491,10 +1503,9 @@ fn render_slo_status(statuses: &[slo::RuleStatus]) -> String {
             .value
             .map_or_else(|| "no data".to_owned(), |v| format!("{v:.4}"));
         out.push_str(&format!(
-            "{:>8}  {:<24} value {value} (breach when {} {})\n",
+            "{:>8}  {:<24} value {value} (breach when > {})\n",
             s.state.to_string(),
             s.name,
-            s.op,
             s.threshold
         ));
     }
@@ -1510,11 +1521,16 @@ fn cmd_slo(args: &Args) -> Result<(), String> {
     if rules.is_empty() {
         return Err("rule set is empty".into());
     }
+    let (seg_path, segment) = read_segment_flag(args)?;
     let mut engine = SloEngine::new(rules);
+    let mut db = Tsdb::new();
     let mut last: Vec<slo::RuleStatus> = Vec::new();
-    // Print one line per state transition, so a replayed soak reads as
-    // an alert timeline.
-    let observe = |t_ms: u64, statuses: Vec<slo::RuleStatus>, last: &mut Vec<slo::RuleStatus>| {
+    for i in 0..segment.frames.len() {
+        let t = segment.frames[i].t_ms;
+        db.ingest(t, &segment.frame_samples(i));
+        let statuses = engine.evaluate(&db, t);
+        // One line per state transition, so a replayed soak reads as an
+        // alert timeline.
         for s in &statuses {
             let changed = last
                 .iter()
@@ -1524,57 +1540,15 @@ fn cmd_slo(args: &Args) -> Result<(), String> {
                 let value = s
                     .value
                     .map_or_else(|| "no data".to_owned(), |v| format!("{v:.4}"));
-                println!("[{t_ms}] {}: {} (value {value})", s.name, s.state);
+                println!("[{t}] {}: {} (value {value})", s.name, s.state);
             }
         }
-        *last = statuses;
-    };
-
-    if let Some(seg_path) = args.get("segment") {
-        let segment = tsdb::read_segment(std::path::Path::new(seg_path))?;
-        if segment.frames.is_empty() {
-            return Err(format!("{seg_path}: segment holds no complete frames"));
-        }
-        if segment.truncated {
-            eprintln!("note: {seg_path} has a torn tail; replaying the intact prefix");
-        }
-        let mut db = Tsdb::new();
-        for i in 0..segment.frames.len() {
-            let t = segment.frames[i].t_ms;
-            db.ingest(t, &segment.frame_samples(i));
-            let statuses = engine.evaluate(&db, t);
-            observe(t, statuses, &mut last);
-        }
-        println!(
-            "--- {} frames replayed from {seg_path} ---",
-            segment.frames.len()
-        );
-    } else if let Some(addr) = args.get("addr") {
-        let interval = args.get_f64("interval", 1.0)?;
-        if interval <= 0.0 {
-            return Err("--interval must be positive".into());
-        }
-        let for_seconds = args.get_f64("for-seconds", 10.0)?;
-        let once = args.flag("once");
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs_f64(for_seconds);
-        let mut db = Tsdb::new();
-        loop {
-            let text = scrape_once(addr)?;
-            let samples = export::parse_prometheus(&text)
-                .map_err(|e| format!("invalid exposition from {addr}: {e}"))?;
-            let t = now_ms();
-            db.ingest(t, &samples);
-            let statuses = engine.evaluate(&db, t);
-            observe(t, statuses, &mut last);
-            if once && std::time::Instant::now() >= deadline {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_secs_f64(interval));
-        }
-    } else {
-        return Err("need --segment <seg.evts> or --addr <host:port>".into());
+        last = statuses;
     }
-
+    println!(
+        "--- {} frames replayed from {seg_path} ---",
+        segment.frames.len()
+    );
     print!("{}", render_slo_status(&last));
     if engine.ever_fired() {
         return Err("SLO breach: at least one alert fired during the run".into());
@@ -1589,32 +1563,16 @@ fn main() -> ExitCode {
         eprintln!("{}", usage());
         return ExitCode::FAILURE;
     };
-    let rest = Args::parse(&argv[1..]);
-    let outcome = match (command.as_str(), rest) {
-        ("cycles", _) => {
-            cmd_cycles();
-            Ok(())
-        }
-        ("simulate", Ok(args)) => cmd_simulate(&args),
-        ("compare", Ok(args)) => cmd_compare(&args),
-        ("loadgen", Ok(args)) => cmd_loadgen(&args),
-        ("serve", Ok(args)) => cmd_serve(&args),
-        ("scrape", Ok(args)) => cmd_scrape(&args),
-        ("top", Ok(args)) => cmd_top(&args),
-        ("trace", Ok(args)) => cmd_trace(&args),
-        ("record", Ok(args)) => cmd_record(&args),
-        ("query", Ok(args)) => cmd_query(&args),
-        ("slo", Ok(args)) => cmd_slo(&args),
-        ("validate-telemetry", _) => match argv.get(1) {
+    let outcome = match command.as_str() {
+        "validate-telemetry" => match argv.get(1) {
             Some(path) => cmd_validate_telemetry(path),
             None => Err(format!("missing <path.jsonl>\n{}", usage())),
         },
-        ("explain", _) => match argv.get(1) {
+        "explain" => match argv.get(1) {
             Some(path) => cmd_explain(path),
             None => Err(format!("missing <dump.jsonl>\n{}", usage())),
         },
-        (_, Err(e)) => Err(e),
-        (other, _) => Err(format!("unknown command '{other}'\n{}", usage())),
+        command => parse_command(command, &argv[1..]).and_then(|(run, args)| run(&args)),
     };
     match outcome {
         Ok(()) => ExitCode::SUCCESS,
@@ -1629,14 +1587,20 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    fn parse(argv: &[&str]) -> Args {
-        let owned: Vec<String> = argv.iter().map(|s| (*s).to_owned()).collect();
-        Args::parse(&owned).expect("parses")
+    /// `line` split into a command and its arguments.
+    fn words(line: &str) -> (String, Vec<String>) {
+        let mut words = line.split_whitespace().map(str::to_owned);
+        (words.next().expect("a command"), words.collect())
+    }
+
+    fn parse(line: &str) -> Args {
+        let (command, argv) = words(line);
+        parse_command(&command, &argv).expect("parses").1
     }
 
     #[test]
     fn parses_pairs_and_flags() {
-        let args = parse(&["--cycle", "nedc", "--precondition", "--ambient", "0"]);
+        let args = parse("simulate --cycle nedc --precondition --ambient 0");
         assert_eq!(args.get("cycle"), Some("nedc"));
         assert!(args.flag("precondition"));
         assert_eq!(args.get_f64("ambient", 35.0).unwrap(), 0.0);
@@ -1646,13 +1610,58 @@ mod tests {
     #[test]
     fn rejects_positional_arguments() {
         let owned = vec!["nedc".to_owned()];
-        assert!(Args::parse(&owned).is_err());
+        assert!(Args::parse(&owned, &[SIM_FLAGS]).is_err());
     }
 
     #[test]
     fn rejects_non_numeric_values() {
-        let args = parse(&["--ambient", "hot"]);
+        let args = parse("simulate --ambient hot");
         assert!(args.get_f64("ambient", 35.0).is_err());
+    }
+
+    #[test]
+    fn subcommands_reject_flags_they_do_not_take() {
+        // Every evsim command line CI runs.
+        for line in [
+            "simulate --cycle ece15 --controller mpc --precondition \
+             --telemetry telemetry-smoke.jsonl",
+            "simulate --cycle ece15 --controller mpc --precondition \
+             --max-sqp-iterations 1 --flight-recorder target/flight/ece15.jsonl",
+            "serve --addr 127.0.0.1:9464 --burst-sessions 100 --burst-steps 40 \
+             --seed 42 --for-seconds 25",
+            "scrape --addr 127.0.0.1:9464 --require-histogram mpc_control_step_seconds \
+             --require-counter fleet_steps_total",
+            "top --addr 127.0.0.1:9464 --once",
+            "trace --sessions 12 --steps 40 --shards 2 --seed 42 --out fleet-trace.json",
+            "loadgen --sessions 1000 --steps 60 --seed 42",
+            "record --sessions 50 --steps 40 --seed 42 --out healthy.evts \
+             --trace-out healthy-trace.json",
+            "slo --segment healthy.evts",
+            "query --segment healthy.evts --exemplars --trace healthy-trace.json",
+            "query --segment healthy.evts --metric fleet_cmd_seconds --labels cmd=step \
+             --quantile 0.99 --window-s 30",
+            "query --segment healthy.evts --metric mpc_solves_total --rate --window-s 30",
+            "record --sessions 50 --steps 40 --seed 42 --max-sqp-iterations 1 \
+             --out faulty.evts",
+            "slo --segment faulty.evts",
+        ] {
+            let (command, argv) = words(line);
+            if let Err(e) = parse_command(&command, &argv) {
+                panic!("{line}: {e}");
+            }
+        }
+        // A flag another subcommand takes, and a typo that would
+        // silently drop the iteration cap.
+        for (line, flag) in [
+            ("slo --segment x --once", "'--once'"),
+            ("record --max-sqp-iteration 1", "'--max-sqp-iteration'"),
+        ] {
+            let (command, argv) = words(line);
+            let err = parse_command(&command, &argv)
+                .err()
+                .unwrap_or_else(|| panic!("{line} parsed"));
+            assert!(err.contains(flag), "{err}");
+        }
     }
 
     #[test]
@@ -1872,16 +1881,7 @@ mod tests {
 
     #[test]
     fn loadgen_config_reads_flags_and_keeps_defaults() {
-        let args = parse(&[
-            "--sessions",
-            "7",
-            "--steps",
-            "11",
-            "--seed",
-            "99",
-            "--controller",
-            "onoff",
-        ]);
+        let args = parse("loadgen --sessions 7 --steps 11 --seed 99 --controller onoff");
         let defaults = LoadgenConfig::default();
         let config = loadgen_config(&args, "sessions", "steps", defaults.clone()).expect("parses");
         assert_eq!(config.sessions, 7);
@@ -1891,28 +1891,71 @@ mod tests {
         assert_eq!(config.chunk, defaults.chunk);
         assert_eq!(config.queue_capacity, defaults.queue_capacity);
 
-        let bad = parse(&["--controller", "thermostat"]);
+        let bad = parse("loadgen --controller thermostat");
         assert!(loadgen_config(&bad, "sessions", "steps", defaults).is_err());
     }
 
     #[test]
-    fn sample_value_matches_names_exactly_and_sums_labeled_series() {
-        let text = "# TYPE fleet_steps_total counter\n\
-                    fleet_steps_total 42\n\
-                    mpc_control_step_seconds_bucket{le=\"+Inf\"} 5\n\
-                    mpc_control_step_seconds_count 5\n";
-        assert_eq!(sample_value(text, "fleet_steps_total"), Some(42.0));
+    fn series_sum_matches_names_exactly_and_sums_labeled_series() {
+        let samples = export::parse_prometheus(
+            "# TYPE fleet_steps_total counter\n\
+             fleet_steps_total 42\n\
+             mpc_control_step_seconds_bucket{le=\"+Inf\"} 5\n\
+             mpc_control_step_seconds_count 5\n",
+        )
+        .expect("parses");
+        assert_eq!(series_sum(&samples, "fleet_steps_total", None), Some(42.0));
         assert_eq!(
-            sample_value(text, "mpc_control_step_seconds_count"),
+            series_sum(&samples, "mpc_control_step_seconds_count", None),
             Some(5.0)
         );
         // Prefix of a longer name must not match.
-        assert_eq!(sample_value(text, "fleet_steps"), None);
-        assert_eq!(sample_value(text, "missing_metric"), None);
+        assert_eq!(series_sum(&samples, "fleet_steps", None), None);
+        assert_eq!(series_sum(&samples, "missing_metric", None), None);
         // Per-shard labeled series sum to the fleet-wide value.
-        let labeled = "fleet_steps_total{shard=\"0\"} 40\n\
-                       fleet_steps_total{shard=\"1\"} 2\n";
-        assert_eq!(sample_value(labeled, "fleet_steps_total"), Some(42.0));
+        let labeled = export::parse_prometheus(
+            "fleet_steps_total{shard=\"0\"} 40\n\
+             fleet_steps_total{shard=\"1\"} 2\n",
+        )
+        .expect("parses");
+        assert_eq!(series_sum(&labeled, "fleet_steps_total", None), Some(42.0));
+        assert_eq!(
+            series_sum(&labeled, "fleet_steps_total", Some("1")),
+            Some(2.0)
+        );
+    }
+
+    #[test]
+    fn seeded_fault_fires_from_a_two_frame_segment() {
+        // The shortest recording `record` writes: its frame before the
+        // burst, then one frame after a burst in which every solve hit
+        // the iteration cap.
+        let rules = slo::parse_config(DEFAULT_SLO_RULES).expect("built-in rules parse");
+        let mut engine = SloEngine::new(rules);
+        let mut db = Tsdb::new();
+        let t0 = 1_700_000_000_000;
+        db.ingest(t0, &[]);
+        engine.evaluate(&db, t0);
+        let counter = |name: &str| PromSample {
+            name: name.to_owned(),
+            labels: vec![("shard".to_owned(), "0".to_owned())],
+            value: 100.0,
+            exemplar: None,
+        };
+        db.ingest(
+            t0 + 50,
+            &[
+                counter("mpc_solves_total"),
+                counter("mpc_solve_max_iterations_total"),
+            ],
+        );
+        let statuses = engine.evaluate(&db, t0 + 50);
+        let budget = statuses
+            .iter()
+            .find(|s| s.name == "solve-iteration-budget")
+            .expect("built-in rule");
+        assert!(budget.state.is_firing(), "{}", render_slo_status(&statuses));
+        assert_eq!(budget.value, Some(4.0));
     }
 
     #[test]
