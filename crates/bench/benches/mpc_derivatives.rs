@@ -270,7 +270,7 @@ fn bench_horizon_scaling(c: &mut Criterion) {
 }
 
 /// One whole ECE-15 × MPC evaluation-sweep cell (the granularity
-/// `evaluation_sweep` parallelizes over).
+/// `evaluation_sweep_run` parallelizes over).
 fn bench_sweep_cell(c: &mut Criterion) {
     let mut group = c.benchmark_group("mpc_derivatives");
     group.sample_size(2);

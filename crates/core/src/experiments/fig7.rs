@@ -3,7 +3,7 @@
 use crate::ControllerKind;
 
 use super::format_table;
-use super::sweep::{evaluation_sweep, SweepCell};
+use super::sweep::SweepCell;
 
 /// One drive profile's SoH-degradation comparison, normalized to the
 /// On/Off controller = 100 % (the paper's y-axis).
@@ -64,16 +64,6 @@ pub fn mean_soh_improvement_pct(rows: &[Fig7Row]) -> f64 {
     rows.iter().map(|r| 100.0 - r.mpc_pct).sum::<f64>() / rows.len() as f64
 }
 
-/// Runs the full sweep and produces the Fig. 7 rows.
-///
-/// # Panics
-///
-/// Panics only if built-in simulations fail to construct (they do not).
-#[must_use]
-pub fn fig7() -> Vec<Fig7Row> {
-    fig7_from(&evaluation_sweep())
-}
-
 /// Formats the Fig. 7 rows as a text table.
 #[must_use]
 pub fn render_fig7(rows: &[Fig7Row]) -> String {
@@ -113,14 +103,14 @@ pub fn render_fig7(rows: &[Fig7Row]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::evaluation_sweep_at;
+    use crate::experiments::evaluation_sweep_run;
     use ev_drive::DriveCycle;
 
     #[test]
     fn fig7_shape_on_reduced_sweep() {
         // One representative cycle keeps the test fast; the full sweep is
         // exercised by the repro binary and integration tests.
-        let cells = evaluation_sweep_at(35.0, &[DriveCycle::ece_eudc()]);
+        let cells = evaluation_sweep_run(35.0, &[DriveCycle::ece_eudc()], false).into_cells();
         let rows = fig7_from(&cells);
         assert_eq!(rows.len(), 1);
         let r = &rows[0];
@@ -139,7 +129,7 @@ mod tests {
 
     #[test]
     fn render_includes_summary_line() {
-        let cells = evaluation_sweep_at(35.0, &[DriveCycle::ece15()]);
+        let cells = evaluation_sweep_run(35.0, &[DriveCycle::ece15()], false).into_cells();
         let rows = fig7_from(&cells);
         let text = render_fig7(&rows);
         assert!(text.contains("average ΔSoH improvement"));

@@ -3,7 +3,7 @@
 use crate::ControllerKind;
 
 use super::format_table;
-use super::sweep::{evaluation_sweep, SweepCell};
+use super::sweep::SweepCell;
 
 /// One drive profile's average-HVAC-power comparison.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,16 +62,6 @@ pub fn mean_hvac_reduction_pct(rows: &[Fig8Row]) -> (f64, f64) {
     (mean(|r| r.onoff_kw), mean(|r| r.fuzzy_kw))
 }
 
-/// Runs the full sweep and produces the Fig. 8 rows.
-///
-/// # Panics
-///
-/// Panics only if built-in simulations fail to construct (they do not).
-#[must_use]
-pub fn fig8() -> Vec<Fig8Row> {
-    fig8_from(&evaluation_sweep())
-}
-
 /// Formats the Fig. 8 rows as a text table.
 #[must_use]
 pub fn render_fig8(rows: &[Fig8Row]) -> String {
@@ -102,12 +92,12 @@ pub fn render_fig8(rows: &[Fig8Row]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::evaluation_sweep_at;
+    use crate::experiments::evaluation_sweep_run;
     use ev_drive::DriveCycle;
 
     #[test]
     fn fig8_shape_on_reduced_sweep() {
-        let cells = evaluation_sweep_at(35.0, &[DriveCycle::ece_eudc()]);
+        let cells = evaluation_sweep_run(35.0, &[DriveCycle::ece_eudc()], false).into_cells();
         let rows = fig8_from(&cells);
         let r = &rows[0];
         // Paper Fig. 8 ordering: On/Off ≥ fuzzy ≥ ours.
@@ -137,7 +127,7 @@ mod tests {
 
     #[test]
     fn render_includes_reduction_summary() {
-        let cells = evaluation_sweep_at(35.0, &[DriveCycle::ece15()]);
+        let cells = evaluation_sweep_run(35.0, &[DriveCycle::ece15()], false).into_cells();
         let text = render_fig8(&fig8_from(&cells));
         assert!(text.contains("reduction vs On/Off"));
     }

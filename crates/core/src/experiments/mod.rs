@@ -6,15 +6,18 @@
 //! | [`fig1`] | Fig. 1 — EV vs ICE power-type split across ambient temperatures |
 //! | [`fig5`] | Fig. 5 — cabin-temperature traces per controller |
 //! | [`fig6`] | Fig. 6 — MPC pre-cooling against the motor-power profile |
-//! | [`fig7`] | Fig. 7 — SoH degradation per drive profile (% of On/Off) |
-//! | [`fig8`] | Fig. 8 — average HVAC power per drive profile |
+//! | [`fig7_from`] | Fig. 7 — SoH degradation per drive profile (% of On/Off) |
+//! | [`fig8_from`] | Fig. 8 — average HVAC power per drive profile |
 //! | [`table1`] | Table I — HVAC power and ΔSoH improvement vs ambient |
 //! | [`ablation_horizon`], [`ablation_w2`] | extensions: MPC design-knob ablations |
 //! | [`robustness_sweep`] | extension: forecast-noise robustness |
 //!
 //! Each function runs the actual simulations (nothing is tabulated from
 //! stored data) and returns typed rows; `render_*` helpers format them as
-//! the text tables printed by the `repro` binary. Absolute magnitudes
+//! the text tables printed by the `repro` binary. Figs. 7 and 8 are two
+//! projections of one [`evaluation_sweep_run`] over
+//! [`DriveCycle::paper_evaluation_set`] at [`COMPARISON_AMBIENT_C`]:
+//! [`fig7_from`] and [`fig8_from`] take its cells. Absolute magnitudes
 //! depend on our calibration; the claims that must reproduce are the
 //! *orderings and relative improvements* (see `EXPERIMENTS.md`).
 
@@ -34,15 +37,14 @@ pub use ablation::{ablation_horizon, ablation_w2, render_ablation, AblationRow};
 pub use fig1::{fig1, render_fig1, Fig1Row};
 pub use fig5::{fig5, render_fig5, Fig5Series};
 pub use fig6::{fig6, render_fig6, Fig6Data};
-pub use fig7::{fig7, fig7_from, mean_soh_improvement_pct, render_fig7, Fig7Row};
-pub use fig8::{fig8, fig8_from, mean_hvac_reduction_pct, render_fig8, Fig8Row};
+pub use fig7::{fig7_from, mean_soh_improvement_pct, render_fig7, Fig7Row};
+pub use fig8::{fig8_from, mean_hvac_reduction_pct, render_fig8, Fig8Row};
 pub use full_cycle::{full_cycle, render_full_cycle, FullCycleRow};
 pub use plot::ascii_chart;
 pub use robustness::{render_robustness, robustness_sweep, NoisyPreview, RobustnessRow};
 pub use sweep::{
-    evaluation_sweep, evaluation_sweep_at, evaluation_sweep_observed, evaluation_sweep_run,
-    evaluation_sweep_run_recorded, find, render_sweep_report, SweepCell, SweepCellResult,
-    SweepOutcome, SweepResult,
+    evaluation_sweep_run, evaluation_sweep_run_recorded, find, render_sweep_report, SweepCell,
+    SweepCellResult, SweepOutcome, SweepResult,
 };
 pub use table1::{render_table1, table1, table1_row, Table1Row, TABLE1_AMBIENTS};
 

@@ -8,11 +8,10 @@ use ev_drive::DriveCycle;
 use ev_telemetry::{FlightRecorder, Registry, Snapshot};
 
 use crate::flight::FlightRecorderObserver;
-use crate::observe::{NoopObserver, StepObserver};
 use crate::telemetry::TelemetryObserver;
 use crate::{ControllerKind, ControllerSetup, EvParams, Simulation, SimulationResult};
 
-use super::{experiment_params, format_table, profile_at, COMPARISON_AMBIENT_C};
+use super::{experiment_params, format_table, profile_at};
 
 /// One cell of the evaluation matrix: a cycle driven by a controller.
 #[derive(Debug, Clone)]
@@ -23,90 +22,6 @@ pub struct SweepCell {
     pub controller: ControllerKind,
     /// The full simulation result.
     pub result: SimulationResult,
-}
-
-/// Runs the paper's full evaluation matrix — the five standard cycles
-/// {NEDC, US06, ECE_EUDC, SC03, UDDS} × the three methodologies — at the
-/// comparison ambient temperature. Figs. 7 and 8 are both projections of
-/// this matrix.
-///
-/// # Panics
-///
-/// Panics if a simulation cannot be constructed (cannot happen for the
-/// built-in cycles and parameters).
-#[must_use]
-pub fn evaluation_sweep() -> Vec<SweepCell> {
-    evaluation_sweep_at(COMPARISON_AMBIENT_C, &DriveCycle::paper_evaluation_set())
-}
-
-/// The same matrix at an arbitrary ambient and cycle set (used by
-/// Table I and the ablation benches).
-///
-/// # Panics
-///
-/// Panics if a simulation cannot be constructed (cannot happen for the
-/// built-in cycles and parameters).
-#[must_use]
-pub fn evaluation_sweep_at(ambient_c: f64, cycles: &[DriveCycle]) -> Vec<SweepCell> {
-    evaluation_sweep_observed(ambient_c, cycles, |_, _| NoopObserver)
-        .into_iter()
-        .map(|(cell, NoopObserver)| cell)
-        .collect()
-}
-
-/// The evaluation matrix with a [`StepObserver`] attached to every cell,
-/// so callers (the physics-invariant harness in `ev-testkit`, trace
-/// exporters) can watch each simulated step of each cell. `make_observer`
-/// is called once per cell with the profile name and controller kind;
-/// the driven observers are returned alongside their cells.
-///
-/// # Panics
-///
-/// Panics if a simulation cannot be constructed (cannot happen for the
-/// built-in cycles and parameters).
-#[must_use]
-pub fn evaluation_sweep_observed<O, F>(
-    ambient_c: f64,
-    cycles: &[DriveCycle],
-    make_observer: F,
-) -> Vec<(SweepCell, O)>
-where
-    O: StepObserver + Send,
-    F: Fn(&str, ControllerKind) -> O + Sync,
-{
-    let mut params = experiment_params();
-    // The paper compares the steady *regulation* behavior of the three
-    // methodologies (its Fig. 5 traces start settled); start from a
-    // preconditioned cabin so a controller cannot look cheap by simply
-    // failing to pull a soaked cabin into the comfort zone.
-    params.initial_cabin = Some(params.target);
-    let sims = matrix_sims(&params, ambient_c, cycles);
-    run_matrix(&sims, |name, sim, kind| {
-        let mut controller = kind.instantiate(&params).expect("controller instantiates");
-        let mut observer = make_observer(name, kind);
-        let result = sim
-            .run_observed(controller.as_mut(), &mut observer)
-            .expect("simulation runs");
-        (
-            SweepCell {
-                profile: name.to_owned(),
-                controller: kind,
-                result,
-            },
-            observer,
-        )
-    })
-    .into_iter()
-    .map(|(name, kind, outcome)| {
-        // A bare `.expect()` here loses which cell died — with up to
-        // 15 identical workers the panic was undiagnosable. Re-panic
-        // with the cell identity and the worker's own message.
-        outcome.unwrap_or_else(|payload| {
-            let msg = panic_message(payload.as_ref());
-            panic!("sweep worker for {name} x {kind:?} panicked: {msg}");
-        })
-    })
-    .collect()
 }
 
 /// One simulation per cycle of the matrix, named after the cycle.
@@ -276,11 +191,51 @@ impl SweepResult {
             })
             .collect()
     }
+
+    /// Every cell as a plain [`SweepCell`], for callers that need the
+    /// whole matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any cell failed, naming each failed cell's profile,
+    /// controller and reason.
+    #[must_use]
+    pub fn into_cells(self) -> Vec<SweepCell> {
+        let mut cells = Vec::with_capacity(self.cells.len());
+        let mut failed = Vec::new();
+        for cell in self.cells {
+            match cell.outcome {
+                SweepOutcome::Completed(result) => cells.push(SweepCell {
+                    profile: cell.profile,
+                    controller: cell.controller,
+                    result: *result,
+                }),
+                SweepOutcome::Failed(reason) => {
+                    failed.push(format!(
+                        "{} x {:?}: {reason}",
+                        cell.profile, cell.controller
+                    ));
+                }
+            }
+        }
+        assert!(
+            failed.is_empty(),
+            "sweep cells failed: {}",
+            failed.join("; ")
+        );
+        cells
+    }
 }
 
-/// Runs the evaluation matrix robustly: every cell is isolated behind
-/// [`catch_unwind`], so one diverging solve or panicking worker yields a
-/// [`SweepOutcome::Failed`] row instead of poisoning the whole sweep.
+/// Runs the paper's evaluation matrix — `cycles` × the three
+/// methodologies of [`ControllerKind::paper_lineup`] — at `ambient_c`.
+/// Figs. 7 and 8 project it at the comparison ambient over
+/// [`DriveCycle::paper_evaluation_set`], and each Table I row at its
+/// ambient over ECE_EUDC.
+///
+/// Every cell is isolated behind [`catch_unwind`], so one diverging
+/// solve or panicking worker yields a [`SweepOutcome::Failed`] row
+/// instead of poisoning the whole sweep.
 /// With `telemetry` on, each cell gets its own [`Registry`] capturing the
 /// controller's solver metrics (via
 /// [`ControllerKind::instantiate_configured`]) and the plant-side
@@ -306,8 +261,10 @@ pub fn evaluation_sweep_run_recorded(
     postmortem_dir: Option<&Path>,
 ) -> SweepResult {
     let mut params = experiment_params();
-    // Match `evaluation_sweep_observed`: start from a preconditioned
-    // cabin so the comparison is about regulation, not pull-down.
+    // The paper compares the steady *regulation* behavior of the three
+    // methodologies (its Fig. 5 traces start settled); start from a
+    // preconditioned cabin so a controller cannot look cheap by simply
+    // failing to pull a soaked cabin into the comfort zone.
     params.initial_cabin = Some(params.target);
     let sims = matrix_sims(&params, ambient_c, cycles);
     let cells = run_matrix(&sims, |_, sim, kind| {
@@ -534,7 +491,7 @@ mod tests {
 
     #[test]
     fn single_cycle_sweep_has_all_controllers() {
-        let cells = evaluation_sweep_at(35.0, &[DriveCycle::ece15()]);
+        let cells = evaluation_sweep_run(35.0, &[DriveCycle::ece15()], false).into_cells();
         assert_eq!(cells.len(), 3);
         assert!(find(&cells, "ECE-15", ControllerKind::OnOff).is_some());
         assert!(find(&cells, "ECE-15", ControllerKind::Fuzzy).is_some());
@@ -659,6 +616,38 @@ mod tests {
             .expect("panicked row rendered");
         let dashes = panicked.split_whitespace().filter(|t| *t == "-").count();
         assert_eq!(dashes, 8, "{panicked}");
+    }
+
+    #[test]
+    fn into_cells_names_every_failed_cell() {
+        let failed = |profile: &str, controller, reason: &str| SweepCellResult {
+            profile: profile.to_owned(),
+            controller,
+            outcome: SweepOutcome::Failed(reason.to_owned()),
+            diagnostics: None,
+            telemetry: Snapshot::default(),
+            wall_seconds: 0.0,
+            postmortem: None,
+        };
+        let sweep = SweepResult {
+            ambient_c: 35.0,
+            cells: vec![
+                failed(
+                    "ECE-15",
+                    ControllerKind::Mpc,
+                    "solver error: non-finite data",
+                ),
+                failed("UDDS", ControllerKind::Fuzzy, "worker panicked: boom"),
+            ],
+        };
+        let payload =
+            catch_unwind(AssertUnwindSafe(|| sweep.into_cells())).expect_err("failed cells panic");
+        let msg = panic_message(payload.as_ref());
+        assert!(
+            msg.contains("ECE-15 x Mpc: solver error: non-finite data"),
+            "{msg}"
+        );
+        assert!(msg.contains("UDDS x Fuzzy: worker panicked: boom"), "{msg}");
     }
 
     #[test]

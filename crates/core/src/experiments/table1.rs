@@ -6,7 +6,7 @@ use ev_drive::DriveCycle;
 use crate::ControllerKind;
 
 use super::format_table;
-use super::sweep::{evaluation_sweep_at, find};
+use super::sweep::{evaluation_sweep_run, find};
 
 /// One ambient-temperature row of Table I.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,10 +46,10 @@ pub fn table1() -> Vec<Table1Row> {
 ///
 /// # Panics
 ///
-/// Panics only if built-in simulations fail to construct (they do not).
+/// Panics if a cell of the row's sweep fails, naming it.
 #[must_use]
 pub fn table1_row(ambient_c: f64) -> Table1Row {
-    let cells = evaluation_sweep_at(ambient_c, &[DriveCycle::ece_eudc()]);
+    let cells = evaluation_sweep_run(ambient_c, &[DriveCycle::ece_eudc()], false).into_cells();
     let metric = |kind: ControllerKind| {
         let m = find(&cells, "ECE_EUDC", kind)
             .expect("sweep contains every cell")

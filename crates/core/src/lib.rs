@@ -53,10 +53,7 @@ mod telemetry;
 mod vehicle;
 
 pub use flight::FlightRecorderObserver;
-pub use observe::{
-    ChannelStats, ControllerMode, ModeCounts, NoopObserver, StatsObserver, StepObserver,
-    StepRecord, TraceRecorder, TraceWriter,
-};
+pub use observe::{ControllerMode, NoopObserver, StepObserver, StepRecord, TraceRecorder};
 pub use params::{ControllerKind, ControllerSetup, EvParams};
 pub use result::{Metrics, SimulationResult, TimeSeries};
 pub use sim::{SimError, SimSession, Simulation};

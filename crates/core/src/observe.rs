@@ -9,14 +9,10 @@
 //! inferred controller mode — so tests, invariant checkers and trace
 //! exporters can watch every step without touching the loop itself.
 //!
-//! Three ready-made observers cover the common needs:
-//!
-//! * [`TraceRecorder`] — keeps every record in memory (golden traces,
-//!   invariant checking over whole trajectories);
-//! * [`TraceWriter`] — streams each record as one JSON object per line
-//!   (JSONL) into any [`std::io::Write`] sink;
-//! * [`StatsObserver`] — running min/max/mean counters per channel plus
-//!   controller-mode occupancy, O(1) memory.
+//! [`TraceRecorder`] keeps every record in memory (golden traces,
+//! invariant checking over whole trajectories);
+//! [`TelemetryObserver`](crate::TelemetryObserver) folds the step stream
+//! into a metrics registry.
 //!
 //! The default [`NoopObserver`] is a zero-sized type whose callbacks are
 //! empty; with static dispatch the observed loop compiles down to the
@@ -45,13 +41,11 @@
 //! # }
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 use crate::SimulationResult;
 
 /// What the HVAC was commanded to do in one step, inferred from the
 /// realized power breakdown and air flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ControllerMode {
     /// The heater coil draws real power.
     Heating,
@@ -97,9 +91,8 @@ impl core::fmt::Display for ControllerMode {
 }
 
 /// Everything one simulation step produced, in plain SI scalars so
-/// observers can stream, diff and serialize records without unit
-/// plumbing.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// observers can stream and diff records without unit plumbing.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepRecord {
     /// Step index (0-based).
     pub step: usize,
@@ -268,200 +261,6 @@ impl StepObserver for TraceRecorder {
     }
 }
 
-/// Streams every step as one JSON object per line (JSONL) into a
-/// [`std::io::Write`] sink.
-///
-/// The observer callbacks are infallible by design, so write errors are
-/// latched instead of propagated: the first failure stops further writes
-/// and [`TraceWriter::finish`] surfaces it. `finish` also flushes the
-/// sink (a wrapped `BufWriter` would otherwise hold the tail records in
-/// memory), and dropping an unfinished writer best-effort flushes too,
-/// so an aborted run does not silently lose its buffered tail.
-#[derive(Debug)]
-pub struct TraceWriter<W: std::io::Write> {
-    /// `Some` until [`TraceWriter::finish`] takes the sink; the `Drop`
-    /// flush only runs while it is still here.
-    sink: Option<W>,
-    error: Option<std::io::Error>,
-    written: usize,
-}
-
-impl<W: std::io::Write> TraceWriter<W> {
-    /// Wraps a sink.
-    pub fn new(sink: W) -> Self {
-        Self {
-            sink: Some(sink),
-            error: None,
-            written: 0,
-        }
-    }
-
-    /// Number of records written so far.
-    #[must_use]
-    pub fn written(&self) -> usize {
-        self.written
-    }
-
-    /// Flushes and unwraps the sink, surfacing any latched write error.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first I/O error the underlying sink reported — either
-    /// latched from a step write or raised by the final flush.
-    pub fn finish(mut self) -> std::io::Result<W> {
-        let mut sink = self.sink.take().expect("sink present until finish");
-        let flushed = sink.flush();
-        match self.error.take() {
-            Some(e) => Err(e),
-            None => {
-                flushed?;
-                Ok(sink)
-            }
-        }
-    }
-}
-
-impl<W: std::io::Write> Drop for TraceWriter<W> {
-    /// Best-effort flush when the writer is dropped without `finish`
-    /// (e.g. a run aborted by a panic); errors here have nowhere to go
-    /// and are discarded.
-    fn drop(&mut self) {
-        if let Some(sink) = self.sink.as_mut() {
-            let _ = sink.flush();
-        }
-    }
-}
-
-impl<W: std::io::Write> StepObserver for TraceWriter<W> {
-    fn on_step(&mut self, record: &StepRecord) {
-        if self.error.is_some() {
-            return;
-        }
-        let Some(sink) = self.sink.as_mut() else {
-            return;
-        };
-        let line = serde_json::to_string(record).expect("StepRecord serializes infallibly");
-        if let Err(e) = writeln!(sink, "{line}") {
-            self.error = Some(e);
-            return;
-        }
-        self.written += 1;
-    }
-}
-
-/// Running min/max/mean of one observed channel.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ChannelStats {
-    /// Smallest observed value.
-    pub min: f64,
-    /// Largest observed value.
-    pub max: f64,
-    /// Sum of observed values (for the mean).
-    pub sum: f64,
-    /// Number of observations.
-    pub count: usize,
-}
-
-impl Default for ChannelStats {
-    fn default() -> Self {
-        Self {
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            sum: 0.0,
-            count: 0,
-        }
-    }
-}
-
-impl ChannelStats {
-    /// Folds one observation in.
-    pub fn push(&mut self, x: f64) {
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-        self.sum += x;
-        self.count += 1;
-    }
-
-    /// Mean of the observations (`NaN` before the first).
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-}
-
-/// How many steps each [`ControllerMode`] occupied.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ModeCounts {
-    /// Steps spent heating.
-    pub heating: usize,
-    /// Steps spent cooling.
-    pub cooling: usize,
-    /// Steps spent venting.
-    pub vent: usize,
-    /// Steps spent idle.
-    pub idle: usize,
-}
-
-impl ModeCounts {
-    /// Total counted steps.
-    #[must_use]
-    pub fn total(&self) -> usize {
-        self.heating + self.cooling + self.vent + self.idle
-    }
-}
-
-/// O(1)-memory summary statistics over a run: per-channel min/max/mean
-/// and controller-mode occupancy.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct StatsObserver {
-    /// Total HVAC power (W).
-    pub hvac_power: ChannelStats,
-    /// Battery power (W).
-    pub battery_power: ChannelStats,
-    /// State of charge (%).
-    pub soc: ChannelStats,
-    /// Cabin temperature (°C).
-    pub cabin_temp: ChannelStats,
-    /// Battery-pack temperature (°C).
-    pub pack_temp: ChannelStats,
-    /// Controller-mode occupancy.
-    pub modes: ModeCounts,
-}
-
-impl StatsObserver {
-    /// Creates empty counters.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of observed steps.
-    #[must_use]
-    pub fn steps(&self) -> usize {
-        self.soc.count
-    }
-}
-
-impl StepObserver for StatsObserver {
-    fn on_step(&mut self, r: &StepRecord) {
-        self.hvac_power.push(r.hvac_power());
-        self.battery_power.push(r.battery_power);
-        self.soc.push(r.soc);
-        self.cabin_temp.push(r.cabin_temp);
-        self.pack_temp.push(r.pack_temp);
-        match r.mode {
-            ControllerMode::Heating => self.modes.heating += 1,
-            ControllerMode::Cooling => self.modes.cooling += 1,
-            ControllerMode::Vent => self.modes.vent += 1,
-            ControllerMode::Idle => self.modes.idle += 1,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -542,112 +341,14 @@ mod tests {
     }
 
     #[test]
-    fn trace_writer_emits_one_json_line_per_step() {
-        let mut w = TraceWriter::new(Vec::new());
-        w.on_step(&record(0));
-        w.on_step(&record(1));
-        assert_eq!(w.written(), 2);
-        let bytes = w.finish().expect("no io error");
-        let text = String::from_utf8(bytes).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        let back: StepRecord = serde_json::from_str(lines[1]).expect("parses");
-        assert_eq!(back.step, 1);
-        assert_eq!(back.mode, ControllerMode::Cooling);
-    }
-
-    /// A sink that counts flushes through shared state, so tests can see
-    /// them even after the writer is dropped.
-    struct FlushCounter {
-        flushes: std::rc::Rc<std::cell::Cell<usize>>,
-        fail_flush: bool,
-    }
-
-    impl std::io::Write for FlushCounter {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            self.flushes.set(self.flushes.get() + 1);
-            if self.fail_flush {
-                Err(std::io::Error::other("flush failed"))
-            } else {
-                Ok(())
-            }
-        }
-    }
-
-    #[test]
-    fn trace_writer_finish_flushes_the_sink() {
-        let flushes = std::rc::Rc::new(std::cell::Cell::new(0));
-        let mut w = TraceWriter::new(FlushCounter {
-            flushes: flushes.clone(),
-            fail_flush: false,
-        });
-        w.on_step(&record(0));
-        w.finish().expect("no io error");
-        assert_eq!(flushes.get(), 1, "finish must flush buffered records");
-    }
-
-    #[test]
-    fn trace_writer_flushes_on_drop() {
-        let flushes = std::rc::Rc::new(std::cell::Cell::new(0));
-        {
-            let mut w = TraceWriter::new(FlushCounter {
-                flushes: flushes.clone(),
-                fail_flush: false,
-            });
-            w.on_step(&record(0));
-            // Dropped without finish — an aborted run.
-        }
-        assert_eq!(flushes.get(), 1, "drop must flush the buffered tail");
-    }
-
-    #[test]
-    fn trace_writer_finish_surfaces_flush_error() {
-        let flushes = std::rc::Rc::new(std::cell::Cell::new(0));
-        let mut w = TraceWriter::new(FlushCounter {
-            flushes,
-            fail_flush: true,
-        });
-        w.on_step(&record(0));
-        assert!(w.finish().is_err(), "flush failure must surface");
-    }
-
-    #[test]
-    fn stats_observer_tracks_extrema_and_modes() {
-        let mut s = StatsObserver::new();
-        for k in 0..10 {
-            s.on_step(&record(k));
-        }
-        let mut hot = record(10);
-        hot.mode = ControllerMode::Idle;
-        hot.cabin_temp = 31.0;
-        s.on_step(&hot);
-        assert_eq!(s.steps(), 11);
-        assert_eq!(s.cabin_temp.max, 31.0);
-        assert_eq!(s.cabin_temp.min, 25.0);
-        assert_eq!(s.modes.cooling, 10);
-        assert_eq!(s.modes.idle, 1);
-        assert_eq!(s.modes.total(), 11);
-        assert!((s.soc.mean() - s.soc.sum / 11.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn observers_compose_as_pairs() {
-        let mut pair = (TraceRecorder::new(), StatsObserver::new());
+        let mut right = TraceRecorder::new();
+        let mut pair = (TraceRecorder::new(), &mut right);
         pair.on_start("P", "C", 2);
         pair.on_step(&record(0));
         pair.on_step(&record(1));
-        assert_eq!(pair.0.records().len(), 2);
-        assert_eq!(pair.1.steps(), 2);
-    }
-
-    #[test]
-    fn step_record_serde_round_trip() {
-        let r = record(7);
-        let json = serde_json::to_string(&r).unwrap();
-        let back: StepRecord = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, r);
+        let left = pair.0;
+        assert_eq!(left.records().len(), 2);
+        assert_eq!(left, right);
     }
 }

@@ -464,16 +464,14 @@ mod tests {
 
     #[test]
     fn observer_sees_every_step_consistently() {
-        use crate::observe::{StatsObserver, TraceRecorder};
+        use crate::observe::{ControllerMode, TraceRecorder};
         let sim = short_sim(35.0);
         let mut c = ControllerKind::OnOff
             .instantiate(&EvParams::nissan_leaf_like())
             .unwrap();
-        let mut obs = (TraceRecorder::new(), StatsObserver::new());
-        let r = sim.run_observed(c.as_mut(), &mut obs).unwrap();
-        let (trace, stats) = obs;
+        let mut trace = TraceRecorder::new();
+        let r = sim.run_observed(c.as_mut(), &mut trace).unwrap();
         assert_eq!(trace.records().len(), r.series.t.len());
-        assert_eq!(stats.steps(), r.series.t.len());
         assert_eq!(trace.profile(), r.profile);
         assert_eq!(trace.controller(), r.controller);
         // The observed stream and the recorded series agree sample by
@@ -489,7 +487,10 @@ mod tests {
         }
         // Hot soak at 35 °C: the On/Off controller must spend time
         // cooling.
-        assert!(stats.modes.cooling > 0);
+        assert!(trace
+            .records()
+            .iter()
+            .any(|rec| rec.mode == ControllerMode::Cooling));
     }
 
     #[test]

@@ -11,11 +11,10 @@
 //! algorithms are the right tool: simple, cache-friendly and easy to verify.
 //!
 //! For horizon-structured MPC systems the crate additionally provides a CSR
-//! [`SparseMatrix`] for constraint Jacobians, a symmetric [`BandedMatrix`]
-//! with an `O(n·w²)` LDLᵀ factorization ([`BandedCholesky`]) for the
-//! block-banded KKT matrices those Jacobians induce, and a pluggable
-//! [`Factorization`] trait making the LU / Cholesky / banded backends
-//! interchangeable.
+//! [`SparseMatrix`] for constraint Jacobians and a symmetric
+//! [`BandedMatrix`] with an `O(n·w²)` LDLᵀ factorization
+//! ([`BandedCholesky`]) for the block-banded KKT matrices those Jacobians
+//! induce.
 //!
 //! [`ev-optim`]: https://docs.rs/ev-optim
 //!
@@ -43,7 +42,6 @@
 mod banded;
 mod cholesky;
 mod error;
-mod factor;
 mod lu;
 mod matrix;
 mod qr;
@@ -53,7 +51,6 @@ pub mod vecops;
 pub use banded::{BandedCholesky, BandedMatrix};
 pub use cholesky::Cholesky;
 pub use error::LinalgError;
-pub use factor::{BandedFactor, CholeskyFactor, Factorization, LuFactor};
 pub use lu::{solve, Lu};
 pub use matrix::Matrix;
 pub use qr::Qr;

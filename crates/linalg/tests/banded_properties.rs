@@ -2,7 +2,7 @@
 //! on randomized block-tridiagonal systems, the structure produced by
 //! horizon-coupled MPC KKT matrices.
 
-use ev_linalg::{vecops, BandedCholesky, BandedFactor, BandedMatrix, Factorization, Lu, LuFactor};
+use ev_linalg::{vecops, BandedCholesky, BandedMatrix, Lu};
 use proptest::prelude::*;
 
 /// Relative agreement required between the banded solve and the LU oracle.
@@ -84,22 +84,5 @@ proptest! {
         let reference = Lu::factor(&a.to_dense()).expect("nonsingular")
             .solve(&b).expect("dims");
         assert_close(&x, &reference)?;
-    }
-
-    #[test]
-    fn factorization_trait_backends_agree(
-        a in block_tridiagonal(4, 2, false),
-        b in proptest::collection::vec(-10.0f64..10.0, 8),
-    ) {
-        let dense = a.to_dense();
-        let mut lu = LuFactor::new();
-        let mut banded = BandedFactor::new();
-        lu.refactor(&dense).expect("factors");
-        banded.refactor(&dense).expect("factors");
-        let mut x_lu = b.clone();
-        let mut x_banded = b.clone();
-        lu.solve_in_place(&mut x_lu).expect("dims");
-        banded.solve_in_place(&mut x_banded).expect("dims");
-        assert_close(&x_banded, &x_lu)?;
     }
 }

@@ -4,7 +4,7 @@ use std::path::{Path, PathBuf};
 
 use ev_core::{
     ControllerKind, ControllerSetup, EvParams, FlightRecorderObserver, SimulationResult,
-    StepObserver, TraceRecorder,
+    TraceRecorder,
 };
 use ev_drive::DriveProfile;
 use ev_telemetry::FlightRecorder;
@@ -103,26 +103,6 @@ pub fn dump_on_violation(
         .dump_to(path, &reason)
         .expect("invariant post-mortem dump written");
     Some(path.to_owned())
-}
-
-/// Drives an arbitrary observer over one cell; returns result + observer.
-///
-/// # Panics
-///
-/// Panics as [`run_checked`] does.
-#[must_use]
-pub fn run_with<O: StepObserver>(
-    params: &EvParams,
-    profile: DriveProfile,
-    kind: ControllerKind,
-    mut observer: O,
-) -> (SimulationResult, O) {
-    let sim = ev_core::Simulation::new(params.clone(), profile).expect("profile non-empty");
-    let mut controller = kind.instantiate(params).expect("controller instantiates");
-    let result = sim
-        .run_observed(controller.as_mut(), &mut observer)
-        .expect("simulation runs");
-    (result, observer)
 }
 
 #[cfg(test)]

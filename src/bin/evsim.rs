@@ -95,6 +95,7 @@
 //! starts any work.
 
 use std::process::ExitCode;
+use std::time::{Duration, Instant};
 
 use evclimate::control::CONSTRAINT_ROW_LABELS;
 use evclimate::core::fleet::{render_loadgen_report, run_loadgen, LoadgenConfig};
@@ -208,8 +209,20 @@ impl Args {
             None => Ok(default),
             Some(v) => v
                 .parse()
-                .map_err(|_| format!("--{key} expects a number, got '{v}'")),
+                .ok()
+                .filter(|x: &f64| x.is_finite())
+                .ok_or_else(|| format!("--{key} expects a finite number, got '{v}'")),
         }
+    }
+
+    /// `--key` as a span of seconds: not negative, and within
+    /// [`Duration`]'s range.
+    fn get_secs(&self, key: &str, default: f64) -> Result<Duration, String> {
+        let secs = self.get_f64(key, default)?;
+        if secs < 0.0 {
+            return Err(format!("--{key} must not be negative, got {secs}"));
+        }
+        Duration::try_from_secs_f64(secs).map_err(|_| format!("--{key} is too large, got {secs:e}"))
     }
 
     fn get_int<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
@@ -220,6 +233,15 @@ impl Args {
                 .map_err(|_| format!("--{key} expects a non-negative integer, got '{v}'")),
         }
     }
+}
+
+/// `--interval`, the pause between polls or samples: more than zero.
+fn interval(args: &Args, default_secs: f64) -> Result<Duration, String> {
+    let interval = args.get_secs("interval", default_secs)?;
+    if interval.is_zero() {
+        return Err("--interval must be positive".into());
+    }
+    Ok(interval)
 }
 
 /// A subcommand's entry point.
@@ -885,10 +907,19 @@ fn cmd_loadgen(args: &Args) -> Result<(), String> {
 
 fn cmd_serve(args: &Args) -> Result<(), String> {
     let addr = args.get("addr").unwrap_or("127.0.0.1:0");
-    let hold_seconds = args.get_f64("for-seconds", 0.0)?;
-    let burst_sessions: usize = args.get_int("burst-sessions", 0)?;
-
+    let hold = args.get_secs("for-seconds", 0.0)?;
+    let defaults = LoadgenConfig {
+        sessions: 0,
+        steps_per_session: 60,
+        ..LoadgenConfig::default()
+    };
+    let burst = loadgen_config(args, "burst-sessions", "burst-steps", defaults)?;
     let registry = Registry::enabled();
+    let setup = ControllerSetup {
+        telemetry: registry.clone(),
+        ..controller_setup(args)?
+    };
+
     let mut server =
         ScrapeServer::bind(addr, registry.clone()).map_err(|e| format!("bind {addr}: {e}"))?;
     // CI and scripts parse this line to learn the bound port; keep the
@@ -898,24 +929,13 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
 
-    if burst_sessions > 0 {
-        let defaults = LoadgenConfig {
-            steps_per_session: 60,
-            ..LoadgenConfig::default()
-        };
-        let config = loadgen_config(args, "burst-sessions", "burst-steps", defaults)?;
-        let setup = ControllerSetup {
-            telemetry: registry.clone(),
-            ..controller_setup(args)?
-        };
-        let report = run_loadgen(&config, &setup);
+    if burst.sessions > 0 {
+        let report = run_loadgen(&burst, &setup);
         print!("{}", render_loadgen_report(&report));
         let _ = std::io::stdout().flush();
     }
 
-    if hold_seconds > 0.0 {
-        std::thread::sleep(std::time::Duration::from_secs_f64(hold_seconds));
-    }
+    std::thread::sleep(hold);
     server.shutdown();
     Ok(())
 }
@@ -1143,10 +1163,7 @@ fn render_top(
 
 fn cmd_top(args: &Args) -> Result<(), String> {
     let addr = args.get("addr").ok_or("missing --addr <host:port>")?;
-    let interval = args.get_f64("interval", 2.0)?;
-    if interval <= 0.0 {
-        return Err("--interval must be positive".into());
-    }
+    let interval = interval(args, 2.0)?;
     let once = args.flag("once");
     use std::io::Write as _;
     // The previous poll's samples: present from the second frame on,
@@ -1167,11 +1184,14 @@ fn cmd_top(args: &Args) -> Result<(), String> {
         match frame {
             // ANSI clear + home, so the table refreshes in place.
             Ok(view) => print!("\x1b[2J\x1b[H{view}"),
-            Err(msg) => print!("\x1b[2J\x1b[H{msg}\nretrying every {interval} s\n"),
+            Err(msg) => print!(
+                "\x1b[2J\x1b[H{msg}\nretrying every {} s\n",
+                interval.as_secs_f64()
+            ),
         }
         prev = parsed.ok();
         let _ = std::io::stdout().flush();
-        std::thread::sleep(std::time::Duration::from_secs_f64(interval));
+        std::thread::sleep(interval);
     }
 }
 
@@ -1225,16 +1245,18 @@ fn fmt_series(name: &str, labels: &[(String, String)]) -> String {
 
 fn cmd_record(args: &Args) -> Result<(), String> {
     let out_path = args.get("out").unwrap_or("fleet.evts");
-    let mut writer = tsdb::SegmentWriter::create(std::path::Path::new(out_path))
-        .map_err(|e| format!("{out_path}: {e}"))?;
-    if let Some(addr) = args.get("addr") {
+    // Every flag is read before the segment is created, so a bad value
+    // leaves an existing `--out` untouched.
+    let create = || {
+        tsdb::SegmentWriter::create(std::path::Path::new(out_path))
+            .map_err(|e| format!("{out_path}: {e}"))
+    };
+    let writer = if let Some(addr) = args.get("addr") {
         // Poll an existing scrape endpoint.
-        let interval = args.get_f64("interval", 1.0)?;
-        if interval <= 0.0 {
-            return Err("--interval must be positive".into());
-        }
-        let for_seconds = args.get_f64("for-seconds", 10.0)?;
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs_f64(for_seconds);
+        let interval = interval(args, 1.0)?;
+        let for_seconds = args.get_secs("for-seconds", 10.0)?;
+        let mut writer = create()?;
+        let start = Instant::now();
         loop {
             let text = scrape_once(addr)?;
             let samples = export::parse_prometheus(&text)
@@ -1242,17 +1264,15 @@ fn cmd_record(args: &Args) -> Result<(), String> {
             writer
                 .append(now_ms(), &samples)
                 .map_err(|e| format!("{out_path}: {e}"))?;
-            if std::time::Instant::now() >= deadline {
+            if start.elapsed() >= for_seconds {
                 break;
             }
-            std::thread::sleep(std::time::Duration::from_secs_f64(interval));
+            std::thread::sleep(interval);
         }
+        writer
     } else {
         // Run a loadgen burst in-process and sample its registry live.
-        let interval = args.get_f64("interval", 0.05)?;
-        if interval <= 0.0 {
-            return Err("--interval must be positive".into());
-        }
+        let interval = interval(args, 0.05)?;
         let config = loadgen_config(args, "sessions", "steps", LoadgenConfig::default())?;
         if config.sessions == 0 {
             return Err("--sessions must be at least 1".into());
@@ -1272,6 +1292,7 @@ fn cmd_record(args: &Args) -> Result<(), String> {
             trace: trace.clone(),
             ..controller_setup(args)?
         };
+        let mut writer = create()?;
         let append = |writer: &mut tsdb::SegmentWriter| {
             writer
                 .append(now_ms(), &export::snapshot_samples(&registry.snapshot()))
@@ -1286,7 +1307,7 @@ fn cmd_record(args: &Args) -> Result<(), String> {
             std::thread::spawn(move || run_loadgen(&config, &setup))
         };
         loop {
-            std::thread::sleep(std::time::Duration::from_secs_f64(interval));
+            std::thread::sleep(interval);
             if worker.is_finished() {
                 break;
             }
@@ -1306,7 +1327,8 @@ fn cmd_record(args: &Args) -> Result<(), String> {
                 trace.dropped()
             );
         }
-    }
+        writer
+    };
     println!("recorded {} frames to {out_path}", writer.frames());
     Ok(())
 }
@@ -1615,8 +1637,59 @@ mod tests {
 
     #[test]
     fn rejects_non_numeric_values() {
-        let args = parse("simulate --ambient hot");
-        assert!(args.get_f64("ambient", 35.0).is_err());
+        for value in ["hot", "nan", "inf", "-inf"] {
+            let args = parse(&format!("simulate --ambient {value}"));
+            let err = args.get_f64("ambient", 35.0).unwrap_err();
+            assert!(err.contains("--ambient"), "{err}");
+        }
+    }
+
+    #[test]
+    fn bad_numbers_fail_before_any_work() {
+        // What `main` prints before exiting 1.
+        let error = |line: &str| {
+            let (command, argv) = words(line);
+            parse_command(&command, &argv)
+                .and_then(|(run, args)| run(&args))
+                .expect_err(line)
+        };
+        for (line, flag) in [
+            (
+                "simulate --cycle ece15 --controller onoff --ambient nan",
+                "--ambient",
+            ),
+            (
+                "simulate --cycle ece15 --controller mpc --ambient inf --precondition",
+                "--ambient",
+            ),
+            ("serve --for-seconds -1", "--for-seconds"),
+            ("top --addr 127.0.0.1:9 --interval 0", "--interval"),
+            (
+                "record --addr 127.0.0.1:9 --for-seconds 1e300",
+                "--for-seconds",
+            ),
+        ] {
+            let err = error(line);
+            assert!(err.contains(flag) && !err.contains('\n'), "{line}: {err}");
+        }
+        let dir = std::env::temp_dir().join(format!("evsim-bad-numbers-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let out = dir.join("seg.evts");
+        std::fs::write(&out, b"an earlier segment").unwrap();
+        for interval in ["-1", "nan", "0"] {
+            let line = format!("record --interval {interval} --out {}", out.display());
+            let err = error(&line);
+            assert!(
+                err.contains("--interval") && !err.contains('\n'),
+                "{line}: {err}"
+            );
+            assert_eq!(
+                std::fs::read(&out).unwrap(),
+                b"an earlier segment",
+                "{line}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -4,43 +4,26 @@
 //! headline magnitudes in explicit bands (EXPERIMENTS.md compares them
 //! with the paper's).
 
-use ev_testkit::InvariantObserver;
+use ev_testkit::run_checked;
 use evclimate::core::experiments::{
-    evaluation_sweep, evaluation_sweep_at, evaluation_sweep_observed, experiment_params, fig7_from,
-    fig8_from, find, mean_hvac_reduction_pct, mean_soh_improvement_pct, table1_row,
+    evaluation_sweep_run, experiment_params, fig7_from, fig8_from, mean_hvac_reduction_pct,
+    mean_soh_improvement_pct, profile_at, table1_row, COMPARISON_AMBIENT_C,
 };
 use evclimate::core::ControllerKind;
 use evclimate::prelude::*;
 
-/// Runs the three-controller comparison on one cycle at one ambient,
-/// with the `ev-testkit` physics invariants checked at every step of
-/// every cell.
-fn lineup(ambient_c: f64, cycle: &DriveCycle) -> (Metrics, Metrics, Metrics) {
-    let params = experiment_params();
-    let cells = evaluation_sweep_observed(ambient_c, std::slice::from_ref(cycle), |_, _| {
-        InvariantObserver::for_params(&params)
-    });
-    for (cell, observer) in &cells {
-        assert!(
-            observer.report().is_clean(),
-            "{} × {:?}: {}",
-            cell.profile,
-            cell.controller,
-            observer.report()
-        );
-    }
-    let cells: Vec<_> = cells.into_iter().map(|(cell, _)| cell).collect();
-    let get = |kind| {
-        *find(&cells, cycle.name(), kind)
-            .expect("cell present")
-            .result
-            .metrics()
-    };
-    (
-        get(ControllerKind::OnOff),
-        get(ControllerKind::Fuzzy),
-        get(ControllerKind::Mpc),
-    )
+/// Runs the three-controller comparison on one cycle at one ambient with
+/// the evaluation sweep's parameters (a preconditioned cabin), and the
+/// `ev-testkit` physics invariants checked at every step of every cell.
+/// Returns the On/Off, fuzzy and MPC results, in that order.
+fn lineup(ambient_c: f64, cycle: &DriveCycle) -> [SimulationResult; 3] {
+    let mut params = experiment_params();
+    params.initial_cabin = Some(params.target);
+    ControllerKind::paper_lineup().map(|kind| {
+        let (result, _, report) = run_checked(&params, profile_at(cycle, ambient_c), kind);
+        report.assert_clean();
+        result
+    })
 }
 
 /// The claims ledger. Fig. 7 and Fig. 8 use the bands the repository
@@ -51,7 +34,12 @@ fn lineup(ambient_c: f64, cycle: &DriveCycle) -> (Metrics, Metrics, Metrics) {
 /// figures are in the messages.
 #[test]
 fn headline_magnitudes_stay_in_their_bands() {
-    let cells = evaluation_sweep();
+    let cells = evaluation_sweep_run(
+        COMPARISON_AMBIENT_C,
+        &DriveCycle::paper_evaluation_set(),
+        false,
+    )
+    .into_cells();
     let soh = mean_soh_improvement_pct(&fig7_from(&cells));
     assert!(
         (soh - 13.0).abs() <= 0.2,
@@ -79,7 +67,7 @@ fn headline_magnitudes_stay_in_their_bands() {
 #[test]
 fn mpc_beats_onoff_on_soh_for_urban_and_mixed_cycles() {
     for cycle in [DriveCycle::ece15(), DriveCycle::ece_eudc()] {
-        let (onoff, _fuzzy, mpc) = lineup(35.0, &cycle);
+        let [onoff, _fuzzy, mpc] = lineup(35.0, &cycle).map(|r| *r.metrics());
         assert!(
             mpc.delta_soh_milli_percent < onoff.delta_soh_milli_percent,
             "{}: mpc {} vs onoff {}",
@@ -93,12 +81,8 @@ fn mpc_beats_onoff_on_soh_for_urban_and_mixed_cycles() {
 #[test]
 fn hvac_power_ordering_matches_fig8() {
     // Paper Fig. 8: ours ≤ fuzzy ≤ On/Off on every profile.
-    let (onoff, fuzzy, mpc) = lineup(35.0, &DriveCycle::ece_eudc());
-    let (po, pf, pm) = (
-        onoff.avg_hvac_power.value(),
-        fuzzy.avg_hvac_power.value(),
-        mpc.avg_hvac_power.value(),
-    );
+    let [po, pf, pm] =
+        lineup(35.0, &DriveCycle::ece_eudc()).map(|r| r.metrics().avg_hvac_power.value());
     assert!(pf < po, "fuzzy {pf} vs onoff {po}");
     assert!(pm <= pf, "mpc {pm} vs fuzzy {pf}");
 }
@@ -124,13 +108,12 @@ fn improvement_grows_with_hvac_load() {
 
 #[test]
 fn all_controllers_maintain_comfort_when_preconditioned() {
-    for kind in ControllerKind::paper_lineup() {
-        let cells = evaluation_sweep_at(35.0, &[DriveCycle::ece15()]);
-        let cell = find(&cells, "ECE-15", kind).expect("cell present");
-        let m = cell.result.metrics();
+    let results = lineup(35.0, &DriveCycle::ece15());
+    for (kind, result) in ControllerKind::paper_lineup().into_iter().zip(&results) {
+        let m = result.metrics();
         // Small transient excursions are tolerated; sustained violation
         // is not (< 5 % of samples and < 1 K depth).
-        let frac = m.comfort_violations as f64 / cell.result.series.t.len() as f64;
+        let frac = m.comfort_violations as f64 / result.series.t.len() as f64;
         assert!(
             frac < 0.05,
             "{kind:?}: {frac:.3} of samples violated comfort"
@@ -148,7 +131,7 @@ fn soc_deviation_is_what_the_mpc_flattens() {
     // The mechanism behind the paper's Fig. 7: the MPC's ΔSoH win comes
     // from a flatter SoC trajectory (smaller SoC_dev at comparable or
     // lower SoC_avg drop), not from sacrificing comfort.
-    let (onoff, _fuzzy, mpc) = lineup(35.0, &DriveCycle::ece_eudc());
+    let [onoff, _fuzzy, mpc] = lineup(35.0, &DriveCycle::ece_eudc()).map(|r| *r.metrics());
     assert!(
         mpc.soc_stats.dev <= onoff.soc_stats.dev,
         "mpc dev {} vs onoff dev {}",
@@ -166,26 +149,10 @@ fn soc_deviation_is_what_the_mpc_flattens() {
 fn energy_savings_translate_into_range() {
     // Paper Section I: HVAC can cut driving range substantially; the
     // lifetime-aware controller claws range back.
-    let (onoff, _fuzzy, mpc) = lineup(43.0, &DriveCycle::ece_eudc());
+    let [onoff, _fuzzy, mpc] = lineup(43.0, &DriveCycle::ece_eudc());
     let usable = KilowattHours::new(21.0);
-    let r_onoff = {
-        let cells = evaluation_sweep_at(43.0, &[DriveCycle::ece_eudc()]);
-        find(&cells, "ECE_EUDC", ControllerKind::OnOff)
-            .expect("cell")
-            .result
-            .range_estimate(usable)
-            .value()
-    };
-    let _ = onoff;
-    let r_mpc = {
-        let cells = evaluation_sweep_at(43.0, &[DriveCycle::ece_eudc()]);
-        find(&cells, "ECE_EUDC", ControllerKind::Mpc)
-            .expect("cell")
-            .result
-            .range_estimate(usable)
-            .value()
-    };
-    let _ = mpc;
+    let r_onoff = onoff.range_estimate(usable).value();
+    let r_mpc = mpc.range_estimate(usable).value();
     assert!(
         r_mpc > r_onoff,
         "range with MPC {r_mpc:.1} km must exceed On/Off {r_onoff:.1} km"
