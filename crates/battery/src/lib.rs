@@ -34,7 +34,6 @@
 mod bms;
 mod cell;
 mod charger;
-mod estimator;
 mod hess;
 mod params;
 mod soh;
@@ -43,7 +42,6 @@ mod thermal;
 pub use bms::{Bms, SocStats};
 pub use cell::Battery;
 pub use charger::{charge_to, ChargeSession, Charger};
-pub use estimator::{EstimatorConfig, SocEstimator};
 pub use hess::{Hess, HessSplit, SplitPolicy, Ultracapacitor};
 pub use params::{BatteryParams, OcvCurve};
 pub use soh::{SohModel, SohParams, SohParamsError};

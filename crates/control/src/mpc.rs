@@ -2737,6 +2737,48 @@ mod tests {
     }
 
     #[test]
+    fn prediction_replays_through_the_plant_step() {
+        // The rollout restates `Hvac::step`'s trapezoidal cabin map
+        // (Eq. 18–19) inline: replaying the recorded plan through the
+        // plant at the prediction period must land on every predicted
+        // cabin temperature.
+        let hvac = Hvac::new(CabinParams::default(), HvacParams::default());
+        let recorder = FlightRecorder::enabled(4);
+        let dt = Seconds::new(4.0);
+        let mut c = MpcController::builder(hvac.clone(), HvacLimits::default())
+            .horizon(6)
+            .prediction_dt(dt)
+            .flight_recorder(&recorder)
+            .build()
+            .unwrap();
+        let preview = preview_const(8_000.0, 35.0, 24);
+        c.control(&ctx(27.5, 35.0, &preview));
+        let records = recorder.records();
+        let plan = records
+            .iter()
+            .find_map(|r| match r {
+                ev_telemetry::FlightRecord::Decision(d) => Some(&d.plan),
+                _ => None,
+            })
+            .expect("decision recorded");
+        assert_eq!(plan.len(), 6);
+        let mut state = HvacState::new(Celsius::new(27.5));
+        for (k, step) in plan.iter().enumerate() {
+            let input = HvacInput {
+                ts: Celsius::new(step.ts_c),
+                tc: Celsius::new(step.tc_c),
+                dr: step.recirculation,
+                mz: KgPerSecond::new(step.flow_kg_s),
+            };
+            state = hvac
+                .step(state, &input, Celsius::new(35.0), Watts::new(400.0), dt)
+                .0;
+            let gap = (state.tz.value() - step.cabin_c).abs();
+            assert!(gap < 1e-9, "step {k}: plant and plan differ by {gap:e} K");
+        }
+    }
+
+    #[test]
     fn forced_iteration_cap_records_max_iter_and_auto_dumps() {
         let dir = std::env::temp_dir().join(format!(
             "ev-mpc-autodump-{}-{:?}",

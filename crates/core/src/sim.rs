@@ -22,6 +22,14 @@ pub enum SimError {
     /// construction so the failure carries a routable error instead of
     /// panicking deep inside the run (possibly on a worker thread).
     InvalidSohParams(ev_battery::SohParamsError),
+    /// A drive-profile sample carries a NaN or infinite time, speed,
+    /// acceleration, slope, ambient temperature or solar load. Caught at
+    /// construction: the controllers and the plant would otherwise panic
+    /// or run on NaN mid-drive.
+    NonFiniteSample {
+        /// Index of the first offending sample.
+        index: usize,
+    },
 }
 
 impl core::fmt::Display for SimError {
@@ -30,6 +38,9 @@ impl core::fmt::Display for SimError {
             Self::EmptyProfile => write!(f, "drive profile has no samples"),
             Self::ZeroPreview => write!(f, "preview window length must be positive"),
             Self::InvalidSohParams(e) => write!(f, "invalid soh parameters: {e}"),
+            Self::NonFiniteSample { index } => {
+                write!(f, "drive profile sample {index} is not finite")
+            }
         }
     }
 }
@@ -83,14 +94,29 @@ impl Simulation {
     /// # Errors
     ///
     /// Returns [`SimError::EmptyProfile`] if the profile has no samples,
-    /// or [`SimError::InvalidSohParams`] if the degradation parameters
-    /// are out of range.
+    /// [`SimError::InvalidSohParams`] if the degradation parameters are
+    /// out of range, or [`SimError::NonFiniteSample`] for the first
+    /// sample with a NaN or infinite field.
     pub fn new(params: EvParams, profile: DriveProfile) -> Result<Self, SimError> {
         if profile.is_empty() {
             return Err(SimError::EmptyProfile);
         }
         if let Err(e) = params.soh.try_validated() {
             return Err(SimError::InvalidSohParams(e));
+        }
+        if let Some(index) = profile.iter().position(|s| {
+            ![
+                s.t.value(),
+                s.v.value(),
+                s.a,
+                s.slope_percent,
+                s.ambient.value(),
+                s.solar.value(),
+            ]
+            .iter()
+            .all(|x| x.is_finite())
+        }) {
+            return Err(SimError::NonFiniteSample { index });
         }
         // Algorithm 1 lines 2–5: PowerTrain(d_t) for every sample.
         let train = ev_powertrain::PowerTrain::new(params.vehicle.clone());
@@ -429,6 +455,38 @@ mod tests {
             SimError::ZeroPreview.to_string(),
             "preview window length must be positive"
         );
+    }
+
+    #[test]
+    fn non_finite_samples_are_rejected_at_construction() {
+        use ev_drive::DriveSample;
+        use ev_units::MetersPerSecond;
+        type Poison = fn(&mut DriveSample);
+        let poisons: [(&str, Poison); 8] = [
+            ("t", |s| s.t = Seconds::new(f64::NAN)),
+            ("v", |s| s.v = MetersPerSecond::new(f64::NAN)),
+            ("a", |s| s.a = f64::NAN),
+            ("slope", |s| s.slope_percent = f64::NAN),
+            ("ambient", |s| s.ambient = Celsius::new(f64::NAN)),
+            ("solar", |s| s.solar = Watts::new(f64::NAN)),
+            ("+inf ambient", |s| s.ambient = Celsius::new(f64::INFINITY)),
+            ("-inf ambient", |s| {
+                s.ambient = Celsius::new(f64::NEG_INFINITY)
+            }),
+        ];
+        let base = short_sim(30.0).profile().samples().to_vec();
+        for (k, (name, poison)) in poisons.into_iter().enumerate() {
+            let index = 7 + 13 * k;
+            let mut samples = base.clone();
+            poison(&mut samples[index]);
+            let profile = DriveProfile::from_samples("poisoned", Seconds::new(1.0), samples);
+            let err = Simulation::new(EvParams::nissan_leaf_like(), profile).unwrap_err();
+            assert_eq!(err, SimError::NonFiniteSample { index }, "{name}");
+            assert!(
+                err.to_string().contains(&format!("sample {index} ")),
+                "{name}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -54,7 +54,6 @@
 
 mod limits;
 mod model;
-pub mod moist_air;
 mod params;
 
 pub use limits::{ConstraintViolation, HvacLimits};

@@ -215,8 +215,13 @@ impl HvacLimits {
         let tm = hvac.mixed_air(&clamped, state.tz, to);
         // Active cooling may not go below the coil floor; a passive coil
         // may track an air mix colder than the floor (winter heating).
+        // The coil may not exceed the supply maximum either, or an air
+        // mix hotter than it (extreme ambient) would leave the supply
+        // range `[tc, max_supply_temp]` empty.
         let tc_floor = p.min_coil_temp.min(tm);
-        clamped.tc = clamped.tc.clamp(tc_floor, tm.max(tc_floor));
+        clamped.tc = clamped
+            .tc
+            .clamp(tc_floor, tm.max(tc_floor).min(p.max_supply_temp));
         clamped.ts = clamped.ts.clamp(clamped.tc, p.max_supply_temp);
         clamped
     }

@@ -186,25 +186,6 @@ impl Hvac {
         let power = self.power(input, state, to);
         (next, power)
     }
-
-    /// The affine coefficients `(a, b)` of the discretized cabin dynamics
-    /// `Mc·(Tz⁺ − Tz)/Δt = a − b·(Tz⁺ + Tz)/2`, exposed so the MPC can
-    /// build the identical prediction model the plant uses.
-    #[must_use]
-    pub fn discrete_coefficients(
-        &self,
-        input: &HvacInput,
-        to: Celsius,
-        solar: Watts,
-    ) -> (f64, f64) {
-        let cp = self.cabin.air_heat_capacity.value();
-        let cx = self.cabin.shell_conductance.value();
-        let mz = input.mz.value();
-        (
-            solar.value() + cx * to.value() + mz * cp * input.ts.value(),
-            cx + mz * cp,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -364,19 +345,6 @@ mod tests {
         assert_eq!(p.heating.value(), 0.0);
         assert_eq!(p.cooling.value(), 0.0);
         assert!(p.fan.value() > 0.0); // minimum ventilation flow
-    }
-
-    #[test]
-    fn discrete_coefficients_match_step() {
-        let h = hvac();
-        let input = cooling_input();
-        let to = Celsius::new(35.0);
-        let solar = Watts::new(400.0);
-        let (a, b) = h.discrete_coefficients(&input, to, solar);
-        let state = HvacState::new(Celsius::new(27.0));
-        let expected = ev_ode::trapezoidal(27.0, 8.0e4, a, b, 1.0);
-        let (next, _) = h.step(state, &input, to, solar, Seconds::new(1.0));
-        assert!((next.tz.value() - expected).abs() < 1e-12);
     }
 
     #[test]

@@ -115,7 +115,7 @@ proptest! {
     fn clamped_inputs_pass_static_constraints(
         input in any_input(),
         tz in 21.0f64..27.0, // inside the comfort band
-        to in -20.0f64..50.0,
+        to in -20.0f64..1000.0, // far past any climate: the clamp must not panic
     ) {
         let h = hvac();
         let limits = HvacLimits::default();

@@ -2,9 +2,8 @@
 //!
 //! This crate provides the small, dependency-free linear-algebra kernel the
 //! evclimate optimizer ([`ev-optim`]) is built on: a row-major dense
-//! [`Matrix`], LU factorization with partial pivoting ([`Lu`]), Cholesky
-//! factorization for symmetric positive-definite systems ([`Cholesky`]) and
-//! Householder QR for least squares ([`Qr`]).
+//! [`Matrix`], LU factorization with partial pivoting ([`Lu`]) and Cholesky
+//! factorization for symmetric positive-definite systems ([`Cholesky`]).
 //!
 //! The model-predictive-control problems solved in this workspace involve a
 //! few hundred variables at most, so straightforward `O(n³)` dense
@@ -44,7 +43,6 @@ mod cholesky;
 mod error;
 mod lu;
 mod matrix;
-mod qr;
 mod sparse;
 pub mod vecops;
 
@@ -53,5 +51,4 @@ pub use cholesky::Cholesky;
 pub use error::LinalgError;
 pub use lu::{solve, Lu};
 pub use matrix::Matrix;
-pub use qr::Qr;
 pub use sparse::SparseMatrix;

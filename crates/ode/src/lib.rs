@@ -1,186 +1,94 @@
-//! ODE integration for low-order vehicle thermal and electrical models.
+//! The implicit trapezoidal cabin step of the paper's Eq. 18–19.
 //!
-//! The DAC 2015 climate-control paper models every EV component — cabin
-//! thermal dynamics, power train, battery — with low-order ordinary
-//! differential equations (its Section II). This crate provides the
-//! integrators that advance those models in the co-simulation engine:
-//!
-//! * fixed-step explicit [`euler`] and classic fourth-order [`rk4`]
-//!   one-step maps,
-//! * an adaptive Runge–Kutta–Fehlberg 4(5) driver ([`Rkf45`]) with PI step
-//!   control for validation runs,
-//! * the implicit [`trapezoidal`] one-step map for *linear-in-state*
-//!   scalar dynamics, matching exactly the discretization the paper's MPC
-//!   applies to the cabin equation (its Eq. 18–19),
-//! * an [`integrate`] driver that collects a [`Trajectory`].
-//!
-//! # Examples
-//!
-//! Exponential decay `x' = -x` integrated over one unit of time:
-//!
-//! ```
-//! use ev_ode::{integrate, OdeSystem, StepMethod};
-//!
-//! struct Decay;
-//! impl OdeSystem for Decay {
-//!     fn dim(&self) -> usize { 1 }
-//!     fn rhs(&self, _t: f64, x: &[f64], dx: &mut [f64]) {
-//!         dx[0] = -x[0];
-//!     }
-//! }
-//!
-//! let traj = integrate(&Decay, &[1.0], 0.0, 1.0, 1e-3, StepMethod::Rk4);
-//! let x_end = traj.last_state()[0];
-//! assert!((x_end - (-1.0f64).exp()).abs() < 1e-9);
-//! ```
+//! The paper discretizes the cabin energy balance with one trapezoidal
+//! step per sample period. [`trapezoidal`] is that map: `Hvac::step`
+//! (ev-hvac) calls it to advance the plant's cabin, and the MPC rollout
+//! (ev-control) restates it inline, so controller and plant predict the
+//! cabin with the same recursion.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod adaptive;
-mod stepper;
-mod trajectory;
-
-pub use adaptive::{AdaptiveOptions, Rkf45, StepError};
-pub use stepper::{euler, rk4, trapezoidal, StepMethod};
-pub use trajectory::Trajectory;
-
-/// A continuous-time dynamical system `x' = f(t, x)`.
+/// One implicit trapezoidal step for the scalar affine dynamics
+/// `c · x' = a − b · x̄`, where `x̄ = (x⁺ + x)/2` is the step midpoint.
 ///
-/// Implementors describe the right-hand side of the ODE; integrators in
-/// this crate advance it. The state is a flat `&[f64]` so that systems of
-/// any (small) dimension share one interface.
+/// This is exactly the discretization the paper applies to the cabin
+/// energy balance (Eq. 18–19): given the previous state `x`, thermal
+/// capacitance `c > 0`, constant forcing `a` and midpoint feedback
+/// coefficient `b ≥ 0` over a step of length `h`, it returns `x⁺` from
 ///
-/// # Examples
-///
+/// ```text
+/// c · (x⁺ − x) / h = a − b · (x⁺ + x) / 2
 /// ```
-/// use ev_ode::OdeSystem;
 ///
-/// /// Harmonic oscillator x'' = -x as a first-order system.
-/// struct Oscillator;
-/// impl OdeSystem for Oscillator {
-///     fn dim(&self) -> usize { 2 }
-///     fn rhs(&self, _t: f64, x: &[f64], dx: &mut [f64]) {
-///         dx[0] = x[1];
-///         dx[1] = -x[0];
-///     }
-/// }
-/// ```
-pub trait OdeSystem {
-    /// Dimension of the state vector.
-    fn dim(&self) -> usize;
-
-    /// Evaluates the right-hand side `f(t, x)` into `dx`.
-    ///
-    /// `dx` has length [`OdeSystem::dim`]; implementations must write every
-    /// component.
-    fn rhs(&self, t: f64, x: &[f64], dx: &mut [f64]);
-}
-
-/// Integrates `system` from `t0` to `t1` with fixed step `dt`, collecting
-/// every accepted state into a [`Trajectory`].
-///
-/// The final step is shortened so the trajectory ends exactly at `t1`.
+/// The trapezoidal rule is A-stable, so stiff cabin time constants cannot
+/// blow up regardless of step size.
 ///
 /// # Panics
 ///
-/// Panics if `dt <= 0`, `t1 < t0`, or `x0.len() != system.dim()`.
+/// Panics if `c <= 0`, `h <= 0`, or the implicit equation degenerates
+/// (`c/h + b/2 == 0`, impossible for valid input).
 ///
 /// # Examples
 ///
 /// ```
-/// use ev_ode::{integrate, OdeSystem, StepMethod};
-///
-/// struct Constant;
-/// impl OdeSystem for Constant {
-///     fn dim(&self) -> usize { 1 }
-///     fn rhs(&self, _t: f64, _x: &[f64], dx: &mut [f64]) { dx[0] = 2.0; }
+/// // x' = 1 - x, starting at 0: converges to 1.
+/// let mut x = 0.0;
+/// for _ in 0..100 {
+///     x = ev_ode::trapezoidal(x, 1.0, 1.0, 1.0, 0.1);
 /// }
-///
-/// let traj = integrate(&Constant, &[0.0], 0.0, 5.0, 0.5, StepMethod::Euler);
-/// assert!((traj.last_state()[0] - 10.0).abs() < 1e-12);
+/// assert!((x - 1.0).abs() < 1e-4);
 /// ```
 #[must_use]
-pub fn integrate<S: OdeSystem>(
-    system: &S,
-    x0: &[f64],
-    t0: f64,
-    t1: f64,
-    dt: f64,
-    method: StepMethod,
-) -> Trajectory {
-    assert!(dt > 0.0, "integrate: dt must be positive");
-    assert!(t1 >= t0, "integrate: t1 must be >= t0");
-    assert_eq!(
-        x0.len(),
-        system.dim(),
-        "integrate: state dimension mismatch"
-    );
-
-    let mut traj = Trajectory::new(system.dim());
-    let mut t = t0;
-    let mut x = x0.to_vec();
-    traj.push(t, &x);
-    while t < t1 {
-        let h = dt.min(t1 - t);
-        if h <= f64::EPSILON * t.abs().max(1.0) {
-            break;
-        }
-        match method {
-            StepMethod::Euler => euler(system, t, &mut x, h),
-            StepMethod::Rk4 => rk4(system, t, &mut x, h),
-        }
-        t += h;
-        traj.push(t, &x);
-    }
-    traj
+pub fn trapezoidal(x: f64, c: f64, a: f64, b: f64, h: f64) -> f64 {
+    assert!(c > 0.0, "trapezoidal: capacitance must be positive");
+    assert!(h > 0.0, "trapezoidal: step must be positive");
+    let lhs = c / h + 0.5 * b;
+    assert!(lhs != 0.0, "trapezoidal: degenerate implicit equation");
+    ((c / h - 0.5 * b) * x + a) / lhs
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    struct Decay;
-    impl OdeSystem for Decay {
-        fn dim(&self) -> usize {
-            1
+    #[test]
+    fn trapezoidal_matches_exact_affine_solution() {
+        // c x' = a - b x with c=2, a=4, b=1: x* = 4, time constant 2.
+        let (c, a, b) = (2.0, 4.0, 1.0);
+        let h = 0.01;
+        let mut x = 0.0;
+        let mut t = 0.0;
+        while t < 1.0 - 1e-12 {
+            x = trapezoidal(x, c, a, b, h);
+            t += h;
         }
-        fn rhs(&self, _t: f64, x: &[f64], dx: &mut [f64]) {
-            dx[0] = -x[0];
+        let exact = 4.0 * (1.0 - (-1.0f64 / 2.0).exp());
+        assert!((x - exact).abs() < 1e-4, "x {x} exact {exact}");
+    }
+
+    #[test]
+    fn trapezoidal_is_stable_for_large_steps() {
+        // Explicit Euler would oscillate/diverge for h*b/c > 2.
+        let mut x = 100.0;
+        for _ in 0..50 {
+            x = trapezoidal(x, 1.0, 0.0, 1.0, 10.0);
         }
+        assert!(x.abs() < 1.0, "trapezoidal diverged: {x}");
     }
 
     #[test]
-    fn integrate_hits_end_time_exactly() {
-        let traj = integrate(&Decay, &[1.0], 0.0, 1.05, 0.1, StepMethod::Rk4);
-        let times = traj.times();
-        assert!((times[times.len() - 1] - 1.05).abs() < 1e-12);
+    fn trapezoidal_equilibrium_is_fixed_point() {
+        // At x = a/b the state must not move.
+        let x = trapezoidal(3.0, 5.0, 6.0, 2.0, 0.7);
+        let x2 = trapezoidal(x, 5.0, 6.0, 2.0, 0.7);
+        assert!((x - 3.0).abs() < 1e-12);
+        assert!((x2 - 3.0).abs() < 1e-12);
     }
 
     #[test]
-    fn rk4_beats_euler_on_decay() {
-        let exact = (-1.0f64).exp();
-        let e = integrate(&Decay, &[1.0], 0.0, 1.0, 0.1, StepMethod::Euler).last_state()[0];
-        let r = integrate(&Decay, &[1.0], 0.0, 1.0, 0.1, StepMethod::Rk4).last_state()[0];
-        assert!((r - exact).abs() < (e - exact).abs() / 100.0);
-    }
-
-    #[test]
-    fn zero_span_returns_initial_state_only() {
-        let traj = integrate(&Decay, &[3.0], 2.0, 2.0, 0.1, StepMethod::Euler);
-        assert_eq!(traj.len(), 1);
-        assert_eq!(traj.last_state(), &[3.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "dt must be positive")]
-    fn integrate_rejects_bad_dt() {
-        let _ = integrate(&Decay, &[1.0], 0.0, 1.0, 0.0, StepMethod::Euler);
-    }
-
-    #[test]
-    #[should_panic(expected = "dimension mismatch")]
-    fn integrate_rejects_bad_state() {
-        let _ = integrate(&Decay, &[1.0, 2.0], 0.0, 1.0, 0.1, StepMethod::Euler);
+    #[should_panic(expected = "capacitance")]
+    fn trapezoidal_rejects_bad_capacitance() {
+        let _ = trapezoidal(0.0, 0.0, 1.0, 1.0, 0.1);
     }
 }

@@ -1,109 +1,11 @@
-//! Property-based tests for the integrators: convergence order, linearity
-//! and stability properties on randomized linear systems.
+//! Property-based tests for the trapezoidal step: A-stability and its
+//! fixed point.
 
-use ev_ode::{euler, integrate, rk4, trapezoidal, OdeSystem, Rkf45, StepMethod};
+use ev_ode::trapezoidal;
 use proptest::prelude::*;
-
-/// A scalar linear system x' = −λx with λ > 0.
-struct Decay {
-    lambda: f64,
-}
-impl OdeSystem for Decay {
-    fn dim(&self) -> usize {
-        1
-    }
-    fn rhs(&self, _t: f64, x: &[f64], dx: &mut [f64]) {
-        dx[0] = -self.lambda * x[0];
-    }
-}
-
-/// A 2-D rotation (energy-preserving) with angular rate ω.
-struct Rotation {
-    omega: f64,
-}
-impl OdeSystem for Rotation {
-    fn dim(&self) -> usize {
-        2
-    }
-    fn rhs(&self, _t: f64, x: &[f64], dx: &mut [f64]) {
-        dx[0] = -self.omega * x[1];
-        dx[1] = self.omega * x[0];
-    }
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn rk4_matches_exponential(
-        lambda in 0.1f64..2.0,
-        x0 in 0.1f64..5.0,
-    ) {
-        let traj = integrate(&Decay { lambda }, &[x0], 0.0, 1.0, 0.01, StepMethod::Rk4);
-        let exact = x0 * (-lambda).exp();
-        prop_assert!((traj.last_state()[0] - exact).abs() < 1e-8 * x0.max(1.0));
-    }
-
-    #[test]
-    fn euler_error_shrinks_linearly(
-        lambda in 0.2f64..1.5,
-    ) {
-        let run = |h: f64| {
-            let mut x = [1.0];
-            let steps = (1.0 / h).round() as usize;
-            for k in 0..steps {
-                euler(&Decay { lambda }, k as f64 * h, &mut x, h);
-            }
-            (x[0] - (-lambda).exp()).abs()
-        };
-        let e1 = run(0.02);
-        let e2 = run(0.01);
-        let ratio = e1 / e2;
-        prop_assert!(ratio > 1.6 && ratio < 2.4, "order-1 ratio {ratio}");
-    }
-
-    #[test]
-    fn integration_is_linear_in_initial_condition(
-        lambda in 0.1f64..2.0,
-        x0 in 0.1f64..3.0,
-        scale in 0.5f64..3.0,
-    ) {
-        // For linear systems, x(t; s·x0) = s·x(t; x0).
-        let a = integrate(&Decay { lambda }, &[x0], 0.0, 0.7, 0.01, StepMethod::Rk4);
-        let b = integrate(&Decay { lambda }, &[scale * x0], 0.0, 0.7, 0.01, StepMethod::Rk4);
-        prop_assert!(
-            (b.last_state()[0] - scale * a.last_state()[0]).abs() < 1e-10
-        );
-    }
-
-    #[test]
-    fn rk4_preserves_rotation_norm(
-        omega in 0.2f64..3.0,
-        x0 in 0.2f64..2.0,
-        y0 in -2.0f64..2.0,
-    ) {
-        let mut x = [x0, y0];
-        let r0 = (x0 * x0 + y0 * y0).sqrt();
-        for k in 0..500 {
-            rk4(&Rotation { omega }, k as f64 * 0.01, &mut x, 0.01);
-        }
-        let r = (x[0] * x[0] + x[1] * x[1]).sqrt();
-        prop_assert!((r - r0).abs() < 1e-6 * r0.max(1.0), "radius {r0} → {r}");
-    }
-
-    #[test]
-    fn rkf45_agrees_with_rk4(
-        lambda in 0.1f64..2.0,
-        x0 in 0.1f64..3.0,
-    ) {
-        let fixed = integrate(&Decay { lambda }, &[x0], 0.0, 2.0, 0.001, StepMethod::Rk4);
-        let adaptive = Rkf45::new(ev_ode::AdaptiveOptions::default())
-            .integrate(&Decay { lambda }, &[x0], 0.0, 2.0)
-            .expect("smooth problem");
-        prop_assert!(
-            (fixed.last_state()[0] - adaptive.last_state()[0]).abs() < 1e-6
-        );
-    }
 
     #[test]
     fn trapezoidal_is_unconditionally_stable(
@@ -125,19 +27,5 @@ proptest! {
         let xstar = a / b;
         let next = trapezoidal(xstar, 2.0, a, b, h);
         prop_assert!((next - xstar).abs() < 1e-9 * xstar.abs().max(1.0));
-    }
-
-    #[test]
-    fn trajectory_times_are_monotone(
-        lambda in 0.1f64..1.0,
-        dt in 0.01f64..0.3,
-        t1 in 0.5f64..3.0,
-    ) {
-        let traj = integrate(&Decay { lambda }, &[1.0], 0.0, t1, dt, StepMethod::Euler);
-        let times = traj.times();
-        for w in times.windows(2) {
-            prop_assert!(w[1] > w[0]);
-        }
-        prop_assert!((times[times.len() - 1] - t1).abs() < 1e-9);
     }
 }

@@ -842,17 +842,7 @@ impl QpSolver {
     /// failures as [`OptimError::Linalg`].
     pub fn solve(&self, problem: &QpProblem) -> Result<QpSolution, OptimError> {
         let z0 = vec![0.0; problem.num_vars()];
-        self.solve_from(problem, &z0)
-    }
-
-    /// Solves the QP from a warm-start primal point `z0`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`QpSolver::solve`]; additionally returns
-    /// [`OptimError::DimensionMismatch`] if `z0.len() != num_vars()`.
-    pub fn solve_from(&self, problem: &QpProblem, z0: &[f64]) -> Result<QpSolution, OptimError> {
-        self.solve_view_from(&problem.as_view(), z0)
+        self.solve_view_in(&problem.as_view(), &z0, &mut IpmWorkspace::default())
     }
 
     /// Solves a borrowed-view QP starting from the origin (the
@@ -863,23 +853,11 @@ impl QpSolver {
     /// Same as [`QpSolver::solve`].
     pub fn solve_view(&self, view: &QpView<'_>) -> Result<QpSolution, OptimError> {
         let z0 = vec![0.0; view.num_vars()];
-        self.solve_view_from(view, z0.as_slice())
+        self.solve_view_in(view, &z0, &mut IpmWorkspace::default())
     }
 
-    /// Solves a borrowed-view QP from a warm-start primal point `z0`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`QpSolver::solve_from`].
-    pub fn solve_view_from(
-        &self,
-        problem: &QpView<'_>,
-        z0: &[f64],
-    ) -> Result<QpSolution, OptimError> {
-        self.solve_view_in(problem, z0, &mut IpmWorkspace::default())
-    }
-
-    /// [`QpSolver::solve_view_from`] in a caller-owned workspace.
+    /// Solves a borrowed-view QP from the primal point `z0` in a
+    /// caller-owned workspace.
     pub(crate) fn solve_view_in(
         &self,
         problem: &QpView<'_>,
@@ -905,7 +883,8 @@ impl QpSolver {
     ///
     /// # Errors
     ///
-    /// Same as [`QpSolver::solve_from`].
+    /// Same as [`QpSolver::solve`]; additionally returns
+    /// [`OptimError::DimensionMismatch`] if `z0.len() != num_vars()`.
     pub fn solve_view_warm(
         &self,
         problem: &QpView<'_>,
@@ -2475,9 +2454,16 @@ mod tests {
             .unwrap()
             .with_inequalities(Matrix::from_rows(&[&[1.0]]).unwrap(), vec![1.0])
             .unwrap();
-        let sol = QpSolver::default().solve_from(&p, &[0.9]).unwrap();
+        let solver = QpSolver::default();
+        let mut warm = QpWarmStart::default();
+        let sol = solver
+            .solve_view_warm(&p.as_view(), &[0.9], &mut warm)
+            .unwrap();
         assert!((sol.z[0] - 1.0).abs() < 1e-6);
-        assert!(QpSolver::default().solve_from(&p, &[0.0, 0.0]).is_err());
+        assert!(matches!(
+            solver.solve_view_warm(&p.as_view(), &[0.0, 0.0], &mut warm),
+            Err(OptimError::DimensionMismatch { .. })
+        ));
     }
 
     #[test]

@@ -43,8 +43,8 @@
 //! | Module | Contents |
 //! |--------|----------|
 //! | [`units`] | physical-quantity newtypes |
-//! | [`linalg`] | dense LU / Cholesky / QR kernel |
-//! | [`ode`] | fixed-step and adaptive integrators |
+//! | [`linalg`] | dense LU / Cholesky, CSR and banded LDLᵀ kernels |
+//! | [`ode`] | the trapezoidal cabin step (Eq. 18–19) |
 //! | [`optim`] | interior-point QP and SQP solvers |
 //! | [`drive`] | standard driving cycles and drive profiles |
 //! | [`powertrain`] | EV road loads, motor map, regen; ICE reference |
