@@ -7,8 +7,8 @@
 //! against. The other arms time the production MPC at the granularities
 //! that matter: one QP subproblem, one `MpcController::control` solve
 //! (with and without observability attached, and at long horizons) and a
-//! whole evaluation-sweep cell. `BENCH_mpc.json` at the repository root
-//! records the baseline medians.
+//! whole evaluation-sweep cell, also under the fuzzy baseline.
+//! `BENCH_mpc.json` at the repository root records the baseline medians.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -269,13 +269,20 @@ fn bench_horizon_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-/// One whole ECE-15 × MPC evaluation-sweep cell (the granularity
-/// `evaluation_sweep_run` parallelizes over).
+/// One whole ECE-15 evaluation-sweep cell (the granularity
+/// `evaluation_sweep_run` parallelizes over), under the MPC and under
+/// the fuzzy baseline. The fuzzy cell is rule inference and plant steps
+/// only, so it holds the centroid-table inference and the precomputed
+/// plant inputs to their speed.
 fn bench_sweep_cell(c: &mut Criterion) {
     let mut group = c.benchmark_group("mpc_derivatives");
     group.sample_size(2);
     group.bench_function("sweep_cell_ece15_analytic", |b| {
         b.iter(|| black_box(run_cell(&DriveCycle::ece15(), 35.0, ControllerKind::Mpc)))
+    });
+    group.sample_size(20);
+    group.bench_function("sweep_cell_ece15_fuzzy", |b| {
+        b.iter(|| black_box(run_cell(&DriveCycle::ece15(), 35.0, ControllerKind::Fuzzy)))
     });
     group.finish();
 }

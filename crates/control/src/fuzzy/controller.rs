@@ -1,5 +1,7 @@
 //! The fuzzy-based climate controller baseline (the paper's ref [10]).
 
+use std::sync::OnceLock;
+
 use ev_hvac::{Hvac, HvacInput, HvacLimits};
 use ev_units::Celsius;
 
@@ -43,7 +45,7 @@ pub struct FuzzyController {
     hvac: Hvac,
     limits: HvacLimits,
     target: Celsius,
-    engine: FuzzyEngine,
+    engine: &'static FuzzyEngine,
     prev_error: Option<f64>,
 }
 
@@ -60,9 +62,17 @@ impl FuzzyController {
             hvac,
             limits,
             target,
-            engine: Self::build_engine(),
+            engine: Self::paper_engine(),
             prev_error: None,
         }
+    }
+
+    /// The standard 5×3 Mamdani system, built once per process and shared
+    /// by every controller: it is immutable, and building it tabulates
+    /// every output term.
+    pub(crate) fn paper_engine() -> &'static FuzzyEngine {
+        static ENGINE: OnceLock<FuzzyEngine> = OnceLock::new();
+        ENGINE.get_or_init(Self::build_engine)
     }
 
     /// The temperature target.

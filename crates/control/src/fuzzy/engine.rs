@@ -5,6 +5,12 @@
 //! triangular/trapezoidal membership functions, min–max Mamdani
 //! composition and centroid defuzzification.
 
+use std::ops::Range;
+
+/// Resolution of the centroid integration: the output universe is
+/// sampled at this many evenly spaced points, ends included.
+const SAMPLES: usize = 101;
+
 /// A membership function over a real universe.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MembershipFunction {
@@ -83,6 +89,16 @@ impl MembershipFunction {
             }
         }
     }
+
+    /// Whether the parameters are ordered (`a ≤ b ≤ c [≤ d]`) and span a
+    /// finite width, which also makes each one finite. Every degree of a
+    /// well-formed function is then finite and in `[0, 1]`.
+    fn is_well_formed(&self) -> bool {
+        match *self {
+            Self::Triangle { a, b, c } => a <= b && b <= c && (c - a).is_finite(),
+            Self::Trapezoid { a, b, c, d } => a <= b && b <= c && c <= d && (d - a).is_finite(),
+        }
+    }
 }
 
 /// A named linguistic term: a label plus its membership function.
@@ -133,18 +149,35 @@ pub struct FuzzyEngine {
     output_terms: Vec<Term>,
     output_universe: (f64, f64),
     rules: Vec<Rule>,
+    /// The centroid samples spanning the output universe.
+    samples: [f64; SAMPLES],
+    /// One tabulated consequent per output term, in `output_terms` order.
+    consequents: Vec<Consequent>,
+}
+
+/// An output term tabulated once at the centroid samples, with the rules
+/// that conclude it.
+#[derive(Debug, Clone, PartialEq)]
+struct Consequent {
+    /// Indices into the rule list.
+    rules: Vec<usize>,
+    /// The term's degree at each centroid sample.
+    degree: [f64; SAMPLES],
+    /// From the first sample with a non-zero degree to one past the
+    /// last; empty when the term is zero at every sample.
+    support: Range<usize>,
 }
 
 impl FuzzyEngine {
-    /// Resolution of the centroid integration.
-    const SAMPLES: usize = 101;
-
-    /// Creates an engine.
+    /// Creates an engine, tabulating every output term at the centroid
+    /// samples.
     ///
     /// # Panics
     ///
     /// Panics if there are no inputs, output terms or rules, if the
-    /// output universe is empty, or if any rule index is out of range.
+    /// output universe is not a finite, non-empty interval, if any
+    /// membership function has non-finite or unordered parameters, or if
+    /// any rule index is out of range.
     #[must_use]
     pub fn new(
         inputs: Vec<Vec<Term>>,
@@ -155,10 +188,18 @@ impl FuzzyEngine {
         assert!(!inputs.is_empty(), "fuzzy engine needs at least one input");
         assert!(!output_terms.is_empty(), "fuzzy engine needs output terms");
         assert!(!rules.is_empty(), "fuzzy engine needs rules");
+        let (lo, hi) = output_universe;
         assert!(
-            output_universe.1 > output_universe.0,
-            "output universe must be a non-empty interval"
+            hi > lo && (hi - lo).is_finite(),
+            "output universe must be a finite, non-empty interval"
         );
+        for term in inputs.iter().flatten().chain(&output_terms) {
+            assert!(
+                term.mf.is_well_formed(),
+                "membership function of term {:?} must have finite, ordered parameters",
+                term.label
+            );
+        }
         for rule in &rules {
             assert_eq!(
                 rule.antecedents.len(),
@@ -175,11 +216,31 @@ impl FuzzyEngine {
                 "rule consequent index out of range"
             );
         }
+        let samples: [f64; SAMPLES] =
+            std::array::from_fn(|k| lo + (hi - lo) * (k as f64) / ((SAMPLES - 1) as f64));
+        let consequents = output_terms
+            .iter()
+            .enumerate()
+            .map(|(t, term)| {
+                let degree = samples.map(|y| term.mf.degree(y));
+                let first = degree.iter().position(|&d| d > 0.0).unwrap_or(0);
+                let end = degree.iter().rposition(|&d| d > 0.0).map_or(0, |k| k + 1);
+                Consequent {
+                    rules: (0..rules.len())
+                        .filter(|&r| rules[r].consequent == t)
+                        .collect(),
+                    degree,
+                    support: first..end,
+                }
+            })
+            .collect();
         Self {
             inputs,
             output_terms,
             output_universe,
             rules,
+            samples,
+            consequents,
         }
     }
 
@@ -188,6 +249,14 @@ impl FuzzyEngine {
     ///
     /// Returns the centroid of the aggregated output set, or the universe
     /// midpoint when no rule fires.
+    ///
+    /// Each output term is clipped once, at the strongest of its rules'
+    /// firing strengths: `max_r min(s_r, μ) = min(max_r s_r, μ)` holds
+    /// bit for bit because `min` and `max` return an operand. The clipped
+    /// terms are aggregated only over the samples where their tabulated
+    /// degree can be non-zero. A skipped sample would add `±0.0` to the
+    /// centroid sums, and those sums never become `−0.0`, so skipping it
+    /// changes no bit either.
     ///
     /// # Panics
     ///
@@ -199,31 +268,89 @@ impl FuzzyEngine {
             self.inputs.len(),
             "fuzzy input count mismatch"
         );
-        // Firing strength of each rule.
-        let strengths: Vec<f64> = self
+        // Aggregate (max of clipped consequents) over the fired terms.
+        let mut mu = [0.0_f64; SAMPLES];
+        let (mut first, mut end) = (SAMPLES, 0);
+        for consequent in &self.consequents {
+            let strength = consequent
+                .rules
+                .iter()
+                .map(|&r| self.strength(&self.rules[r], values))
+                .fold(0.0, f64::max);
+            if strength > 0.0 {
+                let support = consequent.support.clone();
+                for (m, &d) in mu[support.clone()]
+                    .iter_mut()
+                    .zip(&consequent.degree[support])
+                {
+                    *m = m.max(strength.min(d));
+                }
+                first = first.min(consequent.support.start);
+                end = end.max(consequent.support.end);
+            }
+        }
+
+        // Centroid over the samples any fired term reaches.
+        let walked = first..end.max(first);
+        let mut num = 0.0;
+        let mut den = 0.0;
+        for (&m, &y) in mu[walked.clone()].iter().zip(&self.samples[walked]) {
+            num += m * y;
+            den += m;
+        }
+        if den == 0.0 {
+            let (lo, hi) = self.output_universe;
+            0.5 * (lo + hi)
+        } else {
+            num / den
+        }
+    }
+
+    /// Firing strength of `rule`: the min of its antecedents' degrees.
+    fn strength(&self, rule: &Rule, values: &[f64]) -> f64 {
+        rule.antecedents
+            .iter()
+            .enumerate()
+            .filter_map(|(var, term)| term.map(|t| self.inputs[var][t].mf.degree(values[var])))
+            .fold(1.0, f64::min)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::FuzzyController;
+    use proptest::prelude::*;
+
+    fn tri(a: f64, b: f64, c: f64) -> MembershipFunction {
+        MembershipFunction::Triangle { a, b, c }
+    }
+
+    /// The per-sample Mamdani evaluation that `infer` replaced, kept as
+    /// its oracle: every fired rule clips its consequent, evaluated
+    /// afresh, at every centroid sample.
+    fn per_sample_infer(e: &FuzzyEngine, values: &[f64]) -> f64 {
+        assert_eq!(values.len(), e.inputs.len(), "fuzzy input count mismatch");
+        let strengths: Vec<f64> = e
             .rules
             .iter()
             .map(|rule| {
                 rule.antecedents
                     .iter()
                     .enumerate()
-                    .filter_map(|(var, term)| {
-                        term.map(|t| self.inputs[var][t].mf.degree(values[var]))
-                    })
+                    .filter_map(|(var, term)| term.map(|t| e.inputs[var][t].mf.degree(values[var])))
                     .fold(1.0, f64::min)
             })
             .collect();
-
-        // Aggregate (max of clipped consequents) and take the centroid.
-        let (lo, hi) = self.output_universe;
+        let (lo, hi) = e.output_universe;
         let mut num = 0.0;
         let mut den = 0.0;
-        for k in 0..Self::SAMPLES {
-            let y = lo + (hi - lo) * (k as f64) / ((Self::SAMPLES - 1) as f64);
+        for k in 0..SAMPLES {
+            let y = lo + (hi - lo) * (k as f64) / ((SAMPLES - 1) as f64);
             let mut mu: f64 = 0.0;
-            for (rule, &s) in self.rules.iter().zip(&strengths) {
+            for (rule, &s) in e.rules.iter().zip(&strengths) {
                 if s > 0.0 {
-                    let clipped = s.min(self.output_terms[rule.consequent].mf.degree(y));
+                    let clipped = s.min(e.output_terms[rule.consequent].mf.degree(y));
                     mu = mu.max(clipped);
                 }
             }
@@ -236,14 +363,154 @@ impl FuzzyEngine {
             num / den
         }
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    /// Deterministic uniform draws in [0, 1) (splitmix64).
+    fn uniform(seed: &mut u64) -> f64 {
+        *seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *seed;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^= z >> 31;
+        (z >> 11) as f64 / (1u64 << 53) as f64
+    }
 
-    fn tri(a: f64, b: f64, c: f64) -> MembershipFunction {
-        MembershipFunction::Triangle { a, b, c }
+    /// A uniform index below `n`.
+    fn pick(seed: &mut u64, n: usize) -> usize {
+        ((uniform(seed) * n as f64) as usize).min(n - 1)
+    }
+
+    /// A random well-formed membership function reaching a quarter span
+    /// past `[lo, hi]` on either side: shoulders, plain and
+    /// sub-sample-narrow triangles, and trapezoids with sloped or
+    /// vertical sides. Half the time the parameters sit exactly on
+    /// centroid samples of `[lo, hi]`, so feet and peaks land on them.
+    fn random_mf(seed: &mut u64, lo: f64, hi: f64) -> MembershipFunction {
+        let on_samples = uniform(seed) < 0.5;
+        let mut p = [0.0; 4];
+        for x in &mut p {
+            let k = -25.0 + 150.0 * uniform(seed);
+            *x = if on_samples {
+                lo + (hi - lo) * k.round() / ((SAMPLES - 1) as f64)
+            } else {
+                lo + (hi - lo) * k / ((SAMPLES - 1) as f64)
+            };
+        }
+        p.sort_by(f64::total_cmp);
+        let [a, b, c, d] = p;
+        match pick(seed, 6) {
+            0 => tri(a, a, c),
+            1 => tri(a, c, c),
+            2 => tri(a, b, c),
+            3 => {
+                let width = (hi - lo) / (SAMPLES - 1) as f64 * uniform(seed);
+                tri(b, b + 0.5 * width, b + width)
+            }
+            4 => MembershipFunction::Trapezoid { a, b, c, d },
+            _ => MembershipFunction::Trapezoid { a, b: a, c: d, d },
+        }
+    }
+
+    /// A random engine: one to three inputs of one to five terms on
+    /// `[−1, 1]`, one to five output terms on a random universe, and one
+    /// to twelve rules with a quarter of their antecedents don't-care.
+    fn random_engine(seed: &mut u64) -> FuzzyEngine {
+        let mut inputs = Vec::new();
+        for _ in 0..1 + pick(seed, 3) {
+            let terms: Vec<Term> = (0..1 + pick(seed, 5))
+                .map(|_| Term {
+                    label: "in",
+                    mf: random_mf(seed, -1.0, 1.0),
+                })
+                .collect();
+            inputs.push(terms);
+        }
+        let (lo, hi) = if uniform(seed) < 0.5 {
+            (-1.0, 1.0)
+        } else {
+            let lo = -3.0 + 4.0 * uniform(seed);
+            (lo, lo + 0.1 + 4.0 * uniform(seed))
+        };
+        let outputs: Vec<Term> = (0..1 + pick(seed, 5))
+            .map(|_| Term {
+                label: "out",
+                mf: random_mf(seed, lo, hi),
+            })
+            .collect();
+        let mut rules = Vec::new();
+        for _ in 0..1 + pick(seed, 12) {
+            let mut antecedents = Vec::new();
+            for terms in &inputs {
+                let care = uniform(seed) < 0.75;
+                antecedents.push(care.then(|| pick(seed, terms.len())));
+            }
+            rules.push(Rule {
+                antecedents,
+                consequent: pick(seed, outputs.len()),
+            });
+        }
+        FuzzyEngine::new(inputs, outputs, (lo, hi), rules)
+    }
+
+    /// The values worth probing for one input: its terms' feet and peaks,
+    /// the universe ends ±1 and NaN.
+    fn landmarks(terms: &[Term]) -> Vec<f64> {
+        let mut xs = vec![-1.0, 1.0, f64::NAN];
+        for term in terms {
+            match term.mf {
+                MembershipFunction::Triangle { a, b, c } => xs.extend([a, b, c]),
+                MembershipFunction::Trapezoid { a, b, c, d } => xs.extend([a, b, c, d]),
+            }
+        }
+        xs
+    }
+
+    fn assert_infer_matches_oracle(e: &FuzzyEngine, values: &[f64]) {
+        assert_eq!(
+            e.infer(values).to_bits(),
+            per_sample_infer(e, values).to_bits(),
+            "inputs {values:?}"
+        );
+    }
+
+    #[test]
+    fn paper_engine_matches_per_sample_evaluation_bit_for_bit() {
+        let e = FuzzyController::paper_engine();
+        let axis = |var: usize| {
+            let mut xs = landmarks(&e.inputs[var]);
+            xs.extend((0..=200).map(|k| -1.0 + f64::from(k) / 100.0));
+            xs
+        };
+        let (errors, rates) = (axis(0), axis(1));
+        for &error in &errors {
+            for &rate in &rates {
+                assert_infer_matches_oracle(e, &[error, rate]);
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn infer_matches_per_sample_evaluation_bit_for_bit(seed in 0u64..u64::MAX) {
+            let mut seed = seed;
+            let e = random_engine(&mut seed);
+            let candidates: Vec<Vec<f64>> = e
+                .inputs
+                .iter()
+                .map(|terms| {
+                    let mut xs = landmarks(terms);
+                    xs.push(-1.25 + 2.5 * uniform(&mut seed));
+                    xs
+                })
+                .collect();
+            for _ in 0..32 {
+                let values: Vec<f64> = candidates
+                    .iter()
+                    .map(|xs| xs[pick(&mut seed, xs.len())])
+                    .collect();
+                let (fast, oracle) = (e.infer(&values), per_sample_infer(&e, &values));
+                prop_assert_eq!(fast.to_bits(), oracle.to_bits(), "inputs {:?}", values);
+            }
+        }
     }
 
     #[test]
@@ -370,6 +637,27 @@ mod tests {
             }],
         );
         assert_eq!(e.infer(&[-5.0]), 0.5);
+        assert_infer_matches_oracle(&e, &[-5.0]);
+        // A rule fires, but its consequent is zero at every centroid
+        // sample: nothing is aggregated either.
+        let between_samples = Term {
+            label: "between",
+            mf: tri(0.501, 0.502, 0.503),
+        };
+        let e = FuzzyEngine::new(
+            vec![vec![Term {
+                label: "narrow",
+                mf: tri(0.4, 0.5, 0.6),
+            }]],
+            vec![between_samples],
+            (0.0, 1.0),
+            vec![Rule {
+                antecedents: vec![Some(0)],
+                consequent: 0,
+            }],
+        );
+        assert_eq!(e.infer(&[0.5]), 0.5);
+        assert_infer_matches_oracle(&e, &[0.5]);
     }
 
     #[test]
@@ -388,5 +676,71 @@ mod tests {
                 consequent: 0,
             }],
         );
+    }
+
+    /// A one-input, one-rule engine whose input and output terms are `mf`.
+    fn engine_with(mf: MembershipFunction, universe: (f64, f64)) -> FuzzyEngine {
+        let t = Term { label: "t", mf };
+        FuzzyEngine::new(
+            vec![vec![t.clone()]],
+            vec![t],
+            universe,
+            vec![Rule {
+                antecedents: vec![Some(0)],
+                consequent: 0,
+            }],
+        )
+    }
+
+    #[test]
+    #[should_panic(expected = "finite, ordered parameters")]
+    fn rejects_nan_parameters() {
+        let _ = engine_with(tri(f64::NAN, 0.5, 1.0), (0.0, 1.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "finite, ordered parameters")]
+    fn rejects_infinite_parameters() {
+        let _ = engine_with(
+            MembershipFunction::Trapezoid {
+                a: f64::NEG_INFINITY,
+                b: 0.0,
+                c: 0.5,
+                d: 1.0,
+            },
+            (0.0, 1.0),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "finite, ordered parameters")]
+    fn rejects_parameters_spanning_an_infinite_width() {
+        let _ = engine_with(tri(-f64::MAX, 0.0, f64::MAX), (0.0, 1.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "finite, ordered parameters")]
+    fn rejects_inverted_triangle() {
+        let _ = engine_with(tri(1.0, 0.5, 0.0), (0.0, 1.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "finite, ordered parameters")]
+    fn rejects_inverted_trapezoid() {
+        let _ = engine_with(
+            MembershipFunction::Trapezoid {
+                a: 0.0,
+                b: 0.25,
+                c: 1.0,
+                d: 0.75,
+            },
+            (0.0, 1.0),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "finite, non-empty interval")]
+    fn rejects_infinite_universe() {
+        let _ = engine_with(tri(0.0, 0.5, 1.0), (0.0, f64::INFINITY));
     }
 }

@@ -10,8 +10,9 @@ use crate::observe::StepRecord;
 use crate::sim::{SimSession, Simulation};
 
 /// The state a fleet shard keeps per connected vehicle: the shared
-/// (immutable, `Arc`ed) simulation — profile plus precomputed
-/// motor-power vector — the vehicle's own plant cursor, and a
+/// (immutable, `Arc`ed) simulation — profile plus the precomputed
+/// preview of motor power, ambient and solar load — the vehicle's own
+/// plant and cursor, and a
 /// controller instance **owned exclusively by this session**.
 ///
 /// Controller ownership is the warm-start isolation boundary: the MPC's

@@ -2,7 +2,7 @@
 
 use ev_control::{ClimateController, ControlContext, PreviewSample};
 use ev_drive::DriveProfile;
-use ev_units::{Seconds, Watts};
+use ev_units::Seconds;
 
 use crate::observe::{ControllerMode, NoopObserver, StepObserver, StepRecord};
 use crate::{ElectricVehicle, EvParams, SimulationResult, TimeSeries};
@@ -50,7 +50,8 @@ impl std::error::Error for SimError {}
 /// The fixed-step co-simulation loop of the paper's Algorithm 1:
 ///
 /// 1. extract the route information and precompute the electric-motor
-///    power vector `e` from the drive profile (lines 2–5);
+///    power vector `e` from the drive profile (lines 2–5), stored with
+///    each sample's ambient and solar load as the preview the loop reads;
 /// 2. at every sample period, hand the controller the measured state,
 ///    BMS feedback and the preview window of `e` and ambient (lines
 ///    14–16), apply its input to the plant (line 18), and meter the total
@@ -82,14 +83,21 @@ impl std::error::Error for SimError {}
 pub struct Simulation {
     params: EvParams,
     profile: DriveProfile,
-    /// Motor-power vector `e` precomputed from the profile (W).
-    motor_power: Vec<f64>,
+    /// One entry per profile sample — its motor power `e` precomputed
+    /// from the profile, its ambient and its solar load — followed by
+    /// `preview_len − 1` copies of the last entry, so the preview of
+    /// every step is one slice of it.
+    preview: Vec<PreviewSample>,
     /// Length of the preview window handed to the controller (samples).
     preview_len: usize,
 }
 
 impl Simulation {
-    /// Creates a simulation, precomputing the motor-power vector.
+    /// The default preview window length (samples).
+    const PREVIEW_LEN: usize = 64;
+
+    /// Creates a simulation, precomputing the motor-power vector and,
+    /// with it, the preview every step reads.
     ///
     /// # Errors
     ///
@@ -120,16 +128,30 @@ impl Simulation {
         }
         // Algorithm 1 lines 2–5: PowerTrain(d_t) for every sample.
         let train = ev_powertrain::PowerTrain::new(params.vehicle.clone());
-        let motor_power: Vec<f64> = profile
-            .iter()
-            .map(|s| train.power(s.v, s.a, s.slope_percent).value())
-            .collect();
-        Ok(Self {
+        let mut preview = Vec::with_capacity(profile.len() + Self::PREVIEW_LEN - 1);
+        preview.extend(profile.iter().map(|s| PreviewSample {
+            motor_power: train.power(s.v, s.a, s.slope_percent),
+            ambient: s.ambient,
+            solar: s.solar,
+        }));
+        let mut sim = Self {
             params,
             profile,
-            motor_power,
-            preview_len: 64,
-        })
+            preview,
+            preview_len: 1,
+        };
+        sim.set_preview_len(Self::PREVIEW_LEN);
+        Ok(sim)
+    }
+
+    /// Sets the preview window length to `len`: the profile's entries
+    /// are followed by `len − 1` copies of the last one, as far as the
+    /// window of the last step reaches.
+    fn set_preview_len(&mut self, len: usize) {
+        let n = self.profile.len();
+        let last = self.preview[n - 1];
+        self.preview.resize(n + len - 1, last);
+        self.preview_len = len;
     }
 
     /// Overrides the preview window length (samples at the profile rate).
@@ -154,7 +176,7 @@ impl Simulation {
         if len == 0 {
             return Err(SimError::ZeroPreview);
         }
-        self.preview_len = len;
+        self.set_preview_len(len);
         Ok(self)
     }
 
@@ -164,10 +186,14 @@ impl Simulation {
         &self.profile
     }
 
-    /// Borrows the precomputed motor-power vector (W).
+    /// The precomputed motor-power vector `e` (W), one entry per profile
+    /// sample.
     #[must_use]
-    pub fn motor_power(&self) -> &[f64] {
-        &self.motor_power
+    pub fn motor_power(&self) -> Vec<f64> {
+        self.preview[..self.profile.len()]
+            .iter()
+            .map(|p| p.motor_power.value())
+            .collect()
     }
 
     /// Runs the closed loop with the given controller and returns the
@@ -264,7 +290,7 @@ impl Simulation {
     /// A [`SimSession`] owns no borrow of the `Simulation`, so many
     /// sessions can share one `Simulation` (e.g. behind an `Arc` in the
     /// fleet engine, one plant per vehicle over a shared precomputed
-    /// motor-power vector).
+    /// preview).
     #[must_use]
     pub fn start_session(&self) -> SimSession {
         let first_ambient = self.profile.sample(0).ambient;
@@ -275,7 +301,6 @@ impl Simulation {
             ev: ElectricVehicle::new(&self.params, initial_cabin)
                 .with_pack_temperature(first_ambient),
             cursor: 0,
-            preview: Vec::with_capacity(self.preview_len),
         }
     }
 
@@ -297,17 +322,6 @@ impl Simulation {
         session.cursor += 1;
         let min_flow = self.params.hvac.min_flow.value();
         let sample = *self.profile.sample(k);
-        // Build the preview window (constant extension past the end).
-        session.preview.clear();
-        for j in k..k + self.preview_len {
-            let idx = j.min(n - 1);
-            let s = self.profile.sample(idx);
-            session.preview.push(PreviewSample {
-                motor_power: Watts::new(self.motor_power[idx]),
-                ambient: s.ambient,
-                solar: s.solar,
-            });
-        }
         let ev = &mut session.ev;
         let ctx = ControlContext {
             state: ev.cabin_state(),
@@ -317,10 +331,11 @@ impl Simulation {
             soc_avg: ev.bms().running_soc_avg(),
             dt,
             elapsed: Seconds::new(k as f64 * dt.value()),
-            preview: &session.preview,
+            preview: &self.preview[k..k + self.preview_len],
         };
         let input = controller.control(&ctx);
-        let step = ev.step(&input, &sample, dt);
+        let motor_power = self.preview[k].motor_power;
+        let step = ev.step_at(&input, motor_power, sample.ambient, sample.solar, dt);
         Some(StepRecord {
             step: k,
             t: sample.t.value(),
@@ -351,7 +366,7 @@ impl Simulation {
 }
 
 /// The mutable state of one incrementally-stepped simulation run: the
-/// plant, the profile cursor and a reusable preview buffer. Created by
+/// plant and the profile cursor. Created by
 /// [`Simulation::start_session`], advanced one control + plant step at a
 /// time by [`Simulation::advance`] — the substrate of a fleet vehicle
 /// session, where thousands of plants share one precomputed profile.
@@ -359,7 +374,6 @@ impl Simulation {
 pub struct SimSession {
     ev: ElectricVehicle,
     cursor: usize,
-    preview: Vec<PreviewSample>,
 }
 
 impl SimSession {
@@ -383,7 +397,7 @@ mod tests {
     use super::*;
     use crate::ControllerKind;
     use ev_drive::{AmbientConditions, DriveCycle};
-    use ev_units::Celsius;
+    use ev_units::{Celsius, Watts};
 
     fn short_sim(to: f64) -> Simulation {
         let profile = DriveProfile::from_cycle(
@@ -402,6 +416,111 @@ mod tests {
         assert_eq!(sim.motor_power()[0], 0.0);
         // Some acceleration sample draws real power.
         assert!(sim.motor_power().iter().any(|&p| p > 5_000.0));
+    }
+
+    /// Records the preview of every step, then lets On/Off decide.
+    struct PreviewRecorder {
+        inner: Box<dyn ClimateController>,
+        windows: Vec<Vec<PreviewSample>>,
+    }
+
+    impl ClimateController for PreviewRecorder {
+        fn name(&self) -> &'static str {
+            "preview-recorder"
+        }
+
+        fn control(&mut self, ctx: &ControlContext<'_>) -> ev_hvac::HvacInput {
+            self.windows.push(ctx.preview.to_vec());
+            self.inner.control(ctx)
+        }
+    }
+
+    fn preview_bits(p: &PreviewSample) -> [u64; 3] {
+        [
+            p.motor_power.value().to_bits(),
+            p.ambient.value().to_bits(),
+            p.solar.value().to_bits(),
+        ]
+    }
+
+    /// Runs `sim` to the end and checks every step's preview against the
+    /// window the loop once rebuilt per step — samples `k..k + len`, the
+    /// last one held past the end, motor power from `PowerTrain::power`
+    /// — and every step's motor power against `PowerTrain::power`.
+    fn assert_previews_match_per_step_windows(sim: &Simulation, len: usize) {
+        let train = ev_powertrain::PowerTrain::new(sim.params().vehicle.clone());
+        let profile = sim.profile();
+        let n = profile.len();
+        let power = |k: usize| {
+            let s = profile.sample(k);
+            train.power(s.v, s.a, s.slope_percent)
+        };
+        let mut recorder = PreviewRecorder {
+            inner: ControllerKind::OnOff.instantiate(sim.params()).unwrap(),
+            windows: Vec::new(),
+        };
+        let mut session = sim.start_session();
+        let mut steps = 0;
+        while let Some(rec) = sim.advance(&mut session, &mut recorder) {
+            let k = rec.step;
+            assert_eq!(
+                rec.motor_power.to_bits(),
+                power(k).value().to_bits(),
+                "step {k}"
+            );
+            let window = &recorder.windows[k];
+            assert_eq!(window.len(), len, "step {k}");
+            for (j, got) in (k..k + len).zip(window) {
+                let s = profile.sample(j.min(n - 1));
+                let want = PreviewSample {
+                    motor_power: power(j.min(n - 1)),
+                    ambient: s.ambient,
+                    solar: s.solar,
+                };
+                assert_eq!(
+                    preview_bits(got),
+                    preview_bits(&want),
+                    "len {len}, step {k}, sample {j}"
+                );
+            }
+            steps += 1;
+        }
+        assert_eq!(steps, n);
+    }
+
+    /// ECE-15 cut off mid-acceleration, with the ambient and solar load
+    /// changing every sample: no two preview entries are alike, and the
+    /// held last sample is not a standstill.
+    fn cut_sim() -> Simulation {
+        let full = short_sim(30.0);
+        let train = ev_powertrain::PowerTrain::new(full.params().vehicle.clone());
+        let mut samples = full.profile().samples().to_vec();
+        let cut = (60..samples.len())
+            .find(|&k| {
+                let s = &samples[k];
+                train.power(s.v, s.a, s.slope_percent).value() > 5_000.0
+            })
+            .expect("ECE-15 accelerates after a minute");
+        samples.truncate(cut + 1);
+        for (k, s) in samples.iter_mut().enumerate() {
+            s.ambient = Celsius::new(30.0 + 0.01 * k as f64);
+            s.solar = Watts::new(400.0 - 0.5 * k as f64);
+        }
+        let profile = DriveProfile::from_samples("ece15-cut", Seconds::new(1.0), samples);
+        Simulation::new(EvParams::nissan_leaf_like(), profile).unwrap()
+    }
+
+    #[test]
+    fn previews_are_the_per_step_windows_held_past_the_end() {
+        let sim = cut_sim();
+        let n = sim.profile().len();
+        assert_previews_match_per_step_windows(&sim, 64);
+        for len in [1, 3, 64, n + 1] {
+            assert_previews_match_per_step_windows(&sim.clone().with_preview_len(len), len);
+        }
+        // Shrinking after growing drops the held copies again.
+        let regrown = sim.with_preview_len(n + 1).with_preview_len(3);
+        assert_previews_match_per_step_windows(&regrown, 3);
     }
 
     #[test]

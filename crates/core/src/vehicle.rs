@@ -152,16 +152,27 @@ impl ElectricVehicle {
         let motor_power = self
             .power_train
             .power(sample.v, sample.a, sample.slope_percent);
-        let (next_cabin, hvac_power) =
-            self.hvac
-                .step(self.cabin, input, sample.ambient, sample.solar, dt);
+        self.step_at(input, motor_power, sample.ambient, sample.solar, dt)
+    }
+
+    /// [`step`](Self::step) with the motor power already computed from
+    /// the drive sample, e.g. precomputed by [`crate::Simulation`].
+    pub(crate) fn step_at(
+        &mut self,
+        input: &HvacInput,
+        motor_power: Watts,
+        ambient: Celsius,
+        solar: Watts,
+        dt: Seconds,
+    ) -> PlantStep {
+        let (next_cabin, hvac_power) = self.hvac.step(self.cabin, input, ambient, solar, dt);
         self.cabin = next_cabin;
         let total = motor_power + hvac_power.total() + self.accessory_power;
         let battery_power = self.bms.apply_load(total, dt);
         // The pack heats with I²R losses of the metered current and cools
         // toward ambient.
         let current = self.bms.battery().current_for_power(battery_power);
-        let pack_temp = self.pack.step(current, sample.ambient, dt);
+        let pack_temp = self.pack.step(current, ambient, dt);
         PlantStep {
             motor_power,
             hvac_power,
