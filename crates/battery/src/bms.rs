@@ -64,8 +64,10 @@ pub struct Bms {
     max_discharge: Watts,
     /// Maximum charge (regeneration) power the BMS allows.
     max_charge: Watts,
-    /// Recorded SoC trace for the current cycle (one entry per step).
+    /// Recorded SoC trace of the drive (one entry per step).
     trace: Vec<f64>,
+    /// `trace`'s entries added in order, the fold `Iterator::sum` does.
+    trace_sum: f64,
 }
 
 impl Bms {
@@ -81,6 +83,7 @@ impl Bms {
             max_discharge: Watts::new(90_000.0),
             max_charge: Watts::new(50_000.0),
             trace: vec![initial],
+            trace_sum: initial,
         }
     }
 
@@ -114,9 +117,16 @@ impl Bms {
 
     /// Running SoC average over the cycle so far (Eq. 17 prefix) — the
     /// quantity the MPC cost function references.
+    ///
+    /// Costs O(1): it divides a running sum of [`trace`](Self::trace)
+    /// that each [`apply_load`](Self::apply_load) advances, and equals
+    /// `trace().iter().sum::<f64>() / trace().len() as f64` bit for bit.
+    /// `Iterator::sum` folds from −0.0 in trace order; the running sum
+    /// makes the same additions in the same order, and starts at the
+    /// initial SoC, which equals −0.0 + SoC₀.
     #[must_use]
     pub fn running_soc_avg(&self) -> f64 {
-        self.trace.iter().sum::<f64>() / self.trace.len() as f64
+        self.trace_sum / self.trace.len() as f64
     }
 
     /// Meters a power request into the battery, clamped to the BMS power
@@ -131,8 +141,9 @@ impl Bms {
                 .value()
                 .clamp(-self.max_charge.value(), self.max_discharge.value()),
         );
-        self.battery.step(clamped, dt);
-        self.trace.push(self.battery.soc().value());
+        let soc = self.battery.step(clamped, dt).value();
+        self.trace.push(soc);
+        self.trace_sum += soc;
         clamped
     }
 
@@ -158,14 +169,6 @@ impl Bms {
     #[must_use]
     pub fn trace(&self) -> &[f64] {
         &self.trace
-    }
-
-    /// Starts a new cycle: clears the trace (the battery SoC carries
-    /// over) .
-    pub fn start_cycle(&mut self) {
-        let soc = self.battery.soc().value();
-        self.trace.clear();
-        self.trace.push(soc);
     }
 }
 
@@ -236,17 +239,7 @@ mod tests {
         b.apply_load(Watts::new(40_000.0), Seconds::new(300.0));
         let avg = b.running_soc_avg();
         let manual = b.trace().iter().sum::<f64>() / b.trace().len() as f64;
-        assert!((avg - manual).abs() < 1e-12);
-    }
-
-    #[test]
-    fn start_cycle_resets_trace_only() {
-        let mut b = bms();
-        b.apply_load(Watts::new(30_000.0), Seconds::new(600.0));
-        let soc = b.soc().value();
-        b.start_cycle();
-        assert_eq!(b.trace().len(), 1);
-        assert_eq!(b.trace()[0], soc);
+        assert_eq!(avg.to_bits(), manual.to_bits());
     }
 
     #[test]

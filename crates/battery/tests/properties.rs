@@ -1,5 +1,6 @@
 //! Property-based tests for the battery model: SoC monotonicity, Peukert
-//! inequalities, terminal-voltage consistency and SoH monotonicity.
+//! inequalities, terminal-voltage consistency, SoH monotonicity and the
+//! BMS's running SoC average.
 
 use ev_battery::{Battery, BatteryParams, Bms, SocStats, SohModel, SohParams};
 use ev_units::{Percent, Seconds, Watts};
@@ -139,6 +140,42 @@ proptest! {
         prop_assert_eq!(bms.trace().len(), n + 1);
         let stats = bms.cycle_stats();
         prop_assert!(stats.avg <= 95.0 && stats.avg >= 10.0);
+    }
+
+    #[test]
+    fn running_soc_avg_is_the_trace_mean_bit_for_bit(
+        initial in 10.0f64..=100.0,
+        head in proptest::collection::vec((-120_000.0f64..150_000.0, 0.05f64..600.0), 0..30),
+        drain in proptest::collection::vec((90_000.0f64..150_000.0, 150.0f64..600.0), 12..16),
+        charge in proptest::collection::vec((-120_000.0f64..-50_000.0, 300.0f64..600.0), 8..12),
+        tail in proptest::collection::vec((-120_000.0f64..150_000.0, 0.05f64..600.0), 0..30),
+    ) {
+        // Random loads and steps, including powers past the BMS's 90 kW
+        // discharge and 50 kW charge limits, with a drain long enough to
+        // pin the SoC at `min_soc` and a charge long enough to pin it at
+        // `max_soc`: after every step the running average must be the
+        // mean `Iterator::sum` gives over the trace, to the bit.
+        let params = BatteryParams {
+            initial_soc: Percent::new(initial),
+            ..leaf()
+        };
+        let (min_soc, max_soc) = (params.min_soc.value(), params.max_soc.value());
+        let mut bms = Bms::new(params, SohModel::default());
+        let mean = |bms: &Bms| bms.trace().iter().sum::<f64>() / bms.trace().len() as f64;
+        prop_assert_eq!(bms.running_soc_avg().to_bits(), mean(&bms).to_bits());
+        for (step, (p, dt)) in head.iter().chain(&drain).chain(&charge).chain(&tail).enumerate() {
+            bms.apply_load(Watts::new(*p), Seconds::new(*dt));
+            prop_assert_eq!(
+                bms.running_soc_avg().to_bits(),
+                mean(&bms).to_bits(),
+                "step {} of {} W for {} s",
+                step,
+                p,
+                dt
+            );
+        }
+        prop_assert!(bms.trace().contains(&min_soc), "never pinned at min_soc");
+        prop_assert!(bms.trace().contains(&max_soc), "never pinned at max_soc");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! against. The other arms time the production MPC at the granularities
 //! that matter: one QP subproblem, one `MpcController::control` solve
 //! (with and without observability attached, and at long horizons) and a
-//! whole evaluation-sweep cell, also under the fuzzy baseline.
+//! whole evaluation-sweep cell, also under the rule-based baselines.
 //! `BENCH_mpc.json` at the repository root records the baseline medians.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -271,9 +271,11 @@ fn bench_horizon_scaling(c: &mut Criterion) {
 
 /// One whole ECE-15 evaluation-sweep cell (the granularity
 /// `evaluation_sweep_run` parallelizes over), under the MPC and under
-/// the fuzzy baseline. The fuzzy cell is rule inference and plant steps
-/// only, so it holds the centroid-table inference and the precomputed
-/// plant inputs to their speed.
+/// the fuzzy baseline, and one UDDS cell under On/Off. The fuzzy cell is
+/// rule inference and plant steps only, so it holds the centroid-table
+/// inference and the precomputed plant inputs to their speed. The UDDS
+/// cell's 1,370 steps, seven times ECE-15's, are mostly plant work, so
+/// it holds a plant step's cost flat in how far into its drive it is.
 fn bench_sweep_cell(c: &mut Criterion) {
     let mut group = c.benchmark_group("mpc_derivatives");
     group.sample_size(2);
@@ -283,6 +285,9 @@ fn bench_sweep_cell(c: &mut Criterion) {
     group.sample_size(20);
     group.bench_function("sweep_cell_ece15_fuzzy", |b| {
         b.iter(|| black_box(run_cell(&DriveCycle::ece15(), 35.0, ControllerKind::Fuzzy)))
+    });
+    group.bench_function("sweep_cell_udds_onoff", |b| {
+        b.iter(|| black_box(run_cell(&DriveCycle::udds(), 35.0, ControllerKind::OnOff)))
     });
     group.finish();
 }

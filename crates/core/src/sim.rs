@@ -418,10 +418,12 @@ mod tests {
         assert!(sim.motor_power().iter().any(|&p| p > 5_000.0));
     }
 
-    /// Records the preview of every step, then lets On/Off decide.
+    /// Records the preview and running SoC average of every step, then
+    /// lets On/Off decide.
     struct PreviewRecorder {
         inner: Box<dyn ClimateController>,
         windows: Vec<Vec<PreviewSample>>,
+        soc_avgs: Vec<f64>,
     }
 
     impl ClimateController for PreviewRecorder {
@@ -431,6 +433,7 @@ mod tests {
 
         fn control(&mut self, ctx: &ControlContext<'_>) -> ev_hvac::HvacInput {
             self.windows.push(ctx.preview.to_vec());
+            self.soc_avgs.push(ctx.soc_avg);
             self.inner.control(ctx)
         }
     }
@@ -446,7 +449,10 @@ mod tests {
     /// Runs `sim` to the end and checks every step's preview against the
     /// window the loop once rebuilt per step — samples `k..k + len`, the
     /// last one held past the end, motor power from `PowerTrain::power`
-    /// — and every step's motor power against `PowerTrain::power`.
+    /// — every step's motor power against `PowerTrain::power`, and every
+    /// step's `soc_avg` against the mean of the initial SoC and the SoC
+    /// after each earlier step, summed in order: a controller sees the
+    /// average from before its own step's SoC update.
     fn assert_previews_match_per_step_windows(sim: &Simulation, len: usize) {
         let train = ev_powertrain::PowerTrain::new(sim.params().vehicle.clone());
         let profile = sim.profile();
@@ -458,11 +464,16 @@ mod tests {
         let mut recorder = PreviewRecorder {
             inner: ControllerKind::OnOff.instantiate(sim.params()).unwrap(),
             windows: Vec::new(),
+            soc_avgs: Vec::new(),
         };
+        let mut socs = vec![sim.params().battery.initial_soc.value()];
         let mut session = sim.start_session();
         let mut steps = 0;
         while let Some(rec) = sim.advance(&mut session, &mut recorder) {
             let k = rec.step;
+            let mean = socs.iter().sum::<f64>() / socs.len() as f64;
+            assert_eq!(recorder.soc_avgs[k].to_bits(), mean.to_bits(), "step {k}");
+            socs.push(rec.soc);
             assert_eq!(
                 rec.motor_power.to_bits(),
                 power(k).value().to_bits(),
