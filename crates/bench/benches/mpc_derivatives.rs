@@ -7,7 +7,8 @@
 //! against. The other arms time the production MPC at the granularities
 //! that matter: one QP subproblem, one `MpcController::control` solve
 //! (with and without observability attached, and at long horizons) and a
-//! whole evaluation-sweep cell, also under the rule-based baselines.
+//! whole evaluation-sweep cell, also under the rule-based baselines, whose
+//! fuzzy inference is also timed on its own.
 //! `BENCH_mpc.json` at the repository root records the baseline medians.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -292,6 +293,45 @@ fn bench_sweep_cell(c: &mut Criterion) {
     group.finish();
 }
 
+/// Fuzzy commands for scaled (error, rate) pairs on a 21 × 21 grid over
+/// `[−1.5, 1.5]²`: the paper engine's inference and the duty-to-input map,
+/// with no plant step and no cell set-up, so it holds inference to its
+/// speed where the sweep cell's plant and set-up would hide a slowdown.
+/// Each pair takes two commands one second apart: the second sets the
+/// error and, against the first, the rate. Eight of the 21 values on each
+/// axis lie past the ±1 clamp, where most of a soaked fleet's fuzzy
+/// steps sit.
+fn bench_fuzzy_infer(c: &mut Criterion) {
+    let params = EvParams::nissan_leaf_like();
+    let mut controller = ControllerKind::Fuzzy
+        .instantiate(&params)
+        .expect("fuzzy controller instantiates");
+    // The controller scales the error by 2 K and its rate by 0.05 K/s.
+    let target = params.target.value();
+    let axis: Vec<f64> = (0..21).map(|k| -1.5 + 0.15 * f64::from(k)).collect();
+    let cabin: Vec<f64> = axis
+        .iter()
+        .flat_map(|&error| {
+            axis.iter().flat_map(move |&rate| {
+                let tz = target + 2.0 * error;
+                [tz - 0.05 * rate, tz]
+            })
+        })
+        .collect();
+    let mut ctx = bench_context(&[]);
+    let mut group = c.benchmark_group("mpc_derivatives");
+    group.bench_function("fuzzy_infer", |b| {
+        b.iter(|| {
+            controller.reset_session();
+            for &tz in &cabin {
+                ctx.state = HvacState::new(Celsius::new(tz));
+                black_box(controller.control(&ctx));
+            }
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     mpc_derivatives,
     bench_derivative_eval,
@@ -300,6 +340,7 @@ criterion_group!(
     bench_fleet_step_labeled_metrics,
     bench_fleet_step_exemplar_metrics,
     bench_horizon_scaling,
-    bench_sweep_cell
+    bench_sweep_cell,
+    bench_fuzzy_infer
 );
 criterion_main!(mpc_derivatives);

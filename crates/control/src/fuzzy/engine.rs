@@ -11,6 +11,10 @@ use std::ops::Range;
 /// sampled at this many evenly spaced points, ends included.
 const SAMPLES: usize = 101;
 
+/// Capacity of the degree buffer `infer` keeps on the stack: the most
+/// terms an engine's inputs may have, summed over all of them.
+const MAX_INPUT_TERMS: usize = 32;
+
 /// A membership function over a real universe.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MembershipFunction {
@@ -159,8 +163,10 @@ pub struct FuzzyEngine {
 /// that conclude it.
 #[derive(Debug, Clone, PartialEq)]
 struct Consequent {
-    /// Indices into the rule list.
-    rules: Vec<usize>,
+    /// One entry per rule that concludes this term, in rule order: the
+    /// slots of the rule's antecedents in `infer`'s degree buffer, which
+    /// holds every input's terms one after another.
+    rules: Vec<Vec<usize>>,
     /// The term's degree at each centroid sample.
     degree: [f64; SAMPLES],
     /// From the first sample with a non-zero degree to one past the
@@ -175,9 +181,10 @@ impl FuzzyEngine {
     /// # Panics
     ///
     /// Panics if there are no inputs, output terms or rules, if the
-    /// output universe is not a finite, non-empty interval, if any
-    /// membership function has non-finite or unordered parameters, or if
-    /// any rule index is out of range.
+    /// inputs have more than 32 terms in all, if the output universe is
+    /// not a finite, non-empty interval, if any membership function has
+    /// non-finite or unordered parameters, or if any rule index is out of
+    /// range.
     #[must_use]
     pub fn new(
         inputs: Vec<Vec<Term>>,
@@ -188,6 +195,16 @@ impl FuzzyEngine {
         assert!(!inputs.is_empty(), "fuzzy engine needs at least one input");
         assert!(!output_terms.is_empty(), "fuzzy engine needs output terms");
         assert!(!rules.is_empty(), "fuzzy engine needs rules");
+        let mut offsets = Vec::with_capacity(inputs.len());
+        let mut input_terms = 0;
+        for terms in &inputs {
+            offsets.push(input_terms);
+            input_terms += terms.len();
+        }
+        assert!(
+            input_terms <= MAX_INPUT_TERMS,
+            "fuzzy engine inputs may have at most {MAX_INPUT_TERMS} terms in all"
+        );
         let (lo, hi) = output_universe;
         assert!(
             hi > lo && (hi - lo).is_finite(),
@@ -226,8 +243,16 @@ impl FuzzyEngine {
                 let first = degree.iter().position(|&d| d > 0.0).unwrap_or(0);
                 let end = degree.iter().rposition(|&d| d > 0.0).map_or(0, |k| k + 1);
                 Consequent {
-                    rules: (0..rules.len())
-                        .filter(|&r| rules[r].consequent == t)
+                    rules: rules
+                        .iter()
+                        .filter(|rule| rule.consequent == t)
+                        .map(|rule| {
+                            rule.antecedents
+                                .iter()
+                                .zip(&offsets)
+                                .filter_map(|(term, &offset)| term.map(|t| offset + t))
+                                .collect()
+                        })
                         .collect(),
                     degree,
                     support: first..end,
@@ -258,6 +283,15 @@ impl FuzzyEngine {
     /// centroid sums, and those sums never become `−0.0`, so skipping it
     /// changes no bit either.
     ///
+    /// Each input term's degree is evaluated once, into a stack buffer
+    /// the rules read their antecedents from. The clip and the aggregate
+    /// are plain comparisons, which equal `min` and `max` unless an
+    /// operand is NaN or `−0.0`, and none is: a tabulated degree is
+    /// finite and never `−0.0`; a rule's strength folds from `1.0` with
+    /// `f64::min`, which drops the NaN degree of a NaN input, and a
+    /// term's strength folds those from `0.0` with `f64::max`; and the
+    /// aggregate starts at `+0.0`.
+    ///
     /// # Panics
     ///
     /// Panics if `values.len()` does not match the number of inputs.
@@ -268,6 +302,16 @@ impl FuzzyEngine {
             self.inputs.len(),
             "fuzzy input count mismatch"
         );
+        // Every input term's degree, once, in input order.
+        let mut degrees = [0.0_f64; MAX_INPUT_TERMS];
+        let evaluated = self
+            .inputs
+            .iter()
+            .zip(values)
+            .flat_map(|(terms, &x)| terms.iter().map(move |term| term.mf.degree(x)));
+        for (slot, degree) in degrees.iter_mut().zip(evaluated) {
+            *slot = degree;
+        }
         // Aggregate (max of clipped consequents) over the fired terms.
         let mut mu = [0.0_f64; SAMPLES];
         let (mut first, mut end) = (SAMPLES, 0);
@@ -275,7 +319,7 @@ impl FuzzyEngine {
             let strength = consequent
                 .rules
                 .iter()
-                .map(|&r| self.strength(&self.rules[r], values))
+                .map(|slots| slots.iter().map(|&k| degrees[k]).fold(1.0, f64::min))
                 .fold(0.0, f64::max);
             if strength > 0.0 {
                 let support = consequent.support.clone();
@@ -283,7 +327,8 @@ impl FuzzyEngine {
                     .iter_mut()
                     .zip(&consequent.degree[support])
                 {
-                    *m = m.max(strength.min(d));
+                    let clipped = if d < strength { d } else { strength };
+                    *m = if clipped > *m { clipped } else { *m };
                 }
                 first = first.min(consequent.support.start);
                 end = end.max(consequent.support.end);
@@ -304,15 +349,6 @@ impl FuzzyEngine {
         } else {
             num / den
         }
-    }
-
-    /// Firing strength of `rule`: the min of its antecedents' degrees.
-    fn strength(&self, rule: &Rule, values: &[f64]) -> f64 {
-        rule.antecedents
-            .iter()
-            .enumerate()
-            .filter_map(|(var, term)| term.map(|t| self.inputs[var][t].mf.degree(values[var])))
-            .fold(1.0, f64::min)
     }
 }
 
@@ -410,20 +446,31 @@ mod tests {
         }
     }
 
-    /// A random engine: one to three inputs of one to five terms on
-    /// `[−1, 1]`, one to five output terms on a random universe, and one
-    /// to twelve rules with a quarter of their antecedents don't-care.
+    /// A random engine: one to three inputs on `[−1, 1]` of one to five
+    /// terms each or, a quarter of the time, of `MAX_INPUT_TERMS` terms
+    /// in all, filling the degree buffer; one to five output terms on a
+    /// random universe; and one to 24 rules with a quarter of their
+    /// antecedents don't-care.
     fn random_engine(seed: &mut u64) -> FuzzyEngine {
-        let mut inputs = Vec::new();
-        for _ in 0..1 + pick(seed, 3) {
-            let terms: Vec<Term> = (0..1 + pick(seed, 5))
-                .map(|_| Term {
-                    label: "in",
-                    mf: random_mf(seed, -1.0, 1.0),
-                })
-                .collect();
-            inputs.push(terms);
+        let mut counts: Vec<usize> = (0..1 + pick(seed, 3)).map(|_| 1 + pick(seed, 5)).collect();
+        if uniform(seed) < 0.25 {
+            counts.fill(1);
+            for _ in counts.len()..MAX_INPUT_TERMS {
+                let var = pick(seed, counts.len());
+                counts[var] += 1;
+            }
         }
+        let inputs: Vec<Vec<Term>> = counts
+            .iter()
+            .map(|&n| {
+                (0..n)
+                    .map(|_| Term {
+                        label: "in",
+                        mf: random_mf(seed, -1.0, 1.0),
+                    })
+                    .collect()
+            })
+            .collect();
         let (lo, hi) = if uniform(seed) < 0.5 {
             (-1.0, 1.0)
         } else {
@@ -437,7 +484,7 @@ mod tests {
             })
             .collect();
         let mut rules = Vec::new();
-        for _ in 0..1 + pick(seed, 12) {
+        for _ in 0..1 + pick(seed, 24) {
             let mut antecedents = Vec::new();
             for terms in &inputs {
                 let care = uniform(seed) < 0.75;
@@ -484,6 +531,21 @@ mod tests {
         for &error in &errors {
             for &rate in &rates {
                 assert_infer_matches_oracle(e, &[error, rate]);
+            }
+        }
+    }
+
+    /// Two thirds of the fuzzy steps a fleet of soaked cabins serves have
+    /// the error clamped at ±1: walk the paper engine along all four
+    /// clamp edges of its input square.
+    #[test]
+    fn paper_engine_matches_per_sample_evaluation_along_the_clamp_edges() {
+        let e = FuzzyController::paper_engine();
+        for k in 0..=2000 {
+            let x = -1.0 + f64::from(k) / 1000.0;
+            for edge in [-1.0, 1.0] {
+                assert_infer_matches_oracle(e, &[edge, x]);
+                assert_infer_matches_oracle(e, &[x, edge]);
             }
         }
     }
@@ -742,5 +804,26 @@ mod tests {
     #[should_panic(expected = "finite, non-empty interval")]
     fn rejects_infinite_universe() {
         let _ = engine_with(tri(0.0, 0.5, 1.0), (0.0, f64::INFINITY));
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 32 terms in all")]
+    fn rejects_more_input_terms_than_the_degree_buffer_holds() {
+        let t = Term {
+            label: "t",
+            mf: tri(0.0, 0.5, 1.0),
+        };
+        let _ = FuzzyEngine::new(
+            vec![
+                vec![t.clone(); MAX_INPUT_TERMS / 2],
+                vec![t.clone(); MAX_INPUT_TERMS / 2 + 1],
+            ],
+            vec![t],
+            (0.0, 1.0),
+            vec![Rule {
+                antecedents: vec![Some(0), Some(0)],
+                consequent: 0,
+            }],
+        );
     }
 }

@@ -54,11 +54,6 @@ pub enum OptimError {
         /// Iteration at which the search stalled.
         iteration: usize,
     },
-    /// The SQP iteration limit was exceeded.
-    SqpMaxIterations {
-        /// Final KKT residual norm.
-        kkt_residual: f64,
-    },
 }
 
 impl core::fmt::Display for OptimError {
@@ -92,9 +87,6 @@ impl core::fmt::Display for OptimError {
             Self::NonFiniteData => write!(f, "problem data contains non-finite values"),
             Self::LineSearchFailed { iteration } => {
                 write!(f, "line search failed at sqp iteration {iteration}")
-            }
-            Self::SqpMaxIterations { kkt_residual } => {
-                write!(f, "sqp did not converge: kkt residual {kkt_residual:.2e}")
             }
         }
     }

@@ -3,14 +3,14 @@
 //! [`SqpObserver`] is the solver-level analogue of ev-core's
 //! `StepObserver`: [`crate::SqpSolver::solve_observed`] calls
 //! [`SqpObserver::on_iteration`] once per major iteration with the merit
-//! value, step length, KKT/constraint residuals, QP subproblem status and
+//! value, constraint violation, step length, QP subproblem status and
 //! timing, and the active-set size. Observation is strictly read-only —
 //! the solver's float path is identical with or without an observer
 //! attached, so instrumented runs stay bit-for-bit reproducible.
 //!
 //! The [`SqpObserver::active`] gate lets the solver skip assembling a
 //! record (including the `Instant::now()` reads around the QP solve and
-//! the extra stationarity-residual matvecs) when nobody is listening;
+//! the active-set count) when nobody is listening;
 //! [`NoopSqpObserver`] reports inactive, so the plain
 //! [`crate::SqpSolver::solve`] entry point monomorphizes to the exact
 //! pre-instrumentation hot loop.
@@ -43,9 +43,6 @@ pub struct SqpIterationRecord {
     pub merit: f64,
     /// L1 constraint violation at that iterate.
     pub constraint_violation: f64,
-    /// Stationarity residual `‖∇f + J_eqᵀy + J_inᵀλ‖_∞` of the KKT
-    /// system at the iterate (NaN if a Jacobian product failed).
-    pub kkt_residual: f64,
     /// Infinity norm of the proposed step `d`.
     pub step_norm: f64,
     /// Line-search step length α actually applied (0.0 when the
@@ -85,7 +82,7 @@ pub struct SqpIterationRecord {
 pub trait SqpObserver {
     /// Whether records should be assembled at all. When this returns
     /// `false` the solver skips all record-only work (clock reads,
-    /// residual matvecs) — identical to running unobserved.
+    /// active-set count) — identical to running unobserved.
     fn active(&self) -> bool {
         true
     }

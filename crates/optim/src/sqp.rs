@@ -385,7 +385,6 @@ impl SqpSolver {
                         objective: f,
                         merit: f + penalty * viol,
                         constraint_violation: viol,
-                        kkt_residual: kkt_residual(&grad, j_eq, &mult_eq, j_in, &mult_in),
                         step_norm: vecops::norm_inf(&d),
                         step_length: 0.0,
                         accepted: true,
@@ -466,7 +465,6 @@ impl SqpSolver {
                     objective: f,
                     merit: merit0,
                     constraint_violation: viol,
-                    kkt_residual: kkt_residual(&grad, j_eq, &mult_eq, j_in, &mult_in),
                     step_norm: vecops::norm_inf(&d),
                     step_length: if accepted { alpha } else { 0.0 },
                     accepted,
@@ -713,33 +711,6 @@ fn second_order_correction(j_eq: JacRef<'_>, c_at_trial: &[f64]) -> Option<Vec<f
         *v = -*v;
     }
     Some(d_hat)
-}
-
-/// Stationarity residual of the KKT system at the current iterate:
-/// `‖∇f + J_eqᵀ y + J_inᵀ λ‖_∞`. Only evaluated for an active observer;
-/// returns NaN when a Jacobian product fails dimensionally.
-fn kkt_residual(
-    grad: &[f64],
-    j_eq: JacRef<'_>,
-    mult_eq: &[f64],
-    j_in: JacRef<'_>,
-    mult_in: &[f64],
-) -> f64 {
-    let mut r = grad.to_vec();
-    let mut buf = vec![0.0; grad.len()];
-    if !mult_eq.is_empty() {
-        match j_eq.matvec_transposed_into(mult_eq, &mut buf) {
-            Ok(()) => vecops::axpy(1.0, &buf, &mut r),
-            Err(_) => return f64::NAN,
-        }
-    }
-    if !mult_in.is_empty() {
-        match j_in.matvec_transposed_into(mult_in, &mut buf) {
-            Ok(()) => vecops::axpy(1.0, &buf, &mut r),
-            Err(_) => return f64::NAN,
-        }
-    }
-    vecops::norm_inf(&r)
 }
 
 /// Multiplier magnitude above which an inequality row counts as active.
@@ -1042,7 +1013,6 @@ mod tests {
             .records
             .iter()
             .all(|r| r.qp_status == QpSubproblemStatus::Nominal));
-        assert!(trace.records.iter().all(|r| r.kkt_residual.is_finite()));
         // Both box constraints are active at the optimum, and the index
         // list names them in row order and agrees with the size.
         assert_eq!(last.active_set_size, 2);
