@@ -234,13 +234,6 @@ impl MpcBuilder {
         self
     }
 
-    /// Sets the comfort band as target ± `half_width` kelvins (C2).
-    #[must_use]
-    pub fn comfort_band(mut self, half_width: f64) -> Self {
-        self.limits = HvacLimits::comfort_band(self.target, half_width);
-        self
-    }
-
     /// Sets the prediction horizon length `N` (the paper's control
     /// window).
     #[must_use]

@@ -708,7 +708,16 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let recorder = FlightRecorder::enabled(8);
-        recorder.note("sweep", "cell aborted");
+        recorder.record_step(ev_telemetry::StepSummary {
+            step: 7,
+            t_s: 7.0,
+            motor_power_w: 5_000.0,
+            hvac_power_w: 1_500.0,
+            battery_power_w: 6_800.0,
+            soc_pct: 90.0,
+            cabin_c: 24.9,
+            ambient_c: 35.0,
+        });
         let path = write_cell_postmortem(
             &dir,
             "ECE-15",
@@ -720,7 +729,7 @@ mod tests {
         assert_eq!(path, dir.join("ECE-15_Mpc.jsonl"));
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains("sweep cell ECE-15 x Mpc failed: cabin temperature diverged"));
-        assert!(text.contains("\"kind\":\"note\""));
+        assert!(text.contains("\"kind\":\"step\""));
         // Disabled recorders never write anything.
         assert!(write_cell_postmortem(
             &dir,

@@ -16,8 +16,6 @@ use crate::{ElectricVehicle, EvParams, SimulationResult, TimeSeries};
 pub enum SimError {
     /// The drive profile has no samples.
     EmptyProfile,
-    /// The requested preview window length is zero.
-    ZeroPreview,
     /// The state-of-health parameters are out of range. Caught at
     /// construction so the failure carries a routable error instead of
     /// panicking deep inside the run (possibly on a worker thread).
@@ -36,7 +34,6 @@ impl core::fmt::Display for SimError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
             Self::EmptyProfile => write!(f, "drive profile has no samples"),
-            Self::ZeroPreview => write!(f, "preview window length must be positive"),
             Self::InvalidSohParams(e) => write!(f, "invalid soh parameters: {e}"),
             Self::NonFiniteSample { index } => {
                 write!(f, "drive profile sample {index} is not finite")
@@ -85,15 +82,13 @@ pub struct Simulation {
     profile: DriveProfile,
     /// One entry per profile sample — its motor power `e` precomputed
     /// from the profile, its ambient and its solar load — followed by
-    /// `preview_len − 1` copies of the last entry, so the preview of
+    /// `PREVIEW_LEN − 1` copies of the last entry, so the preview of
     /// every step is one slice of it.
     preview: Vec<PreviewSample>,
-    /// Length of the preview window handed to the controller (samples).
-    preview_len: usize,
 }
 
 impl Simulation {
-    /// The default preview window length (samples).
+    /// Length of the preview window handed to the controller (samples).
     const PREVIEW_LEN: usize = 64;
 
     /// Creates a simulation, precomputing the motor-power vector and,
@@ -128,56 +123,21 @@ impl Simulation {
         }
         // Algorithm 1 lines 2–5: PowerTrain(d_t) for every sample.
         let train = ev_powertrain::PowerTrain::new(params.vehicle.clone());
-        let mut preview = Vec::with_capacity(profile.len() + Self::PREVIEW_LEN - 1);
+        let n = profile.len();
+        let mut preview = Vec::with_capacity(n + Self::PREVIEW_LEN - 1);
         preview.extend(profile.iter().map(|s| PreviewSample {
             motor_power: train.power(s.v, s.a, s.slope_percent),
             ambient: s.ambient,
             solar: s.solar,
         }));
-        let mut sim = Self {
+        // The window of the last step reaches `PREVIEW_LEN − 1` samples
+        // past the end: hold the last sample there.
+        preview.resize(n + Self::PREVIEW_LEN - 1, preview[n - 1]);
+        Ok(Self {
             params,
             profile,
             preview,
-            preview_len: 1,
-        };
-        sim.set_preview_len(Self::PREVIEW_LEN);
-        Ok(sim)
-    }
-
-    /// Sets the preview window length to `len`: the profile's entries
-    /// are followed by `len − 1` copies of the last one, as far as the
-    /// window of the last step reaches.
-    fn set_preview_len(&mut self, len: usize) {
-        let n = self.profile.len();
-        let last = self.preview[n - 1];
-        self.preview.resize(n + len - 1, last);
-        self.preview_len = len;
-    }
-
-    /// Overrides the preview window length (samples at the profile rate).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `len == 0`; use
-    /// [`try_with_preview_len`](Self::try_with_preview_len) to handle
-    /// that case as an error.
-    #[must_use]
-    pub fn with_preview_len(self, len: usize) -> Self {
-        self.try_with_preview_len(len)
-            .expect("preview length must be positive")
-    }
-
-    /// Fallible variant of [`with_preview_len`](Self::with_preview_len).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::ZeroPreview`] if `len == 0`.
-    pub fn try_with_preview_len(mut self, len: usize) -> Result<Self, SimError> {
-        if len == 0 {
-            return Err(SimError::ZeroPreview);
-        }
-        self.set_preview_len(len);
-        Ok(self)
+        })
     }
 
     /// Borrows the drive profile.
@@ -331,7 +291,7 @@ impl Simulation {
             soc_avg: ev.bms().running_soc_avg(),
             dt,
             elapsed: Seconds::new(k as f64 * dt.value()),
-            preview: &self.preview[k..k + self.preview_len],
+            preview: &self.preview[k..k + Self::PREVIEW_LEN],
         };
         let input = controller.control(&ctx);
         let motor_power = self.preview[k].motor_power;
@@ -447,13 +407,14 @@ mod tests {
     }
 
     /// Runs `sim` to the end and checks every step's preview against the
-    /// window the loop once rebuilt per step — samples `k..k + len`, the
+    /// window the loop once rebuilt per step — samples `k..k + 64`, the
     /// last one held past the end, motor power from `PowerTrain::power`
     /// — every step's motor power against `PowerTrain::power`, and every
     /// step's `soc_avg` against the mean of the initial SoC and the SoC
     /// after each earlier step, summed in order: a controller sees the
     /// average from before its own step's SoC update.
-    fn assert_previews_match_per_step_windows(sim: &Simulation, len: usize) {
+    fn assert_previews_match_per_step_windows(sim: &Simulation) {
+        let len = Simulation::PREVIEW_LEN;
         let train = ev_powertrain::PowerTrain::new(sim.params().vehicle.clone());
         let profile = sim.profile();
         let n = profile.len();
@@ -491,7 +452,7 @@ mod tests {
                 assert_eq!(
                     preview_bits(got),
                     preview_bits(&want),
-                    "len {len}, step {k}, sample {j}"
+                    "step {k}, sample {j}"
                 );
             }
             steps += 1;
@@ -499,19 +460,19 @@ mod tests {
         assert_eq!(steps, n);
     }
 
-    /// ECE-15 cut off mid-acceleration, with the ambient and solar load
-    /// changing every sample: no two preview entries are alike, and the
-    /// held last sample is not a standstill.
-    fn cut_sim() -> Simulation {
+    /// ECE-15 cut off mid-acceleration at or after sample `from`, with
+    /// the ambient and solar load changing every sample: no two preview
+    /// entries are alike, and the held last sample is not a standstill.
+    fn cut_sim(from: usize) -> Simulation {
         let full = short_sim(30.0);
         let train = ev_powertrain::PowerTrain::new(full.params().vehicle.clone());
         let mut samples = full.profile().samples().to_vec();
-        let cut = (60..samples.len())
+        let cut = (from..samples.len())
             .find(|&k| {
                 let s = &samples[k];
                 train.power(s.v, s.a, s.slope_percent).value() > 5_000.0
             })
-            .expect("ECE-15 accelerates after a minute");
+            .expect("ECE-15 accelerates again after `from`");
         samples.truncate(cut + 1);
         for (k, s) in samples.iter_mut().enumerate() {
             s.ambient = Celsius::new(30.0 + 0.01 * k as f64);
@@ -523,15 +484,14 @@ mod tests {
 
     #[test]
     fn previews_are_the_per_step_windows_held_past_the_end() {
-        let sim = cut_sim();
-        let n = sim.profile().len();
-        assert_previews_match_per_step_windows(&sim, 64);
-        for len in [1, 3, 64, n + 1] {
-            assert_previews_match_per_step_windows(&sim.clone().with_preview_len(len), len);
-        }
-        // Shrinking after growing drops the held copies again.
-        let regrown = sim.with_preview_len(n + 1).with_preview_len(3);
-        assert_previews_match_per_step_windows(&regrown, 3);
+        // A drive shorter than one window, so every window reaches past
+        // its end, and one longer than a window.
+        let short = cut_sim(0);
+        let long = cut_sim(100);
+        assert!(short.profile().len() < Simulation::PREVIEW_LEN);
+        assert!(long.profile().len() > Simulation::PREVIEW_LEN);
+        assert_previews_match_per_step_windows(&short);
+        assert_previews_match_per_step_windows(&long);
     }
 
     #[test]
@@ -580,10 +540,6 @@ mod tests {
         assert_eq!(
             SimError::EmptyProfile.to_string(),
             "drive profile has no samples"
-        );
-        assert_eq!(
-            SimError::ZeroPreview.to_string(),
-            "preview window length must be positive"
         );
     }
 
@@ -635,19 +591,9 @@ mod tests {
 
     #[test]
     fn sim_error_is_std_error() {
-        let e: Box<dyn std::error::Error> = Box::new(SimError::ZeroPreview);
+        let e: Box<dyn std::error::Error> = Box::new(SimError::EmptyProfile);
         assert!(e.source().is_none());
         assert!(!format!("{e:?}").is_empty());
-    }
-
-    #[test]
-    fn zero_preview_is_rejected() {
-        let sim = short_sim(30.0);
-        assert_eq!(
-            sim.clone().try_with_preview_len(0).unwrap_err(),
-            SimError::ZeroPreview
-        );
-        assert_eq!(sim.try_with_preview_len(16).unwrap().preview_len, 16);
     }
 
     #[test]

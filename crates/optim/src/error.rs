@@ -49,11 +49,6 @@ pub enum OptimError {
     Linalg(LinalgError),
     /// Problem data contains NaN or infinity.
     NonFiniteData,
-    /// The SQP line search could not find an acceptable step.
-    LineSearchFailed {
-        /// Iteration at which the search stalled.
-        iteration: usize,
-    },
 }
 
 impl core::fmt::Display for OptimError {
@@ -85,9 +80,6 @@ impl core::fmt::Display for OptimError {
             ),
             Self::Linalg(e) => write!(f, "linear algebra failure: {e}"),
             Self::NonFiniteData => write!(f, "problem data contains non-finite values"),
-            Self::LineSearchFailed { iteration } => {
-                write!(f, "line search failed at sqp iteration {iteration}")
-            }
         }
     }
 }

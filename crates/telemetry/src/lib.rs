@@ -37,6 +37,7 @@
 #![deny(missing_docs)]
 
 pub mod export;
+mod json;
 mod metrics;
 pub mod recorder;
 mod registry;
@@ -48,8 +49,8 @@ pub mod tsdb;
 
 pub use metrics::{Counter, Exemplar, Gauge, Histogram, HistogramSpec};
 pub use recorder::{
-    Attribution, DecisionRecord, FlightRecord, FlightRecorder, PlannedStep, SolveOutcome,
-    StepSummary, WarmStart,
+    Attribution, DecisionRecord, FlightDump, FlightRecord, FlightRecorder, PlannedStep,
+    SolveOutcome, StepSummary, WarmStart,
 };
 pub use registry::{
     CounterSnapshot, GaugeSnapshot, HistogramSnapshot, LabelSet, Registry, Snapshot,

@@ -150,7 +150,16 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let recorder = FlightRecorder::enabled(8);
-        recorder.note("test", "synthetic trace");
+        recorder.record_step(ev_telemetry::StepSummary {
+            step: 7,
+            t_s: 7.0,
+            motor_power_w: 5_000.0,
+            hvac_power_w: 1_500.0,
+            battery_power_w: 6_800.0,
+            soc_pct: 90.0,
+            cabin_c: 24.9,
+            ambient_c: 35.0,
+        });
         let report = InvariantReport {
             profile: "ECE-15".to_owned(),
             controller: "MPC".to_owned(),
@@ -172,7 +181,7 @@ mod tests {
         assert_eq!(written, path);
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains("2 invariant violation(s), first at step 7"));
-        assert!(text.contains("\"kind\":\"note\""));
+        assert!(text.contains("\"kind\":\"step\""));
         // Clean reports are inert.
         assert!(dump_on_violation(&recorder, &InvariantReport::default(), &path).is_none());
         let _ = std::fs::remove_dir_all(&dir);
