@@ -837,7 +837,13 @@ pub fn quantile_from_cumulative(buckets: &[(f64, f64)], q: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::export::snapshot_samples;
+    use crate::export::{parse_prometheus, to_prometheus};
+    use crate::Snapshot;
+
+    /// `snapshot`'s samples as a scrape of it reads them.
+    fn snapshot_samples(snapshot: &Snapshot) -> Vec<PromSample> {
+        parse_prometheus(&to_prometheus(snapshot)).expect("the exposition parses")
+    }
     use crate::{HistogramSpec, Registry};
 
     fn temp_path(tag: &str) -> std::path::PathBuf {
