@@ -7,8 +7,8 @@ use std::hint::black_box;
 use ev_bench::{bench_context, bench_preview};
 use ev_control::{ClimateController, MpcController};
 use ev_hvac::{CabinParams, Hvac, HvacInput, HvacLimits, HvacParams, HvacState};
-use ev_linalg::{Lu, Matrix};
-use ev_optim::{NlpProblem, QpProblem, QpSolver, SqpSolver};
+use ev_linalg::{Lu, Matrix, SparseMatrix};
+use ev_optim::{NlpProblem, QpSolver, QpView, SqpSolver};
 use ev_powertrain::{PowerTrain, VehicleParams};
 use ev_units::{Celsius, KgPerSecond, MetersPerSecond, Seconds, Watts};
 
@@ -50,13 +50,19 @@ fn bench_qp(c: &mut Criterion) {
         rhs.push(2.0 + (i % 5) as f64);
     }
     let refs: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
-    let a = Matrix::from_rows(&refs).expect("rectangular");
-    let p = QpProblem::new(h, g)
+    let a = SparseMatrix::from_dense(&Matrix::from_rows(&refs).expect("rectangular"));
+    let p = QpView::new(&h, &g)
         .expect("valid h")
-        .with_inequalities(a, rhs)
+        .with_inequalities(&a, &rhs)
         .expect("valid constraints");
     c.bench_function("qp_ipm_32v_104c", |b| {
-        b.iter(|| black_box(QpSolver::default().solve(black_box(&p)).expect("solves")))
+        b.iter(|| {
+            black_box(
+                QpSolver::default()
+                    .solve_view(black_box(&p))
+                    .expect("solves"),
+            )
+        })
     });
 }
 

@@ -105,7 +105,7 @@ fn bench_qp_subproblem(c: &mut Criterion) {
     assert!(nlp.ineq_jacobian_sparse_into(&z, &mut a_in));
     let h = Matrix::identity(n);
     let view = QpView::new(&h, &g)
-        .and_then(|v| v.with_sparse_inequalities(&a_in, &b_in))
+        .and_then(|v| v.with_inequalities(&a_in, &b_in))
         .expect("well-formed subproblem");
     let solver = QpSolver::default();
     solver.solve_view(&view).expect("the subproblem solves");

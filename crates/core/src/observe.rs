@@ -240,12 +240,6 @@ impl TraceRecorder {
     pub fn records(&self) -> &[StepRecord] {
         &self.records
     }
-
-    /// Consumes the recorder, returning the recorded steps.
-    #[must_use]
-    pub fn into_records(self) -> Vec<StepRecord> {
-        self.records
-    }
 }
 
 impl StepObserver for TraceRecorder {

@@ -117,12 +117,6 @@ impl ElectricVehicle {
         &self.bms
     }
 
-    /// The current battery-pack temperature.
-    #[must_use]
-    pub fn pack_temperature(&self) -> Celsius {
-        self.pack.temperature()
-    }
-
     /// Borrows the power train (for precomputing motor power).
     #[must_use]
     pub fn power_train(&self) -> &PowerTrain {

@@ -346,13 +346,6 @@ impl DriveProfile {
         Kilometers::new(meters / 1000.0)
     }
 
-    /// Average ambient temperature over the profile.
-    #[must_use]
-    pub fn avg_ambient(&self) -> Celsius {
-        let sum: f64 = self.samples.iter().map(|s| s.ambient.value()).sum();
-        Celsius::new(sum / self.len() as f64)
-    }
-
     /// A sub-profile window `[start, start + count)`, clamped to the
     /// profile end. Used by the MPC to extract its preview horizon.
     ///

@@ -401,41 +401,6 @@ impl Matrix {
         }
         true
     }
-
-    /// Stacks `self` on top of `other` (row concatenation).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if column counts differ.
-    pub fn vstack(&self, other: &Self) -> Result<Self, LinalgError> {
-        if self.cols != other.cols {
-            return Err(LinalgError::DimensionMismatch {
-                expected: (other.rows, self.cols),
-                actual: other.shape(),
-            });
-        }
-        let mut data = self.data.clone();
-        data.extend_from_slice(&other.data);
-        Ok(Self {
-            rows: self.rows + other.rows,
-            cols: self.cols,
-            data,
-        })
-    }
-
-    /// Extracts the rows with the given indices into a new matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of bounds.
-    #[must_use]
-    pub fn select_rows(&self, indices: &[usize]) -> Self {
-        let mut out = Self::zeros(indices.len(), self.cols);
-        for (i, &r) in indices.iter().enumerate() {
-            out.row_mut(i).copy_from_slice(self.row(r));
-        }
-        out
-    }
 }
 
 impl core::fmt::Display for Matrix {
@@ -565,19 +530,6 @@ mod tests {
         let a = Matrix::from_rows(&[&[2.0, 1.0], &[0.0, 3.0]]).unwrap();
         assert!(!a.is_symmetric(1e-9));
         assert!(!sample().is_symmetric(1.0));
-    }
-
-    #[test]
-    fn vstack_and_select_rows() {
-        let a = sample();
-        let st = a.vstack(&a).unwrap();
-        assert_eq!(st.shape(), (4, 3));
-        assert_eq!(st.row(2), a.row(0));
-        let sel = st.select_rows(&[3, 0]);
-        assert_eq!(sel.row(0), a.row(1));
-        assert_eq!(sel.row(1), a.row(0));
-        let bad = Matrix::zeros(1, 2);
-        assert!(a.vstack(&bad).is_err());
     }
 
     #[test]

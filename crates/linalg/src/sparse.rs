@@ -196,15 +196,14 @@ impl SparseMatrix {
         m
     }
 
-    /// Builds a CSR copy of `a`, dropping entries with `|a_ij| <= drop_tol`.
+    /// Builds a CSR copy of `a`, keeping every entry that is not ±0.0.
     #[must_use]
-    pub fn from_dense(a: &Matrix, drop_tol: f64) -> Self {
+    pub fn from_dense(a: &Matrix) -> Self {
         let mut s = Self::new();
         s.reset(a.cols());
         for r in 0..a.rows() {
-            for c in 0..a.cols() {
-                let v = a.get(r, c);
-                if v.abs() > drop_tol {
+            for (c, &v) in a.row(r).iter().enumerate() {
+                if v != 0.0 {
                     s.push(c, v);
                 }
             }
@@ -263,9 +262,14 @@ mod tests {
 
     #[test]
     fn from_dense_round_trips() {
-        let d = example().to_dense();
-        let s = SparseMatrix::from_dense(&d, 0.0);
-        assert_eq!(s, example());
+        let mut d = example().to_dense();
+        assert_eq!(SparseMatrix::from_dense(&d), example());
+        // Only ±0.0 is dropped: a negative zero goes, a tiny entry stays.
+        d.set(1, 0, -0.0);
+        d.set(1, 2, 1e-300);
+        let s = SparseMatrix::from_dense(&d);
+        assert_eq!(s.row(1), (&[2][..], &[1e-300][..]));
+        assert_eq!(s.nnz(), 5);
     }
 
     #[test]

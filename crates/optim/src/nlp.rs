@@ -78,7 +78,11 @@ pub trait NlpProblem {
     }
 
     /// Jacobian of the equality constraints (`num_eq × num_vars`).
-    /// Defaults to central differences.
+    /// Defaults to central differences. The SQP calls it only when
+    /// [`eq_jacobian_sparse_into`](Self::eq_jacobian_sparse_into)
+    /// returns `false` (or there are no equality rows), and converts the
+    /// result to the CSR form its QP subproblems take, dropping only
+    /// ±0.0 entries.
     fn eq_jacobian(&self, z: &[f64]) -> Matrix {
         jacobian_matrix(
             &|p: &[f64], out: &mut [f64]| self.eq_constraints(p, out),
@@ -105,7 +109,11 @@ pub trait NlpProblem {
     }
 
     /// Jacobian of the inequality constraints (`num_ineq × num_vars`).
-    /// Defaults to central differences.
+    /// Defaults to central differences. The SQP calls it only when
+    /// [`ineq_jacobian_sparse_into`](Self::ineq_jacobian_sparse_into)
+    /// returns `false` (or there are no inequality rows), and converts
+    /// the result to the CSR form its QP subproblems take, dropping only
+    /// ±0.0 entries.
     fn ineq_jacobian(&self, z: &[f64]) -> Matrix {
         jacobian_matrix(
             &|p: &[f64], out: &mut [f64]| self.ineq_constraints(p, out),

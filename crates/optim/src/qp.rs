@@ -1,14 +1,16 @@
 //! Convex quadratic programming by an infeasible-start primal-dual
 //! interior-point method (Mehrotra predictor–corrector).
 //!
-//! The reduced KKT system `[H + CᵀWC, A_eqᵀ; A_eq, −δI]` is assembled from
-//! either dense or sparse (CSR) constraint Jacobians and factored by one of
-//! three interchangeable backends: dense Cholesky (the default whenever
-//! there is no equality block, so the reduced matrix is SPD), dense LU (for
-//! equality blocks, and the fallback when Cholesky rejects a pivot), or —
-//! when the problem declares its horizon structure via [`QpStructure`] — a
-//! banded LDLᵀ under a stage-interleaved permutation, making each
-//! interior-point iteration `O(N)` in the horizon length.
+//! A QP is posed as a [`QpView`]: a dense Hessian and constraint rows in
+//! CSR form ([`SparseMatrix`]). The reduced KKT system
+//! `[H + CᵀWC, A_eqᵀ; A_eq, −δI]` is assembled from those rows and
+//! factored by one of three interchangeable backends: dense Cholesky (the
+//! default whenever there is no equality block, so the reduced matrix is
+//! SPD), dense LU (for equality blocks, and the fallback when Cholesky
+//! rejects a pivot), or — when the problem declares its horizon structure
+//! via [`QpStructure`] — a banded LDLᵀ under a stage-interleaved
+//! permutation, making each interior-point iteration `O(N)` in the
+//! horizon length.
 
 use ev_linalg::{vecops, BandedCholesky, BandedMatrix, Cholesky, Lu, Matrix, SparseMatrix};
 
@@ -28,8 +30,8 @@ use crate::OptimError;
 /// `(lookback + 1)·(vars_per_block + eq_per_block) − 1`, which the solver
 /// factors with [`ev_linalg::BandedCholesky`] in time linear in the number
 /// of stages. Structure is advisory: if the declared shape does not match
-/// the supplied (sparse) Jacobians the solver silently falls back to the
-/// dense path, which remains the correctness oracle.
+/// the supplied Jacobians the solver silently falls back to the dense
+/// path, which remains the correctness oracle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QpStructure {
     /// Decision variables per stage block.
@@ -62,67 +64,34 @@ pub enum QpKktBackend {
     Banded,
 }
 
-/// A constraint Jacobian borrowed in either dense or CSR form.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum ConstraintRef<'a> {
-    Dense(&'a Matrix),
-    Sparse(&'a SparseMatrix),
+/// `row_i · x` of CSR rows.
+fn row_dot(a: &SparseMatrix, i: usize, x: &[f64]) -> f64 {
+    let (cols, vals) = a.row(i);
+    let mut sum = 0.0;
+    for (c, v) in cols.iter().zip(vals) {
+        sum += v * x[*c];
+    }
+    sum
 }
 
-impl ConstraintRef<'_> {
-    pub(crate) fn norm_max(&self) -> f64 {
-        match self {
-            Self::Dense(m) => m.norm_max(),
-            Self::Sparse(s) => s.norm_max(),
-        }
+/// `out += coeff · row_i` of CSR rows (`out` has one entry per column).
+pub(crate) fn add_scaled_row(a: &SparseMatrix, i: usize, coeff: f64, out: &mut [f64]) {
+    let (cols, vals) = a.row(i);
+    for (c, v) in cols.iter().zip(vals) {
+        out[*c] += coeff * v;
     }
+}
 
-    /// `out = A·x` without allocating.
-    pub(crate) fn matvec_into(&self, x: &[f64], out: &mut [f64]) {
-        match self {
-            Self::Dense(m) => matvec_into(m, x, out),
-            Self::Sparse(s) => s.matvec(x, out).expect("dimensions checked at view build"),
-        }
-    }
-
-    /// `row_i · x`.
-    fn row_dot(&self, i: usize, x: &[f64]) -> f64 {
-        match self {
-            Self::Dense(m) => vecops::dot(m.row(i), x),
-            Self::Sparse(s) => {
-                let (cols, vals) = s.row(i);
-                let mut sum = 0.0;
-                for (c, v) in cols.iter().zip(vals) {
-                    sum += v * x[*c];
-                }
-                sum
-            }
-        }
-    }
-
-    /// `out += coeff · row_i` (length `cols`).
-    pub(crate) fn add_scaled_row(&self, i: usize, coeff: f64, out: &mut [f64]) {
-        match self {
-            Self::Dense(m) => {
-                for (o, v) in out.iter_mut().zip(m.row(i)) {
-                    *o += coeff * v;
-                }
-            }
-            Self::Sparse(s) => {
-                let (cols, vals) = s.row(i);
-                for (c, v) in cols.iter().zip(vals) {
-                    out[*c] += coeff * v;
-                }
-            }
-        }
-    }
+/// `out = A·x` for CSR rows whose shape the view checked.
+pub(crate) fn rows_matvec(a: &SparseMatrix, x: &[f64], out: &mut [f64]) {
+    a.matvec(x, out).expect("dimensions checked at view build");
 }
 
 /// How the KKT workspace treats the interior-point loop's inequality
 /// rows: a view's own Jacobian, or the rows of its elastic relaxation.
 #[derive(Debug, Clone, Copy)]
 enum KktRows<'a> {
-    Nominal(ConstraintRef<'a>),
+    Nominal(&'a SparseMatrix),
     Elastic(&'a ElasticRows<'a>),
 }
 
@@ -133,26 +102,29 @@ trait IpmInequalities: Copy {
     fn norm_max(&self) -> f64;
     /// `out = A·x`.
     fn matvec_into(&self, x: &[f64], out: &mut [f64]);
-    /// `out += coeff · row_i`.
-    fn add_scaled_row(&self, i: usize, coeff: f64, out: &mut [f64]);
+    /// `out += Aᵀx`, each `out[c]` receiving its terms in row order of
+    /// `A`. `columns` is the column copy of a view's own rows.
+    fn add_transposed(&self, columns: &Columns, x: &[f64], out: &mut [f64]);
     fn kkt_rows(&self) -> KktRows<'_>;
 }
 
-impl IpmInequalities for ConstraintRef<'_> {
+impl IpmInequalities for &SparseMatrix {
     fn norm_max(&self) -> f64 {
-        ConstraintRef::norm_max(self)
+        SparseMatrix::norm_max(self)
     }
     fn matvec_into(&self, x: &[f64], out: &mut [f64]) {
-        ConstraintRef::matvec_into(self, x, out);
+        rows_matvec(self, x, out);
     }
-    fn add_scaled_row(&self, i: usize, coeff: f64, out: &mut [f64]) {
-        ConstraintRef::add_scaled_row(self, i, coeff, out);
+    fn add_transposed(&self, columns: &Columns, x: &[f64], out: &mut [f64]) {
+        columns.add_transposed(x, out);
     }
     fn kkt_rows(&self) -> KktRows<'_> {
-        KktRows::Nominal(*self)
+        KktRows::Nominal(self)
     }
 }
 
+/// An elastic relaxation's rows are scattered into `out` one by one; it
+/// has no column copy.
 impl IpmInequalities for &ElasticRows<'_> {
     fn norm_max(&self) -> f64 {
         ElasticRows::norm_max(self)
@@ -160,8 +132,10 @@ impl IpmInequalities for &ElasticRows<'_> {
     fn matvec_into(&self, x: &[f64], out: &mut [f64]) {
         ElasticRows::matvec_into(self, x, out);
     }
-    fn add_scaled_row(&self, i: usize, coeff: f64, out: &mut [f64]) {
-        ElasticRows::add_scaled_row(self, i, coeff, out);
+    fn add_transposed(&self, _: &Columns, x: &[f64], out: &mut [f64]) {
+        for (i, &xi) in x.iter().enumerate() {
+            ElasticRows::add_scaled_row(self, i, xi, out);
+        }
     }
     fn kkt_rows(&self) -> KktRows<'_> {
         KktRows::Elastic(self)
@@ -188,9 +162,9 @@ const ELASTIC_CURVATURE: f64 = 1e-8;
 #[derive(Debug, Clone, Copy)]
 struct ElasticRows<'a> {
     n: usize,
-    eq: Option<ConstraintRef<'a>>,
+    eq: Option<&'a SparseMatrix>,
     me: usize,
-    ineq: Option<ConstraintRef<'a>>,
+    ineq: Option<&'a SparseMatrix>,
     mi: usize,
 }
 
@@ -209,7 +183,7 @@ impl<'a> ElasticRows<'a> {
 
     /// The nominal row behind slack `k`: equality `k`, or inequality
     /// `k − me`.
-    fn slack_row(&self, k: usize) -> (ConstraintRef<'a>, usize) {
+    fn slack_row(&self, k: usize) -> (&'a SparseMatrix, usize) {
         if k < self.me {
             (self.eq.expect("me > 0 implies A_eq"), k)
         } else {
@@ -222,14 +196,14 @@ impl<'a> ElasticRows<'a> {
         let (me, mi) = (self.me, self.mi);
         if let Some(eq) = self.eq {
             for r in 0..me {
-                let v = eq.row_dot(r, d);
+                let v = row_dot(eq, r, d);
                 out[2 * r] = v - t[r];
                 out[2 * r + 1] = -v - t[r];
             }
         }
         if let Some(ineq) = self.ineq {
             for r in 0..mi {
-                out[2 * me + r] = ineq.row_dot(r, d) - t[me + r];
+                out[2 * me + r] = row_dot(ineq, r, d) - t[me + r];
             }
         }
         for (o, tk) in out[2 * me + mi..].iter_mut().zip(t) {
@@ -243,15 +217,11 @@ impl<'a> ElasticRows<'a> {
         if i < 2 * me {
             let r = i / 2;
             let signed = if i.is_multiple_of(2) { coeff } else { -coeff };
-            self.eq
-                .expect("me > 0 implies A_eq")
-                .add_scaled_row(r, signed, od);
+            add_scaled_row(self.eq.expect("me > 0 implies A_eq"), r, signed, od);
             ot[r] -= coeff;
         } else if i < 2 * me + mi {
             let r = i - 2 * me;
-            self.ineq
-                .expect("mi > 0 implies A_in")
-                .add_scaled_row(r, coeff, od);
+            add_scaled_row(self.ineq.expect("mi > 0 implies A_in"), r, coeff, od);
             ot[me + r] -= coeff;
         } else {
             ot[i - 2 * me - mi] -= coeff;
@@ -267,6 +237,11 @@ impl<'a> ElasticRows<'a> {
 ///             A_in z ≤ b_in
 /// ```
 ///
+/// posed over borrowed data: a dense Hessian `H` and constraint rows in
+/// CSR form. Owners of QP data keep it and build a view to solve it; the
+/// SQP solver builds one per major iteration over its Hessian
+/// approximation and Jacobians, so nothing is cloned.
+///
 /// `H` must be symmetric positive semidefinite; the solver adds a tiny
 /// Levenberg regularization so semidefinite Hessians (common in MPC, where
 /// some inputs do not enter the cost) are handled without special cases.
@@ -274,40 +249,45 @@ impl<'a> ElasticRows<'a> {
 /// # Examples
 ///
 /// ```
-/// use ev_optim::QpProblem;
-/// use ev_linalg::Matrix;
+/// use ev_optim::{QpSolver, QpView};
+/// use ev_linalg::{Matrix, SparseMatrix};
 ///
 /// # fn main() -> Result<(), ev_optim::OptimError> {
-/// // min (z-3)²  s.t. z ≤ 1
-/// let p = QpProblem::new(Matrix::from_diag(&[2.0]), vec![-6.0])?
-///     .with_inequalities(Matrix::from_rows(&[&[1.0]]).unwrap(), vec![1.0])?;
-/// assert_eq!(p.num_vars(), 1);
+/// // min (z-3)² s.t. z ≤ 1.
+/// let h = Matrix::from_diag(&[2.0]);
+/// let g = [-6.0];
+/// let a = SparseMatrix::from_dense(&Matrix::from_diag(&[1.0]));
+/// let b = [1.0];
+/// let view = QpView::new(&h, &g)?.with_inequalities(&a, &b)?;
+/// let sol = QpSolver::default().solve_view(&view)?;
+/// assert!((sol.z[0] - 1.0).abs() < 1e-6);
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
-pub struct QpProblem {
-    h: Matrix,
-    g: Vec<f64>,
-    a_eq: Option<Matrix>,
-    b_eq: Vec<f64>,
-    a_in: Option<Matrix>,
-    b_in: Vec<f64>,
+#[derive(Debug, Clone, Copy)]
+pub struct QpView<'a> {
+    h: &'a Matrix,
+    g: &'a [f64],
+    a_eq: Option<&'a SparseMatrix>,
+    b_eq: &'a [f64],
+    a_in: Option<&'a SparseMatrix>,
+    b_in: &'a [f64],
     structure: Option<QpStructure>,
 }
 
-impl QpProblem {
+impl<'a> QpView<'a> {
     /// Symmetry tolerance for the Hessian check, relative to its magnitude.
     const SYM_TOL: f64 = 1e-8;
 
-    /// Creates an unconstrained QP from the Hessian `h` and linear term `g`.
+    /// Creates an unconstrained view from the Hessian `h` and linear
+    /// term `g`.
     ///
     /// # Errors
     ///
     /// Returns [`OptimError::DimensionMismatch`] if `h` is not square with
     /// side `g.len()`, [`OptimError::AsymmetricHessian`] if `h` is not
     /// symmetric, and [`OptimError::NonFiniteData`] on NaN/∞ entries.
-    pub fn new(h: Matrix, g: Vec<f64>) -> Result<Self, OptimError> {
+    pub fn new(h: &'a Matrix, g: &'a [f64]) -> Result<Self, OptimError> {
         if !h.is_square() || h.rows() != g.len() {
             return Err(OptimError::DimensionMismatch { what: "H vs g" });
         }
@@ -321,185 +301,15 @@ impl QpProblem {
             h,
             g,
             a_eq: None,
-            b_eq: Vec::new(),
-            a_in: None,
-            b_in: Vec::new(),
-            structure: None,
-        })
-    }
-
-    /// Declares the block-banded horizon structure of this problem.
-    ///
-    /// Advisory metadata: the solver uses its banded backend when the
-    /// structure matches the supplied Jacobians and falls back to the
-    /// dense path otherwise.
-    #[must_use]
-    pub fn with_structure(mut self, structure: QpStructure) -> Self {
-        self.structure = Some(structure);
-        self
-    }
-
-    /// Adds the equality constraints `a_eq · z = b_eq`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OptimError::DimensionMismatch`] if shapes are inconsistent
-    /// and [`OptimError::NonFiniteData`] on NaN/∞ entries.
-    pub fn with_equalities(mut self, a_eq: Matrix, b_eq: Vec<f64>) -> Result<Self, OptimError> {
-        if a_eq.cols() != self.num_vars() || a_eq.rows() != b_eq.len() {
-            return Err(OptimError::DimensionMismatch {
-                what: "A_eq vs b_eq",
-            });
-        }
-        if a_eq.as_slice().iter().any(|v| !v.is_finite()) || b_eq.iter().any(|v| !v.is_finite()) {
-            return Err(OptimError::NonFiniteData);
-        }
-        self.a_eq = Some(a_eq);
-        self.b_eq = b_eq;
-        Ok(self)
-    }
-
-    /// Adds the inequality constraints `a_in · z ≤ b_in`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OptimError::DimensionMismatch`] if shapes are inconsistent
-    /// and [`OptimError::NonFiniteData`] on NaN/∞ entries.
-    pub fn with_inequalities(mut self, a_in: Matrix, b_in: Vec<f64>) -> Result<Self, OptimError> {
-        if a_in.cols() != self.num_vars() || a_in.rows() != b_in.len() {
-            return Err(OptimError::DimensionMismatch {
-                what: "A_in vs b_in",
-            });
-        }
-        if a_in.as_slice().iter().any(|v| !v.is_finite()) || b_in.iter().any(|v| !v.is_finite()) {
-            return Err(OptimError::NonFiniteData);
-        }
-        self.a_in = Some(a_in);
-        self.b_in = b_in;
-        Ok(self)
-    }
-
-    /// Number of decision variables.
-    #[inline]
-    #[must_use]
-    pub fn num_vars(&self) -> usize {
-        self.g.len()
-    }
-
-    /// Number of equality constraints.
-    #[inline]
-    #[must_use]
-    pub fn num_eq(&self) -> usize {
-        self.b_eq.len()
-    }
-
-    /// Number of inequality constraints.
-    #[inline]
-    #[must_use]
-    pub fn num_ineq(&self) -> usize {
-        self.b_in.len()
-    }
-
-    /// Evaluates the objective `½ zᵀHz + gᵀz`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `z.len() != num_vars()`.
-    #[must_use]
-    pub fn objective(&self, z: &[f64]) -> f64 {
-        let hz = self.h.matvec(z).expect("dimension checked at construction");
-        0.5 * vecops::dot(z, &hz) + vecops::dot(&self.g, z)
-    }
-
-    /// Borrows the problem as a [`QpView`] (no data is copied).
-    #[must_use]
-    pub fn as_view(&self) -> QpView<'_> {
-        QpView {
-            h: &self.h,
-            g: &self.g,
-            a_eq: self.a_eq.as_ref(),
-            b_eq: &self.b_eq,
-            a_in: self.a_in.as_ref(),
-            b_in: &self.b_in,
-            a_eq_sparse: None,
-            a_in_sparse: None,
-            structure: self.structure,
-        }
-    }
-}
-
-/// A borrowed view of a convex QP — the same problem shape as
-/// [`QpProblem`], but holding references instead of owned data.
-///
-/// This is the allocation-free entry point for hot loops that re-solve a
-/// QP with data they already own: the SQP solver builds one of these per
-/// major iteration instead of cloning its Hessian approximation and the
-/// constraint Jacobians into a fresh [`QpProblem`].
-///
-/// # Examples
-///
-/// ```
-/// use ev_optim::{QpSolver, QpView};
-/// use ev_linalg::Matrix;
-///
-/// # fn main() -> Result<(), ev_optim::OptimError> {
-/// // min (z-3)² s.t. z ≤ 1, without giving up ownership of the data.
-/// let h = Matrix::from_diag(&[2.0]);
-/// let g = [-6.0];
-/// let a = Matrix::from_rows(&[&[1.0]]).unwrap();
-/// let b = [1.0];
-/// let view = QpView::new(&h, &g)?.with_inequalities(&a, &b)?;
-/// let sol = QpSolver::default().solve_view(&view)?;
-/// assert!((sol.z[0] - 1.0).abs() < 1e-6);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct QpView<'a> {
-    h: &'a Matrix,
-    g: &'a [f64],
-    a_eq: Option<&'a Matrix>,
-    b_eq: &'a [f64],
-    a_in: Option<&'a Matrix>,
-    b_in: &'a [f64],
-    a_eq_sparse: Option<&'a SparseMatrix>,
-    a_in_sparse: Option<&'a SparseMatrix>,
-    structure: Option<QpStructure>,
-}
-
-impl<'a> QpView<'a> {
-    /// Creates an unconstrained view from the Hessian `h` and linear
-    /// term `g`, validating like [`QpProblem::new`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OptimError::DimensionMismatch`] if `h` is not square with
-    /// side `g.len()`, [`OptimError::AsymmetricHessian`] if `h` is not
-    /// symmetric, and [`OptimError::NonFiniteData`] on NaN/∞ entries.
-    pub fn new(h: &'a Matrix, g: &'a [f64]) -> Result<Self, OptimError> {
-        if !h.is_square() || h.rows() != g.len() {
-            return Err(OptimError::DimensionMismatch { what: "H vs g" });
-        }
-        if !h.is_symmetric(QpProblem::SYM_TOL * h.norm_max().max(1.0)) {
-            return Err(OptimError::AsymmetricHessian);
-        }
-        if h.as_slice().iter().any(|v| !v.is_finite()) || g.iter().any(|v| !v.is_finite()) {
-            return Err(OptimError::NonFiniteData);
-        }
-        Ok(Self {
-            h,
-            g,
-            a_eq: None,
             b_eq: &[],
             a_in: None,
             b_in: &[],
-            a_eq_sparse: None,
-            a_in_sparse: None,
             structure: None,
         })
     }
 
-    /// Adds the equality constraints `a_eq · z = b_eq`.
+    /// Adds the equality constraints `a_eq · z = b_eq`; together with
+    /// [`QpView::with_structure`] they can take the banded KKT backend.
     ///
     /// # Errors
     ///
@@ -507,17 +317,10 @@ impl<'a> QpView<'a> {
     /// and [`OptimError::NonFiniteData`] on NaN/∞ entries.
     pub fn with_equalities(
         mut self,
-        a_eq: &'a Matrix,
+        a_eq: &'a SparseMatrix,
         b_eq: &'a [f64],
     ) -> Result<Self, OptimError> {
-        if a_eq.cols() != self.num_vars() || a_eq.rows() != b_eq.len() {
-            return Err(OptimError::DimensionMismatch {
-                what: "A_eq vs b_eq",
-            });
-        }
-        if a_eq.as_slice().iter().any(|v| !v.is_finite()) || b_eq.iter().any(|v| !v.is_finite()) {
-            return Err(OptimError::NonFiniteData);
-        }
+        check_rows(a_eq, b_eq, self.num_vars(), "A_eq vs b_eq")?;
         self.a_eq = Some(a_eq);
         self.b_eq = b_eq;
         Ok(self)
@@ -531,71 +334,11 @@ impl<'a> QpView<'a> {
     /// and [`OptimError::NonFiniteData`] on NaN/∞ entries.
     pub fn with_inequalities(
         mut self,
-        a_in: &'a Matrix,
-        b_in: &'a [f64],
-    ) -> Result<Self, OptimError> {
-        if a_in.cols() != self.num_vars() || a_in.rows() != b_in.len() {
-            return Err(OptimError::DimensionMismatch {
-                what: "A_in vs b_in",
-            });
-        }
-        if a_in.as_slice().iter().any(|v| !v.is_finite()) || b_in.iter().any(|v| !v.is_finite()) {
-            return Err(OptimError::NonFiniteData);
-        }
-        self.a_in = Some(a_in);
-        self.b_in = b_in;
-        Ok(self)
-    }
-
-    /// Adds the equality constraints `a_eq · z = b_eq` from a CSR
-    /// Jacobian; required (together with [`QpView::with_structure`]) for
-    /// the banded KKT backend.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OptimError::DimensionMismatch`] if shapes are inconsistent
-    /// and [`OptimError::NonFiniteData`] on NaN/∞ entries.
-    pub fn with_sparse_equalities(
-        mut self,
-        a_eq: &'a SparseMatrix,
-        b_eq: &'a [f64],
-    ) -> Result<Self, OptimError> {
-        if a_eq.cols() != self.num_vars() || a_eq.rows() != b_eq.len() {
-            return Err(OptimError::DimensionMismatch {
-                what: "A_eq vs b_eq",
-            });
-        }
-        if b_eq.iter().any(|v| !v.is_finite()) || !a_eq.norm_max().is_finite() {
-            return Err(OptimError::NonFiniteData);
-        }
-        self.a_eq = None;
-        self.a_eq_sparse = Some(a_eq);
-        self.b_eq = b_eq;
-        Ok(self)
-    }
-
-    /// Adds the inequality constraints `a_in · z ≤ b_in` from a CSR
-    /// Jacobian, avoiding any densification of the constraint matrix.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OptimError::DimensionMismatch`] if shapes are inconsistent
-    /// and [`OptimError::NonFiniteData`] on NaN/∞ entries.
-    pub fn with_sparse_inequalities(
-        mut self,
         a_in: &'a SparseMatrix,
         b_in: &'a [f64],
     ) -> Result<Self, OptimError> {
-        if a_in.cols() != self.num_vars() || a_in.rows() != b_in.len() {
-            return Err(OptimError::DimensionMismatch {
-                what: "A_in vs b_in",
-            });
-        }
-        if b_in.iter().any(|v| !v.is_finite()) || !a_in.norm_max().is_finite() {
-            return Err(OptimError::NonFiniteData);
-        }
-        self.a_in = None;
-        self.a_in_sparse = Some(a_in);
+        check_rows(a_in, b_in, self.num_vars(), "A_in vs b_in")?;
+        self.a_in = Some(a_in);
         self.b_in = b_in;
         Ok(self)
     }
@@ -657,9 +400,19 @@ impl<'a> QpView<'a> {
         self.g
     }
 
+    /// The equality rows, if any were added (crate-internal).
+    pub(crate) fn a_eq(&self) -> Option<&'a SparseMatrix> {
+        self.a_eq
+    }
+
     /// The equality right-hand side (crate-internal).
     pub(crate) fn b_eq(&self) -> &[f64] {
         self.b_eq
+    }
+
+    /// The inequality rows, if any were added (crate-internal).
+    pub(crate) fn a_in(&self) -> Option<&'a SparseMatrix> {
+        self.a_in
     }
 
     /// The inequality right-hand side (crate-internal).
@@ -682,24 +435,20 @@ impl<'a> QpView<'a> {
     pub fn planned_bandwidth(&self) -> Option<usize> {
         banded_plan(self).map(|(_, w)| w)
     }
+}
 
-    /// The inequality Jacobian in whichever form was supplied.
-    pub(crate) fn a_in_ref(&self) -> Option<ConstraintRef<'a>> {
-        match (self.a_in_sparse, self.a_in) {
-            (Some(s), _) => Some(ConstraintRef::Sparse(s)),
-            (None, Some(d)) => Some(ConstraintRef::Dense(d)),
-            (None, None) => None,
-        }
+/// Checks a constraint block against `n` variables: `a` has `n` columns
+/// and one row per entry of `b`, and every stored entry and right-hand
+/// side is finite. Every entry is tested: a NaN passes a max-norm test.
+fn check_rows(a: &SparseMatrix, b: &[f64], n: usize, what: &'static str) -> Result<(), OptimError> {
+    if a.cols() != n || a.rows() != b.len() {
+        return Err(OptimError::DimensionMismatch { what });
     }
-
-    /// The equality Jacobian in whichever form was supplied.
-    pub(crate) fn a_eq_ref(&self) -> Option<ConstraintRef<'a>> {
-        match (self.a_eq_sparse, self.a_eq) {
-            (Some(s), _) => Some(ConstraintRef::Sparse(s)),
-            (None, Some(d)) => Some(ConstraintRef::Dense(d)),
-            (None, None) => None,
-        }
+    let finite = (0..a.rows()).all(|r| a.row(r).1.iter().all(|v| v.is_finite()));
+    if !finite || b.iter().any(|v| !v.is_finite()) {
+        return Err(OptimError::NonFiniteData);
     }
+    Ok(())
 }
 
 /// Solution of a QP: the minimizer and its Lagrange multipliers.
@@ -797,18 +546,19 @@ impl Default for QpSolverOptions {
 /// # Examples
 ///
 /// ```
-/// use ev_optim::{QpProblem, QpSolver};
-/// use ev_linalg::Matrix;
+/// use ev_optim::{QpSolver, QpView};
+/// use ev_linalg::{Matrix, SparseMatrix};
 ///
 /// # fn main() -> Result<(), ev_optim::OptimError> {
 /// // Projection of (2, 0) onto the unit box [−1, 1]².
 /// let h = Matrix::from_diag(&[2.0, 2.0]);
-/// let g = vec![-4.0, 0.0];
-/// let a = Matrix::from_rows(&[
+/// let g = [-4.0, 0.0];
+/// let a = SparseMatrix::from_dense(&Matrix::from_rows(&[
 ///     &[1.0, 0.0], &[-1.0, 0.0], &[0.0, 1.0], &[0.0, -1.0],
-/// ]).unwrap();
-/// let p = QpProblem::new(h, g)?.with_inequalities(a, vec![1.0; 4])?;
-/// let sol = QpSolver::default().solve(&p)?;
+/// ]).unwrap());
+/// let b = [1.0; 4];
+/// let view = QpView::new(&h, &g)?.with_inequalities(&a, &b)?;
+/// let sol = QpSolver::default().solve_view(&view)?;
 /// assert!((sol.z[0] - 1.0).abs() < 1e-6);
 /// assert!(sol.z[1].abs() < 1e-6);
 /// # Ok(())
@@ -840,17 +590,6 @@ impl QpSolver {
     /// not meet tolerance within the iteration budget (typically an
     /// infeasible or unbounded problem) and propagates factorization
     /// failures as [`OptimError::Linalg`].
-    pub fn solve(&self, problem: &QpProblem) -> Result<QpSolution, OptimError> {
-        let z0 = vec![0.0; problem.num_vars()];
-        self.solve_view_in(&problem.as_view(), &z0, &mut IpmWorkspace::default())
-    }
-
-    /// Solves a borrowed-view QP starting from the origin (the
-    /// allocation-free entry point used by the SQP hot loop).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`QpSolver::solve`].
     pub fn solve_view(&self, view: &QpView<'_>) -> Result<QpSolution, OptimError> {
         let z0 = vec![0.0; view.num_vars()];
         self.solve_view_in(view, &z0, &mut IpmWorkspace::default())
@@ -883,7 +622,7 @@ impl QpSolver {
     ///
     /// # Errors
     ///
-    /// Same as [`QpSolver::solve`]; additionally returns
+    /// Same as [`QpSolver::solve_view`]; additionally returns
     /// [`OptimError::DimensionMismatch`] if `z0.len() != num_vars()`.
     pub fn solve_view_warm(
         &self,
@@ -980,9 +719,9 @@ impl QpSolver {
         }
         let rows = ElasticRows {
             n,
-            eq: problem.a_eq_ref(),
+            eq: problem.a_eq,
             me,
-            ineq: problem.a_in_ref(),
+            ineq: problem.a_in,
             mi,
         };
         let nv = n + me + mi;
@@ -1020,12 +759,12 @@ impl QpSolver {
             return Err(OptimError::DimensionMismatch { what: "z0 vs H" });
         }
         // No inequalities: the KKT conditions are a single linear system.
-        let Some(a_in) = problem.a_in_ref().filter(|_| problem.num_ineq() > 0) else {
+        let Some(a_in) = problem.a_in.filter(|_| problem.num_ineq() > 0) else {
             return self.solve_equality_only(problem, problem.num_eq());
         };
         let ipm = IpmRows {
             g: problem.g,
-            a_eq: problem.a_eq_ref(),
+            a_eq: problem.a_eq,
             b_eq: problem.b_eq,
             a_in,
             b_in: problem.b_in,
@@ -1091,13 +830,10 @@ impl QpSolver {
             ]
             .map(Vec::as_mut_slice);
         kkt.prepare(problem, a_in.kkt_rows(), self.options.prefer_dense_cholesky);
-        let columns = match a_in.kkt_rows() {
-            KktRows::Nominal(ConstraintRef::Sparse(a)) => {
-                columns.fill(a);
-                Some(&*columns)
-            }
-            _ => None,
-        };
+        if let KktRows::Nominal(a) = a_in.kkt_rows() {
+            columns.fill(a);
+        }
+        let columns = &*columns;
         z.copy_from_slice(z0);
         y.fill(0.0);
 
@@ -1206,19 +942,19 @@ impl QpSolver {
             if let Some(a_eq) = a_eq {
                 jt.fill(0.0);
                 for r in 0..me {
-                    a_eq.add_scaled_row(r, y[r], jt);
+                    add_scaled_row(a_eq, r, y[r], jt);
                 }
                 for r in 0..n {
                     rd[r] += jt[r];
                 }
             }
             jt.fill(0.0);
-            add_transposed(a_in, columns, lam, jt);
+            a_in.add_transposed(columns, lam, jt);
             for r in 0..n {
                 rd[r] += jt[r];
             }
             if let Some(a_eq) = a_eq {
-                a_eq.matvec_into(z, rp);
+                rows_matvec(a_eq, z, rp);
                 for r in 0..me {
                     rp[r] -= rows.b_eq[r];
                 }
@@ -1325,7 +1061,7 @@ impl QpSolver {
             rd[r] = hz[r] + rows.g[r];
         }
         if let Some(a_eq) = a_eq {
-            a_eq.matvec_into(z, rp);
+            rows_matvec(a_eq, z, rp);
             for r in 0..me {
                 rp[r] -= rows.b_eq[r];
             }
@@ -1367,22 +1103,12 @@ impl QpSolver {
             }
             kkt.add_at(r, r, delta);
         }
-        if let Some(a_eq) = problem.a_eq_ref() {
+        if let Some(a_eq) = problem.a_eq {
             for r in 0..me {
-                match a_eq {
-                    ConstraintRef::Dense(m) => {
-                        for c in 0..n {
-                            kkt.set(n + r, c, m.get(r, c));
-                            kkt.set(c, n + r, m.get(r, c));
-                        }
-                    }
-                    ConstraintRef::Sparse(s) => {
-                        let (cols, vals) = s.row(r);
-                        for (c, v) in cols.iter().zip(vals) {
-                            kkt.set(n + r, *c, *v);
-                            kkt.set(*c, n + r, *v);
-                        }
-                    }
+                let (cols, vals) = a_eq.row(r);
+                for (c, v) in cols.iter().zip(vals) {
+                    kkt.set(n + r, *c, *v);
+                    kkt.set(*c, n + r, *v);
                 }
             }
         }
@@ -1405,8 +1131,8 @@ impl QpSolver {
         // inconsistent system from a consistent rank-deficient one.
         if me > 0 {
             let mut az = vec![0.0; me];
-            if let Some(a_eq) = problem.a_eq_ref() {
-                a_eq.matvec_into(&z, &mut az);
+            if let Some(a_eq) = problem.a_eq {
+                rows_matvec(a_eq, &z, &mut az);
             }
             let mut primal_residual = 0.0f64;
             for r in 0..me {
@@ -1416,7 +1142,7 @@ impl QpSolver {
                 + problem.h.norm_max()
                 + vecops::norm_inf(problem.g)
                 + vecops::norm_inf(problem.b_eq)
-                + problem.a_eq_ref().map_or(0.0, |a| a.norm_max());
+                + problem.a_eq.map_or(0.0, SparseMatrix::norm_max);
             let stuck_tol = self.options.tolerance.max(f64::EPSILON).sqrt();
             if !primal_residual.is_finite() || primal_residual > stuck_tol * scale {
                 return Err(OptimError::QpInfeasible { primal_residual });
@@ -1618,10 +1344,10 @@ impl IpmWorkspace {
 }
 
 /// A CSR inequality Jacobian regrouped by column, each column's entries
-/// in ascending row order. Rebuilt at the start of every solve over a
-/// CSR Jacobian, it turns the loop's `out += Aᵀx` products from a
-/// row-by-row scatter into one running sum per `out[c]` that receives the
-/// same terms `x_i·a_ic` in the same order.
+/// in ascending row order. Rebuilt at the start of every nominal solve, it
+/// turns the loop's `out += Aᵀx` products from a row-by-row scatter into
+/// one running sum per `out[c]` that receives the same terms `x_i·a_ic`
+/// in the same order.
 #[derive(Debug, Default)]
 struct Columns {
     /// Column `c` spans `start[c]..start[c + 1]` of `row`/`val`.
@@ -1676,25 +1402,12 @@ impl Columns {
     }
 }
 
-/// `out += Aᵀx` in row order of `A`: from its column copy when the rows
-/// are a CSR Jacobian, row by row otherwise.
-fn add_transposed<R: IpmInequalities>(a: R, columns: Option<&Columns>, x: &[f64], out: &mut [f64]) {
-    match columns {
-        Some(columns) => columns.add_transposed(x, out),
-        None => {
-            for (i, &xi) in x.iter().enumerate() {
-                a.add_scaled_row(i, xi, out);
-            }
-        }
-    }
-}
-
 /// The linear data the interior-point loop iterates on: a view's own
 /// rows, or the rows of its elastic relaxation (whose `g` carries the
 /// slack prices and whose `a_in` is the [`ElasticRows`]).
 struct IpmRows<'a, R> {
     g: &'a [f64],
-    a_eq: Option<ConstraintRef<'a>>,
+    a_eq: Option<&'a SparseMatrix>,
     b_eq: &'a [f64],
     a_in: R,
     b_in: &'a [f64],
@@ -1707,7 +1420,7 @@ struct IpmRows<'a, R> {
 fn newton_step<R: IpmInequalities>(
     ws: &mut KktWorkspace,
     a_in: R,
-    columns: Option<&Columns>,
+    columns: &Columns,
     rd: &[f64],
     rp: &[f64],
     rc: &[f64],
@@ -1733,7 +1446,7 @@ fn newton_step<R: IpmInequalities>(
     for i in 0..mi {
         coeff[i] = (r_slam[i] - lam[i] * rc[i]) / s[i];
     }
-    add_transposed(a_in, columns, coeff, &mut rhs[..n]);
+    a_in.add_transposed(columns, coeff, &mut rhs[..n]);
     for r in 0..me {
         rhs[n + r] = -rp[r];
     }
@@ -1950,10 +1663,8 @@ impl KktWorkspace {
             "Hessian has couplings outside the declared block structure"
         );
 
-        // CᵀWC from the CSR inequality Jacobian (guaranteed by the plan).
-        let a_in = problem
-            .a_in_sparse
-            .expect("banded plan requires a CSR inequality Jacobian");
+        // CᵀWC from the inequality rows (guaranteed by the plan).
+        let a_in = problem.a_in.expect("banded plan requires inequality rows");
         for i in 0..a_in.rows() {
             let wi = wvec[i];
             if wi == 0.0 {
@@ -1970,7 +1681,7 @@ impl KktWorkspace {
         }
 
         // Equality rows and the −δ regularized equality diagonal.
-        if let Some(a_eq) = problem.a_eq_sparse {
+        if let Some(a_eq) = problem.a_eq {
             for r in 0..me {
                 let (cols, vals) = a_eq.row(r);
                 let pr = self.pos[n + r];
@@ -1990,7 +1701,7 @@ impl KktWorkspace {
     fn factor_dense(
         &mut self,
         problem: &QpView<'_>,
-        grams: &[(Option<ConstraintRef<'_>>, &[f64])],
+        grams: &[(Option<&SparseMatrix>, &[f64])],
         reg: f64,
     ) -> Result<(), OptimError> {
         let (n, me) = (self.n, self.me);
@@ -2014,19 +1725,14 @@ impl KktWorkspace {
             data[r * dim + r] += reg;
         }
         if me > 0 {
-            let a_eq = problem.a_eq_ref().expect("me > 0 implies A_eq");
+            let a_eq = problem.a_eq.expect("me > 0 implies A_eq");
             for r in 0..me {
                 let pr = n + r;
                 let row = &mut data[pr * dim..=pr * dim + pr];
                 row.fill(0.0);
-                match a_eq {
-                    ConstraintRef::Dense(m) => row[..n].copy_from_slice(m.row(r)),
-                    ConstraintRef::Sparse(s) => {
-                        let (cols, vals) = s.row(r);
-                        for (c, v) in cols.iter().zip(vals) {
-                            row[*c] = *v;
-                        }
-                    }
+                let (cols, vals) = a_eq.row(r);
+                for (c, v) in cols.iter().zip(vals) {
+                    row[*c] = *v;
                 }
                 row[pr] = -1e-12;
             }
@@ -2087,7 +1793,7 @@ impl KktWorkspace {
                 let (rd, rt) = rhs.split_at_mut(n);
                 for (k, &t) in rt.iter().enumerate() {
                     let (row, i) = rows.slack_row(k);
-                    row.add_scaled_row(i, -el.ktd[k] * t / el.ktt[k], rd);
+                    add_scaled_row(row, i, -el.ktd[k] * t / el.ktt[k], rd);
                 }
                 Some(rows)
             }
@@ -2124,7 +1830,7 @@ impl KktWorkspace {
             let (dd, dt) = rhs.split_at_mut(n);
             for (k, t) in dt.iter_mut().enumerate() {
                 let (row, i) = rows.slack_row(k);
-                *t = (*t - el.ktd[k] * row.row_dot(i, dd)) / el.ktt[k];
+                *t = (*t - el.ktd[k] * row_dot(row, i, dd)) / el.ktt[k];
             }
         }
         Ok(())
@@ -2135,35 +1841,17 @@ impl KktWorkspace {
 /// the row-major `dim`-wide storage, row slice by row slice. Lower entry
 /// `(r, k)` receives `(wᵢ·c_ir)·c_ik` in row order `i` of `C`, exactly the
 /// terms and order an element-by-element accumulation of the full matrix
-/// gives it, so the triangle is bit-identical to that one's; a dense row
-/// skips its zero `c_ir` the same way. CSR columns ascend within a row,
-/// so the pairs `b ≤ a` of a row's entries are its lower-triangle ones.
-fn add_weighted_gram_lower(data: &mut [f64], dim: usize, c: ConstraintRef<'_>, w: &[f64]) {
-    match c {
-        ConstraintRef::Dense(m) => {
-            for (i, &wi) in w.iter().enumerate() {
-                let c_row = m.row(i);
-                for (r, &ar) in c_row.iter().enumerate() {
-                    if ar == 0.0 {
-                        continue;
-                    }
-                    let war = wi * ar;
-                    for (k, v) in data[r * dim..=r * dim + r].iter_mut().zip(c_row) {
-                        *k += war * v;
-                    }
-                }
-            }
-        }
-        ConstraintRef::Sparse(s) => {
-            for (i, &wi) in w.iter().enumerate() {
-                let (cols, vals) = s.row(i);
-                for (a, (&ca, &va)) in cols.iter().zip(vals).enumerate() {
-                    let va = wi * va;
-                    let row = &mut data[ca * dim..=ca * dim + ca];
-                    for (&cb, &vb) in cols[..=a].iter().zip(&vals[..=a]) {
-                        row[cb] += va * vb;
-                    }
-                }
+/// gives it, so the triangle is bit-identical to that one's. CSR columns
+/// ascend within a row, so the pairs `b ≤ a` of a row's entries are its
+/// lower-triangle ones.
+fn add_weighted_gram_lower(data: &mut [f64], dim: usize, c: &SparseMatrix, w: &[f64]) {
+    for (i, &wi) in w.iter().enumerate() {
+        let (cols, vals) = c.row(i);
+        for (a, (&ca, &va)) in cols.iter().zip(vals).enumerate() {
+            let va = wi * va;
+            let row = &mut data[ca * dim..=ca * dim + ca];
+            for (&cb, &vb) in cols[..=a].iter().zip(&vals[..=a]) {
+                row[cb] += va * vb;
             }
         }
     }
@@ -2184,11 +1872,7 @@ fn banded_plan(problem: &QpView<'_>) -> Option<(Vec<usize>, usize)> {
     if me != blocks * eb {
         return None;
     }
-    // The banded assembly reads constraint rows in CSR form only.
-    let a_in = problem.a_in_sparse?;
-    if me > 0 && problem.a_eq_sparse.is_none() {
-        return None;
-    }
+    let a_in = problem.a_in?;
     // Stage-interleaved position of variable `j` / equality multiplier `r`;
     // strictly increasing in the column index, so a row's in-band width is
     // the position distance between its first and last column.
@@ -2211,7 +1895,7 @@ fn banded_plan(problem: &QpView<'_>) -> Option<(Vec<usize>, usize)> {
             w_req = w_req.max(var_pos(last) - var_pos(first));
         }
     }
-    if let Some(a_eq) = problem.a_eq_sparse {
+    if let Some(a_eq) = problem.a_eq {
         for r in 0..a_eq.rows() {
             let kr = r / eb;
             let (cols, _) = a_eq.row(r);
@@ -2269,15 +1953,33 @@ fn step_length(s: &[f64], ds: &[f64], lam: &[f64], dlam: &[f64]) -> f64 {
 mod tests {
     use super::*;
 
-    fn solve(p: &QpProblem) -> QpSolution {
-        QpSolver::default().solve(p).expect("qp should solve")
+    fn solve(view: &QpView<'_>) -> QpSolution {
+        QpSolver::default()
+            .solve_view(view)
+            .expect("qp should solve")
+    }
+
+    /// CSR rows from dense ones.
+    fn csr(rows: &[&[f64]]) -> SparseMatrix {
+        SparseMatrix::from_dense(&Matrix::from_rows(rows).unwrap())
+    }
+
+    /// The rows `±e_j` of a box over `n` variables, upper bound first.
+    fn box_rows(n: usize) -> SparseMatrix {
+        SparseMatrix::from_dense(&Matrix::from_fn(2 * n, n, |r, c| {
+            match (r / 2 == c, r % 2) {
+                (true, 0) => 1.0,
+                (true, _) => -1.0,
+                _ => 0.0,
+            }
+        }))
     }
 
     #[test]
     fn unconstrained_quadratic() {
         // min (z0-1)² + (z1+2)²
-        let p = QpProblem::new(Matrix::from_diag(&[2.0, 2.0]), vec![-2.0, 4.0]).unwrap();
-        let sol = solve(&p);
+        let h = Matrix::from_diag(&[2.0, 2.0]);
+        let sol = solve(&QpView::new(&h, &[-2.0, 4.0]).unwrap());
         assert!((sol.z[0] - 1.0).abs() < 1e-7);
         assert!((sol.z[1] + 2.0).abs() < 1e-7);
     }
@@ -2285,11 +1987,13 @@ mod tests {
     #[test]
     fn equality_constrained() {
         // min z0² + z1² s.t. z0 + z1 = 2 → (1, 1).
-        let p = QpProblem::new(Matrix::from_diag(&[2.0, 2.0]), vec![0.0, 0.0])
+        let h = Matrix::from_diag(&[2.0, 2.0]);
+        let a = csr(&[&[1.0, 1.0]]);
+        let view = QpView::new(&h, &[0.0, 0.0])
             .unwrap()
-            .with_equalities(Matrix::from_rows(&[&[1.0, 1.0]]).unwrap(), vec![2.0])
+            .with_equalities(&a, &[2.0])
             .unwrap();
-        let sol = solve(&p);
+        let sol = solve(&view);
         assert!((sol.z[0] - 1.0).abs() < 1e-7);
         assert!((sol.z[1] - 1.0).abs() < 1e-7);
         // Multiplier: ∇f + Aᵀy = 0 → 2·1 + y = 0 → y = −2.
@@ -2299,11 +2003,13 @@ mod tests {
     #[test]
     fn active_inequality() {
         // min (z-3)² s.t. z ≤ 1 → z = 1, λ = 4.
-        let p = QpProblem::new(Matrix::from_diag(&[2.0]), vec![-6.0])
+        let h = Matrix::from_diag(&[2.0]);
+        let a = csr(&[&[1.0]]);
+        let view = QpView::new(&h, &[-6.0])
             .unwrap()
-            .with_inequalities(Matrix::from_rows(&[&[1.0]]).unwrap(), vec![1.0])
+            .with_inequalities(&a, &[1.0])
             .unwrap();
-        let sol = solve(&p);
+        let sol = solve(&view);
         assert!((sol.z[0] - 1.0).abs() < 1e-6);
         assert!((sol.lambda_in[0] - 4.0).abs() < 1e-5);
     }
@@ -2311,11 +2017,13 @@ mod tests {
     #[test]
     fn inactive_inequality() {
         // min (z-3)² s.t. z ≤ 10 → unconstrained optimum 3, λ = 0.
-        let p = QpProblem::new(Matrix::from_diag(&[2.0]), vec![-6.0])
+        let h = Matrix::from_diag(&[2.0]);
+        let a = csr(&[&[1.0]]);
+        let view = QpView::new(&h, &[-6.0])
             .unwrap()
-            .with_inequalities(Matrix::from_rows(&[&[1.0]]).unwrap(), vec![10.0])
+            .with_inequalities(&a, &[10.0])
             .unwrap();
-        let sol = solve(&p);
+        let sol = solve(&view);
         assert!((sol.z[0] - 3.0).abs() < 1e-6);
         assert!(sol.lambda_in[0].abs() < 1e-5);
     }
@@ -2323,12 +2031,13 @@ mod tests {
     #[test]
     fn box_constrained_projection() {
         // Project (5, -5) onto [0,1]².
-        let a = Matrix::from_rows(&[&[1.0, 0.0], &[-1.0, 0.0], &[0.0, 1.0], &[0.0, -1.0]]).unwrap();
-        let p = QpProblem::new(Matrix::from_diag(&[2.0, 2.0]), vec![-10.0, 10.0])
+        let h = Matrix::from_diag(&[2.0, 2.0]);
+        let a = box_rows(2);
+        let view = QpView::new(&h, &[-10.0, 10.0])
             .unwrap()
-            .with_inequalities(a, vec![1.0, 0.0, 1.0, 0.0])
+            .with_inequalities(&a, &[1.0, 0.0, 1.0, 0.0])
             .unwrap();
-        let sol = solve(&p);
+        let sol = solve(&view);
         assert!((sol.z[0] - 1.0).abs() < 1e-6);
         assert!(sol.z[1].abs() < 1e-6);
     }
@@ -2337,13 +2046,16 @@ mod tests {
     fn mixed_equality_inequality() {
         // min ½‖z‖² s.t. z0 + z1 + z2 = 3, z0 ≤ 0.5.
         // Without the bound → (1,1,1); with it, z0 = 0.5, z1 = z2 = 1.25.
-        let p = QpProblem::new(Matrix::identity(3), vec![0.0; 3])
+        let h = Matrix::identity(3);
+        let a_eq = csr(&[&[1.0, 1.0, 1.0]]);
+        let a_in = csr(&[&[1.0, 0.0, 0.0]]);
+        let view = QpView::new(&h, &[0.0; 3])
             .unwrap()
-            .with_equalities(Matrix::from_rows(&[&[1.0, 1.0, 1.0]]).unwrap(), vec![3.0])
+            .with_equalities(&a_eq, &[3.0])
             .unwrap()
-            .with_inequalities(Matrix::from_rows(&[&[1.0, 0.0, 0.0]]).unwrap(), vec![0.5])
+            .with_inequalities(&a_in, &[0.5])
             .unwrap();
-        let sol = solve(&p);
+        let sol = solve(&view);
         assert!((sol.z[0] - 0.5).abs() < 1e-6, "{:?}", sol.z);
         assert!((sol.z[1] - 1.25).abs() < 1e-6);
         assert!((sol.z[2] - 1.25).abs() < 1e-6);
@@ -2353,12 +2065,12 @@ mod tests {
     fn semidefinite_hessian() {
         // H has a zero eigenvalue along z1; inequality pins z1.
         let h = Matrix::from_diag(&[2.0, 0.0]);
-        let a = Matrix::from_rows(&[&[0.0, 1.0], &[0.0, -1.0]]).unwrap();
-        let p = QpProblem::new(h, vec![-2.0, 1.0])
+        let a = csr(&[&[0.0, 1.0], &[0.0, -1.0]]);
+        let view = QpView::new(&h, &[-2.0, 1.0])
             .unwrap()
-            .with_inequalities(a, vec![5.0, 5.0])
+            .with_inequalities(&a, &[5.0, 5.0])
             .unwrap();
-        let sol = solve(&p);
+        let sol = solve(&view);
         // z0 = 1 from the curvature; z1 driven to its lower bound −5 by g1 = 1.
         assert!((sol.z[0] - 1.0).abs() < 1e-5);
         assert!((sol.z[1] + 5.0).abs() < 1e-4);
@@ -2366,40 +2078,43 @@ mod tests {
 
     #[test]
     fn kkt_conditions_hold() {
-        let a_in = Matrix::from_rows(&[&[1.0, 1.0], &[-1.0, 2.0], &[2.0, -1.0]]).unwrap();
-        let p = QpProblem::new(
-            Matrix::from_rows(&[&[4.0, 1.0], &[1.0, 2.0]]).unwrap(),
-            vec![1.0, 1.0],
-        )
-        .unwrap()
-        .with_inequalities(a_in.clone(), vec![2.0, 2.0, 3.0])
-        .unwrap();
-        let sol = solve(&p);
+        let h = Matrix::from_rows(&[&[4.0, 1.0], &[1.0, 2.0]]).unwrap();
+        let g = [1.0, 1.0];
+        let a_in = csr(&[&[1.0, 1.0], &[-1.0, 2.0], &[2.0, -1.0]]);
+        let b_in = [2.0, 2.0, 3.0];
+        let view = QpView::new(&h, &g)
+            .unwrap()
+            .with_inequalities(&a_in, &b_in)
+            .unwrap();
+        let sol = solve(&view);
         // Stationarity: Hz + g + Cᵀλ ≈ 0.
-        let hz = p.h.matvec(&sol.z).unwrap();
-        let ctl = a_in.matvec_transposed(&sol.lambda_in).unwrap();
+        let hz = h.matvec(&sol.z).unwrap();
+        let mut ctl = [0.0; 2];
+        a_in.matvec_transposed(&sol.lambda_in, &mut ctl).unwrap();
         for i in 0..2 {
-            assert!((hz[i] + p.g[i] + ctl[i]).abs() < 1e-5);
+            assert!((hz[i] + g[i] + ctl[i]).abs() < 1e-5);
         }
         // Primal feasibility and dual non-negativity.
-        let cz = a_in.matvec(&sol.z).unwrap();
+        let mut cz = [0.0; 3];
+        a_in.matvec(&sol.z, &mut cz).unwrap();
         for i in 0..3 {
-            assert!(cz[i] <= p.b_in[i] + 1e-6);
+            assert!(cz[i] <= b_in[i] + 1e-6);
             assert!(sol.lambda_in[i] >= -1e-9);
             // Complementary slackness.
-            assert!(sol.lambda_in[i] * (p.b_in[i] - cz[i]) < 1e-4);
+            assert!(sol.lambda_in[i] * (b_in[i] - cz[i]) < 1e-4);
         }
     }
 
     #[test]
     fn infeasible_problem_errors() {
         // z ≤ 0 and −z ≤ −1 (z ≥ 1) cannot both hold.
-        let a = Matrix::from_rows(&[&[1.0], &[-1.0]]).unwrap();
-        let p = QpProblem::new(Matrix::from_diag(&[2.0]), vec![0.0])
+        let h = Matrix::from_diag(&[2.0]);
+        let a = csr(&[&[1.0], &[-1.0]]);
+        let view = QpView::new(&h, &[0.0])
             .unwrap()
-            .with_inequalities(a, vec![0.0, -1.0])
+            .with_inequalities(&a, &[0.0, -1.0])
             .unwrap();
-        let err = QpSolver::default().solve(&p).unwrap_err();
+        let err = QpSolver::default().solve_view(&view).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -2413,12 +2128,13 @@ mod tests {
     fn unbounded_lp_is_classified() {
         // min −z with only z ≥ 0: the objective decreases along the
         // feasible ray z → ∞.
-        let a = Matrix::from_rows(&[&[-1.0]]).unwrap();
-        let p = QpProblem::new(Matrix::from_diag(&[0.0]), vec![-1.0])
+        let h = Matrix::from_diag(&[0.0]);
+        let a = csr(&[&[-1.0]]);
+        let view = QpView::new(&h, &[-1.0])
             .unwrap()
-            .with_inequalities(a, vec![0.0])
+            .with_inequalities(&a, &[0.0])
             .unwrap();
-        let err = QpSolver::default().solve(&p).unwrap_err();
+        let err = QpSolver::default().solve_view(&view).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -2430,60 +2146,76 @@ mod tests {
 
     #[test]
     fn construction_errors() {
+        let wide = Matrix::zeros(2, 3);
         assert!(matches!(
-            QpProblem::new(Matrix::zeros(2, 3), vec![0.0; 3]),
+            QpView::new(&wide, &[0.0; 3]),
             Err(OptimError::DimensionMismatch { .. })
         ));
         let asym = Matrix::from_rows(&[&[1.0, 2.0], &[0.0, 1.0]]).unwrap();
         assert!(matches!(
-            QpProblem::new(asym, vec![0.0; 2]),
+            QpView::new(&asym, &[0.0; 2]),
             Err(OptimError::AsymmetricHessian)
         ));
         let nan = Matrix::from_diag(&[f64::NAN]);
         assert!(matches!(
-            QpProblem::new(nan, vec![0.0]),
+            QpView::new(&nan, &[0.0]),
             Err(OptimError::NonFiniteData)
         ));
-        let p = QpProblem::new(Matrix::identity(2), vec![0.0; 2]).unwrap();
-        assert!(p.with_equalities(Matrix::zeros(1, 3), vec![0.0]).is_err());
+        let h = Matrix::identity(2);
+        let view = QpView::new(&h, &[0.0; 2]).unwrap();
+        let three_wide = csr(&[&[0.0; 3]]);
+        assert!(view.with_equalities(&three_wide, &[0.0]).is_err());
+        // A NaN row entry is caught, though a max-norm would skip it.
+        for bad in [f64::NAN, f64::INFINITY] {
+            let a = csr(&[&[1.0, bad]]);
+            assert!(matches!(
+                view.with_inequalities(&a, &[0.0]),
+                Err(OptimError::NonFiniteData)
+            ));
+            assert!(matches!(
+                view.with_equalities(&a, &[0.0]),
+                Err(OptimError::NonFiniteData)
+            ));
+        }
     }
 
     #[test]
     fn warm_start_path() {
-        let p = QpProblem::new(Matrix::from_diag(&[2.0]), vec![-6.0])
+        let h = Matrix::from_diag(&[2.0]);
+        let a = csr(&[&[1.0]]);
+        let view = QpView::new(&h, &[-6.0])
             .unwrap()
-            .with_inequalities(Matrix::from_rows(&[&[1.0]]).unwrap(), vec![1.0])
+            .with_inequalities(&a, &[1.0])
             .unwrap();
         let solver = QpSolver::default();
         let mut warm = QpWarmStart::default();
-        let sol = solver
-            .solve_view_warm(&p.as_view(), &[0.9], &mut warm)
-            .unwrap();
+        let sol = solver.solve_view_warm(&view, &[0.9], &mut warm).unwrap();
         assert!((sol.z[0] - 1.0).abs() < 1e-6);
         assert!(matches!(
-            solver.solve_view_warm(&p.as_view(), &[0.0, 0.0], &mut warm),
+            solver.solve_view_warm(&view, &[0.0, 0.0], &mut warm),
             Err(OptimError::DimensionMismatch { .. })
         ));
     }
 
     #[test]
     fn loose_tolerance_converges_in_fewer_iterations() {
-        let a = Matrix::from_rows(&[&[1.0, 0.0], &[-1.0, 0.0], &[0.0, 1.0], &[0.0, -1.0]]).unwrap();
-        let p = QpProblem::new(Matrix::from_diag(&[2.0, 2.0]), vec![-10.0, 3.0])
+        let h = Matrix::from_diag(&[2.0, 2.0]);
+        let a = box_rows(2);
+        let view = QpView::new(&h, &[-10.0, 3.0])
             .unwrap()
-            .with_inequalities(a, vec![1.0; 4])
+            .with_inequalities(&a, &[1.0; 4])
             .unwrap();
         let tight = QpSolver::new(QpSolverOptions {
             tolerance: 1e-10,
             ..QpSolverOptions::default()
         })
-        .solve(&p)
+        .solve_view(&view)
         .unwrap();
         let loose = QpSolver::new(QpSolverOptions {
             tolerance: 1e-4,
             ..QpSolverOptions::default()
         })
-        .solve(&p)
+        .solve_view(&view)
         .unwrap();
         assert!(loose.iterations <= tight.iterations);
         // Both still land on the right active set.
@@ -2495,12 +2227,12 @@ mod tests {
         // A pure LP (H = 0) on a box: the regularized KKT system stays
         // factorable and the solution hits the right vertex.
         let h = Matrix::from_diag(&[0.0, 0.0]);
-        let a = Matrix::from_rows(&[&[1.0, 0.0], &[-1.0, 0.0], &[0.0, 1.0], &[0.0, -1.0]]).unwrap();
-        let p = QpProblem::new(h, vec![1.0, -2.0])
+        let a = box_rows(2);
+        let view = QpView::new(&h, &[1.0, -2.0])
             .unwrap()
-            .with_inequalities(a, vec![1.0; 4])
+            .with_inequalities(&a, &[1.0; 4])
             .unwrap();
-        let sol = QpSolver::default().solve(&p).unwrap();
+        let sol = solve(&view);
         // min z0 − 2 z1 over [−1,1]² → (−1, 1).
         assert!((sol.z[0] + 1.0).abs() < 1e-4, "{:?}", sol.z);
         assert!((sol.z[1] - 1.0).abs() < 1e-4);
@@ -2516,23 +2248,13 @@ mod tests {
             h.set(i, i, 1.0 + (i as f64) * 0.1);
         }
         let g: Vec<f64> = (0..n).map(|i| ((i * 7 % 13) as f64) - 6.0).collect();
-        let mut rows = Vec::new();
-        for i in 0..n {
-            let mut up = vec![0.0; n];
-            up[i] = 1.0;
-            rows.push(up);
-            let mut lo = vec![0.0; n];
-            lo[i] = -1.0;
-            rows.push(lo);
-        }
-        let row_refs: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
-        let a = Matrix::from_rows(&row_refs).unwrap();
+        let a = box_rows(n);
         let b = vec![2.0; 2 * n];
-        let p = QpProblem::new(h, g)
+        let view = QpView::new(&h, &g)
             .unwrap()
-            .with_inequalities(a, b)
+            .with_inequalities(&a, &b)
             .unwrap();
-        let sol = solve(&p);
+        let sol = solve(&view);
         for (i, &zi) in sol.z.iter().enumerate() {
             assert!((-2.0 - 1e-6..=2.0 + 1e-6).contains(&zi), "z[{i}] = {zi}");
         }
@@ -2597,26 +2319,6 @@ mod tests {
     }
 
     #[test]
-    fn sparse_inequalities_match_dense() {
-        let (h, g, a_in, b_in, _, _) = structured_problem(4, 3, false);
-        let dense = QpProblem::new(h.clone(), g.clone())
-            .unwrap()
-            .with_inequalities(a_in.to_dense(), b_in.clone())
-            .unwrap();
-        let dense_sol = solve(&dense);
-
-        let view = QpView::new(&h, &g)
-            .unwrap()
-            .with_sparse_inequalities(&a_in, &b_in)
-            .unwrap();
-        let sparse_sol = QpSolver::default().solve_view(&view).unwrap();
-        assert_eq!(sparse_sol.kkt_backend, QpKktBackend::DenseCholesky);
-        for (zs, zd) in sparse_sol.z.iter().zip(&dense_sol.z) {
-            assert!((zs - zd).abs() < 1e-8, "sparse {zs} vs dense {zd}");
-        }
-    }
-
-    #[test]
     fn banded_backend_matches_dense_oracle() {
         for with_eq in [false, true] {
             let (h, g, a_in, b_in, a_eq, b_eq) = structured_problem(5, 3, with_eq);
@@ -2626,22 +2328,15 @@ mod tests {
                 lookback: 1,
             };
 
-            let mut view = QpView::new(&h, &g)
+            let mut oracle = QpView::new(&h, &g)
                 .unwrap()
-                .with_sparse_inequalities(&a_in, &b_in)
-                .unwrap();
-            let mut oracle = QpProblem::new(h.clone(), g.clone())
-                .unwrap()
-                .with_inequalities(a_in.to_dense(), b_in.clone())
+                .with_inequalities(&a_in, &b_in)
                 .unwrap();
             if with_eq {
-                view = view.with_sparse_equalities(&a_eq, &b_eq).unwrap();
-                oracle = oracle
-                    .with_equalities(a_eq.to_dense(), b_eq.clone())
-                    .unwrap();
+                oracle = oracle.with_equalities(&a_eq, &b_eq).unwrap();
             }
             let banded_sol = QpSolver::default()
-                .solve_view(&view.with_structure(structure))
+                .solve_view(&oracle.with_structure(structure))
                 .unwrap();
             let oracle_sol = solve(&oracle);
             assert_eq!(banded_sol.kkt_backend, QpKktBackend::Banded);
@@ -2672,7 +2367,7 @@ mod tests {
         let (h, g, a_in, b_in, _, _) = structured_problem(4, 3, false);
         let view = QpView::new(&h, &g)
             .unwrap()
-            .with_sparse_inequalities(&a_in, &b_in)
+            .with_inequalities(&a_in, &b_in)
             .unwrap()
             .with_structure(QpStructure {
                 vars_per_block: 5,
@@ -2700,7 +2395,7 @@ mod tests {
         let b_in = vec![10.0];
         let view = QpView::new(&h, &g)
             .unwrap()
-            .with_sparse_inequalities(&a_in, &b_in)
+            .with_inequalities(&a_in, &b_in)
             .unwrap()
             .with_structure(QpStructure {
                 vars_per_block: 2,
@@ -2786,32 +2481,14 @@ mod tests {
     /// its oracle: `K[..n, ..n] += Cᵀ·diag(w)·C` on the row-major
     /// `dim`-wide storage, every entry receiving its terms in row order of
     /// `C`.
-    fn full_gram(data: &mut [f64], dim: usize, n: usize, c: ConstraintRef<'_>, w: &[f64]) {
-        match c {
-            ConstraintRef::Dense(m) => {
-                for (i, &wi) in w.iter().enumerate() {
-                    let c_row = m.row(i);
-                    for (r, &ar) in c_row.iter().enumerate() {
-                        if ar == 0.0 {
-                            continue;
-                        }
-                        let war = wi * ar;
-                        for (k, v) in data[r * dim..r * dim + n].iter_mut().zip(c_row) {
-                            *k += war * v;
-                        }
-                    }
-                }
-            }
-            ConstraintRef::Sparse(s) => {
-                for (i, &wi) in w.iter().enumerate() {
-                    let (cols, vals) = s.row(i);
-                    for (&ca, &va) in cols.iter().zip(vals) {
-                        let va = wi * va;
-                        let row = &mut data[ca * dim..ca * dim + n];
-                        for (&cb, &vb) in cols.iter().zip(vals) {
-                            row[cb] += va * vb;
-                        }
-                    }
+    fn full_gram(data: &mut [f64], dim: usize, n: usize, c: &SparseMatrix, w: &[f64]) {
+        for (i, &wi) in w.iter().enumerate() {
+            let (cols, vals) = c.row(i);
+            for (&ca, &va) in cols.iter().zip(vals) {
+                let va = wi * va;
+                let row = &mut data[ca * dim..ca * dim + n];
+                for (&cb, &vb) in cols.iter().zip(vals) {
+                    row[cb] += va * vb;
                 }
             }
         }
@@ -2819,7 +2496,7 @@ mod tests {
 
     /// The triangle-only gram of `c` with weights `w` leaves exactly the
     /// lower triangle of the full gram and touches nothing else.
-    fn assert_gram_is_lower_triangle(c: ConstraintRef<'_>, n: usize, w: &[f64], seed: &mut u64) {
+    fn assert_gram_is_lower_triangle(c: &SparseMatrix, n: usize, w: &[f64], seed: &mut u64) {
         // Room for an equality block the gram must not touch.
         let dim = n + 2;
         let start: Vec<f64> = (0..dim * dim).map(|_| uniform(seed)).collect();
@@ -2842,18 +2519,16 @@ mod tests {
         for (m, n) in [(0, 3), (5, 1), (40, 9), (104, 32)] {
             let a = mixed_csr(m, n, &mut seed);
             let w = weights(m, &mut seed);
-            assert_gram_is_lower_triangle(ConstraintRef::Sparse(&a), n, &w, &mut seed);
-            let dense = a.to_dense();
-            assert_gram_is_lower_triangle(ConstraintRef::Dense(&dense), n, &w, &mut seed);
+            assert_gram_is_lower_triangle(&a, n, &w, &mut seed);
 
             // Elastic relaxations weigh the same rows by their reduced ω.
             let me = m / 3;
             let a_eq = mixed_csr(me, n, &mut seed);
             let rows = ElasticRows {
                 n,
-                eq: Some(ConstraintRef::Sparse(&a_eq)),
+                eq: Some(&a_eq),
                 me,
-                ineq: Some(ConstraintRef::Sparse(&a)),
+                ineq: Some(&a),
                 mi: m,
             };
             let w_el: Vec<f64> = weights(rows.num_rows(), &mut seed)
@@ -2863,8 +2538,8 @@ mod tests {
             let mut el = ElasticKkt::default();
             el.update(&rows, &w_el, 1e-10);
             let (w_eq, w_in) = el.omega.split_at(me);
-            assert_gram_is_lower_triangle(ConstraintRef::Sparse(&a_eq), n, w_eq, &mut seed);
-            assert_gram_is_lower_triangle(ConstraintRef::Sparse(&a), n, w_in, &mut seed);
+            assert_gram_is_lower_triangle(&a_eq, n, w_eq, &mut seed);
+            assert_gram_is_lower_triangle(&a, n, w_in, &mut seed);
         }
     }
 
@@ -2921,7 +2596,7 @@ mod tests {
                 .collect();
             let mut scattered = start.clone();
             for (i, &xi) in x.iter().enumerate() {
-                ConstraintRef::Sparse(&a).add_scaled_row(i, xi, &mut scattered);
+                add_scaled_row(&a, i, xi, &mut scattered);
             }
             let mut gathered = start;
             columns.add_transposed(&x, &mut gathered);
@@ -2950,9 +2625,9 @@ mod tests {
         let (h, g, a_in, b_in, a_eq, b_eq) = structured_problem(5, 3, true);
         let ineq = QpView::new(&h, &g)
             .unwrap()
-            .with_sparse_inequalities(&a_in, &b_in)
+            .with_inequalities(&a_in, &b_in)
             .unwrap();
-        let eq = ineq.with_sparse_equalities(&a_eq, &b_eq).unwrap();
+        let eq = ineq.with_equalities(&a_eq, &b_eq).unwrap();
         // The same equality rows without their lookback entries: a
         // different pattern in a KKT matrix of the same size.
         let mut a_eq_local = SparseMatrix::new();
@@ -2964,27 +2639,23 @@ mod tests {
             }
             a_eq_local.finish_row();
         }
-        let eq_local = ineq.with_sparse_equalities(&a_eq_local, &b_eq).unwrap();
+        let eq_local = ineq.with_equalities(&a_eq_local, &b_eq).unwrap();
         let banded = eq.with_structure(QpStructure {
             vars_per_block: 3,
             eq_per_block: 1,
             lookback: 1,
         });
-        // A dense-row problem of another size, and an infeasible one.
+        // A problem of another size, and an infeasible one.
         let box_h = Matrix::from_diag(&[2.0, 3.0, 1.0, 4.0]);
         let box_g = [-10.0, 3.0, 1.0, -2.0];
-        let box_a = Matrix::from_fn(8, 4, |r, c| match (r / 2 == c, r % 2) {
-            (true, 0) => 1.0,
-            (true, _) => -1.0,
-            _ => 0.0,
-        });
+        let box_a = box_rows(4);
         let box_b = [1.0; 8];
-        let dense = QpView::new(&box_h, &box_g)
+        let boxed = QpView::new(&box_h, &box_g)
             .unwrap()
             .with_inequalities(&box_a, &box_b)
             .unwrap();
         let one = Matrix::from_diag(&[2.0]);
-        let contradictory = Matrix::from_rows(&[&[1.0], &[-1.0]]).unwrap();
+        let contradictory = csr(&[&[1.0], &[-1.0]]);
         let infeasible = QpView::new(&one, &[0.0])
             .unwrap()
             .with_inequalities(&contradictory, &[0.0, -1.0])
@@ -2997,7 +2668,7 @@ mod tests {
         });
         let mut ws = IpmWorkspace::default();
         for _ in 0..2 {
-            let views = [&ineq, &eq, &eq_local, &banded, &dense, &infeasible];
+            let views = [&ineq, &eq, &eq_local, &banded, &boxed, &infeasible];
             for view in views {
                 let z0 = vec![0.0; view.num_vars()];
                 for s in [&solver, &boosted] {

@@ -6,70 +6,21 @@ use crate::observer::{NoopSqpObserver, QpSubproblemStatus, SqpIterationRecord, S
 use crate::qp::{dot_rows, IpmWorkspace};
 use crate::{NlpProblem, OptimError, QpSolver, QpSolverOptions, QpStructure, QpView, QpWarmStart};
 
-/// A constraint Jacobian for one SQP iteration, in whichever form the
-/// problem produced it. Sparse Jacobians flow straight into the QP's CSR
-/// path ([`QpView::with_sparse_inequalities`]) without densification.
-#[derive(Clone, Copy)]
-enum JacRef<'a> {
-    Dense(&'a Matrix),
-    Sparse(&'a SparseMatrix),
-}
-
-/// A constraint Jacobian kept across major iterations: CSR storage that
-/// is refilled in place, or the dense matrix of a problem without a CSR
-/// form.
-struct Jacobian {
-    sparse: SparseMatrix,
-    dense: Option<Matrix>,
-}
-
-impl Jacobian {
-    fn new() -> Self {
-        Self {
-            sparse: SparseMatrix::new(),
-            dense: None,
-        }
-    }
-
-    /// Evaluates the equality Jacobian at `z`.
-    fn eval_eq<P: NlpProblem + ?Sized>(&mut self, problem: &P, z: &[f64]) {
-        self.dense = if problem.num_eq() > 0 && problem.eq_jacobian_sparse_into(z, &mut self.sparse)
-        {
-            None
-        } else {
-            Some(problem.eq_jacobian(z))
-        };
-    }
-
-    /// Evaluates the inequality Jacobian at `z`.
-    fn eval_ineq<P: NlpProblem + ?Sized>(&mut self, problem: &P, z: &[f64]) {
-        self.dense =
-            if problem.num_ineq() > 0 && problem.ineq_jacobian_sparse_into(z, &mut self.sparse) {
-                None
-            } else {
-                Some(problem.ineq_jacobian(z))
-            };
-    }
-
-    fn as_ref(&self) -> JacRef<'_> {
-        match &self.dense {
-            Some(m) => JacRef::Dense(m),
-            None => JacRef::Sparse(&self.sparse),
-        }
+/// Evaluates the equality Jacobian at `z` into `out`, the CSR form every
+/// QP subproblem takes. A problem without a CSR form has its dense
+/// Jacobian converted here, which drops only its ±0.0 entries. A problem
+/// without equality rows is asked for its (empty) dense Jacobian.
+fn eval_eq_jacobian<P: NlpProblem + ?Sized>(problem: &P, z: &[f64], out: &mut SparseMatrix) {
+    if !(problem.num_eq() > 0 && problem.eq_jacobian_sparse_into(z, out)) {
+        *out = SparseMatrix::from_dense(&problem.eq_jacobian(z));
     }
 }
 
-impl JacRef<'_> {
-    /// `out = Jᵀ·x` (overwrites `out`).
-    fn matvec_transposed_into(&self, x: &[f64], out: &mut [f64]) -> Result<(), OptimError> {
-        match self {
-            Self::Dense(m) => {
-                let v = m.matvec_transposed(x)?;
-                out.copy_from_slice(&v);
-            }
-            Self::Sparse(s) => s.matvec_transposed(x, out)?,
-        }
-        Ok(())
+/// Evaluates the inequality Jacobian at `z` into `out`, like
+/// [`eval_eq_jacobian`].
+fn eval_ineq_jacobian<P: NlpProblem + ?Sized>(problem: &P, z: &[f64], out: &mut SparseMatrix) {
+    if !(problem.num_ineq() > 0 && problem.ineq_jacobian_sparse_into(z, out)) {
+        *out = SparseMatrix::from_dense(&problem.ineq_jacobian(z));
     }
 }
 
@@ -308,18 +259,15 @@ impl SqpSolver {
         // update evaluates them at the trial point into `*_new`, and the
         // buffers swap along with `z`, so each iterate's Jacobians are
         // evaluated once.
-        let mut j_eq_at_z = Jacobian::new();
-        let mut j_in_at_z = Jacobian::new();
-        let mut j_eq_new = Jacobian::new();
-        let mut j_in_new = Jacobian::new();
-        j_eq_at_z.eval_eq(problem, &z);
-        j_in_at_z.eval_ineq(problem, &z);
+        let mut j_eq = SparseMatrix::new();
+        let mut j_in = SparseMatrix::new();
+        let mut j_eq_new = SparseMatrix::new();
+        let mut j_in_new = SparseMatrix::new();
+        eval_eq_jacobian(problem, &z, &mut j_eq);
+        eval_ineq_jacobian(problem, &z, &mut j_in);
         let structure = problem.qp_structure();
 
         for iter in 0..opts.max_iterations {
-            let j_eq = j_eq_at_z.as_ref();
-            let j_in = j_in_at_z.as_ref();
-
             // QP subproblem in the step d (right-hand sides are the
             // negated constraint values).
             for (o, v) in neg_c_eq.iter_mut().zip(&c_eq) {
@@ -338,9 +286,9 @@ impl SqpSolver {
                 &qp_solver,
                 &b,
                 &grad,
-                j_eq,
+                &j_eq,
                 &neg_c_eq,
-                j_in,
+                &j_in,
                 &neg_c_in,
                 penalty,
                 structure,
@@ -444,7 +392,7 @@ impl SqpSolver {
                         // the constraint curvature revealed at z + d
                         // (trial_d still equals d on this first trial).
                         soc_tried = true;
-                        if let Some(correction) = second_order_correction(j_eq, &c_eq_trial) {
+                        if let Some(correction) = second_order_correction(&j_eq, &c_eq_trial) {
                             vecops::axpy(1.0, &correction, &mut trial_d);
                             continue; // retry at alpha = 1 with the SOC step
                         }
@@ -498,21 +446,17 @@ impl SqpSolver {
             gl_old.copy_from_slice(&grad);
             gl_new.copy_from_slice(&grad_new);
             if me > 0 {
-                j_eq.matvec_transposed_into(&mult_eq, &mut jt_buf)?;
+                j_eq.matvec_transposed(&mult_eq, &mut jt_buf)?;
                 vecops::axpy(1.0, &jt_buf, &mut gl_old);
-                j_eq_new.eval_eq(problem, &z_trial);
-                j_eq_new
-                    .as_ref()
-                    .matvec_transposed_into(&mult_eq, &mut jt_buf)?;
+                eval_eq_jacobian(problem, &z_trial, &mut j_eq_new);
+                j_eq_new.matvec_transposed(&mult_eq, &mut jt_buf)?;
                 vecops::axpy(1.0, &jt_buf, &mut gl_new);
             }
             if mi > 0 {
-                j_in.matvec_transposed_into(&mult_in, &mut jt_buf)?;
+                j_in.matvec_transposed(&mult_in, &mut jt_buf)?;
                 vecops::axpy(1.0, &jt_buf, &mut gl_old);
-                j_in_new.eval_ineq(problem, &z_trial);
-                j_in_new
-                    .as_ref()
-                    .matvec_transposed_into(&mult_in, &mut jt_buf)?;
+                eval_ineq_jacobian(problem, &z_trial, &mut j_in_new);
+                j_in_new.matvec_transposed(&mult_in, &mut jt_buf)?;
                 vecops::axpy(1.0, &jt_buf, &mut gl_new);
             }
             for i in 0..n {
@@ -549,10 +493,10 @@ impl SqpSolver {
             std::mem::swap(&mut c_eq, &mut c_eq_trial);
             std::mem::swap(&mut c_in, &mut c_in_trial);
             if me > 0 {
-                std::mem::swap(&mut j_eq_at_z, &mut j_eq_new);
+                std::mem::swap(&mut j_eq, &mut j_eq_new);
             }
             if mi > 0 {
-                std::mem::swap(&mut j_in_at_z, &mut j_in_new);
+                std::mem::swap(&mut j_in, &mut j_in_new);
             }
             let v = violation(&c_eq, &c_in);
             if v < best.2 || (v <= best.2 + opts.tolerance && f < best.1) {
@@ -595,9 +539,9 @@ impl SqpSolver {
         qp_solver: &QpSolver,
         b: &Matrix,
         grad: &[f64],
-        j_eq: JacRef<'_>,
+        j_eq: &SparseMatrix,
         neg_c_eq: &[f64],
-        j_in: JacRef<'_>,
+        j_in: &SparseMatrix,
         neg_c_in: &[f64],
         penalty: f64,
         structure: Option<QpStructure>,
@@ -611,16 +555,10 @@ impl SqpSolver {
 
         let mut qp = QpView::new(b, grad)?;
         if me > 0 {
-            qp = match j_eq {
-                JacRef::Dense(m) => qp.with_equalities(m, neg_c_eq)?,
-                JacRef::Sparse(s) => qp.with_sparse_equalities(s, neg_c_eq)?,
-            };
+            qp = qp.with_equalities(j_eq, neg_c_eq)?;
         }
         if mi > 0 {
-            qp = match j_in {
-                JacRef::Dense(m) => qp.with_inequalities(m, neg_c_in)?,
-                JacRef::Sparse(s) => qp.with_sparse_inequalities(s, neg_c_in)?,
-            };
+            qp = qp.with_inequalities(j_in, neg_c_in)?;
         }
         if let Some(st) = structure {
             qp = qp.with_structure(st);
@@ -695,15 +633,8 @@ impl SqpSolver {
 /// Second-order correction step: the minimum-norm solution of
 /// `J_eq · d̂ = −c_eq(z + d)`, i.e. `d̂ = −J_eqᵀ (J_eq J_eqᵀ)⁻¹ c_eq(z+d)`.
 /// Returns `None` when `J_eq J_eqᵀ` is singular.
-fn second_order_correction(j_eq: JacRef<'_>, c_at_trial: &[f64]) -> Option<Vec<f64>> {
-    let store;
-    let j_eq = match j_eq {
-        JacRef::Dense(m) => m,
-        JacRef::Sparse(s) => {
-            store = s.to_dense();
-            &store
-        }
-    };
+fn second_order_correction(j_eq: &SparseMatrix, c_at_trial: &[f64]) -> Option<Vec<f64>> {
+    let j_eq = j_eq.to_dense();
     let jjt = j_eq.matmul(&j_eq.transpose()).ok()?;
     let w = ev_linalg::Lu::factor(&jjt).ok()?.solve(c_at_trial).ok()?;
     let mut d_hat = j_eq.matvec_transposed(&w).ok()?;

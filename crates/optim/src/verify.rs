@@ -9,9 +9,9 @@
 //!
 //! [ROADMAP item 5]: https://github.com/evclimate/evclimate
 
-use ev_linalg::vecops;
+use ev_linalg::{vecops, SparseMatrix};
 
-use crate::qp::QpView;
+use crate::qp::{add_scaled_row, rows_matvec, QpView};
 use crate::OptimError;
 
 /// The five KKT residuals of a candidate QP solution, plus the data scale
@@ -91,19 +91,19 @@ pub fn kkt_report(
     for (r, gi) in rd.iter_mut().zip(problem.g()) {
         *r += gi;
     }
-    if let Some(a_eq) = problem.a_eq_ref() {
+    if let Some(a_eq) = problem.a_eq() {
         for (r, &yi) in y_eq.iter().enumerate() {
-            a_eq.add_scaled_row(r, yi, &mut rd);
+            add_scaled_row(a_eq, r, yi, &mut rd);
         }
     }
     let mut primal_ineq = 0.0f64;
     let mut complementarity = 0.0f64;
     let mut dual_nonneg = 0.0f64;
-    if let Some(a_in) = problem.a_in_ref() {
+    if let Some(a_in) = problem.a_in() {
         let mut cz = vec![0.0; mi];
-        a_in.matvec_into(z, &mut cz);
+        rows_matvec(a_in, z, &mut cz);
         for (i, &li) in lambda_in.iter().enumerate() {
-            a_in.add_scaled_row(i, li, &mut rd);
+            add_scaled_row(a_in, i, li, &mut rd);
             let slack = problem.b_in()[i] - cz[i];
             primal_ineq = primal_ineq.max(-slack);
             complementarity = complementarity.max((li * slack).abs());
@@ -111,9 +111,9 @@ pub fn kkt_report(
         }
     }
     let mut primal_eq = 0.0f64;
-    if let Some(a_eq) = problem.a_eq_ref() {
+    if let Some(a_eq) = problem.a_eq() {
         let mut az = vec![0.0; me];
-        a_eq.matvec_into(z, &mut az);
+        rows_matvec(a_eq, z, &mut az);
         for (ai, bi) in az.iter().zip(problem.b_eq()) {
             primal_eq = primal_eq.max((ai - bi).abs());
         }
@@ -122,8 +122,8 @@ pub fn kkt_report(
     let scale = 1.0
         + problem.h().norm_max()
         + vecops::norm_inf(problem.g())
-        + problem.a_eq_ref().map_or(0.0, |a| a.norm_max())
-        + problem.a_in_ref().map_or(0.0, |a| a.norm_max())
+        + problem.a_eq().map_or(0.0, SparseMatrix::norm_max)
+        + problem.a_in().map_or(0.0, SparseMatrix::norm_max)
         + vecops::norm_inf(problem.b_eq())
         + vecops::norm_inf(problem.b_in());
 
@@ -174,68 +174,77 @@ pub fn verify_kkt(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{QpProblem, QpSolver};
+    use crate::QpSolver;
     use ev_linalg::Matrix;
 
-    fn box_qp() -> QpProblem {
-        // min (z0−3)² + z1², s.t. z0 ≤ 1, −z1 ≤ 2.
-        let a = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, -1.0]]).unwrap();
-        QpProblem::new(Matrix::from_diag(&[2.0, 2.0]), vec![-6.0, 0.0])
+    /// Runs `f` on `min (z0−3)² + z1², s.t. z0 ≤ 1, −z1 ≤ 2`.
+    fn with_box_qp(f: impl FnOnce(&QpView<'_>)) {
+        let h = Matrix::from_diag(&[2.0, 2.0]);
+        let a = SparseMatrix::from_dense(&Matrix::from_rows(&[&[1.0, 0.0], &[0.0, -1.0]]).unwrap());
+        let b = [1.0, 2.0];
+        f(&QpView::new(&h, &[-6.0, 0.0])
             .unwrap()
-            .with_inequalities(a, vec![1.0, 2.0])
-            .unwrap()
+            .with_inequalities(&a, &b)
+            .unwrap());
     }
 
     #[test]
     fn verifies_a_converged_solution() {
-        let p = box_qp();
-        let sol = QpSolver::default().solve(&p).unwrap();
-        let report = verify_kkt(&p.as_view(), &sol.z, &sol.y_eq, &sol.lambda_in, 1e-6).unwrap();
-        assert!(report.max_residual() < 1e-6 * report.scale);
+        with_box_qp(|p| {
+            let sol = QpSolver::default().solve_view(p).unwrap();
+            let report = verify_kkt(p, &sol.z, &sol.y_eq, &sol.lambda_in, 1e-6).unwrap();
+            assert!(report.max_residual() < 1e-6 * report.scale);
+        });
     }
 
     #[test]
     fn rejects_a_non_optimal_point() {
-        let p = box_qp();
-        let err = verify_kkt(&p.as_view(), &[0.0, 0.0], &[], &[0.0, 0.0], 1e-6).unwrap_err();
-        assert!(matches!(err, OptimError::KktViolation { .. }), "{err:?}");
+        with_box_qp(|p| {
+            let err = verify_kkt(p, &[0.0, 0.0], &[], &[0.0, 0.0], 1e-6).unwrap_err();
+            assert!(matches!(err, OptimError::KktViolation { .. }), "{err:?}");
+        });
     }
 
     #[test]
     fn rejects_negative_multipliers() {
-        let p = box_qp();
-        // Correct primal point but a negative multiplier.
-        let report = kkt_report(&p.as_view(), &[1.0, 0.0], &[], &[-4.0, 0.0]).unwrap();
-        assert!(report.dual_nonneg > 0.0);
-        assert!(!report.satisfied(1e-6));
+        with_box_qp(|p| {
+            // Correct primal point but a negative multiplier.
+            let report = kkt_report(p, &[1.0, 0.0], &[], &[-4.0, 0.0]).unwrap();
+            assert!(report.dual_nonneg > 0.0);
+            assert!(!report.satisfied(1e-6));
+        });
     }
 
     #[test]
     fn rejects_infeasible_point_with_matching_duals() {
-        let p = box_qp();
-        // z0 = 2 violates z0 ≤ 1 even though stationarity can be faked.
-        let report = kkt_report(&p.as_view(), &[2.0, 0.0], &[], &[2.0, 0.0]).unwrap();
-        assert!(report.primal_ineq >= 1.0 - 1e-12);
+        with_box_qp(|p| {
+            // z0 = 2 violates z0 ≤ 1 even though stationarity can be faked.
+            let report = kkt_report(p, &[2.0, 0.0], &[], &[2.0, 0.0]).unwrap();
+            assert!(report.primal_ineq >= 1.0 - 1e-12);
+        });
     }
 
     #[test]
     fn dimension_mismatches_are_routable() {
-        let p = box_qp();
-        assert!(verify_kkt(&p.as_view(), &[0.0], &[], &[0.0, 0.0], 1e-6).is_err());
-        assert!(verify_kkt(&p.as_view(), &[0.0, 0.0], &[0.0], &[0.0, 0.0], 1e-6).is_err());
-        assert!(verify_kkt(&p.as_view(), &[0.0, 0.0], &[], &[0.0], 1e-6).is_err());
+        with_box_qp(|p| {
+            assert!(verify_kkt(p, &[0.0], &[], &[0.0, 0.0], 1e-6).is_err());
+            assert!(verify_kkt(p, &[0.0, 0.0], &[0.0], &[0.0, 0.0], 1e-6).is_err());
+            assert!(verify_kkt(p, &[0.0, 0.0], &[], &[0.0], 1e-6).is_err());
+        });
     }
 
     #[test]
     fn equality_residuals_are_reported() {
         // min z² s.t. z = 2 → z = 2, y = −4.
-        let p = QpProblem::new(Matrix::from_diag(&[2.0]), vec![0.0])
+        let h = Matrix::from_diag(&[2.0]);
+        let a = SparseMatrix::from_dense(&Matrix::from_diag(&[1.0]));
+        let p = QpView::new(&h, &[0.0])
             .unwrap()
-            .with_equalities(Matrix::from_rows(&[&[1.0]]).unwrap(), vec![2.0])
+            .with_equalities(&a, &[2.0])
             .unwrap();
-        let ok = verify_kkt(&p.as_view(), &[2.0], &[-4.0], &[], 1e-8).unwrap();
+        let ok = verify_kkt(&p, &[2.0], &[-4.0], &[], 1e-8).unwrap();
         assert!(ok.primal_eq < 1e-12);
-        let bad = kkt_report(&p.as_view(), &[1.0], &[-4.0], &[]).unwrap();
+        let bad = kkt_report(&p, &[1.0], &[-4.0], &[]).unwrap();
         assert!(bad.primal_eq >= 1.0 - 1e-12);
     }
 }

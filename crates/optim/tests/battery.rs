@@ -39,16 +39,16 @@ fn vendored_battery_matches_references() {
             .load()
             .unwrap_or_else(|e| panic!("{}: load failed: {e}", case.name));
         let problem = qp
-            .problem()
+            .view()
             .unwrap_or_else(|e| panic!("{}: build failed: {e}", case.name));
         match case.expected {
             Expected::Objective(reference) => {
                 let sol = solver
-                    .solve(&problem)
+                    .solve_view(&problem)
                     .unwrap_or_else(|e| panic!("{}: solve failed: {e}", case.name));
                 // Optimality certified independently of solver internals:
                 // for a convex problem a KKT point is a global optimum.
-                verify_kkt(&problem.as_view(), &sol.z, &sol.y_eq, &sol.lambda_in, 1e-6)
+                verify_kkt(&problem, &sol.z, &sol.y_eq, &sol.lambda_in, 1e-6)
                     .unwrap_or_else(|e| panic!("{}: KKT certification failed: {e}", case.name));
                 let objective = qp.objective_value(&sol.z);
                 let rel = (objective - reference).abs() / reference.abs().max(1.0);
@@ -58,7 +58,7 @@ fn vendored_battery_matches_references() {
                     case.name
                 );
             }
-            Expected::Infeasible => match solver.solve(&problem) {
+            Expected::Infeasible => match solver.solve_view(&problem) {
                 Err(
                     OptimError::QpInfeasible { .. }
                     | OptimError::QpMaxIterations { .. }
@@ -70,7 +70,7 @@ fn vendored_battery_matches_references() {
                     case.name, sol.objective
                 ),
             },
-            Expected::Unbounded => match solver.solve(&problem) {
+            Expected::Unbounded => match solver.solve_view(&problem) {
                 Err(OptimError::QpUnbounded { .. } | OptimError::QpMaxIterations { .. }) => {}
                 Err(e) => panic!("{}: unexpected error kind: {e}", case.name),
                 Ok(sol) => panic!(
@@ -88,12 +88,12 @@ fn vendored_battery_matches_references() {
 fn verifier_rejects_suboptimal_battery_points() {
     let case = battery::find("hs35").expect("hs35 is vendored");
     let qp = case.load().expect("load");
-    let problem = qp.problem().expect("build");
+    let problem = qp.view().expect("build");
     // x = 0 is feasible for HS35 (0 + 0 + 0 <= 3, x >= 0) but not
     // optimal; with zero multipliers stationarity fails by ‖g‖.
     let z = vec![0.0; qp.num_vars()];
     let lambda = vec![0.0; qp.b_in.len()];
-    let err = verify_kkt(&problem.as_view(), &z, &[], &lambda, 1e-6)
+    let err = verify_kkt(&problem, &z, &[], &lambda, 1e-6)
         .expect_err("suboptimal point must not certify");
     assert!(matches!(err, OptimError::KktViolation { .. }), "got {err}");
 }
@@ -111,8 +111,8 @@ proptest! {
         let solver = QpSolver::new(options);
         for family in [QpFamily::Infeasible, QpFamily::Unbounded, QpFamily::ZeroVariable] {
             let qp = generate_family(seed, family);
-            let problem = qp.to_problem().expect("construction is always well-formed");
-            match solver.solve(&problem) {
+            let problem = qp.view().expect("construction is always well-formed");
+            match solver.solve_view(&problem) {
                 Err(e) => {
                     // Routable: a value the SQP recovery arms can match on,
                     // with a human-readable rendering.

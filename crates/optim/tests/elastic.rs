@@ -1,7 +1,7 @@
 //! Elastic-mode oracle: [`QpSolver::solve_view_elastic`] eliminates the
 //! slack block of the relaxation and factors only an `n × n` system; the
 //! explicit formulation below — the (n + me + mi)-variable QP with one
-//! densified row per relaxed constraint — is the reference it must match.
+//! row per relaxed constraint — is the reference it must match.
 //!
 //! Every case is an *inconsistent* linearization, the only kind the SQP
 //! ever relaxes: the nominal QP must fail, the relaxation must solve, and
@@ -11,8 +11,8 @@
 
 use ev_linalg::{Matrix, SparseMatrix};
 use ev_optim::{
-    verify_kkt, NlpProblem, QpProblem, QpSolution, QpSolver, QpSubproblemStatus, QpView,
-    SqpOptions, SqpSolver, SqpTraceObserver,
+    verify_kkt, NlpProblem, QpSolution, QpSolver, QpSubproblemStatus, QpView, SqpOptions,
+    SqpSolver, SqpTraceObserver,
 };
 use ev_testkit::qpgen::{generate_family, QpFamily};
 
@@ -22,15 +22,9 @@ const DELTA: f64 = 1e-8;
 /// The explicit elastic relaxation of `min ½dᵀHd + gᵀd s.t. A_eq d = b_eq,
 /// A_in d ≤ b_in`: unknowns `(d, t)`, rows `±(A_eq d − b_eq) − t ≤ 0`
 /// (one slack per equality pair), `A_in d − b_in − t ≤ 0`, `−t ≤ 0`.
-fn explicit_elastic(
-    h: &Matrix,
-    g: &[f64],
-    a_eq: &Matrix,
-    b_eq: &[f64],
-    a_in: &Matrix,
-    b_in: &[f64],
-    slack_weight: f64,
-) -> QpProblem {
+fn explicit_elastic(sub: &Subproblem, slack_weight: f64) -> Subproblem {
+    let (h, g, b_eq, b_in) = (&sub.h, &sub.g, &sub.b_eq, &sub.b_in);
+    let (a_eq, a_in) = (sub.a_eq.to_dense(), sub.a_in.to_dense());
     let n = g.len();
     let (me, mi) = (b_eq.len(), b_in.len());
     let nt = n + me + mi;
@@ -71,15 +65,19 @@ fn explicit_elastic(
         rows.push(row);
         rhs.push(0.0);
     }
-    let refs: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
-    QpProblem::new(hh, gg)
-        .unwrap()
-        .with_inequalities(Matrix::from_rows(&refs).unwrap(), rhs)
-        .unwrap()
+    Subproblem {
+        h: hh,
+        g: gg,
+        a_eq: csr(nt, &[]),
+        b_eq: Vec::new(),
+        a_in: csr(nt, &rows),
+        b_in: rhs,
+    }
 }
 
-/// One inconsistent linearized subproblem, with its Jacobians in CSR form
-/// (as the MPC transcriptions emit them).
+/// One QP subproblem with its Jacobians in CSR form (as the MPC
+/// transcriptions emit them): an inconsistent linearization, or the
+/// explicit elastic relaxation of one.
 struct Subproblem {
     h: Matrix,
     g: Vec<f64>,
@@ -93,26 +91,12 @@ impl Subproblem {
     fn view(&self) -> QpView<'_> {
         let mut view = QpView::new(&self.h, &self.g).unwrap();
         if !self.b_eq.is_empty() {
-            view = view.with_sparse_equalities(&self.a_eq, &self.b_eq).unwrap();
+            view = view.with_equalities(&self.a_eq, &self.b_eq).unwrap();
         }
         if !self.b_in.is_empty() {
-            view = view
-                .with_sparse_inequalities(&self.a_in, &self.b_in)
-                .unwrap();
+            view = view.with_inequalities(&self.a_in, &self.b_in).unwrap();
         }
         view
-    }
-
-    fn explicit(&self, slack_weight: f64) -> QpProblem {
-        explicit_elastic(
-            &self.h,
-            &self.g,
-            &self.a_eq.to_dense(),
-            &self.b_eq,
-            &self.a_in.to_dense(),
-            &self.b_in,
-            slack_weight,
-        )
     }
 }
 
@@ -259,10 +243,11 @@ fn assert_matches_explicit(name: &str, sub: &Subproblem, slack_weight: f64) -> b
         solver.solve_view(&view).is_err(),
         "{name}: the nominal subproblem must be inconsistent"
     );
-    let explicit_qp = sub.explicit(slack_weight);
+    let explicit_qp = explicit_elastic(sub, slack_weight);
+    let explicit_view = explicit_qp.view();
     let (reduced, explicit): (QpSolution, QpSolution) = match (
         solver.solve_view_elastic(&view, slack_weight),
-        solver.solve(&explicit_qp),
+        solver.solve_view(&explicit_view),
     ) {
         (Ok(r), Ok(e)) => (r, e),
         (Err(r), Err(e)) => {
@@ -310,7 +295,7 @@ fn assert_matches_explicit(name: &str, sub: &Subproblem, slack_weight: f64) -> b
     // The battery's acceptance bound: the interior-point stopping test
     // bounds the *mean* complementarity, the verifier the largest.
     verify_kkt(
-        &explicit_qp.as_view(),
+        &explicit_view,
         &reduced.z,
         &reduced.y_eq,
         &reduced.lambda_in,
@@ -351,21 +336,6 @@ fn qpgen_infeasible_family_relaxation_matches_explicit() {
         }
     }
     assert!(solved >= 40, "only {solved} of 50 relaxations solved");
-}
-
-#[test]
-fn dense_and_sparse_jacobians_relax_alike() {
-    let sub = inequality_only(10, 24, 9);
-    let dense = sub.a_in.to_dense();
-    let view = QpView::new(&sub.h, &sub.g)
-        .unwrap()
-        .with_inequalities(&dense, &sub.b_in)
-        .unwrap();
-    let solver = QpSolver::default();
-    let from_dense = solver.solve_view_elastic(&view, 100.0).unwrap();
-    let from_sparse = solver.solve_view_elastic(&sub.view(), 100.0).unwrap();
-    assert!(max_abs_diff(&from_dense.z, &from_sparse.z) <= 1e-10);
-    assert!(max_abs_diff(&from_dense.lambda_in, &from_sparse.lambda_in) <= 1e-8);
 }
 
 #[test]

@@ -3,9 +3,21 @@
 //! Property-based tests for the QP and SQP solvers: KKT conditions,
 //! feasibility and invariance properties on random problems.
 
-use ev_linalg::{vecops, Matrix};
-use ev_optim::{NlpProblem, QpProblem, QpSolver, SqpSolver};
+use ev_linalg::{vecops, Matrix, SparseMatrix};
+use ev_optim::{NlpProblem, QpSolver, QpView, SqpSolver};
 use proptest::prelude::*;
+
+/// The box `−bound ≤ z ≤ bound` over `n` variables as `2n` CSR rows,
+/// upper bound first.
+fn box_rows(n: usize) -> SparseMatrix {
+    SparseMatrix::from_dense(&Matrix::from_fn(2 * n, n, |r, c| {
+        match (r / 2 == c, r % 2) {
+            (true, 0) => 1.0,
+            (true, _) => -1.0,
+            _ => 0.0,
+        }
+    }))
+}
 
 /// Strategy: an SPD Hessian H = AᵀA + I of side `n`.
 fn spd(n: usize) -> impl Strategy<Value = Matrix> {
@@ -30,8 +42,8 @@ proptest! {
         g in linear(4),
     ) {
         // min ½zᵀHz + gᵀz ⇒ Hz* = −g.
-        let p = QpProblem::new(h.clone(), g.clone()).expect("valid");
-        let sol = QpSolver::default().solve(&p).expect("solves");
+        let p = QpView::new(&h, &g).expect("valid");
+        let sol = QpSolver::default().solve_view(&p).expect("solves");
         let direct = ev_linalg::solve(&h, &vecops::scale(-1.0, &g)).expect("spd");
         for k in 0..4 {
             prop_assert!((sol.z[k] - direct[k]).abs() < 1e-5,
@@ -46,28 +58,17 @@ proptest! {
         bound in 0.2f64..3.0,
     ) {
         // Box −bound ≤ z ≤ bound as 6 inequalities.
-        let mut rows = Vec::new();
-        let mut rhs = Vec::new();
-        for i in 0..3 {
-            let mut up = vec![0.0; 3];
-            up[i] = 1.0;
-            rows.push(up);
-            rhs.push(bound);
-            let mut lo = vec![0.0; 3];
-            lo[i] = -1.0;
-            rows.push(lo);
-            rhs.push(bound);
-        }
-        let refs: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
-        let a = Matrix::from_rows(&refs).expect("rect");
-        let p = QpProblem::new(h.clone(), g.clone())
+        let a = box_rows(3);
+        let rhs = [bound; 6];
+        let p = QpView::new(&h, &g)
             .expect("valid")
-            .with_inequalities(a.clone(), rhs.clone())
+            .with_inequalities(&a, &rhs)
             .expect("valid");
-        let sol = QpSolver::default().solve(&p).expect("solves");
+        let sol = QpSolver::default().solve_view(&p).expect("solves");
 
         // Primal feasibility.
-        let az = a.matvec(&sol.z).expect("dims");
+        let mut az = [0.0; 6];
+        a.matvec(&sol.z, &mut az).expect("dims");
         for i in 0..6 {
             prop_assert!(az[i] <= rhs[i] + 1e-6, "constraint {i} violated");
             // Dual feasibility.
@@ -77,7 +78,8 @@ proptest! {
         }
         // Stationarity: Hz + g + Aᵀλ ≈ 0.
         let hz = h.matvec(&sol.z).expect("dims");
-        let atl = a.matvec_transposed(&sol.lambda_in).expect("dims");
+        let mut atl = [0.0; 3];
+        a.matvec_transposed(&sol.lambda_in, &mut atl).expect("dims");
         for k in 0..3 {
             prop_assert!((hz[k] + g[k] + atl[k]).abs() < 1e-4,
                 "stationarity residual at {k}");
@@ -91,24 +93,12 @@ proptest! {
         probe in proptest::collection::vec(-1.0f64..1.0, 3),
     ) {
         // Unit box; any feasible probe must not beat the solver.
-        let mut rows = Vec::new();
-        let mut rhs = Vec::new();
-        for i in 0..3 {
-            let mut up = vec![0.0; 3];
-            up[i] = 1.0;
-            rows.push(up);
-            rhs.push(1.0);
-            let mut lo = vec![0.0; 3];
-            lo[i] = -1.0;
-            rows.push(lo);
-            rhs.push(1.0);
-        }
-        let refs: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
-        let p = QpProblem::new(h, g)
+        let a = box_rows(3);
+        let p = QpView::new(&h, &g)
             .expect("valid")
-            .with_inequalities(Matrix::from_rows(&refs).expect("rect"), rhs)
+            .with_inequalities(&a, &[1.0; 6])
             .expect("valid");
-        let sol = QpSolver::default().solve(&p).expect("solves");
+        let sol = QpSolver::default().solve_view(&p).expect("solves");
         prop_assert!(sol.objective <= p.objective(&probe) + 1e-6);
     }
 
@@ -118,12 +108,15 @@ proptest! {
         g in linear(4),
         target in -2.0f64..2.0,
     ) {
-        let a_eq = Matrix::from_rows(&[&[1.0, 1.0, 1.0, 1.0]]).expect("row");
-        let p = QpProblem::new(h, g)
+        let a_eq = SparseMatrix::from_dense(
+            &Matrix::from_rows(&[&[1.0, 1.0, 1.0, 1.0]]).expect("row"),
+        );
+        let b_eq = [target];
+        let p = QpView::new(&h, &g)
             .expect("valid")
-            .with_equalities(a_eq, vec![target])
+            .with_equalities(&a_eq, &b_eq)
             .expect("valid");
-        let sol = QpSolver::default().solve(&p).expect("solves");
+        let sol = QpSolver::default().solve_view(&p).expect("solves");
         let sum: f64 = sol.z.iter().sum();
         prop_assert!((sum - target).abs() < 1e-6, "sum {sum} target {target}");
     }

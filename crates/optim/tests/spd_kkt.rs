@@ -7,9 +7,9 @@
 //! consistent subproblem for elastic mode. Cholesky factors these systems
 //! and is the default for them.
 
-use ev_linalg::{vecops, Cholesky, LinalgError, Lu, Matrix};
+use ev_linalg::{vecops, Cholesky, LinalgError, Lu, Matrix, SparseMatrix};
 use ev_optim::{
-    verify_kkt, NlpProblem, QpKktBackend, QpProblem, QpSolver, QpSubproblemStatus, SqpSolver,
+    verify_kkt, NlpProblem, QpKktBackend, QpSolver, QpSubproblemStatus, QpView, SqpSolver,
     SqpStatus, SqpTraceObserver,
 };
 
@@ -60,13 +60,15 @@ fn widely_scaled_qp_solves_by_cholesky() {
     // the upper bound of `z₀` is active with multiplier ≈ 9 and `z₁` is
     // barely curved, so the last iterations' reduced KKT matrices are of
     // the kind above (pivoted LU rejects them).
-    let p = QpProblem::new(Matrix::from_diag(&[1.0, 1e-6]), vec![-10.0, 3e-7])
+    let h = Matrix::from_diag(&[1.0, 1e-6]);
+    let a = SparseMatrix::from_dense(&box_rows(2));
+    let p = QpView::new(&h, &[-10.0, 3e-7])
         .unwrap()
-        .with_inequalities(box_rows(2), vec![1.0; 4])
+        .with_inequalities(&a, &[1.0; 4])
         .unwrap();
-    let sol = QpSolver::default().solve(&p).unwrap();
+    let sol = QpSolver::default().solve_view(&p).unwrap();
     assert_eq!(sol.kkt_backend, QpKktBackend::DenseCholesky);
-    verify_kkt(&p.as_view(), &sol.z, &sol.y_eq, &sol.lambda_in, 1e-6).unwrap();
+    verify_kkt(&p, &sol.z, &sol.y_eq, &sol.lambda_in, 1e-6).unwrap();
     assert!((sol.z[0] - 1.0).abs() < 1e-6);
     assert!((sol.lambda_in[0] - 9.0).abs() < 1e-5);
 }

@@ -289,10 +289,10 @@ mod tests {
         });
         for case in CASES {
             let qp = case.load().expect("load");
-            let problem = qp.problem().expect("build");
-            match solver.solve(&problem) {
+            let problem = qp.view().expect("build");
+            match solver.solve_view(&problem) {
                 Ok(sol) => {
-                    let report = kkt_report(&problem.as_view(), &sol.z, &sol.y_eq, &sol.lambda_in)
+                    let report = kkt_report(&problem, &sol.z, &sol.y_eq, &sol.lambda_in)
                         .expect("kkt report");
                     println!(
                         "{:<22} objective {:+.15e}  kkt {:.2e} (scale {:.2e}) iters {}",

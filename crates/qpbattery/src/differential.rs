@@ -4,14 +4,15 @@
 //! The interior-point solver can factor its reduced KKT system three
 //! ways (dense LU, dense Cholesky, banded LDLᵀ). They must agree — the
 //! LU path doubles as the correctness oracle for the others.
-//! For each [`GeneratedQp`] this module solves:
+//! For each [`GeneratedQp`] this module solves the same CSR instance
+//! three times:
 //!
-//! 1. the dense problem with `prefer_dense_cholesky` switched off
-//!    (**dense LU** oracle),
-//! 2. the dense problem with default options (**dense Cholesky** where
-//!    eligible, i.e. no equality rows),
-//! 3. the sparse-Jacobian view with its declared [`ev_optim::QpStructure`]
-//!    (**banded LDLᵀ** for structured instances),
+//! 1. without its declared structure, with `prefer_dense_cholesky`
+//!    switched off (**dense LU** oracle),
+//! 2. without its declared structure, with default options (**dense
+//!    Cholesky** where eligible, i.e. no equality rows),
+//! 3. with its declared [`ev_optim::QpStructure`] (**banded LDLᵀ** for
+//!    structured instances),
 //!
 //! then checks that every backend's solution satisfies the KKT
 //! conditions independently, that primal solutions agree pairwise to
@@ -105,22 +106,22 @@ pub fn differential_solve(qp: &GeneratedQp) -> DifferentialReport {
     let mut failures: Vec<String> = Vec::new();
     let mut runs: Vec<BackendRun> = Vec::new();
 
-    // Backend 1 & 2: dense matrices, LU oracle and (where eligible)
-    // dense Cholesky.
-    match qp.to_problem() {
-        Ok(problem) => {
+    // Backend 1 & 2: no declared structure, so the KKT systems are
+    // factored densely: the LU oracle and (where eligible) Cholesky.
+    match qp.unstructured_view() {
+        Ok(view) => {
             runs.push(BackendRun {
                 label: "dense-lu",
-                outcome: solver(false).solve(&problem),
+                outcome: solver(false).solve_view(&view),
             });
             runs.push(BackendRun {
                 label: "dense-cholesky",
-                outcome: solver(true).solve(&problem),
+                outcome: solver(true).solve_view(&view),
             });
         }
         Err(e) => {
             if qp.family.is_solvable() {
-                failures.push(format!("building the dense problem failed: {e}"));
+                failures.push(format!("building the unstructured view failed: {e}"));
             } else {
                 runs.push(BackendRun {
                     label: "dense-lu",
@@ -130,8 +131,8 @@ pub fn differential_solve(qp: &GeneratedQp) -> DifferentialReport {
         }
     }
 
-    // Backend 3: sparse-Jacobian view with the declared structure; this
-    // is the only path that can take the banded LDLᵀ factorization.
+    // Backend 3: the view with the declared structure; this is the only
+    // path that can take the banded LDLᵀ factorization.
     match qp.view() {
         Ok(view) => {
             runs.push(BackendRun {
@@ -157,7 +158,7 @@ pub fn differential_solve(qp: &GeneratedQp) -> DifferentialReport {
         }
         Err(e) => {
             if qp.family.is_solvable() {
-                failures.push(format!("building the sparse view failed: {e}"));
+                failures.push(format!("building the structured view failed: {e}"));
             }
         }
     }
@@ -193,12 +194,10 @@ pub fn differential_solve(qp: &GeneratedQp) -> DifferentialReport {
 
 fn cross_check_solvable(qp: &GeneratedQp, runs: &[BackendRun], failures: &mut Vec<String>) {
     // Every backend must solve, and every solution must independently
-    // satisfy the KKT conditions of the *dense* problem statement.
-    let dense = match qp.to_problem() {
-        Ok(p) => p,
-        Err(_) => return, // already recorded above
+    // satisfy the KKT conditions of the problem statement.
+    let Ok(view) = qp.unstructured_view() else {
+        return; // already recorded above
     };
-    let view = dense.as_view();
     let mut solved: Vec<(&'static str, &QpSolution)> = Vec::new();
     for run in runs {
         match &run.outcome {

@@ -7,7 +7,8 @@
 //!
 //! * [`mps`] — a reader/writer for the MPS/QPS interchange format
 //!   (fixed and free layout, `RANGES`/`BOUNDS` sections, `QUADOBJ`
-//!   quadratic terms), lowering to [`ev_optim::QpProblem`].
+//!   quadratic terms), lowering to CSR rows posed as an
+//!   [`ev_optim::QpView`].
 //! * [`battery`] — a vendored, fully offline battery of classic small
 //!   QPs and LPs (Hock–Schittkowski, Maros–Mészáros-style cases, plus
 //!   hand-written degenerate/rank-deficient/infeasible instances) with

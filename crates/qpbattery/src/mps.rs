@@ -28,7 +28,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use ev_linalg::{vecops, Matrix, SparseMatrix};
-use ev_optim::{OptimError, QpProblem};
+use ev_optim::{OptimError, QpView};
 
 /// Which physical layout the parser should assume.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,7 +80,7 @@ pub enum MpsError {
         /// The rejected feature.
         what: String,
     },
-    /// Lowering to [`QpProblem`] failed (e.g. asymmetric `QMATRIX`).
+    /// Lowering to a [`QpView`] failed (e.g. asymmetric `QMATRIX`).
     Build(OptimError),
 }
 
@@ -118,9 +118,8 @@ impl From<OptimError> for MpsError {
 }
 
 /// A parsed MPS problem, lowered to the `ev-optim` canonical
-/// minimization shape but retaining the raw matrices so callers can
-/// round-trip, re-serialize, or inspect without going through
-/// [`QpProblem`]'s private fields.
+/// minimization shape: the raw data callers round-trip, re-serialize or
+/// inspect, and solve through [`LoadedQp::view`].
 #[derive(Debug, Clone)]
 pub struct LoadedQp {
     /// Problem name from the `NAME` card (empty if absent).
@@ -136,13 +135,14 @@ pub struct LoadedQp {
     pub h: Matrix,
     /// Minimization gradient (`c`, negated when `maximize`).
     pub g: Vec<f64>,
-    /// Equality rows (`0 × n` when none), including lowered `FX` bounds.
-    pub a_eq: Matrix,
+    /// Equality rows in CSR form (`0 × n` when none), including lowered
+    /// `FX` bounds.
+    pub a_eq: SparseMatrix,
     /// Equality right-hand sides.
     pub b_eq: Vec<f64>,
-    /// Inequality rows `A_in z ≤ b_in` (`0 × n` when none), including
-    /// split ranged rows and lowered column bounds.
-    pub a_in: Matrix,
+    /// Inequality rows `A_in z ≤ b_in` in CSR form (`0 × n` when none),
+    /// including split ranged rows and lowered column bounds.
+    pub a_in: SparseMatrix,
     /// Inequality right-hand sides.
     pub b_in: Vec<f64>,
     /// Column names in introduction order.
@@ -159,21 +159,21 @@ impl LoadedQp {
         self.g.len()
     }
 
-    /// Builds the owned [`QpProblem`] for the solver.
+    /// Borrows the problem as a [`QpView`] for the solver.
     ///
     /// # Errors
     ///
-    /// Propagates [`QpProblem`] construction errors (asymmetric
-    /// Hessian, non-finite data).
-    pub fn problem(&self) -> Result<QpProblem, OptimError> {
-        let mut p = QpProblem::new(self.h.clone(), self.g.clone())?;
+    /// Propagates [`QpView`] construction errors (asymmetric Hessian,
+    /// non-finite data).
+    pub fn view(&self) -> Result<QpView<'_>, OptimError> {
+        let mut view = QpView::new(&self.h, &self.g)?;
         if !self.b_eq.is_empty() {
-            p = p.with_equalities(self.a_eq.clone(), self.b_eq.clone())?;
+            view = view.with_equalities(&self.a_eq, &self.b_eq)?;
         }
         if !self.b_in.is_empty() {
-            p = p.with_inequalities(self.a_in.clone(), self.b_in.clone())?;
+            view = view.with_inequalities(&self.a_in, &self.b_in)?;
         }
-        Ok(p)
+        Ok(view)
     }
 
     /// Objective value at `z` in the *original* sense of the file,
@@ -259,7 +259,7 @@ struct ColBound {
 ///
 /// Returns an [`MpsError`] describing the first offending line, or a
 /// [`MpsError::Build`] when the collected data cannot form a valid
-/// [`QpProblem`].
+/// [`QpView`].
 pub fn parse_mps(text: &str, format: MpsFormat) -> Result<LoadedQp, MpsError> {
     let mut name = String::new();
     let mut maximize = false;
@@ -592,8 +592,8 @@ pub fn parse_mps(text: &str, format: MpsFormat) -> Result<LoadedQp, MpsError> {
     }
     let bound_rows = eq_rows.len() + in_rows.len() - structural_rows;
 
-    let a_eq = rows_to_matrix(&eq_rows, n);
-    let a_in = rows_to_matrix(&in_rows, n);
+    let a_eq = SparseMatrix::from_dense(&rows_to_matrix(&eq_rows, n));
+    let a_in = SparseMatrix::from_dense(&rows_to_matrix(&in_rows, n));
 
     let loaded = LoadedQp {
         name,
@@ -609,7 +609,7 @@ pub fn parse_mps(text: &str, format: MpsFormat) -> Result<LoadedQp, MpsError> {
         bound_rows,
     };
     // Validate eagerly so a malformed file fails at load, not at solve.
-    loaded.problem()?;
+    loaded.view()?;
     Ok(loaded)
 }
 
@@ -823,7 +823,7 @@ ENDATA
         assert_eq!(qp.bound_rows, 2);
         assert!((qp.objective_constant - (-3.0)).abs() < 1e-15);
         // FLOOR: y ≥ 0.5 became −y ≤ −0.5.
-        assert_eq!(qp.a_in.row(1), &[0.0, -1.0]);
+        assert_eq!(qp.a_in.row(1), (&[1][..], &[-1.0][..]));
         assert_eq!(qp.b_in[1], -0.5);
         assert!((qp.objective_value(&[1.5, 0.5]) - (1.5 + 1.0 - 3.0)).abs() < 1e-12);
     }
@@ -950,8 +950,8 @@ ENDATA
         let g = vec![-1.0, 0.5];
         let a_eq_d = Matrix::from_rows(&[&[1.0, 1.0]]).expect("aeq");
         let a_in_d = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, -1.0]]).expect("ain");
-        let a_eq = SparseMatrix::from_dense(&a_eq_d, 0.0);
-        let a_in = SparseMatrix::from_dense(&a_in_d, 0.0);
+        let a_eq = SparseMatrix::from_dense(&a_eq_d);
+        let a_in = SparseMatrix::from_dense(&a_in_d);
         let text = write_mps("RT", &h, &g, &a_eq, &[1.0], &a_in, &[2.0, 0.25]);
         let qp = parse_mps(&text, MpsFormat::Free).expect("reparse");
         assert_eq!(qp.name, "RT");

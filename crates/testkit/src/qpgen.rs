@@ -20,7 +20,7 @@
 //! answers (see `DESIGN.md`, "Differential oracle methodology").
 
 use ev_linalg::{Matrix, SparseMatrix};
-use ev_optim::{NlpProblem, OptimError, QpProblem, QpStructure, QpView};
+use ev_optim::{NlpProblem, OptimError, QpStructure, QpView};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -118,42 +118,37 @@ impl GeneratedQp {
         self.g.len()
     }
 
-    /// Borrows the instance as a sparse-Jacobian [`QpView`] (the banded
-    /// backend's entry point).
+    /// Borrows the instance as a [`QpView`] with its declared structure
+    /// (the banded backend's entry point).
     ///
     /// # Errors
     ///
     /// Propagates [`QpView`] construction errors (they indicate a
     /// generator bug, not a caller mistake).
     pub fn view(&self) -> Result<QpView<'_>, OptimError> {
-        let mut view = QpView::new(&self.h, &self.g)?;
-        if !self.b_eq.is_empty() {
-            view = view.with_sparse_equalities(&self.a_eq, &self.b_eq)?;
-        }
-        if !self.b_in.is_empty() {
-            view = view.with_sparse_inequalities(&self.a_in, &self.b_in)?;
-        }
-        if let Some(st) = self.structure {
-            view = view.with_structure(st);
-        }
-        Ok(view)
+        let view = self.unstructured_view()?;
+        Ok(match self.structure {
+            Some(st) => view.with_structure(st),
+            None => view,
+        })
     }
 
-    /// Clones the instance into an owned dense-Jacobian [`QpProblem`]
-    /// (the dense oracle's entry point).
+    /// Borrows the instance as a [`QpView`] without its declared
+    /// structure, so the solver factors its KKT systems densely (the dense
+    /// oracle's entry point).
     ///
     /// # Errors
     ///
-    /// Propagates [`QpProblem`] construction errors.
-    pub fn to_problem(&self) -> Result<QpProblem, OptimError> {
-        let mut p = QpProblem::new(self.h.clone(), self.g.clone())?;
+    /// As [`GeneratedQp::view`].
+    pub fn unstructured_view(&self) -> Result<QpView<'_>, OptimError> {
+        let mut view = QpView::new(&self.h, &self.g)?;
         if !self.b_eq.is_empty() {
-            p = p.with_equalities(self.a_eq.to_dense(), self.b_eq.clone())?;
+            view = view.with_equalities(&self.a_eq, &self.b_eq)?;
         }
         if !self.b_in.is_empty() {
-            p = p.with_inequalities(self.a_in.to_dense(), self.b_in.clone())?;
+            view = view.with_inequalities(&self.a_in, &self.b_in)?;
         }
-        Ok(p)
+        Ok(view)
     }
 }
 
@@ -673,7 +668,7 @@ mod tests {
                 assert!(qp.h.is_symmetric(1e-12), "{}", qp.name);
                 if family.is_solvable() {
                     let sol = QpSolver::default()
-                        .solve(&qp.to_problem().unwrap())
+                        .solve_view(&qp.unstructured_view().unwrap())
                         .unwrap_or_else(|e| panic!("{} failed: {e}", qp.name));
                     assert!(sol.objective.is_finite());
                 }
@@ -699,7 +694,7 @@ mod tests {
     fn nlp_adapter_matches_qp_solution() {
         let qp = generate_family(7, QpFamily::WellConditioned);
         let direct = QpSolver::default()
-            .solve(&qp.to_problem().unwrap())
+            .solve_view(&qp.unstructured_view().unwrap())
             .unwrap();
         let nlp = QpAsNlp::new(qp);
         let z0 = vec![0.0; nlp.num_vars()];

@@ -1,0 +1,206 @@
+//! Pins the SQP's dense-to-CSR Jacobian conversion.
+//!
+//! Every QP subproblem takes its constraint rows in CSR form. A problem
+//! that has no CSR Jacobians (`*_jacobian_sparse_into` returns `false`,
+//! as for the finite-difference default) has its dense ones converted at
+//! the NLP boundary, which drops only their ±0.0 entries. So a problem
+//! seen through [`DenseOnly`], which hides its CSR Jacobians and hands
+//! the SQP the same numbers densely, must solve to the same bits: the
+//! condensed MPC at production settings, and every solvable generated QP
+//! family, banded structure and equality rows included.
+
+use ev_control::{ControlContext, MpcController, PreviewSample};
+use ev_core::EvParams;
+use ev_hvac::HvacState;
+use ev_linalg::{Matrix, SparseMatrix};
+use ev_optim::{NlpProblem, QpStructure, SqpOptions, SqpResult, SqpSolver};
+use ev_testkit::qpgen::{generate_family, QpAsNlp, QpFamily};
+use ev_units::{Celsius, Percent, Seconds, Watts};
+
+/// Which dense inequality Jacobian [`DenseOnly`] hands the SQP.
+#[derive(Clone, Copy, Debug)]
+enum DenseIneq {
+    /// The inner problem's CSR Jacobian, densified.
+    Densified,
+    /// The inner problem's own dense `ineq_jacobian` (the MPC's analytic
+    /// one).
+    Own,
+}
+
+/// Forwards every [`NlpProblem`] method to `inner` except the two CSR
+/// Jacobians, which it does not have, so the SQP converts its dense ones.
+struct DenseOnly<'a> {
+    inner: &'a dyn NlpProblem,
+    ineq: DenseIneq,
+}
+
+/// The CSR Jacobian `fill` writes, densified.
+fn densified(fill: impl FnOnce(&mut SparseMatrix) -> bool) -> Matrix {
+    let mut csr = SparseMatrix::new();
+    assert!(fill(&mut csr), "the inner problem has CSR Jacobians");
+    csr.to_dense()
+}
+
+impl NlpProblem for DenseOnly<'_> {
+    fn num_vars(&self) -> usize {
+        self.inner.num_vars()
+    }
+    fn objective(&self, z: &[f64]) -> f64 {
+        self.inner.objective(z)
+    }
+    fn has_exact_derivatives(&self) -> bool {
+        self.inner.has_exact_derivatives()
+    }
+    fn gradient(&self, z: &[f64], grad: &mut [f64]) {
+        self.inner.gradient(z, grad);
+    }
+    fn num_eq(&self) -> usize {
+        self.inner.num_eq()
+    }
+    fn eq_constraints(&self, z: &[f64], out: &mut [f64]) {
+        self.inner.eq_constraints(z, out);
+    }
+    fn eq_jacobian(&self, z: &[f64]) -> Matrix {
+        // Without rows the SQP asks the CSR run for its dense Jacobian too.
+        if self.inner.num_eq() == 0 {
+            return self.inner.eq_jacobian(z);
+        }
+        densified(|out| self.inner.eq_jacobian_sparse_into(z, out))
+    }
+    fn num_ineq(&self) -> usize {
+        self.inner.num_ineq()
+    }
+    fn ineq_constraints(&self, z: &[f64], out: &mut [f64]) {
+        self.inner.ineq_constraints(z, out);
+    }
+    fn ineq_jacobian(&self, z: &[f64]) -> Matrix {
+        if self.inner.num_ineq() == 0 {
+            return self.inner.ineq_jacobian(z);
+        }
+        match self.ineq {
+            DenseIneq::Densified => densified(|out| self.inner.ineq_jacobian_sparse_into(z, out)),
+            DenseIneq::Own => self.inner.ineq_jacobian(z),
+        }
+    }
+    fn qp_structure(&self) -> Option<QpStructure> {
+        self.inner.qp_structure()
+    }
+}
+
+/// Solves `problem` from `z0` as is and through [`DenseOnly`], requires
+/// the same `z`, objective and violation bits, iteration count and
+/// status, and returns the CSR run's result.
+fn assert_same_solve(
+    name: &str,
+    solver: &SqpSolver,
+    problem: &dyn NlpProblem,
+    ineq: DenseIneq,
+    z0: &[f64],
+) -> SqpResult {
+    let csr = solver.solve(problem, z0).expect("the CSR run solves");
+    let dense_only = DenseOnly {
+        inner: problem,
+        ineq,
+    };
+    let dense = solver.solve(&dense_only, z0).expect("the dense run solves");
+    let outcome = |r: &SqpResult| {
+        let z: Vec<u64> = r.z.iter().map(|v| v.to_bits()).collect();
+        let (f, viol) = (r.objective.to_bits(), r.constraint_violation.to_bits());
+        (z, f, viol, r.iterations, r.status)
+    };
+    assert_eq!(outcome(&dense), outcome(&csr), "{name} ({ineq:?})");
+    csr
+}
+
+/// The SQP options `MpcBuilder::build` gives the production controller.
+fn production_sqp() -> SqpSolver {
+    SqpSolver::new(SqpOptions {
+        tolerance: 1e-4,
+        max_iterations: 25,
+        max_line_search: 15,
+        initial_penalty: 10.0,
+        ..SqpOptions::default()
+    })
+}
+
+/// A saw-tooth motor preview around `motor_kw`, at 1 s per sample.
+fn preview(motor_kw: f64, ambient: f64) -> Vec<PreviewSample> {
+    (0..64)
+        .map(|i| PreviewSample {
+            motor_power: Watts::new(motor_kw * 1000.0 * (1.0 + 0.5 * ((i % 5) as f64 - 2.0) / 2.0)),
+            ambient: Celsius::new(ambient),
+            solar: Watts::new(350.0),
+        })
+        .collect()
+}
+
+/// The controller's cold guess (scaled variables, four per step):
+/// passive coils at the mix temperature, 70 % recirculation, mid-range
+/// flow.
+fn cold_start(params: &EvParams, horizon: usize, ambient: f64, cabin: f64) -> Vec<f64> {
+    let hvac = params.hvac_model();
+    let mid_flow = 0.5 * (hvac.params().min_flow.value() + hvac.params().max_flow.value());
+    let tm = 0.3 * ambient + 0.7 * cabin;
+    (0..horizon)
+        .flat_map(|_| [tm / 10.0, tm / 10.0, 0.7, mid_flow / 0.1])
+        .collect()
+}
+
+/// `z` shifted one step forward, its last step repeated: the start of
+/// the next receding-horizon solve.
+fn shifted(z: &[f64]) -> Vec<f64> {
+    let mut next = z[4..].to_vec();
+    next.extend_from_slice(&z[z.len() - 4..]);
+    next
+}
+
+#[test]
+fn condensed_mpc_solves_alike_from_dense_jacobians() {
+    let params = EvParams::nissan_leaf_like();
+    let mpc: MpcController = params.mpc_builder().build().expect("valid mpc config");
+    assert_eq!(mpc.horizon(), 8);
+    let solver = production_sqp();
+    // (ambient, cabin, motor kW): hot and cold soaks and cabins near the
+    // target, under low and high motor power.
+    let contexts = [
+        (38.0, 38.0, 3.0),
+        (38.0, 26.0, 55.0),
+        (-8.0, -8.0, 55.0),
+        (-8.0, 22.0, 3.0),
+    ];
+    for ineq in [DenseIneq::Densified, DenseIneq::Own] {
+        for &(ambient, cabin, motor_kw) in &contexts {
+            let samples = preview(motor_kw, ambient);
+            let ctx = ControlContext {
+                state: HvacState::new(Celsius::new(cabin)),
+                ambient: Celsius::new(ambient),
+                solar: Watts::new(350.0),
+                soc: Percent::new(80.0),
+                soc_avg: 81.5,
+                dt: Seconds::new(1.0),
+                elapsed: Seconds::new(60.0),
+                preview: &samples,
+            };
+            let nlp = mpc.nlp(&ctx);
+            assert_eq!(nlp.num_eq(), 0);
+            let name = format!("ambient {ambient}, cabin {cabin}, motor {motor_kw} kW");
+            let z0 = cold_start(&params, mpc.horizon(), ambient, cabin);
+            let cold = assert_same_solve(&format!("{name}, cold"), &solver, &nlp, ineq, &z0);
+            let warm = shifted(&cold.z);
+            assert_same_solve(&format!("{name}, shifted"), &solver, &nlp, ineq, &warm);
+        }
+    }
+}
+
+#[test]
+fn generated_qps_solve_alike_from_dense_jacobians() {
+    let solver = SqpSolver::default();
+    for family in QpFamily::ALL.into_iter().filter(|f| f.is_solvable()) {
+        for seed in 0..12 {
+            let nlp = QpAsNlp::new(generate_family(seed, family));
+            let z0 = vec![0.0; nlp.num_vars()];
+            let name = format!("{family:?} seed {seed}");
+            assert_same_solve(&name, &solver, &nlp, DenseIneq::Densified, &z0);
+        }
+    }
+}
