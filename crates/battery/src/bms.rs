@@ -60,10 +60,6 @@ impl SocStats {
 pub struct Bms {
     battery: Battery,
     soh_model: SohModel,
-    /// Maximum discharge power the BMS allows.
-    max_discharge: Watts,
-    /// Maximum charge (regeneration) power the BMS allows.
-    max_charge: Watts,
     /// Recorded SoC trace of the drive (one entry per step).
     trace: Vec<f64>,
     /// `trace`'s entries added in order, the fold `Iterator::sum` does.
@@ -71,6 +67,11 @@ pub struct Bms {
 }
 
 impl Bms {
+    /// Maximum discharge power the BMS allows (W), Leaf-appropriate.
+    const MAX_DISCHARGE_W: f64 = 90_000.0;
+    /// Maximum charge (regeneration) power the BMS allows (W).
+    const MAX_CHARGE_W: f64 = 50_000.0;
+
     /// Creates a BMS with Leaf-appropriate power limits (90 kW discharge,
     /// 50 kW charge).
     #[must_use]
@@ -80,27 +81,9 @@ impl Bms {
         Self {
             battery,
             soh_model,
-            max_discharge: Watts::new(90_000.0),
-            max_charge: Watts::new(50_000.0),
             trace: vec![initial],
             trace_sum: initial,
         }
-    }
-
-    /// Sets custom power limits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either limit is negative.
-    #[must_use]
-    pub fn with_power_limits(mut self, max_discharge: Watts, max_charge: Watts) -> Self {
-        assert!(
-            max_discharge.value() >= 0.0 && max_charge.value() >= 0.0,
-            "power limits must be non-negative"
-        );
-        self.max_discharge = max_discharge;
-        self.max_charge = max_charge;
-        self
     }
 
     /// Borrows the wrapped battery.
@@ -139,7 +122,7 @@ impl Bms {
         let clamped = Watts::new(
             power
                 .value()
-                .clamp(-self.max_charge.value(), self.max_discharge.value()),
+                .clamp(-Self::MAX_CHARGE_W, Self::MAX_DISCHARGE_W),
         );
         let soc = self.battery.step(clamped, dt).value();
         self.trace.push(soc);
@@ -197,11 +180,13 @@ mod tests {
 
     #[test]
     fn power_limit_clamps() {
-        let mut b = bms().with_power_limits(Watts::new(10_000.0), Watts::new(5_000.0));
-        let applied = b.apply_load(Watts::new(50_000.0), Seconds::new(1.0));
-        assert_eq!(applied.value(), 10_000.0);
-        let regen = b.apply_load(Watts::new(-50_000.0), Seconds::new(1.0));
-        assert_eq!(regen.value(), -5_000.0);
+        let mut b = bms();
+        let applied = b.apply_load(Watts::new(150_000.0), Seconds::new(1.0));
+        assert_eq!(applied.value(), 90_000.0);
+        let regen = b.apply_load(Watts::new(-100_000.0), Seconds::new(1.0));
+        assert_eq!(regen.value(), -50_000.0);
+        let within = b.apply_load(Watts::new(40_000.0), Seconds::new(1.0));
+        assert_eq!(within.value(), 40_000.0);
     }
 
     #[test]

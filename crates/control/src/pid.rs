@@ -70,15 +70,6 @@ impl PidController {
         }
     }
 
-    /// Overrides the gains.
-    #[must_use]
-    pub fn with_gains(mut self, kp: f64, ki: f64, kd: f64) -> Self {
-        self.kp = kp;
-        self.ki = ki;
-        self.kd = kd;
-        self
-    }
-
     /// The temperature target.
     #[must_use]
     pub fn target(&self) -> Celsius {

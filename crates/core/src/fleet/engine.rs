@@ -1,22 +1,32 @@
 //! The sharded fleet engine: shared-nothing session workers behind
-//! bounded command queues.
+//! bounded command channels.
 //!
 //! Vehicle ids are hash-partitioned onto `N` shards. Each shard is one
-//! OS thread owning a [`Slab`] of [`VehicleSession`]s and consuming a
-//! [`BoundedQueue`] of commands — no session state is ever shared
-//! between shards, so there are no per-step locks: a vehicle's commands
-//! execute in submission order on its home shard, and the MPC warm
-//! start cached inside its controller is only ever touched by that
-//! shard's thread.
+//! OS thread owning a `HashMap` from vehicle id to [`VehicleSession`] and
+//! receiving commands from a bounded [`mpsc::sync_channel`] — no session
+//! state is ever shared between shards, so there are no per-step locks:
+//! a vehicle's commands execute in submission order on its home shard,
+//! and the MPC warm start cached inside its controller is only ever
+//! touched by that shard's thread.
 //!
 //! Backpressure is explicit at the submission boundary:
 //! [`FleetEngine::step`] *parks* the caller while the home shard's
 //! queue is full, [`FleetEngine::try_step`] *sheds* (returns
-//! [`FleetError::Shed`]). Either way the queue never exceeds its
-//! configured capacity.
+//! [`FleetError::Shed`]). Either way the queue never buffers more than
+//! its configured capacity.
+//!
+//! A shard's worker owns the channel's receiver. If the worker panics,
+//! the receiver drops with it: every later submission to that shard,
+//! a parked one included, returns [`FleetError::ShuttingDown`], and so
+//! does a `close` or `query` whose command was still queued. The other
+//! shards keep serving. Dropping the engine without
+//! [`shutdown`](FleetEngine::shutdown) drops every sender, so each
+//! worker runs what it had accepted and exits.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -26,10 +36,8 @@ use crate::params::{ControllerKind, ControllerSetup};
 use crate::sim::Simulation;
 use crate::EvParams;
 
-use super::bounded::{BoundedQueue, TryPushError};
 use super::pool::available_workers;
 use super::session::{SessionSummary, VehicleSession};
-use super::slab::Slab;
 
 /// Configuration for [`FleetEngine::new`].
 #[derive(Debug, Clone)]
@@ -67,15 +75,12 @@ pub enum FleetError {
     /// `try_step` found the home shard's queue full; the command was
     /// shed, the caller decides whether to retry, park or drop.
     Shed,
-    /// The engine is shutting down; no further commands are accepted.
+    /// The home shard's worker has stopped, by
+    /// [`shutdown`](FleetEngine::shutdown) or by a panic: the command
+    /// was refused, or it was queued and will never run.
     ShuttingDown,
     /// The vehicle has no open session on its home shard.
     UnknownSession(u64),
-    /// The vehicle already has an open session.
-    SessionExists(u64),
-    /// Controller instantiation failed (only possible with pathological
-    /// overrides, e.g. a zero SQP iteration cap).
-    Controller(String),
 }
 
 impl core::fmt::Display for FleetError {
@@ -84,8 +89,6 @@ impl core::fmt::Display for FleetError {
             FleetError::Shed => f.write_str("command shed: shard queue full"),
             FleetError::ShuttingDown => f.write_str("fleet engine is shutting down"),
             FleetError::UnknownSession(id) => write!(f, "no open session for vehicle {id}"),
-            FleetError::SessionExists(id) => write!(f, "vehicle {id} already has a session"),
-            FleetError::Controller(msg) => write!(f, "controller instantiation failed: {msg}"),
         }
     }
 }
@@ -127,6 +130,10 @@ enum Command {
     /// can fill its queue deterministically.
     #[cfg(test)]
     Park(mpsc::Receiver<()>),
+    /// Test-only: block the shard like `Park`, then panic its worker,
+    /// as a faulty controller would.
+    #[cfg(test)]
+    Panic(mpsc::Receiver<()>),
 }
 
 /// Counters one shard accumulates over its lifetime.
@@ -167,16 +174,65 @@ pub struct FleetStats {
     pub per_shard: Vec<ShardStats>,
 }
 
+/// Commands submitted to one shard that its worker has not yet taken.
+/// It is raised before a send and lowered when that send fails or when
+/// the worker takes the command, so it never wraps, a submission parked
+/// on a full queue counts as queued, and it equals the channel's
+/// buffered count whenever no submission is in flight. Every change is
+/// published to the shard's `fleet_queue_depth` gauge. It is a
+/// statistic that publishes no other data, hence `Relaxed`.
+struct QueueDepth {
+    count: AtomicUsize,
+    gauge: Gauge,
+}
+
+impl QueueDepth {
+    fn raise(&self) {
+        let depth = self.count.fetch_add(1, Ordering::Relaxed) + 1;
+        self.gauge.set(depth as f64);
+    }
+
+    fn lower(&self) {
+        let depth = self.count.fetch_sub(1, Ordering::Relaxed) - 1;
+        self.gauge.set(depth as f64);
+    }
+}
+
 struct Shard {
-    queue: Arc<BoundedQueue<Command>>,
+    queue: SyncSender<Command>,
     worker: JoinHandle<ShardStats>,
-    /// Submission-side backpressure metrics, labeled `{shard="i"}`:
-    /// depth of this shard's queue, commands that had to park, commands
-    /// shed by `try_step`. Updated at the submission boundary because
-    /// that is where parking and shedding happen.
-    queue_depth: Gauge,
+    depth: Arc<QueueDepth>,
+    /// Submission-side backpressure counters, labeled `{shard="i"}`:
+    /// commands that had to park, commands shed by `try_step`. Counted
+    /// at the submission boundary because that is where parking and
+    /// shedding happen.
     parked_total: Counter,
     shed_total: Counter,
+}
+
+impl Shard {
+    /// Queues `cmd`. On a full queue it *parks* (waits for a slot,
+    /// counted once in `fleet_commands_parked_total`) when `park` is
+    /// set, and otherwise *sheds* it.
+    fn send(&self, cmd: Command, park: bool) -> Result<(), FleetError> {
+        self.depth.raise();
+        let sent = match self.queue.try_send(cmd) {
+            Ok(()) => Ok(()),
+            Err(TrySendError::Full(cmd)) if park => {
+                self.parked_total.inc();
+                self.queue.send(cmd).map_err(|_| FleetError::ShuttingDown)
+            }
+            Err(TrySendError::Full(_)) => {
+                self.shed_total.inc();
+                Err(FleetError::Shed)
+            }
+            Err(TrySendError::Disconnected(_)) => Err(FleetError::ShuttingDown),
+        };
+        if sent.is_err() {
+            self.depth.lower();
+        }
+        sent
+    }
 }
 
 /// The fleet engine. See the module docs for the sharding and
@@ -194,6 +250,8 @@ impl FleetEngine {
     /// Panics if `config.queue_capacity` is zero.
     #[must_use]
     pub fn new(config: FleetConfig) -> Self {
+        // `sync_channel(0)` would be a rendezvous channel, not a window.
+        assert!(config.queue_capacity > 0, "queue capacity must be positive");
         let n = if config.shards == 0 {
             available_workers()
         } else {
@@ -202,25 +260,29 @@ impl FleetEngine {
         let registry = config.setup.telemetry.clone();
         let shards = (0..n)
             .map(|i| {
-                let queue = Arc::new(BoundedQueue::new(config.queue_capacity));
-                let worker_queue = Arc::clone(&queue);
+                let (queue, commands) = mpsc::sync_channel(config.queue_capacity);
                 let params = config.params.clone();
                 // Everything a shard mints — engine counters, command
                 // latencies, and through the controller factory every
                 // MPC solve-outcome counter — carries this shard label.
                 let shard_registry = registry.scoped(&[("shard", &i.to_string())]);
+                let depth = Arc::new(QueueDepth {
+                    count: AtomicUsize::new(0),
+                    gauge: shard_registry.gauge("fleet_queue_depth"),
+                });
+                let worker_depth = Arc::clone(&depth);
                 let setup = ControllerSetup {
                     telemetry: shard_registry.clone(),
                     ..config.setup.clone()
                 };
                 let worker = std::thread::Builder::new()
                     .name(format!("fleet-shard-{i}"))
-                    .spawn(move || shard_main(&worker_queue, &params, &setup, i))
+                    .spawn(move || shard_main(commands, &worker_depth, &params, &setup, i))
                     .expect("spawning a fleet shard worker");
                 Shard {
                     queue,
                     worker,
-                    queue_depth: shard_registry.gauge("fleet_queue_depth"),
+                    depth,
                     parked_total: shard_registry.counter("fleet_commands_parked_total"),
                     shed_total: shard_registry.counter("fleet_commands_shed_total"),
                 }
@@ -241,11 +303,16 @@ impl FleetEngine {
         &self.registry
     }
 
-    /// Total commands currently queued across all shards (racy,
-    /// diagnostics only).
+    /// Commands submitted and not yet taken by a worker, summed over
+    /// all shards (racy, diagnostics only). A submission parked on a
+    /// full queue counts as queued, so while callers park the sum can
+    /// exceed `shards × queue_capacity`.
     #[must_use]
     pub fn queue_depth(&self) -> usize {
-        self.shards.iter().map(|s| s.queue.len()).sum()
+        self.shards
+            .iter()
+            .map(|s| s.depth.count.load(Ordering::Relaxed))
+            .sum()
     }
 
     fn shard_of(&self, vehicle_id: u64) -> &Shard {
@@ -256,30 +323,22 @@ impl FleetEngine {
         &self.shards[idx]
     }
 
+    /// Queues `cmd` on `vehicle_id`'s home shard, parking while it is
+    /// full.
     fn submit(&self, vehicle_id: u64, cmd: Command) -> Result<(), FleetError> {
-        let shard = self.shard_of(vehicle_id);
-        match shard.queue.push(cmd) {
-            Ok(parked) => {
-                if parked {
-                    shard.parked_total.inc();
-                }
-                shard.queue_depth.set(shard.queue.len() as f64);
-                Ok(())
-            }
-            Err(_) => Err(FleetError::ShuttingDown),
-        }
+        self.shard_of(vehicle_id).send(cmd, true)
     }
 
     /// Opens a session for `vehicle_id`: the home shard instantiates a
     /// private controller of `kind` and a fresh plant on `sim`.
     /// Fire-and-forget; parks while the shard queue is full. A
-    /// duplicate open is rejected shard-side (visible in the stats and
-    /// via [`query`](Self::query)).
+    /// duplicate open or a failed controller build is rejected
+    /// shard-side: it is counted in [`ShardStats::rejected`], and
+    /// [`query`](Self::query) shows which session is open.
     ///
     /// # Errors
     ///
-    /// [`FleetError::ShuttingDown`] after [`shutdown`](Self::shutdown)
-    /// has begun.
+    /// [`FleetError::ShuttingDown`] if the home shard's worker stopped.
     pub fn open(
         &self,
         vehicle_id: u64,
@@ -301,7 +360,7 @@ impl FleetEngine {
     ///
     /// # Errors
     ///
-    /// [`FleetError::ShuttingDown`] once the engine is closing.
+    /// [`FleetError::ShuttingDown`] if the home shard's worker stopped.
     pub fn step(&self, vehicle_id: u64, steps: usize) -> Result<(), FleetError> {
         self.submit(vehicle_id, Command::Step { vehicle_id, steps })
     }
@@ -313,37 +372,28 @@ impl FleetEngine {
     /// # Errors
     ///
     /// [`FleetError::Shed`] on a full queue, [`FleetError::ShuttingDown`]
-    /// once the engine is closing.
+    /// if the home shard's worker stopped.
     pub fn try_step(&self, vehicle_id: u64, steps: usize) -> Result<(), FleetError> {
-        let shard = self.shard_of(vehicle_id);
-        match shard.queue.try_push(Command::Step { vehicle_id, steps }) {
-            Ok(()) => {
-                shard.queue_depth.set(shard.queue.len() as f64);
-                Ok(())
-            }
-            Err(TryPushError::Full(_)) => {
-                shard.shed_total.inc();
-                Err(FleetError::Shed)
-            }
-            Err(TryPushError::Closed(_)) => Err(FleetError::ShuttingDown),
-        }
+        self.shard_of(vehicle_id)
+            .send(Command::Step { vehicle_id, steps }, false)
     }
 
     /// Runs `vehicle_id`'s current drive to the end of its profile.
     ///
     /// # Errors
     ///
-    /// [`FleetError::ShuttingDown`] once the engine is closing.
+    /// [`FleetError::ShuttingDown`] if the home shard's worker stopped.
     pub fn drain(&self, vehicle_id: u64) -> Result<(), FleetError> {
         self.submit(vehicle_id, Command::Drain { vehicle_id })
     }
 
-    /// Hands `vehicle_id`'s slot to a new drive on `sim`, invalidating
-    /// all controller state tied to the previous trajectory.
+    /// Hands `vehicle_id`'s session to a new drive on `sim`,
+    /// invalidating all controller state tied to the previous
+    /// trajectory.
     ///
     /// # Errors
     ///
-    /// [`FleetError::ShuttingDown`] once the engine is closing.
+    /// [`FleetError::ShuttingDown`] if the home shard's worker stopped.
     pub fn reset(&self, vehicle_id: u64, sim: Arc<Simulation>) -> Result<(), FleetError> {
         self.submit(vehicle_id, Command::Reset { vehicle_id, sim })
     }
@@ -355,7 +405,8 @@ impl FleetEngine {
     /// # Errors
     ///
     /// [`FleetError::UnknownSession`] if no session is open,
-    /// [`FleetError::ShuttingDown`] once the engine is closing.
+    /// [`FleetError::ShuttingDown`] if the home shard's worker has
+    /// stopped before running the close.
     pub fn close(&self, vehicle_id: u64) -> Result<SessionSummary, FleetError> {
         let (reply, rx) = mpsc::channel();
         self.submit(vehicle_id, Command::Close { vehicle_id, reply })?;
@@ -368,7 +419,8 @@ impl FleetEngine {
     /// # Errors
     ///
     /// [`FleetError::UnknownSession`] if no session is open,
-    /// [`FleetError::ShuttingDown`] once the engine is closing.
+    /// [`FleetError::ShuttingDown`] if the home shard's worker has
+    /// stopped before answering.
     pub fn query(&self, vehicle_id: u64) -> Result<SessionSummary, FleetError> {
         let (reply, rx) = mpsc::channel();
         self.submit(vehicle_id, Command::Query { vehicle_id, reply })?;
@@ -376,14 +428,14 @@ impl FleetEngine {
     }
 
     /// Barrier: returns once every command submitted before this call
-    /// has been executed on every shard.
+    /// has been executed on every shard whose worker is running.
     pub fn sync(&self) {
         let receivers: Vec<mpsc::Receiver<()>> = self
             .shards
             .iter()
             .filter_map(|s| {
                 let (reply, rx) = mpsc::channel();
-                s.queue.push(Command::Sync { reply }).ok().map(|_| rx)
+                s.send(Command::Sync { reply }, true).ok().map(|()| rx)
             })
             .collect();
         for rx in receivers {
@@ -391,72 +443,53 @@ impl FleetEngine {
         }
     }
 
-    /// Shuts the engine down: closes every queue, lets the shards drain
-    /// what was already accepted, joins them, folds the final counters
-    /// into the registry as `fleet_shutdown_*_final` gauges (so a last
-    /// scrape after drain reflects the true totals) and returns the
-    /// merged counters.
+    /// Shuts the engine down: drops every shard's sender, lets the
+    /// shards run what they had already accepted (all in parallel),
+    /// joins them and returns the merged counters. The per-shard
+    /// `fleet_*_total` counters stay in the registry.
     ///
     /// # Panics
     ///
-    /// Panics if a shard worker itself panicked (a bug: sessions never
-    /// run user code outside controller implementations).
+    /// Panics if a shard worker panicked, which only a controller
+    /// panicking inside a session can cause. Every sender is dropped
+    /// before the first join, so the other shards still run what they
+    /// had accepted.
     #[must_use]
     pub fn shutdown(self) -> FleetStats {
-        for shard in &self.shards {
-            shard.queue.close();
-        }
-        let per_shard: Vec<ShardStats> = self
-            .shards
+        // Moving each worker out drops its shard's sender.
+        let workers: Vec<JoinHandle<ShardStats>> =
+            self.shards.into_iter().map(|s| s.worker).collect();
+        let per_shard: Vec<ShardStats> = workers
             .into_iter()
-            .map(|s| s.worker.join().expect("fleet shard worker panicked"))
+            .map(|w| w.join().expect("fleet shard worker panicked"))
             .collect();
         let mut total = ShardStats::default();
         for stats in &per_shard {
             total.merge(stats);
         }
-        let final_gauge = |name: &str, v: u64| self.registry.gauge(name).set(v as f64);
-        final_gauge("fleet_shutdown_steps_final", total.steps);
-        final_gauge("fleet_shutdown_sessions_final", total.closed);
-        final_gauge("fleet_shutdown_sessions_opened_final", total.opened);
-        final_gauge(
-            "fleet_shutdown_finished_drives_final",
-            total.finished_drives,
-        );
-        final_gauge("fleet_shutdown_rejected_final", total.rejected);
-        for (i, stats) in per_shard.iter().enumerate() {
-            self.registry
-                .gauge_with(
-                    "fleet_shutdown_shard_steps_final",
-                    &[("shard", &i.to_string())],
-                )
-                .set(stats.steps as f64);
-        }
         FleetStats { total, per_shard }
     }
 }
 
-/// One shard's event loop: pop commands until the queue closes, then
-/// report lifetime counters. `setup.telemetry` arrives pre-scoped with
-/// this shard's label, so everything minted here — and every metric the
-/// controller factory mints per session — is a per-shard series.
+/// One shard's event loop: take commands until every sender is gone,
+/// then report lifetime counters. `setup.telemetry` arrives pre-scoped
+/// with this shard's label, so everything minted here — and every
+/// metric the controller factory mints per session — is a per-shard
+/// series.
 fn shard_main(
-    queue: &BoundedQueue<Command>,
+    commands: Receiver<Command>,
+    depth: &QueueDepth,
     params: &EvParams,
     setup: &ControllerSetup,
     shard_index: usize,
 ) -> ShardStats {
-    let mut sessions: Slab<VehicleSession> = Slab::with_capacity(64);
-    let mut by_vehicle: HashMap<u64, usize> = HashMap::new();
+    let mut sessions: HashMap<u64, VehicleSession> = HashMap::new();
     let mut stats = ShardStats::default();
     let steps_total = setup.telemetry.counter("fleet_steps_total");
     let opened_total = setup.telemetry.counter("fleet_sessions_opened_total");
     let closed_total = setup.telemetry.counter("fleet_sessions_closed_total");
     let resets_total = setup.telemetry.counter("fleet_session_resets_total");
     let live_sessions = setup.telemetry.gauge("fleet_live_sessions");
-    // Consumer-side view of the same depth gauge the submitters set:
-    // identical (name, labels) key → shared storage.
-    let queue_depth = setup.telemetry.gauge("fleet_queue_depth");
     let cmd_seconds = |cmd: &str| -> Histogram {
         setup.telemetry.histogram_with(
             "fleet_cmd_seconds",
@@ -475,8 +508,8 @@ fn shard_main(
     let t_step = setup.trace.intern("step");
     let t_drain = setup.trace.intern("drain");
 
-    while let Some(cmd) = queue.pop() {
-        queue_depth.set(queue.len() as f64);
+    for cmd in commands {
+        depth.lower();
         match cmd {
             Command::Open {
                 vehicle_id,
@@ -484,10 +517,10 @@ fn shard_main(
                 kind,
             } => {
                 let _lat = open_seconds.start_span();
-                if by_vehicle.contains_key(&vehicle_id) {
+                let Entry::Vacant(slot) = sessions.entry(vehicle_id) else {
                     stats.rejected += 1;
                     continue;
-                }
+                };
                 // The per-session sampling decision happens here: an
                 // unsampled vehicle gets a disabled ring and its whole
                 // session (controller solve spans included) stays out
@@ -500,11 +533,10 @@ fn shard_main(
                 match kind.instantiate_configured(params, &session_setup) {
                     Ok(controller) => {
                         session_trace.begin(t_session);
-                        let key = sessions.insert(
+                        slot.insert(
                             VehicleSession::new(vehicle_id, sim, controller)
                                 .with_trace(session_trace),
                         );
-                        by_vehicle.insert(vehicle_id, key);
                         stats.opened += 1;
                         opened_total.inc();
                         live_sessions.add(1.0);
@@ -514,10 +546,7 @@ fn shard_main(
             }
             Command::Step { vehicle_id, steps } => {
                 let lat = step_seconds.start_span();
-                let Some(session) = by_vehicle
-                    .get(&vehicle_id)
-                    .and_then(|&key| sessions.get_mut(key))
-                else {
+                let Some(session) = sessions.get_mut(&vehicle_id) else {
                     stats.rejected += 1;
                     continue;
                 };
@@ -537,10 +566,7 @@ fn shard_main(
             }
             Command::Drain { vehicle_id } => {
                 let lat = drain_seconds.start_span();
-                let Some(session) = by_vehicle
-                    .get(&vehicle_id)
-                    .and_then(|&key| sessions.get_mut(key))
-                else {
+                let Some(session) = sessions.get_mut(&vehicle_id) else {
                     stats.rejected += 1;
                     continue;
                 };
@@ -556,10 +582,7 @@ fn shard_main(
             }
             Command::Reset { vehicle_id, sim } => {
                 let _lat = reset_seconds.start_span();
-                let Some(session) = by_vehicle
-                    .get(&vehicle_id)
-                    .and_then(|&key| sessions.get_mut(key))
-                else {
+                let Some(session) = sessions.get_mut(&vehicle_id) else {
                     stats.rejected += 1;
                     continue;
                 };
@@ -569,9 +592,8 @@ fn shard_main(
             }
             Command::Close { vehicle_id, reply } => {
                 let _lat = close_seconds.start_span();
-                let result = match by_vehicle.remove(&vehicle_id) {
-                    Some(key) => {
-                        let session = sessions.remove(key).expect("vehicle map points at slab");
+                let result = match sessions.remove(&vehicle_id) {
+                    Some(session) => {
                         session.trace().end(t_session);
                         stats.closed += 1;
                         closed_total.inc();
@@ -587,9 +609,8 @@ fn shard_main(
             }
             Command::Query { vehicle_id, reply } => {
                 let _lat = query_seconds.start_span();
-                let result = by_vehicle
+                let result = sessions
                     .get(&vehicle_id)
-                    .and_then(|&key| sessions.get(key))
                     .map(VehicleSession::summary)
                     .ok_or(FleetError::UnknownSession(vehicle_id));
                 if result.is_err() {
@@ -604,9 +625,13 @@ fn shard_main(
             Command::Park(rx) => {
                 let _ = rx.recv();
             }
+            #[cfg(test)]
+            Command::Panic(rx) => {
+                let _ = rx.recv();
+                panic!("injected shard panic");
+            }
         }
     }
-    queue_depth.set(0.0);
     stats
 }
 
@@ -615,6 +640,7 @@ mod tests {
     use super::*;
     use ev_drive::{AmbientConditions, DriveCycle, DriveProfile};
     use ev_units::{Celsius, Seconds};
+    use std::thread;
 
     fn small_sim() -> Arc<Simulation> {
         let params = EvParams::nissan_leaf_like();
@@ -626,20 +652,45 @@ mod tests {
         Arc::new(Simulation::new(params, profile).expect("profile non-empty"))
     }
 
+    /// An engine recording into an enabled registry.
     fn engine(shards: usize, queue_capacity: usize) -> FleetEngine {
         let mut config = FleetConfig::new(EvParams::nissan_leaf_like());
         config.shards = shards;
         config.queue_capacity = queue_capacity;
+        config.setup.telemetry = Registry::enabled();
         FleetEngine::new(config)
+    }
+
+    /// Shard 0's `fleet_commands_parked_total`, read from the registry.
+    fn parked(fleet: &FleetEngine) -> u64 {
+        let snapshot = fleet.registry().snapshot();
+        let series = snapshot.counter_labeled("fleet_commands_parked_total", &[("shard", "0")]);
+        series.unwrap_or(0)
+    }
+
+    /// Waits until shard 0 has counted `n` parked submissions.
+    fn wait_until_parked(fleet: &FleetEngine, n: u64) {
+        while parked(fleet) < n {
+            thread::yield_now();
+        }
+    }
+
+    /// Hands shard 0's worker `command`, which holds it until the
+    /// returned sender yields, and returns once the worker has taken it.
+    fn hold(fleet: &FleetEngine, command: fn(mpsc::Receiver<()>) -> Command) -> mpsc::Sender<()> {
+        let (release, held) = mpsc::channel();
+        let before = fleet.queue_depth();
+        fleet.shards[0].send(command(held), true).unwrap();
+        while fleet.queue_depth() > before {
+            thread::yield_now();
+        }
+        release
     }
 
     #[test]
     fn open_step_close_round_trip() {
         let fleet = engine(2, 64);
-        let sim = small_sim();
-        fleet
-            .open(7, Arc::clone(&sim), ControllerKind::OnOff)
-            .unwrap();
+        fleet.open(7, small_sim(), ControllerKind::OnOff).unwrap();
         fleet.step(7, 50).unwrap();
         let summary = fleet.close(7).unwrap();
         assert_eq!(summary.vehicle_id, 7);
@@ -686,7 +737,7 @@ mod tests {
     }
 
     #[test]
-    fn reset_rebinds_the_slot_to_a_new_drive() {
+    fn reset_rebinds_the_session_to_a_new_drive() {
         let fleet = engine(1, 64);
         let sim = small_sim();
         fleet
@@ -706,13 +757,10 @@ mod tests {
     fn backpressure_sheds_at_capacity_and_never_grows_the_queue() {
         let capacity = 4;
         let fleet = engine(1, capacity);
-        let sim = small_sim();
         // Park the single shard so nothing drains while we flood it.
         let (unpark, parked) = mpsc::channel();
-        assert!(fleet.shards[0].queue.push(Command::Park(parked)).is_ok());
-        fleet
-            .open(1, Arc::clone(&sim), ControllerKind::OnOff)
-            .unwrap();
+        assert!(fleet.shards[0].send(Command::Park(parked), true).is_ok());
+        fleet.open(1, small_sim(), ControllerKind::OnOff).unwrap();
         // Wait until the shard has consumed the Park command (queue
         // drains to just the Open).
         while fleet.queue_depth() > 1 {
@@ -733,9 +781,107 @@ mod tests {
         assert_eq!(shed, 11);
         unpark.send(()).unwrap();
         fleet.sync();
+        assert_eq!(fleet.queue_depth(), 0, "nothing queued after a barrier");
         let summary = fleet.close(1).unwrap();
         assert_eq!(summary.steps, (capacity - 1) as u64);
         let _ = fleet.shutdown();
+    }
+
+    #[test]
+    fn a_step_on_a_full_queue_parks_once_and_runs_when_a_slot_frees() {
+        let fleet = engine(1, 1);
+        fleet.open(1, small_sim(), ControllerKind::OnOff).unwrap();
+        fleet.sync();
+        let unpark = hold(&fleet, Command::Park);
+        // The barrier above may itself have parked behind the open.
+        let before = parked(&fleet);
+        fleet.step(1, 1).unwrap(); // takes the only slot
+        assert_eq!(parked(&fleet), before, "a free slot does not park");
+        thread::scope(|s| {
+            let parked_step = s.spawn(|| fleet.step(1, 1));
+            wait_until_parked(&fleet, before + 1);
+            assert!(!parked_step.is_finished(), "a full queue parks the caller");
+            assert_eq!(fleet.queue_depth(), 2, "a parked step counts as queued");
+            unpark.send(()).unwrap();
+            assert_eq!(parked_step.join().unwrap(), Ok(()));
+        });
+        assert_eq!(parked(&fleet), before + 1, "parking is counted once");
+        fleet.sync();
+        assert_eq!(fleet.queue_depth(), 0);
+        assert_eq!(fleet.query(1).unwrap().steps, 2, "the parked step ran");
+        let _ = fleet.shutdown();
+    }
+
+    #[test]
+    fn every_command_accepted_before_shutdown_runs() {
+        let fleet = engine(1, 8);
+        let unpark = hold(&fleet, Command::Park);
+        fleet.open(1, small_sim(), ControllerKind::OnOff).unwrap();
+        for _ in 0..7 {
+            fleet.step(1, 1).unwrap();
+        }
+        assert_eq!(fleet.queue_depth(), 8, "all eight commands are buffered");
+        // The shard handle, the worker and this test each count the
+        // depth; the handle's count goes after its sender (field order),
+        // so the worker resumes only once its channel has closed.
+        let depth = Arc::clone(&fleet.shards[0].depth);
+        let stats = thread::scope(|s| {
+            let shutdown = s.spawn(move || fleet.shutdown());
+            while Arc::strong_count(&depth) > 2 {
+                thread::yield_now();
+            }
+            unpark.send(()).unwrap();
+            shutdown.join().unwrap()
+        });
+        assert_eq!((stats.total.opened, stats.total.steps), (1, 7));
+    }
+
+    #[test]
+    #[should_panic(expected = "queue capacity must be positive")]
+    fn zero_queue_capacity_panics() {
+        let _ = engine(1, 0);
+    }
+
+    #[test]
+    fn a_panicked_shard_fails_fast_and_the_others_keep_serving() {
+        let fleet = engine(2, 1);
+        let on_shard_0 = |id: u64| std::ptr::eq(fleet.shard_of(id), &fleet.shards[0]);
+        let doomed = (0..).find(|&id| on_shard_0(id)).unwrap();
+        let healthy = (0..).find(|&id| !on_shard_0(id)).unwrap();
+        for id in [doomed, healthy] {
+            fleet.open(id, small_sim(), ControllerKind::OnOff).unwrap();
+        }
+        fleet.sync();
+        let trigger = hold(&fleet, Command::Panic);
+        let before = parked(&fleet);
+        thread::scope(|s| {
+            // Submitted before the panic: the query or the close takes
+            // the only slot and the other parks, then the step parks.
+            let query = s.spawn(|| fleet.query(doomed));
+            let close = s.spawn(|| fleet.close(doomed));
+            wait_until_parked(&fleet, before + 1);
+            let step = s.spawn(|| fleet.step(doomed, 1));
+            wait_until_parked(&fleet, before + 2);
+            trigger.send(()).unwrap();
+            assert_eq!(query.join().unwrap(), Err(FleetError::ShuttingDown));
+            assert_eq!(close.join().unwrap(), Err(FleetError::ShuttingDown));
+            assert_eq!(step.join().unwrap(), Err(FleetError::ShuttingDown));
+        });
+        // Sent after the panic: refused at once.
+        assert_eq!(fleet.query(doomed), Err(FleetError::ShuttingDown));
+        assert_eq!(fleet.close(doomed), Err(FleetError::ShuttingDown));
+        assert_eq!(fleet.step(doomed, 1), Err(FleetError::ShuttingDown));
+        assert_eq!(fleet.try_step(doomed, 1), Err(FleetError::ShuttingDown));
+        fleet.sync();
+        fleet.step(healthy, 3).unwrap();
+        assert_eq!(fleet.query(healthy).unwrap().steps, 3);
+        // `shutdown` would panic on the dead worker. Dropping the engine still
+        // ends the healthy worker: then only this test counts its depth.
+        let healthy_depth = Arc::clone(&fleet.shards[1].depth);
+        drop(fleet);
+        while Arc::strong_count(&healthy_depth) > 1 {
+            thread::yield_now();
+        }
     }
 
     #[test]

@@ -373,60 +373,38 @@ mod tests {
     }
 
     #[test]
-    fn shutdown_gauges_match_loadgen_totals_and_series_are_per_shard() {
+    fn shard_counters_sum_to_loadgen_totals_and_series_are_per_shard() {
         let setup = metered();
         let report = run_loadgen(&quick_config(), &setup);
         let snap = setup.telemetry.snapshot();
-        // The shutdown fold makes the final totals scrapeable.
-        assert_eq!(
-            snap.gauge("fleet_shutdown_steps_final"),
-            Some(report.total_steps as f64)
-        );
-        assert_eq!(
-            snap.gauge("fleet_shutdown_sessions_final"),
-            Some(report.sessions as f64)
-        );
-        assert_eq!(
-            snap.gauge("fleet_shutdown_finished_drives_final"),
-            Some(report.finished_drives as f64)
-        );
-        // Engine counters are per-shard labeled series whose sum is the
-        // fleet total.
+        // Engine counters are per-shard labeled series, which outlive
+        // the engine in its registry; their sums are the fleet totals.
         assert_eq!(
             snap.counter("fleet_steps_total"),
             None,
             "no unlabeled series"
         );
-        assert_eq!(
-            snap.counter_sum("fleet_steps_total"),
-            Some(report.total_steps)
-        );
+        let sum = |name: &str| snap.counter_sum(name);
+        assert_eq!(sum("fleet_steps_total"), Some(report.total_steps));
+        let sessions = Some(report.sessions as u64);
+        assert_eq!(sum("fleet_sessions_opened_total"), sessions);
+        assert_eq!(sum("fleet_sessions_closed_total"), sessions);
         assert!(snap
             .counter_labeled("fleet_steps_total", &[("shard", "0")])
             .is_some());
-        // Per-command latency histograms populated on every shard.
+        // Per-command latency histograms populated on every shard; the
+        // queue and the live sessions have drained back to zero.
         for shard in 0..report.shards {
             let shard = shard.to_string();
             let h = snap
                 .histogram_labeled("fleet_cmd_seconds", &[("cmd", "step"), ("shard", &shard)])
                 .expect("step latency series per shard");
             assert!(h.count > 0, "shard {shard} step histogram empty");
-            assert!(snap
-                .gauge_labeled("fleet_queue_depth", &[("shard", &shard)])
-                .is_some());
-        }
-        // Per-shard shutdown gauges sum to the fleet total.
-        let shard_steps: f64 = (0..report.shards)
-            .map(|i| {
-                let shard = i.to_string();
-                snap.gauge_labeled("fleet_shutdown_shard_steps_final", &[("shard", &shard)])
-                    .expect("per-shard final steps gauge")
-            })
-            .sum();
-        assert_eq!(shard_steps as u64, report.total_steps);
-        // Live sessions have all drained back to zero.
-        for i in 0..report.shards {
-            let shard = i.to_string();
+            assert_eq!(
+                snap.gauge_labeled("fleet_queue_depth", &[("shard", &shard)]),
+                Some(0.0),
+                "shard {shard} still reports queued commands"
+            );
             assert_eq!(
                 snap.gauge_labeled("fleet_live_sessions", &[("shard", &shard)]),
                 Some(0.0),

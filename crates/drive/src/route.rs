@@ -88,13 +88,14 @@ pub struct Route {
     segments: Vec<RouteSegment>,
     /// `stops[i]` = idle duration after segment `i` (s).
     stops: Vec<f64>,
-    /// Comfortable acceleration used for transitions (m/s²).
-    accel: f64,
-    /// Comfortable deceleration used for transitions (m/s², positive).
-    decel: f64,
 }
 
 impl Route {
+    /// Comfortable acceleration used for transitions (m/s²).
+    const COMFORT_ACCEL: f64 = 1.2;
+    /// Comfortable deceleration used for transitions (m/s², positive).
+    const COMFORT_DECEL: f64 = 1.5;
+
     /// Creates a route from segments with no intermediate stops.
     ///
     /// # Panics
@@ -107,8 +108,6 @@ impl Route {
         Self {
             segments,
             stops: vec![0.0; n],
-            accel: 1.2,
-            decel: 1.5,
         }
     }
 
@@ -125,22 +124,6 @@ impl Route {
             "stop duration must be non-negative"
         );
         self.stops[index] = duration.value();
-        self
-    }
-
-    /// Sets the comfort acceleration/deceleration used at transitions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either value is non-positive.
-    #[must_use]
-    pub fn with_comfort_limits(mut self, accel: f64, decel: f64) -> Self {
-        assert!(
-            accel > 0.0 && decel > 0.0,
-            "comfort limits must be positive"
-        );
-        self.accel = accel;
-        self.decel = decel;
         self
     }
 
@@ -187,18 +170,18 @@ impl Route {
                 // Distance needed to reach the exit speed from here.
                 let exit_gap = v - next_target;
                 let brake_dist = if exit_gap > 0.0 {
-                    exit_gap * (v + next_target) / (2.0 * self.decel)
+                    exit_gap * (v + next_target) / (2.0 * Self::COMFORT_DECEL)
                 } else {
                     0.0
                 };
                 let remaining = seg.length_m - travelled;
                 if remaining <= brake_dist + v * h {
                     // Brake toward the exit speed.
-                    v = (v - self.decel * h).max(next_target);
+                    v = (v - Self::COMFORT_DECEL * h).max(next_target);
                 } else if v < target {
-                    v = (v + self.accel * h).min(target);
+                    v = (v + Self::COMFORT_ACCEL * h).min(target);
                 } else if v > target {
-                    v = (v - self.decel * h).max(target);
+                    v = (v - Self::COMFORT_DECEL * h).max(target);
                 }
                 travelled += v * h;
                 speeds.push(v);
@@ -210,7 +193,7 @@ impl Route {
             }
             if must_stop {
                 while v > 0.0 {
-                    v = (v - self.decel * h).max(0.0);
+                    v = (v - Self::COMFORT_DECEL * h).max(0.0);
                     speeds.push(v);
                     grades.push(grade);
                 }
@@ -306,14 +289,13 @@ mod tests {
 
     #[test]
     fn accelerations_respect_comfort_limits() {
-        let route = two_segment_route().with_comfort_limits(1.0, 1.3);
-        let p = route.to_profile(
+        let p = two_segment_route().to_profile(
             AmbientConditions::constant(Celsius::new(25.0)),
             Seconds::new(1.0),
         );
         for s in p.iter() {
-            assert!(s.a <= 1.0 + 1e-9, "a {}", s.a);
-            assert!(s.a >= -1.3 - 1e-9, "a {}", s.a);
+            assert!(s.a <= 1.2 + 1e-9, "a {}", s.a);
+            assert!(s.a >= -1.5 - 1e-9, "a {}", s.a);
         }
     }
 

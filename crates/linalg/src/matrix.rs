@@ -374,12 +374,6 @@ impl Matrix {
         }
     }
 
-    /// Frobenius norm.
-    #[must_use]
-    pub fn norm_frobenius(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
     /// Maximum absolute entry (∞-norm of the flattened matrix).
     #[must_use]
     pub fn norm_max(&self) -> f64 {
@@ -499,7 +493,7 @@ mod tests {
         let s = a.add(&a).unwrap();
         assert_eq!(s, a.scale(2.0));
         let z = s.sub(&a).unwrap().sub(&a).unwrap();
-        assert_eq!(z.norm_frobenius(), 0.0);
+        assert_eq!(z.norm_max(), 0.0);
     }
 
     #[test]
@@ -519,7 +513,6 @@ mod tests {
     #[test]
     fn norms() {
         let m = Matrix::from_rows(&[&[3.0, 0.0], &[0.0, -4.0]]).unwrap();
-        assert!((m.norm_frobenius() - 5.0).abs() < 1e-12);
         assert_eq!(m.norm_max(), 4.0);
     }
 

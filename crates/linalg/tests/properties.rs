@@ -87,12 +87,6 @@ proptest! {
     }
 
     #[test]
-    fn transpose_preserves_frobenius(a in dominant_matrix(5)) {
-        let t = a.transpose();
-        prop_assert!((a.norm_frobenius() - t.norm_frobenius()).abs() < 1e-12);
-    }
-
-    #[test]
     fn matvec_agrees_with_matmul(
         a in dominant_matrix(4),
         x in rhs(4),
