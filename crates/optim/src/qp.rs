@@ -10,7 +10,10 @@
 //! rejects a pivot), or — when the problem declares its horizon structure
 //! via [`QpStructure`] — a banded LDLᵀ under a stage-interleaved
 //! permutation, making each interior-point iteration `O(N)` in the
-//! horizon length.
+//! horizon length. The SQP's elastic retries
+//! ([`QpSolver::solve_view_elastic`]) pose their slack relaxation as one
+//! more view, so the interior point and its KKT workspace serve a single
+//! kind of QP.
 
 use ev_linalg::{vecops, BandedCholesky, BandedMatrix, Cholesky, Lu, Matrix, SparseMatrix};
 
@@ -64,16 +67,6 @@ pub enum QpKktBackend {
     Banded,
 }
 
-/// `row_i · x` of CSR rows.
-fn row_dot(a: &SparseMatrix, i: usize, x: &[f64]) -> f64 {
-    let (cols, vals) = a.row(i);
-    let mut sum = 0.0;
-    for (c, v) in cols.iter().zip(vals) {
-        sum += v * x[*c];
-    }
-    sum
-}
-
 /// `out += coeff · row_i` of CSR rows (`out` has one entry per column).
 pub(crate) fn add_scaled_row(a: &SparseMatrix, i: usize, coeff: f64, out: &mut [f64]) {
     let (cols, vals) = a.row(i);
@@ -87,147 +80,9 @@ pub(crate) fn rows_matvec(a: &SparseMatrix, x: &[f64], out: &mut [f64]) {
     a.matvec(x, out).expect("dimensions checked at view build");
 }
 
-/// How the KKT workspace treats the interior-point loop's inequality
-/// rows: a view's own Jacobian, or the rows of its elastic relaxation.
-#[derive(Debug, Clone, Copy)]
-enum KktRows<'a> {
-    Nominal(&'a SparseMatrix),
-    Elastic(&'a ElasticRows<'a>),
-}
-
-/// Row access the interior-point loop needs from its inequality rows.
-/// The loop is generic over it, so the nominal path compiles to direct
-/// calls on the view's Jacobian, exactly as before elastic mode existed.
-trait IpmInequalities: Copy {
-    fn norm_max(&self) -> f64;
-    /// `out = A·x`.
-    fn matvec_into(&self, x: &[f64], out: &mut [f64]);
-    /// `out += Aᵀx`, each `out[c]` receiving its terms in row order of
-    /// `A`. `columns` is the column copy of a view's own rows.
-    fn add_transposed(&self, columns: &Columns, x: &[f64], out: &mut [f64]);
-    fn kkt_rows(&self) -> KktRows<'_>;
-}
-
-impl IpmInequalities for &SparseMatrix {
-    fn norm_max(&self) -> f64 {
-        SparseMatrix::norm_max(self)
-    }
-    fn matvec_into(&self, x: &[f64], out: &mut [f64]) {
-        rows_matvec(self, x, out);
-    }
-    fn add_transposed(&self, columns: &Columns, x: &[f64], out: &mut [f64]) {
-        columns.add_transposed(x, out);
-    }
-    fn kkt_rows(&self) -> KktRows<'_> {
-        KktRows::Nominal(self)
-    }
-}
-
-/// An elastic relaxation's rows are scattered into `out` one by one; it
-/// has no column copy.
-impl IpmInequalities for &ElasticRows<'_> {
-    fn norm_max(&self) -> f64 {
-        ElasticRows::norm_max(self)
-    }
-    fn matvec_into(&self, x: &[f64], out: &mut [f64]) {
-        ElasticRows::matvec_into(self, x, out);
-    }
-    fn add_transposed(&self, _: &Columns, x: &[f64], out: &mut [f64]) {
-        for (i, &xi) in x.iter().enumerate() {
-            ElasticRows::add_scaled_row(self, i, xi, out);
-        }
-    }
-    fn kkt_rows(&self) -> KktRows<'_> {
-        KktRows::Elastic(self)
-    }
-}
-
 /// Curvature `δ` the elastic relaxation puts on every slack, keeping its
 /// Hessian positive definite.
 const ELASTIC_CURVATURE: f64 = 1e-8;
-
-/// The inequality rows of a view's elastic relaxation (see
-/// [`QpSolver::solve_view_elastic`]) over the unknowns `x = (d, t)`, with
-/// `d` the view's `n` variables and one slack `t ≥ 0` per constraint:
-///
-/// ```text
-/// rows 0..2·me          ±(A_eq d − b_eq)ᵣ − tᵣ ≤ 0   (row pair r shares tᵣ)
-/// rows 2·me..2·me+mi    (A_in d − b_in)ᵣ − t_{me+r} ≤ 0
-/// rows 2·me+mi..        −tₖ ≤ 0
-/// ```
-///
-/// This is the row order of the explicit (n+me+mi)-variable formulation,
-/// so multipliers map back the same way; only the KKT solve differs, by
-/// eliminating the slack block (see [`ElasticKkt`]).
-#[derive(Debug, Clone, Copy)]
-struct ElasticRows<'a> {
-    n: usize,
-    eq: Option<&'a SparseMatrix>,
-    me: usize,
-    ineq: Option<&'a SparseMatrix>,
-    mi: usize,
-}
-
-impl<'a> ElasticRows<'a> {
-    fn num_rows(&self) -> usize {
-        3 * self.me + 2 * self.mi
-    }
-
-    /// The slacks' own rows hold −1 entries, so the relaxation's max-norm
-    /// is at least one whenever any row exists.
-    fn norm_max(&self) -> f64 {
-        let ones: f64 = if self.me + self.mi > 0 { 1.0 } else { 0.0 };
-        ones.max(self.eq.map_or(0.0, |a| a.norm_max()))
-            .max(self.ineq.map_or(0.0, |a| a.norm_max()))
-    }
-
-    /// The nominal row behind slack `k`: equality `k`, or inequality
-    /// `k − me`.
-    fn slack_row(&self, k: usize) -> (&'a SparseMatrix, usize) {
-        if k < self.me {
-            (self.eq.expect("me > 0 implies A_eq"), k)
-        } else {
-            (self.ineq.expect("mi > 0 implies A_in"), k - self.me)
-        }
-    }
-
-    fn matvec_into(&self, x: &[f64], out: &mut [f64]) {
-        let (d, t) = x.split_at(self.n);
-        let (me, mi) = (self.me, self.mi);
-        if let Some(eq) = self.eq {
-            for r in 0..me {
-                let v = row_dot(eq, r, d);
-                out[2 * r] = v - t[r];
-                out[2 * r + 1] = -v - t[r];
-            }
-        }
-        if let Some(ineq) = self.ineq {
-            for r in 0..mi {
-                out[2 * me + r] = row_dot(ineq, r, d) - t[me + r];
-            }
-        }
-        for (o, tk) in out[2 * me + mi..].iter_mut().zip(t) {
-            *o = -tk;
-        }
-    }
-
-    fn add_scaled_row(&self, i: usize, coeff: f64, out: &mut [f64]) {
-        let (od, ot) = out.split_at_mut(self.n);
-        let (me, mi) = (self.me, self.mi);
-        if i < 2 * me {
-            let r = i / 2;
-            let signed = if i.is_multiple_of(2) { coeff } else { -coeff };
-            add_scaled_row(self.eq.expect("me > 0 implies A_eq"), r, signed, od);
-            ot[r] -= coeff;
-        } else if i < 2 * me + mi {
-            let r = i - 2 * me;
-            add_scaled_row(self.ineq.expect("mi > 0 implies A_in"), r, coeff, od);
-            ot[me + r] -= coeff;
-        } else {
-            ot[i - 2 * me - mi] -= coeff;
-        }
-    }
-}
 
 /// A convex quadratic program
 ///
@@ -677,17 +532,19 @@ impl QpSolver {
     ///
     /// with `δ = 1e-8`. The relaxation is feasible whatever the nominal
     /// rows are, which makes it the recovery path for inconsistent SQP
-    /// linearizations. It starts cold from `(d, t) = 0`; the view's
-    /// structure declaration and any warm-start cache are not used.
+    /// linearizations.
     ///
-    /// The interior-point method runs on the explicit formulation's
-    /// residuals, but each KKT solve eliminates the diagonal slack block,
-    /// so only an `n × n` system is factored. The returned solution is
-    /// laid out like the explicit formulation: `z = (d, t)` has
+    /// It is posed as an ordinary [`QpView`] over the `n + me + mi`
+    /// unknowns `z = (d, t)` and solved like any other: Hessian
+    /// `diag(H, δI)`, linear term `(g, slack_weight·1)` and no equality
+    /// rows, the `3·me + 2·mi` inequality rows in the order above (the
+    /// pair for equality `r` at `2r`, `2r + 1`, inequality `r` at
+    /// `2·me + r`, then the slack bounds `−t ≤ 0`). It starts cold from
+    /// `z = 0`; the view's structure declaration and any warm-start cache
+    /// are not used. The returned solution is that QP's: `z` has
     /// `n + me + mi` entries, `y_eq` is empty and `lambda_in` holds the
-    /// `3·me + 2·mi` row multipliers in the row order above (the pair for
-    /// equality `r` at `2r`, `2r + 1`, inequality `r` at `2·me + r`, then
-    /// the slack bounds). A view with no constraints is solved as is.
+    /// row multipliers in that order. A view with no constraints is
+    /// solved as is.
     ///
     /// # Errors
     ///
@@ -711,38 +568,42 @@ impl QpSolver {
         if !slack_weight.is_finite() {
             return Err(OptimError::NonFiniteData);
         }
-        let n = problem.num_vars();
-        let me = problem.num_eq();
-        let mi = problem.num_ineq();
-        if me + mi == 0 {
-            return self.solve_equality_only(problem, 0);
-        }
-        let rows = ElasticRows {
-            n,
-            eq: problem.a_eq,
-            me,
-            ineq: problem.a_in,
-            mi,
-        };
+        let (n, me, mi) = (problem.num_vars(), problem.num_eq(), problem.num_ineq());
         let nv = n + me + mi;
-        let mut g = Vec::with_capacity(nv);
-        g.extend_from_slice(problem.g);
-        g.resize(nv, slack_weight);
-        let mut b = Vec::with_capacity(rows.num_rows());
-        for &br in problem.b_eq {
-            b.push(br);
-            b.push(-br);
+        let mut h = Matrix::zeros(nv, nv);
+        for r in 0..n {
+            h.row_mut(r)[..n].copy_from_slice(problem.h.row(r));
         }
-        b.extend_from_slice(problem.b_in);
-        b.resize(rows.num_rows(), 0.0);
-        let ipm = IpmRows {
-            g: &g,
-            a_eq: None,
-            b_eq: &[],
-            a_in: &rows,
-            b_in: &b,
+        for k in n..nv {
+            h.set(k, k, ELASTIC_CURVATURE);
+        }
+        let mut g = vec![slack_weight; nv];
+        g[..n].copy_from_slice(problem.g);
+        let mut a = SparseMatrix::new();
+        a.reset(nv);
+        let mut b = Vec::with_capacity(3 * me + 2 * mi);
+        let mut push_row = |row: (&[usize], &[f64]), sign: f64, slack: usize, rhs: f64| {
+            for (&c, &v) in row.0.iter().zip(row.1) {
+                a.push(c, sign * v);
+            }
+            a.push(n + slack, -1.0);
+            a.finish_row();
+            b.push(sign * rhs);
         };
-        self.interior_point(problem, &ipm, &vec![0.0; nv], None, &mut 0, ws)
+        for r in 0..me {
+            let row = problem.a_eq.expect("me > 0 implies A_eq").row(r);
+            push_row(row, 1.0, r, problem.b_eq[r]);
+            push_row(row, -1.0, r, problem.b_eq[r]);
+        }
+        for r in 0..mi {
+            let row = problem.a_in.expect("mi > 0 implies A_in").row(r);
+            push_row(row, 1.0, me + r, problem.b_in[r]);
+        }
+        for k in 0..me + mi {
+            push_row((&[], &[]), 1.0, k, 0.0);
+        }
+        let relaxed = QpView::new(&h, &g)?.with_inequalities(&a, &b)?;
+        self.solve_view_in(&relaxed, &vec![0.0; nv], ws)
     }
 
     /// Solves from `z0`, cold or (with `warm_lam`) warm; `spent` receives
@@ -762,39 +623,29 @@ impl QpSolver {
         let Some(a_in) = problem.a_in.filter(|_| problem.num_ineq() > 0) else {
             return self.solve_equality_only(problem, problem.num_eq());
         };
-        let ipm = IpmRows {
-            g: problem.g,
-            a_eq: problem.a_eq,
-            b_eq: problem.b_eq,
-            a_in,
-            b_in: problem.b_in,
-        };
-        self.interior_point(problem, &ipm, z0, warm_lam, spent, ws)
+        self.interior_point(problem, a_in, z0, warm_lam, spent, ws)
     }
 
-    /// The Mehrotra predictor–corrector loop over `rows` (the view's own
-    /// rows, or its elastic relaxation), from the primal point `z0` and,
-    /// when `warm_lam` is given, the duals of a previous solve. A warm
-    /// start gives up as soon as its iterates stall (see [`Stall`]); a
-    /// cold one runs the full budget. `spent` receives the iterations
-    /// performed, whatever the outcome. Everything the loop touches lives
-    /// in `ws`, resized to this solve and overwritten before it is read.
-    #[allow(clippy::too_many_arguments)]
-    fn interior_point<R: IpmInequalities>(
+    /// The Mehrotra predictor–corrector loop over the view's inequality
+    /// rows `a_in`, from the primal point `z0` and, when `warm_lam` is
+    /// given, the duals of a previous solve. A warm start gives up as
+    /// soon as its iterates stall (see [`Stall`]); a cold one runs the
+    /// full budget. `spent` receives the iterations performed, whatever
+    /// the outcome. Everything the loop touches lives in `ws`, resized to
+    /// this solve and overwritten before it is read.
+    fn interior_point(
         &self,
         problem: &QpView<'_>,
-        rows: &IpmRows<'_, R>,
+        a_in: &SparseMatrix,
         z0: &[f64],
         warm_lam: Option<&[f64]>,
         spent: &mut usize,
         ws: &mut IpmWorkspace,
     ) -> Result<QpSolution, OptimError> {
-        let n = rows.g.len();
-        let me = rows.b_eq.len();
-        let mi = rows.b_in.len();
-        let elastic = matches!(rows.a_in.kkt_rows(), KktRows::Elastic(_));
-        let a_in = rows.a_in;
-        let a_eq = rows.a_eq;
+        let n = problem.num_vars();
+        let me = problem.num_eq();
+        let mi = problem.num_ineq();
+        let (g, a_eq, b_eq, b_in) = (problem.g, problem.a_eq, problem.b_eq, problem.b_in);
         ws.resize(n, me, mi);
         let IpmWorkspace {
             kkt,
@@ -829,10 +680,8 @@ impl QpSolver {
                 dlam_aff, cdz, jt, coeff,
             ]
             .map(Vec::as_mut_slice);
-        kkt.prepare(problem, a_in.kkt_rows(), self.options.prefer_dense_cholesky);
-        if let KktRows::Nominal(a) = a_in.kkt_rows() {
-            columns.fill(a);
-        }
+        kkt.prepare(problem, self.options.prefer_dense_cholesky);
+        columns.fill(a_in);
         let columns = &*columns;
         z.copy_from_slice(z0);
         y.fill(0.0);
@@ -841,10 +690,10 @@ impl QpSolver {
         // solve's multipliers when warm (slacks re-derived from the
         // *current* constraint values so an infeasible start still yields
         // s > 0), cold (s ≥ 1, λ = 1) otherwise.
-        a_in.matvec_into(z, cz);
+        rows_matvec(a_in, z, cz);
         let mut stall = warm_lam.map(|_| Stall::default());
         let floor = if warm_lam.is_some() { 1e-3 } else { 1.0 };
-        for ((si, b), c) in s.iter_mut().zip(rows.b_in).zip(cz.iter()) {
+        for ((si, b), c) in s.iter_mut().zip(b_in).zip(cz.iter()) {
             *si = (b - c).max(floor);
         }
         match warm_lam {
@@ -862,18 +711,17 @@ impl QpSolver {
         // problems may still couple adjacent blocks inside the band, so
         // the in-band below-block entries are checked once per solve;
         // entries beyond the declared band are already promised zero.
-        // Structure-less problems, and elastic relaxations, keep the
-        // dense matvec with its historical summation order.
-        let nh = problem.num_vars();
-        let h_block = problem.structure.filter(|_| !elastic).and_then(|st| {
+        // Structure-less problems keep the dense matvec with its
+        // historical summation order.
+        let h_block = problem.structure.and_then(|st| {
             let vb = st.vars_per_block;
-            if vb == 0 || !nh.is_multiple_of(vb) {
+            if vb == 0 || !n.is_multiple_of(vb) {
                 return None;
             }
             let w_max = st.bandwidth();
             let stride = vb + st.eq_per_block;
             let var_pos = |j: usize| (j / vb) * stride + (j % vb);
-            let block_diag = (0..nh).all(|j| {
+            let block_diag = (0..n).all(|j| {
                 let block_start = (j / vb) * vb;
                 (0..block_start)
                     .rev()
@@ -889,7 +737,7 @@ impl QpSolver {
         let h_norm = match h_block {
             Some(vb) => {
                 let mut m = 0.0f64;
-                for b in (0..nh).step_by(vb) {
+                for b in (0..n).step_by(vb) {
                     for r in b..b + vb {
                         for c in b..b + vb {
                             let v = problem.h.get(r, c).abs();
@@ -903,15 +751,9 @@ impl QpSolver {
             }
             None => problem.h.norm_max(),
         };
-        // The elastic Hessian is block-diagonal (H, δI).
-        let h_norm = if elastic {
-            h_norm.max(ELASTIC_CURVATURE)
-        } else {
-            h_norm
-        };
         let data_scale = 1.0
             + h_norm
-            + vecops::norm_inf(rows.g)
+            + vecops::norm_inf(g)
             + a_eq.map_or(0.0, |a| a.norm_max())
             + a_in.norm_max();
 
@@ -921,7 +763,7 @@ impl QpSolver {
         // residuals are judged: the constraint right-hand sides bound the
         // geometry of the feasible set the same way the matrix norms in
         // `data_scale` bound the operator magnitudes.
-        let geom_scale = data_scale + vecops::norm_inf(rows.b_in) + vecops::norm_inf(rows.b_eq);
+        let geom_scale = data_scale + vecops::norm_inf(b_in) + vecops::norm_inf(b_eq);
         // Residual threshold separating "still converging" from "stuck":
         // √tol sits orders of magnitude above the convergence tolerance
         // yet far below any genuine constraint gap.
@@ -933,7 +775,7 @@ impl QpSolver {
             // rc = A_in·z + s − b_in.
             hess_matvec(problem.h, h_block, z, hz);
             for r in 0..n {
-                rd[r] = hz[r] + rows.g[r];
+                rd[r] = hz[r] + g[r];
             }
             // Each transposed product accumulates in its own buffer and is
             // added to rd as one elementwise pass — the exact summation
@@ -949,19 +791,19 @@ impl QpSolver {
                 }
             }
             jt.fill(0.0);
-            a_in.add_transposed(columns, lam, jt);
+            columns.add_transposed(lam, jt);
             for r in 0..n {
                 rd[r] += jt[r];
             }
             if let Some(a_eq) = a_eq {
                 rows_matvec(a_eq, z, rp);
                 for r in 0..me {
-                    rp[r] -= rows.b_eq[r];
+                    rp[r] -= b_eq[r];
                 }
             }
-            a_in.matvec_into(z, cz);
+            rows_matvec(a_in, z, cz);
             for i in 0..mi {
-                rc[i] = cz[i] + s[i] - rows.b_in[i];
+                rc[i] = cz[i] + s[i] - b_in[i];
             }
             let mu = vecops::dot(s, lam) / mi as f64;
 
@@ -971,7 +813,7 @@ impl QpSolver {
                 && vecops::norm_inf(rc) <= tol * data_scale;
             if converged {
                 // `hz` still holds H·z for this very iterate.
-                let objective = 0.5 * vecops::dot(z, hz) + vecops::dot(rows.g, z);
+                let objective = 0.5 * vecops::dot(z, hz) + vecops::dot(g, z);
                 return Ok(QpSolution {
                     objective,
                     z: z.to_vec(),
@@ -995,7 +837,7 @@ impl QpSolver {
             for i in 0..mi {
                 wvec[i] = lam[i] / s[i];
             }
-            kkt.factor(problem, a_in.kkt_rows(), wvec, reg)?;
+            kkt.factor(problem, wvec, reg)?;
 
             // Affine (predictor) direction: target σ = 0.
             for i in 0..mi {
@@ -1058,17 +900,17 @@ impl QpSolver {
         // Re-evaluate residuals for the error report.
         hess_matvec(problem.h, None, z, hz);
         for r in 0..n {
-            rd[r] = hz[r] + rows.g[r];
+            rd[r] = hz[r] + g[r];
         }
         if let Some(a_eq) = a_eq {
             rows_matvec(a_eq, z, rp);
             for r in 0..me {
-                rp[r] -= rows.b_eq[r];
+                rp[r] -= b_eq[r];
             }
         }
-        a_in.matvec_into(z, cz);
+        rows_matvec(a_in, z, cz);
         for i in 0..mi {
-            rc[i] = cz[i] + s[i] - rows.b_in[i];
+            rc[i] = cz[i] + s[i] - b_in[i];
         }
         let primal_residual = vecops::norm_inf(rp).max(vecops::norm_inf(rc));
         // A primal residual stuck far above the convergence scale after a
@@ -1258,18 +1100,12 @@ fn block_diag_matvec(m: &Matrix, vb: usize, x: &[f64], out: &mut [f64]) {
     }
 }
 
-/// `out = H·x` over the view's variables, continued by `δ·t` on the
-/// slack tail of an elastic iterate (empty for a nominal one).
+/// `out = H·x`, reading only the diagonal blocks of a verified
+/// block-diagonal `H` (`h_block` is their size).
 fn hess_matvec(h: &Matrix, h_block: Option<usize>, x: &[f64], out: &mut [f64]) {
-    let n = h.rows();
-    let (xd, xt) = x.split_at(n);
-    let (od, ot) = out.split_at_mut(n);
     match h_block {
-        Some(vb) => block_diag_matvec(h, vb, xd, od),
-        None => matvec_into(h, xd, od),
-    }
-    for (o, t) in ot.iter_mut().zip(xt) {
-        *o = ELASTIC_CURVATURE * t;
+        Some(vb) => block_diag_matvec(h, vb, x, out),
+        None => matvec_into(h, x, out),
     }
 }
 
@@ -1344,7 +1180,7 @@ impl IpmWorkspace {
 }
 
 /// A CSR inequality Jacobian regrouped by column, each column's entries
-/// in ascending row order. Rebuilt at the start of every nominal solve, it
+/// in ascending row order. Rebuilt at the start of every solve, it
 /// turns the loop's `out += Aᵀx` products from a row-by-row scatter into
 /// one running sum per `out[c]` that receives the same terms `x_i·a_ic`
 /// in the same order.
@@ -1402,24 +1238,13 @@ impl Columns {
     }
 }
 
-/// The linear data the interior-point loop iterates on: a view's own
-/// rows, or the rows of its elastic relaxation (whose `g` carries the
-/// slack prices and whose `a_in` is the [`ElasticRows`]).
-struct IpmRows<'a, R> {
-    g: &'a [f64],
-    a_eq: Option<&'a SparseMatrix>,
-    b_eq: &'a [f64],
-    a_in: R,
-    b_in: &'a [f64],
-}
-
 /// Solves one Newton system given the factored KKT workspace and the
 /// complementarity right-hand side `r_slam` (entries `sᵢλᵢ − target`),
 /// writing the directions into the provided buffers.
 #[allow(clippy::too_many_arguments)]
-fn newton_step<R: IpmInequalities>(
+fn newton_step(
     ws: &mut KktWorkspace,
-    a_in: R,
+    a_in: &SparseMatrix,
     columns: &Columns,
     rd: &[f64],
     rp: &[f64],
@@ -1446,15 +1271,15 @@ fn newton_step<R: IpmInequalities>(
     for i in 0..mi {
         coeff[i] = (r_slam[i] - lam[i] * rc[i]) / s[i];
     }
-    a_in.add_transposed(columns, coeff, &mut rhs[..n]);
+    columns.add_transposed(coeff, &mut rhs[..n]);
     for r in 0..me {
         rhs[n + r] = -rp[r];
     }
-    ws.solve_in_place(a_in.kkt_rows(), rhs)?;
+    ws.solve_in_place(rhs)?;
     dz.copy_from_slice(&rhs[..n]);
     dy.copy_from_slice(&rhs[n..]);
 
-    a_in.matvec_into(dz, cdz);
+    rows_matvec(a_in, dz, cdz);
     for i in 0..mi {
         ds[i] = -rc[i] - cdz[i];
         dlam[i] = -(r_slam[i] + lam[i] * ds[i]) / s[i];
@@ -1490,8 +1315,6 @@ struct KktWorkspace {
     use_cholesky: bool,
     lu: Option<Lu>,
     backend: QpKktBackend,
-    /// Slack elimination state, used when solving an elastic relaxation.
-    elastic: ElasticKkt,
 }
 
 impl Default for KktWorkspace {
@@ -1510,71 +1333,15 @@ impl Default for KktWorkspace {
             use_cholesky: false,
             lu: None,
             backend: QpKktBackend::DenseLu,
-            elastic: ElasticKkt::default(),
-        }
-    }
-}
-
-/// The diagonal slack block of an elastic relaxation's KKT system and
-/// its elimination.
-///
-/// Ordering the unknowns `(d, t)`, the relaxation's reduced KKT matrix is
-/// `[K_dd, K_dt; K_td, K_tt]` with `K_tt` diagonal. Slack `k` couples to
-/// `d` only through its nominal row `aₖ`: `K_td[k] = cₖ·aₖ` with
-/// `cₖ = w⁻ − w⁺` for an equality pair and `cₖ = −w₁` for an inequality.
-/// Eliminating it leaves the `n × n` matrix `H + δ_reg·I + Σₖ ωₖ aₖᵀaₖ`
-/// with `ωₖ = w₁(δ′+w₂)/(δ′+w₁+w₂)` (inequality) or
-/// `ωₖ = [(w⁺+w⁻)(δ′+w_b) + 4w⁺w⁻]/K_tt[k]` (equality pair), where
-/// `δ′ = δ + δ_reg`, `w = λ/s` of the row and `w₂`, `w_b` belong to the
-/// slack's bound row. See DESIGN.md for the derivation.
-#[derive(Debug, Default)]
-struct ElasticKkt {
-    /// `K_tt[k]`.
-    ktt: Vec<f64>,
-    /// `cₖ` of `K_td[k] = cₖ·aₖ`.
-    ktd: Vec<f64>,
-    /// Reduced row weights `ωₖ`: equalities then inequalities.
-    omega: Vec<f64>,
-}
-
-impl ElasticKkt {
-    /// Refreshes the slack block from the relaxation's row weights `w`.
-    fn update(&mut self, rows: &ElasticRows<'_>, w: &[f64], reg: f64) {
-        let (me, mi) = (rows.me, rows.mi);
-        for v in [&mut self.ktt, &mut self.ktd, &mut self.omega] {
-            v.resize(me + mi, 0.0);
-        }
-        let d = ELASTIC_CURVATURE + reg;
-        let bound = &w[2 * me + mi..];
-        for r in 0..me {
-            let (wp, wm, wb) = (w[2 * r], w[2 * r + 1], bound[r]);
-            let ktt = d + wp + wm + wb;
-            self.ktt[r] = ktt;
-            self.ktd[r] = wm - wp;
-            self.omega[r] = ((wp + wm) * (d + wb) + 4.0 * wp * wm) / ktt;
-        }
-        for r in 0..mi {
-            let k = me + r;
-            let (w1, w2) = (w[2 * me + r], bound[k]);
-            let ktt = d + w1 + w2;
-            self.ktt[k] = ktt;
-            self.ktd[k] = -w1;
-            self.omega[k] = w1 * (d + w2) / ktt;
         }
     }
 }
 
 impl KktWorkspace {
     /// Sets the workspace up for one QP solve, keeping its storage.
-    fn prepare(&mut self, problem: &QpView<'_>, a_in: KktRows<'_>, prefer_dense_cholesky: bool) {
-        let n = problem.num_vars();
-        // An elastic relaxation has no equality block: its equalities
-        // became slack-relaxed row pairs, eliminated down to n × n.
-        let (me, elastic) = match a_in {
-            KktRows::Elastic(_) => (0, true),
-            KktRows::Nominal(_) => (problem.num_eq(), false),
-        };
-        match banded_plan(problem).filter(|_| !elastic) {
+    fn prepare(&mut self, problem: &QpView<'_>, prefer_dense_cholesky: bool) {
+        let (n, me) = (problem.num_vars(), problem.num_eq());
+        match banded_plan(problem) {
             Some((pos, w)) => {
                 self.pos = pos;
                 self.bandwidth = w;
@@ -1597,24 +1364,7 @@ impl KktWorkspace {
     /// Assembles and factors the KKT matrix for the current weights
     /// `wvec = λ/s`, degrading to a denser backend on factorization
     /// failure.
-    fn factor(
-        &mut self,
-        problem: &QpView<'_>,
-        a_in: KktRows<'_>,
-        wvec: &[f64],
-        reg: f64,
-    ) -> Result<(), OptimError> {
-        let a_in = match a_in {
-            KktRows::Nominal(c) => c,
-            KktRows::Elastic(rows) => {
-                let mut el = std::mem::take(&mut self.elastic);
-                el.update(rows, wvec, reg);
-                let (w_eq, w_in) = el.omega.split_at(rows.me);
-                let result = self.factor_dense(problem, &[(rows.eq, w_eq), (rows.ineq, w_in)], reg);
-                self.elastic = el;
-                return result;
-            }
-        };
+    fn factor(&mut self, problem: &QpView<'_>, wvec: &[f64], reg: f64) -> Result<(), OptimError> {
         if self.banded {
             match self.factor_banded(problem, wvec, reg) {
                 Ok(()) => {
@@ -1627,7 +1377,7 @@ impl KktWorkspace {
                 Err(_) => self.banded = false,
             }
         }
-        self.factor_dense(problem, &[(Some(a_in), wvec)], reg)
+        self.factor_dense(problem, wvec, reg)
     }
 
     fn factor_banded(
@@ -1696,12 +1446,12 @@ impl KktWorkspace {
     }
 
     /// Assembles the lower triangle of
-    /// `[H + Σ CᵀWC + δ_reg·I, A_eqᵀ; A_eq, −δI]` over row slices and
-    /// factors it. `grams` lists each row block `C` with its weights.
+    /// `[H + CᵀWC + δ_reg·I, A_eqᵀ; A_eq, −δI]` over row slices and
+    /// factors it.
     fn factor_dense(
         &mut self,
         problem: &QpView<'_>,
-        grams: &[(Option<&SparseMatrix>, &[f64])],
+        wvec: &[f64],
         reg: f64,
     ) -> Result<(), OptimError> {
         let (n, me) = (self.n, self.me);
@@ -1716,11 +1466,8 @@ impl KktWorkspace {
         for (r, row) in data.chunks_exact_mut(dim).take(n).enumerate() {
             row[..=r].copy_from_slice(&problem.h.row(r)[..=r]);
         }
-        for &(c, w) in grams {
-            if let Some(c) = c {
-                add_weighted_gram_lower(data, dim, c, w);
-            }
-        }
+        let a_in = problem.a_in.expect("interior point implies A_in");
+        add_weighted_gram_lower(data, dim, a_in, wvec);
         for r in 0..n {
             data[r * dim + r] += reg;
         }
@@ -1781,25 +1528,8 @@ impl KktWorkspace {
     }
 
     /// Solves the factored KKT system in place, permuting through the
-    /// stage-interleaved ordering for the banded backend. For an elastic
-    /// relaxation `rhs = (r_d, r_t)`: the slack block is folded into `r_d`
-    /// before the `n × n` solve and the slack steps are recovered after.
-    fn solve_in_place(&mut self, a_in: KktRows<'_>, rhs: &mut [f64]) -> Result<(), OptimError> {
-        let n = self.n;
-        let el_rows = match a_in {
-            KktRows::Elastic(rows) => {
-                // rhs = (r_d, r_t): fold the slack rows into r_d.
-                let el = &self.elastic;
-                let (rd, rt) = rhs.split_at_mut(n);
-                for (k, &t) in rt.iter().enumerate() {
-                    let (row, i) = rows.slack_row(k);
-                    add_scaled_row(row, i, -el.ktd[k] * t / el.ktt[k], rd);
-                }
-                Some(rows)
-            }
-            KktRows::Nominal(_) => None,
-        };
-        let x = &mut rhs[..n + self.me];
+    /// stage-interleaved ordering for the banded backend.
+    fn solve_in_place(&mut self, x: &mut [f64]) -> Result<(), OptimError> {
         match self.backend {
             QpKktBackend::Banded => {
                 for (i, &p) in self.pos.iter().enumerate() {
@@ -1822,15 +1552,6 @@ impl KktWorkspace {
                     .expect("backend implies factor")
                     .solve_into(x, &mut self.perm_rhs)?;
                 x.copy_from_slice(&self.perm_rhs);
-            }
-        }
-        if let Some(rows) = el_rows {
-            // t = (r_t − K_td·d)/K_tt.
-            let el = &self.elastic;
-            let (dd, dt) = rhs.split_at_mut(n);
-            for (k, t) in dt.iter_mut().enumerate() {
-                let (row, i) = rows.slack_row(k);
-                *t = (*t - el.ktd[k] * row_dot(row, i, dd)) / el.ktt[k];
             }
         }
         Ok(())
@@ -2520,26 +2241,6 @@ mod tests {
             let a = mixed_csr(m, n, &mut seed);
             let w = weights(m, &mut seed);
             assert_gram_is_lower_triangle(&a, n, &w, &mut seed);
-
-            // Elastic relaxations weigh the same rows by their reduced ω.
-            let me = m / 3;
-            let a_eq = mixed_csr(me, n, &mut seed);
-            let rows = ElasticRows {
-                n,
-                eq: Some(&a_eq),
-                me,
-                ineq: Some(&a),
-                mi: m,
-            };
-            let w_el: Vec<f64> = weights(rows.num_rows(), &mut seed)
-                .iter()
-                .map(|v| v.abs())
-                .collect();
-            let mut el = ElasticKkt::default();
-            el.update(&rows, &w_el, 1e-10);
-            let (w_eq, w_in) = el.omega.split_at(me);
-            assert_gram_is_lower_triangle(&a_eq, n, w_eq, &mut seed);
-            assert_gram_is_lower_triangle(&a, n, w_in, &mut seed);
         }
     }
 
@@ -2660,6 +2361,8 @@ mod tests {
             .unwrap()
             .with_inequalities(&contradictory, &[0.0, -1.0])
             .unwrap();
+        // No rows at all: the elastic relaxation is the view itself.
+        let free = QpView::new(&box_h, &box_g).unwrap();
 
         let solver = QpSolver::default();
         let boosted = QpSolver::new(QpSolverOptions {
@@ -2668,7 +2371,7 @@ mod tests {
         });
         let mut ws = IpmWorkspace::default();
         for _ in 0..2 {
-            let views = [&ineq, &eq, &eq_local, &banded, &boxed, &infeasible];
+            let views = [&ineq, &eq, &eq_local, &banded, &boxed, &infeasible, &free];
             for view in views {
                 let z0 = vec![0.0; view.num_vars()];
                 for s in [&solver, &boosted] {
@@ -2681,6 +2384,10 @@ mod tests {
                     &solver.solve_view_elastic(view, 10.0),
                 );
             }
+            assert_same(
+                &solver.solve_view_elastic_in(&free, 10.0, &mut ws),
+                &solver.solve_view(&free),
+            );
             // A warm attempt that breaks down and is re-solved cold ...
             let z0 = vec![0.0; ineq.num_vars()];
             let mut poisoned = QpWarmStart::new();

@@ -1,13 +1,16 @@
-//! Elastic-mode oracle: [`QpSolver::solve_view_elastic`] eliminates the
-//! slack block of the relaxation and factors only an `n × n` system; the
-//! explicit formulation below — the (n + me + mi)-variable QP with one
-//! row per relaxed constraint — is the reference it must match.
+//! Elastic-mode oracle: [`QpSolver::solve_view_elastic`] poses the
+//! relaxation of an inconsistent subproblem as a `QpView` over the
+//! `n + me + mi` unknowns `(d, t)` and solves it like any other QP. The
+//! explicit formulation below, built independently from dense rows, is
+//! the reference. Both sides run the same interior point, so they must
+//! agree bit for bit: the tests pin the construction (the row order, the
+//! signs of each equality pair, the slack columns and right-hand sides,
+//! the slack curvature and price), not a tolerance.
 //!
 //! Every case is an *inconsistent* linearization, the only kind the SQP
-//! ever relaxes: the nominal QP must fail, the relaxation must solve, and
-//! both formulations must agree in objective, step, slacks and row
-//! multipliers, with [`verify_kkt`] certifying the explicit formulation at
-//! the recovered `(d, t)`.
+//! ever relaxes: the nominal QP must fail, the relaxation must solve to
+//! the explicit formulation's bits and iteration count, and [`verify_kkt`]
+//! must certify the explicit formulation at the recovered `(d, t)`.
 
 use ev_linalg::{Matrix, SparseMatrix};
 use ev_optim::{
@@ -224,18 +227,15 @@ fn qpgen_infeasible(seed: u64) -> Subproblem {
     }
 }
 
-fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len());
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| (x - y).abs())
-        .fold(0.0, f64::max)
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
 }
 
-/// The relaxation solved both ways agrees, and the slack-eliminated
-/// answer is a certified KKT point of the explicit formulation. Where the
-/// explicit formulation exhausts its iteration budget the reduced one
-/// must fail the same way. Returns whether the relaxation solved.
+/// The relaxation and the explicit formulation solve to the same bits in
+/// the same number of iterations, and the answer is a certified KKT point
+/// of the explicit formulation. Where the explicit formulation fails the
+/// relaxation must fail with the same error class. Returns whether the
+/// relaxation solved.
 fn assert_matches_explicit(name: &str, sub: &Subproblem, slack_weight: f64) -> bool {
     let solver = QpSolver::default();
     let view = sub.view();
@@ -245,7 +245,7 @@ fn assert_matches_explicit(name: &str, sub: &Subproblem, slack_weight: f64) -> b
     );
     let explicit_qp = explicit_elastic(sub, slack_weight);
     let explicit_view = explicit_qp.view();
-    let (reduced, explicit): (QpSolution, QpSolution) = match (
+    let (relaxed, explicit): (QpSolution, QpSolution) = match (
         solver.solve_view_elastic(&view, slack_weight),
         solver.solve_view(&explicit_view),
     ) {
@@ -254,51 +254,43 @@ fn assert_matches_explicit(name: &str, sub: &Subproblem, slack_weight: f64) -> b
             assert_eq!(
                 std::mem::discriminant(&r),
                 std::mem::discriminant(&e),
-                "{name}: reduced {r} vs explicit {e}"
+                "{name}: relaxed {r} vs explicit {e}"
             );
             return false;
         }
-        (r, e) => panic!("{name}: reduced {r:?} vs explicit {e:?}"),
+        (r, e) => panic!("{name}: relaxed {r:?} vs explicit {e:?}"),
     };
 
     let (n, me, mi) = (view.num_vars(), view.num_eq(), view.num_ineq());
-    assert_eq!(reduced.z.len(), n + me + mi, "{name}: (d, t) layout");
+    assert_eq!(relaxed.z.len(), n + me + mi, "{name}: (d, t) layout");
     assert_eq!(
-        reduced.lambda_in.len(),
+        relaxed.lambda_in.len(),
         3 * me + 2 * mi,
         "{name}: row layout"
     );
-    assert!(reduced.y_eq.is_empty());
-    assert_eq!(reduced.iterations, explicit.iterations, "{name}: IPM path");
-
-    let rel = (reduced.objective - explicit.objective).abs() / explicit.objective.abs().max(1.0);
-    assert!(
-        rel <= 1e-8,
-        "{name}: objective {} vs explicit {} (rel {rel:e})",
-        reduced.objective,
+    assert!(relaxed.y_eq.is_empty());
+    assert_eq!(relaxed.iterations, explicit.iterations, "{name}: IPM path");
+    assert_eq!(bits(&relaxed.z), bits(&explicit.z), "{name}: (d, t)");
+    assert_eq!(
+        bits(&relaxed.lambda_in),
+        bits(&explicit.lambda_in),
+        "{name}: row multipliers"
+    );
+    assert_eq!(
+        relaxed.objective.to_bits(),
+        explicit.objective.to_bits(),
+        "{name}: objective {} vs explicit {}",
+        relaxed.objective,
         explicit.objective
-    );
-    // Step and slacks, then row multipliers, to the solver tolerance
-    // scaled by the slack price (the multipliers' upper bound).
-    let tol = QpSolver::default().options().tolerance;
-    let dz = max_abs_diff(&reduced.z, &explicit.z);
-    assert!(
-        dz <= tol * (1.0 + slack_weight),
-        "{name}: (d, t) off by {dz:e}"
-    );
-    let dl = max_abs_diff(&reduced.lambda_in, &explicit.lambda_in);
-    assert!(
-        dl <= tol * (1.0 + slack_weight),
-        "{name}: multipliers off by {dl:e}"
     );
 
     // The battery's acceptance bound: the interior-point stopping test
     // bounds the *mean* complementarity, the verifier the largest.
     verify_kkt(
         &explicit_view,
-        &reduced.z,
-        &reduced.y_eq,
-        &reduced.lambda_in,
+        &relaxed.z,
+        &relaxed.y_eq,
+        &relaxed.lambda_in,
         1e-6,
     )
     .unwrap_or_else(|e| panic!("{name}: explicit formulation not certified: {e}"));

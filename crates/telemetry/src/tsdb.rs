@@ -941,6 +941,7 @@ mod tests {
         drop(w);
         let seg = read_segment(&path).unwrap();
         assert_eq!(seg.frames[1].samples, vec![(0, 3.0)]);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

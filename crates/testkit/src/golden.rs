@@ -444,7 +444,7 @@ mod tests {
         assert!(err.contains("line 2"), "{err}");
         let err = verify_or_update_text(&path, "a\nb\nc\nd").unwrap_err();
         assert!(err.contains("length changed"), "{err}");
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
