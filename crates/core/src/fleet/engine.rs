@@ -18,10 +18,10 @@
 //! A shard's worker owns the channel's receiver. If the worker panics,
 //! the receiver drops with it: every later submission to that shard,
 //! a parked one included, returns [`FleetError::ShuttingDown`], and so
-//! does a `close` or `query` whose command was still queued. The other
-//! shards keep serving. Dropping the engine without
-//! [`shutdown`](FleetEngine::shutdown) drops every sender, so each
-//! worker runs what it had accepted and exits.
+//! does a `close` or `query` whose command was still queued; the
+//! shard's queue depth falls to 0. The other shards keep serving.
+//! Dropping the engine without [`shutdown`](FleetEngine::shutdown) drops
+//! every sender, so each worker runs what it had accepted and exits.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -174,12 +174,13 @@ pub struct FleetStats {
     pub per_shard: Vec<ShardStats>,
 }
 
-/// Commands submitted to one shard that its worker has not yet taken.
-/// It is raised before a send and lowered when that send fails or when
-/// the worker takes the command, so it never wraps, a submission parked
-/// on a full queue counts as queued, and it equals the channel's
-/// buffered count whenever no submission is in flight. Every change is
-/// published to the shard's `fleet_queue_depth` gauge. It is a
+/// Commands submitted to one shard that are not yet out of its channel.
+/// Each submission holds a [`Queued`] ticket from before its send until
+/// the command leaves the channel, so the count never wraps, a
+/// submission parked on a full queue counts as queued, it equals the
+/// channel's buffered count whenever no submission is in flight, and it
+/// falls to 0 when a dead worker's channel discards what it held. Every
+/// change is published to the shard's `fleet_queue_depth` gauge. It is a
 /// statistic that publishes no other data, hence `Relaxed`.
 struct QueueDepth {
     count: AtomicUsize,
@@ -187,19 +188,31 @@ struct QueueDepth {
 }
 
 impl QueueDepth {
-    fn raise(&self) {
+    /// Counts one more queued command until the returned ticket drops.
+    fn raise(self: &Arc<Self>) -> Queued {
         let depth = self.count.fetch_add(1, Ordering::Relaxed) + 1;
         self.gauge.set(depth as f64);
+        Queued(Arc::clone(self))
     }
+}
 
-    fn lower(&self) {
-        let depth = self.count.fetch_sub(1, Ordering::Relaxed) - 1;
-        self.gauge.set(depth as f64);
+/// A command's share of its shard's [`QueueDepth`]. It travels with the
+/// command and lowers the count when dropped: when the worker takes the
+/// command, when a failed send hands it back, or when the channel of a
+/// worker that panicked discards it.
+struct Queued(Arc<QueueDepth>);
+
+impl Drop for Queued {
+    fn drop(&mut self) {
+        let depth = self.0.count.fetch_sub(1, Ordering::Relaxed) - 1;
+        self.0.gauge.set(depth as f64);
     }
 }
 
 struct Shard {
-    queue: SyncSender<Command>,
+    /// Each command goes with its ticket, first in the tuple so that the
+    /// count falls before the command, and any reply sender in it, drops.
+    queue: SyncSender<(Queued, Command)>,
     worker: JoinHandle<ShardStats>,
     depth: Arc<QueueDepth>,
     /// Submission-side backpressure counters, labeled `{shard="i"}`:
@@ -215,23 +228,20 @@ impl Shard {
     /// counted once in `fleet_commands_parked_total`) when `park` is
     /// set, and otherwise *sheds* it.
     fn send(&self, cmd: Command, park: bool) -> Result<(), FleetError> {
-        self.depth.raise();
-        let sent = match self.queue.try_send(cmd) {
+        match self.queue.try_send((self.depth.raise(), cmd)) {
             Ok(()) => Ok(()),
-            Err(TrySendError::Full(cmd)) if park => {
+            Err(TrySendError::Full(queued)) if park => {
                 self.parked_total.inc();
-                self.queue.send(cmd).map_err(|_| FleetError::ShuttingDown)
+                self.queue
+                    .send(queued)
+                    .map_err(|_| FleetError::ShuttingDown)
             }
             Err(TrySendError::Full(_)) => {
                 self.shed_total.inc();
                 Err(FleetError::Shed)
             }
             Err(TrySendError::Disconnected(_)) => Err(FleetError::ShuttingDown),
-        };
-        if sent.is_err() {
-            self.depth.lower();
         }
-        sent
     }
 }
 
@@ -270,14 +280,13 @@ impl FleetEngine {
                     count: AtomicUsize::new(0),
                     gauge: shard_registry.gauge("fleet_queue_depth"),
                 });
-                let worker_depth = Arc::clone(&depth);
                 let setup = ControllerSetup {
                     telemetry: shard_registry.clone(),
                     ..config.setup.clone()
                 };
                 let worker = std::thread::Builder::new()
                     .name(format!("fleet-shard-{i}"))
-                    .spawn(move || shard_main(commands, &worker_depth, &params, &setup, i))
+                    .spawn(move || shard_main(commands, &params, &setup, i))
                     .expect("spawning a fleet shard worker");
                 Shard {
                     queue,
@@ -477,8 +486,7 @@ impl FleetEngine {
 /// metric the controller factory mints per session — is a per-shard
 /// series.
 fn shard_main(
-    commands: Receiver<Command>,
-    depth: &QueueDepth,
+    commands: Receiver<(Queued, Command)>,
     params: &EvParams,
     setup: &ControllerSetup,
     shard_index: usize,
@@ -508,8 +516,8 @@ fn shard_main(
     let t_step = setup.trace.intern("step");
     let t_drain = setup.trace.intern("drain");
 
-    for cmd in commands {
-        depth.lower();
+    for (queued, cmd) in commands {
+        drop(queued);
         match cmd {
             Command::Open {
                 vehicle_id,
@@ -821,13 +829,14 @@ mod tests {
             fleet.step(1, 1).unwrap();
         }
         assert_eq!(fleet.queue_depth(), 8, "all eight commands are buffered");
-        // The shard handle, the worker and this test each count the
-        // depth; the handle's count goes after its sender (field order),
-        // so the worker resumes only once its channel has closed.
+        // The shard handle, this test and the eight buffered commands'
+        // tickets each hold the depth; the handle's share goes after its
+        // sender (field order), so the worker resumes only once its
+        // channel has closed.
         let depth = Arc::clone(&fleet.shards[0].depth);
         let stats = thread::scope(|s| {
             let shutdown = s.spawn(move || fleet.shutdown());
-            while Arc::strong_count(&depth) > 2 {
+            while Arc::strong_count(&depth) > 1 + 8 {
                 thread::yield_now();
             }
             unpark.send(()).unwrap();
@@ -867,6 +876,14 @@ mod tests {
             assert_eq!(close.join().unwrap(), Err(FleetError::ShuttingDown));
             assert_eq!(step.join().unwrap(), Err(FleetError::ShuttingDown));
         });
+        // The command the dead worker's channel discarded is no longer
+        // counted as queued.
+        let depth_gauge = || {
+            let snapshot = fleet.registry().snapshot();
+            snapshot.gauge_labeled("fleet_queue_depth", &[("shard", "0")])
+        };
+        assert_eq!(fleet.shards[0].depth.count.load(Ordering::Relaxed), 0);
+        assert_eq!(depth_gauge(), Some(0.0));
         // Sent after the panic: refused at once.
         assert_eq!(fleet.query(doomed), Err(FleetError::ShuttingDown));
         assert_eq!(fleet.close(doomed), Err(FleetError::ShuttingDown));
@@ -875,13 +892,14 @@ mod tests {
         fleet.sync();
         fleet.step(healthy, 3).unwrap();
         assert_eq!(fleet.query(healthy).unwrap().steps, 3);
-        // `shutdown` would panic on the dead worker. Dropping the engine still
-        // ends the healthy worker: then only this test counts its depth.
-        let healthy_depth = Arc::clone(&fleet.shards[1].depth);
-        drop(fleet);
-        while Arc::strong_count(&healthy_depth) > 1 {
-            thread::yield_now();
-        }
+        assert_eq!(fleet.queue_depth(), 0);
+        assert_eq!(depth_gauge(), Some(0.0));
+        // `shutdown` would panic on the dead worker. Dropping the healthy
+        // shard's sender, as dropping the engine does, ends its worker.
+        let FleetEngine { mut shards, .. } = fleet;
+        let Shard { queue, worker, .. } = shards.pop().expect("two shards");
+        drop((shards, queue));
+        worker.join().expect("the healthy worker exits");
     }
 
     #[test]

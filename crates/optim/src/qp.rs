@@ -84,6 +84,11 @@ pub(crate) fn rows_matvec(a: &SparseMatrix, x: &[f64], out: &mut [f64]) {
 /// Hessian positive definite.
 const ELASTIC_CURVATURE: f64 = 1e-8;
 
+/// The floor a warm start lifts its slacks and duals to: the value
+/// [`QpSolver::solve_view_warm`] uses, and the largest one the SQP passes
+/// [`QpSolver::solve_view_seeded`] (DESIGN.md, "In-solve warm start").
+pub(crate) const WARM_FLOOR: f64 = 1e-3;
+
 /// A convex quadratic program
 ///
 /// ```text
@@ -485,25 +490,28 @@ impl QpSolver {
         z0: &[f64],
         warm: &mut QpWarmStart,
     ) -> Result<QpSolution, OptimError> {
-        self.solve_view_seeded(problem, z0, warm, &mut IpmWorkspace::default())
+        self.solve_view_seeded(problem, z0, warm, WARM_FLOOR, &mut IpmWorkspace::default())
             .0
     }
 
-    /// [`QpSolver::solve_view_warm`] in a caller-owned workspace, also
-    /// reporting the interior-point iterations of a warm attempt that
-    /// failed and was retried cold (`None` when the solve started cold or
-    /// the warm attempt converged).
+    /// [`QpSolver::solve_view_warm`] in a caller-owned workspace, with
+    /// the warm start's slacks and duals lifted to at least `floor`
+    /// (cold starts keep theirs), also reporting the interior-point
+    /// iterations of a warm attempt that failed and was retried cold
+    /// (`None` when the solve started cold or the warm attempt
+    /// converged).
     pub(crate) fn solve_view_seeded(
         &self,
         problem: &QpView<'_>,
         z0: &[f64],
         warm: &mut QpWarmStart,
+        floor: f64,
         ws: &mut IpmWorkspace,
     ) -> (Result<QpSolution, OptimError>, Option<usize>) {
         let mut restart = None;
         if warm.is_warm() && warm.lam.len() == problem.num_ineq() {
             let mut spent = 0;
-            match self.solve_view_inner(problem, z0, Some(&warm.lam), &mut spent, ws) {
+            match self.solve_view_inner(problem, z0, Some((&warm.lam, floor)), &mut spent, ws) {
                 Ok(sol) => {
                     warm.store(&sol.lambda_in);
                     return (Ok(sol), None);
@@ -606,13 +614,13 @@ impl QpSolver {
         self.solve_view_in(&relaxed, &vec![0.0; nv], ws)
     }
 
-    /// Solves from `z0`, cold or (with `warm_lam`) warm; `spent` receives
-    /// the interior-point iterations performed.
+    /// Solves from `z0`, cold or (with `warm`'s multipliers and floor)
+    /// warm; `spent` receives the interior-point iterations performed.
     fn solve_view_inner(
         &self,
         problem: &QpView<'_>,
         z0: &[f64],
-        warm_lam: Option<&[f64]>,
+        warm: Option<(&[f64], f64)>,
         spent: &mut usize,
         ws: &mut IpmWorkspace,
     ) -> Result<QpSolution, OptimError> {
@@ -623,22 +631,24 @@ impl QpSolver {
         let Some(a_in) = problem.a_in.filter(|_| problem.num_ineq() > 0) else {
             return self.solve_equality_only(problem, problem.num_eq());
         };
-        self.interior_point(problem, a_in, z0, warm_lam, spent, ws)
+        self.interior_point(problem, a_in, z0, warm, spent, ws)
     }
 
     /// The Mehrotra predictor–corrector loop over the view's inequality
-    /// rows `a_in`, from the primal point `z0` and, when `warm_lam` is
-    /// given, the duals of a previous solve. A warm start gives up as
-    /// soon as its iterates stall (see [`Stall`]); a cold one runs the
-    /// full budget. `spent` receives the iterations performed, whatever
-    /// the outcome. Everything the loop touches lives in `ws`, resized to
-    /// this solve and overwritten before it is read.
+    /// rows `a_in`, from the primal point `z0` and, when `warm` is given,
+    /// the duals of a previous solve with the slack/dual floor to lift
+    /// them to. A warm start gives up as soon as its iterates stall (see
+    /// [`Stall`]) or Cholesky rejects a pivot of its KKT matrix; a cold
+    /// one runs the full budget and falls back to LU. `spent` receives
+    /// the iterations performed, whatever the outcome. Everything the
+    /// loop touches lives in `ws`, resized to this solve and overwritten
+    /// before it is read.
     fn interior_point(
         &self,
         problem: &QpView<'_>,
         a_in: &SparseMatrix,
         z0: &[f64],
-        warm_lam: Option<&[f64]>,
+        warm: Option<(&[f64], f64)>,
         spent: &mut usize,
         ws: &mut IpmWorkspace,
     ) -> Result<QpSolution, OptimError> {
@@ -680,7 +690,7 @@ impl QpSolver {
                 dlam_aff, cdz, jt, coeff,
             ]
             .map(Vec::as_mut_slice);
-        kkt.prepare(problem, self.options.prefer_dense_cholesky);
+        kkt.prepare(problem, self.options.prefer_dense_cholesky, warm.is_none());
         columns.fill(a_in);
         let columns = &*columns;
         z.copy_from_slice(z0);
@@ -689,15 +699,16 @@ impl QpSolver {
         // Strictly positive slack/dual initialization: from the previous
         // solve's multipliers when warm (slacks re-derived from the
         // *current* constraint values so an infeasible start still yields
-        // s > 0), cold (s ≥ 1, λ = 1) otherwise.
+        // s > 0), both lifted to the warm floor, cold (s ≥ 1, λ = 1)
+        // otherwise.
         rows_matvec(a_in, z, cz);
-        let mut stall = warm_lam.map(|_| Stall::default());
-        let floor = if warm_lam.is_some() { 1e-3 } else { 1.0 };
+        let mut stall = warm.map(|_| Stall::default());
+        let floor = warm.map_or(1.0, |(_, floor)| floor);
         for ((si, b), c) in s.iter_mut().zip(b_in).zip(cz.iter()) {
             *si = (b - c).max(floor);
         }
-        match warm_lam {
-            Some(prev) => {
+        match warm {
+            Some((prev, _)) => {
                 for (l, p) in lam.iter_mut().zip(prev) {
                     *l = p.max(floor);
                 }
@@ -1293,9 +1304,11 @@ fn newton_step(
 /// when the reduced system is SPD (no equalities), dense LU otherwise.
 /// Backends degrade monotonically within one solve: a banded or Cholesky
 /// factorization failure permanently drops to the next denser backend, so
-/// pivoted LU is always the last resort. One dense matrix and one factor
-/// per backend serve every iteration of a solve, and every later solve
-/// through the same [`IpmWorkspace`].
+/// pivoted LU is always the last resort, except in a warm attempt, which
+/// returns a Cholesky rejection at once: in measured traffic the LU never
+/// succeeded there, and the cold retry that follows converged. One dense
+/// matrix and one factor per backend serve every iteration of a solve,
+/// and every later solve through the same [`IpmWorkspace`].
 #[derive(Debug)]
 struct KktWorkspace {
     n: usize,
@@ -1313,6 +1326,9 @@ struct KktWorkspace {
     dense: Matrix,
     cholesky: Option<Cholesky>,
     use_cholesky: bool,
+    /// Whether a rejected Cholesky pivot drops to LU (cold solves) or
+    /// ends the solve (warm attempts).
+    lu_fallback: bool,
     lu: Option<Lu>,
     backend: QpKktBackend,
 }
@@ -1331,6 +1347,7 @@ impl Default for KktWorkspace {
             dense: Matrix::zeros(0, 0),
             cholesky: None,
             use_cholesky: false,
+            lu_fallback: true,
             lu: None,
             backend: QpKktBackend::DenseLu,
         }
@@ -1339,7 +1356,7 @@ impl Default for KktWorkspace {
 
 impl KktWorkspace {
     /// Sets the workspace up for one QP solve, keeping its storage.
-    fn prepare(&mut self, problem: &QpView<'_>, prefer_dense_cholesky: bool) {
+    fn prepare(&mut self, problem: &QpView<'_>, prefer_dense_cholesky: bool, lu_fallback: bool) {
         let (n, me) = (problem.num_vars(), problem.num_eq());
         match banded_plan(problem) {
             Some((pos, w)) => {
@@ -1358,6 +1375,7 @@ impl KktWorkspace {
         self.perm_rhs.resize(n + me, 0.0);
         // With no equality block the reduced KKT matrix is SPD.
         self.use_cholesky = prefer_dense_cholesky && me == 0;
+        self.lu_fallback = lu_fallback;
         self.backend = QpKktBackend::DenseLu;
     }
 
@@ -1487,24 +1505,26 @@ impl KktWorkspace {
 
         if self.use_cholesky {
             let kkt = &self.dense;
-            let ok = match self.cholesky.as_mut() {
-                Some(c) if c.dim() == dim => c.refactor_lower(kkt).is_ok(),
-                _ => match Cholesky::factor_lower(kkt) {
-                    Ok(c) => {
-                        self.cholesky = Some(c);
-                        true
-                    }
-                    Err(_) => false,
-                },
+            let factored = match self.cholesky.as_mut() {
+                Some(c) if c.dim() == dim => c.refactor_lower(kkt),
+                _ => Cholesky::factor_lower(kkt).map(|c| self.cholesky = Some(c)),
             };
-            if ok {
-                self.backend = QpKktBackend::DenseCholesky;
-                return Ok(());
+            match factored {
+                Ok(()) => {
+                    self.backend = QpKktBackend::DenseCholesky;
+                    return Ok(());
+                }
+                // Numerically indefinite despite SPD theory (extreme W):
+                // a warm attempt gives up, a cold solve uses the LU
+                // oracle for the rest of this solve.
+                Err(e) => {
+                    self.cholesky = None;
+                    if !self.lu_fallback {
+                        return Err(e.into());
+                    }
+                    self.use_cholesky = false;
+                }
             }
-            // Numerically indefinite despite SPD theory (extreme W): use
-            // the LU oracle for the rest of this solve.
-            self.cholesky = None;
-            self.use_cholesky = false;
         }
         // LU reads the whole matrix: mirror the lower triangle.
         let data = self.dense.as_mut_slice();
@@ -2393,11 +2413,13 @@ mod tests {
             let mut poisoned = QpWarmStart::new();
             poisoned.store(&vec![f64::INFINITY; ineq.num_ineq()]);
             let mut fresh_cache = poisoned.clone();
-            let (reused, restart) = solver.solve_view_seeded(&ineq, &z0, &mut poisoned, &mut ws);
+            let (reused, restart) =
+                solver.solve_view_seeded(&ineq, &z0, &mut poisoned, WARM_FLOOR, &mut ws);
             let (fresh, fresh_restart) = solver.solve_view_seeded(
                 &ineq,
                 &z0,
                 &mut fresh_cache,
+                WARM_FLOOR,
                 &mut IpmWorkspace::default(),
             );
             assert!(restart.is_some());
@@ -2407,10 +2429,123 @@ mod tests {
             // ... and a warm start that converges.
             assert_same(
                 &solver
-                    .solve_view_seeded(&ineq, &z0, &mut poisoned, &mut ws)
+                    .solve_view_seeded(&ineq, &z0, &mut poisoned, WARM_FLOOR, &mut ws)
                     .0,
                 &solver.solve_view_warm(&ineq, &z0, &mut fresh_cache),
             );
+        }
+    }
+
+    #[test]
+    fn a_warm_attempt_stops_where_cholesky_rejects_a_pivot() {
+        // z ≤ 0 and z ≥ 1 cannot both hold. Cold, the iterates diverge
+        // until their weights break a Cholesky pivot and LU carries on;
+        // warm from multipliers that overflow the weights, the first KKT
+        // matrix already has such a pivot.
+        let h = Matrix::from_diag(&[2.0]);
+        let a = csr(&[&[1.0], &[-1.0]]);
+        let view = QpView::new(&h, &[0.0])
+            .unwrap()
+            .with_inequalities(&a, &[0.0, -1.0])
+            .unwrap();
+        let solver = QpSolver::default();
+        let mut ws = IpmWorkspace::default();
+        let mut spent = 1;
+        let overflowing = [f64::MAX; 2];
+        let warm = solver.solve_view_inner(
+            &view,
+            &[0.0],
+            Some((&overflowing, WARM_FLOOR)),
+            &mut spent,
+            &mut ws,
+        );
+        assert!(
+            matches!(
+                warm,
+                Err(OptimError::Linalg(
+                    ev_linalg::LinalgError::NotPositiveDefinite
+                ))
+            ),
+            "{warm:?}"
+        );
+        assert_eq!(spent, 0);
+        assert!(ws.kkt.lu.is_none(), "the warm attempt factored an LU");
+        let cold = solver.solve_view_inner(&view, &[0.0], None, &mut spent, &mut ws);
+        assert!(
+            matches!(
+                cold,
+                Err(OptimError::QpInfeasible { .. } | OptimError::QpMaxIterations { .. })
+            ),
+            "{cold:?}"
+        );
+        assert!(ws.kkt.lu.is_some(), "the cold solve fell back to LU");
+    }
+
+    /// A generated instance as a view of this crate. ev-testkit links its
+    /// own build of ev-optim, so its views are not this crate's; the view
+    /// is rebuilt from the instance's parts.
+    fn generated_view(qp: &ev_testkit::qpgen::GeneratedQp) -> QpView<'_> {
+        let mut view = QpView::new(&qp.h, &qp.g).unwrap();
+        if !qp.b_eq.is_empty() {
+            view = view.with_equalities(&qp.a_eq, &qp.b_eq).unwrap();
+        }
+        if !qp.b_in.is_empty() {
+            view = view.with_inequalities(&qp.a_in, &qp.b_in).unwrap();
+        }
+        match qp.structure {
+            Some(st) => view.with_structure(QpStructure {
+                vars_per_block: st.vars_per_block,
+                eq_per_block: st.eq_per_block,
+                lookback: st.lookback,
+            }),
+            None => view,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// Warm starts at the SQP's smallest and largest floors end where
+        /// a cold solve ends: at a point `verify_kkt` certifies, or in an
+        /// error of the same variant. Instances come from every
+        /// ev-testkit generator family, warm multipliers from 1e-7 to 10.
+        #[test]
+        fn warm_starts_at_either_floor_end_like_a_cold_solve(seed in 0u64..10_000) {
+            use rand::{Rng, SeedableRng};
+            let solver = QpSolver::default();
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            for family in ev_testkit::qpgen::QpFamily::ALL {
+                let qp = ev_testkit::qpgen::generate_family(seed, family);
+                let view = generated_view(&qp);
+                let z0 = vec![0.0; view.num_vars()];
+                let cold = solver.solve_view(&view);
+                let lam: Vec<f64> = (0..view.num_ineq())
+                    .map(|_| 10f64.powf(rng.gen_range(-7.0..1.0)))
+                    .collect();
+                for floor in [1e-5, WARM_FLOOR] {
+                    let mut cache = QpWarmStart::new();
+                    cache.store(&lam);
+                    let ws = &mut IpmWorkspace::default();
+                    let (warm, _) = solver.solve_view_seeded(&view, &z0, &mut cache, floor, ws);
+                    let name = format!("{family:?} seed {seed}, floor {floor:e}");
+                    match (&warm, &cold) {
+                        (Ok(sol), Ok(_)) => {
+                            let certified =
+                                crate::verify_kkt(&view, &sol.z, &sol.y_eq, &sol.lambda_in, 1e-6);
+                            proptest::prop_assert!(certified.is_ok(), "{name}: {certified:?}");
+                        }
+                        (Err(w), Err(c)) => proptest::prop_assert_eq!(
+                            std::mem::discriminant(w),
+                            std::mem::discriminant(c),
+                            "{}: warm {} vs cold {}",
+                            name,
+                            w,
+                            c
+                        ),
+                        _ => proptest::prop_assert!(false, "{name}: warm {warm:?} vs cold {cold:?}"),
+                    }
+                }
+            }
         }
     }
 

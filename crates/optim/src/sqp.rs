@@ -3,7 +3,7 @@
 use ev_linalg::{vecops, Matrix, SparseMatrix};
 
 use crate::observer::{NoopSqpObserver, QpSubproblemStatus, SqpIterationRecord, SqpObserver};
-use crate::qp::{dot_rows, IpmWorkspace};
+use crate::qp::{dot_rows, IpmWorkspace, WARM_FLOOR};
 use crate::{NlpProblem, OptimError, QpSolver, QpSolverOptions, QpStructure, QpView, QpWarmStart};
 
 /// Evaluates the equality Jacobian at `z` into `out`, the CSR form every
@@ -92,7 +92,8 @@ impl SqpResult {
 /// Each major iteration linearizes the constraints, builds a convex QP with
 /// the current Hessian approximation and solves it with [`QpSolver`],
 /// warm-starting its interior-point method from the previous subproblem's
-/// multipliers (the first subproblem of a solve starts cold). If the
+/// multipliers, lifted to a floor scaled to the previous step (the first
+/// subproblem of a solve starts cold). If the
 /// linearized constraints are inconsistent, the subproblem is retried in
 /// *elastic mode* (slack variables with a linear penalty), which always
 /// has a solution.
@@ -266,6 +267,8 @@ impl SqpSolver {
         eval_eq_jacobian(problem, &z, &mut j_eq);
         eval_ineq_jacobian(problem, &z, &mut j_in);
         let structure = problem.qp_structure();
+        // The first subproblem of a solve has no step to scale by.
+        let mut warm_floor = WARM_FLOOR;
 
         for iter in 0..opts.max_iterations {
             // QP subproblem in the step d (right-hand sides are the
@@ -293,6 +296,7 @@ impl SqpSolver {
                 penalty,
                 structure,
                 warm,
+                warm_floor,
                 &mut qp_warm_restart,
                 &mut ipm,
             ) {
@@ -318,6 +322,7 @@ impl SqpSolver {
                 }
             };
             let qp_seconds = qp_t0.map_or(0.0, |t| t.elapsed().as_secs_f64());
+            warm_floor = warm_floor_after(&d);
 
             let viol = violation(&c_eq, &c_in);
             let step_small = vecops::norm_inf(&d) <= opts.tolerance * (1.0 + vecops::norm_inf(&z));
@@ -522,10 +527,11 @@ impl SqpSolver {
     /// iteration count. The nominal path borrows all problem data
     /// through a [`QpView`] (no clones) and declares the problem's
     /// horizon structure so the QP can pick the banded KKT backend. It
-    /// starts from the multipliers in `warm` when they fit; a warm
-    /// attempt that fails is re-solved cold at nominal regularization,
-    /// its iterations reported through `warm_restart`, and the outcome
-    /// of that cold solve is what counts from here on. A numerically
+    /// starts from the multipliers in `warm` when they fit, with slacks
+    /// and duals lifted to `warm_floor`; a warm attempt that fails is
+    /// re-solved cold at nominal regularization, its iterations reported
+    /// through `warm_restart`, and the outcome of that cold solve is
+    /// what counts from here on. A numerically
     /// failed nominal solve (singular KKT mid-IPM) is retried with
     /// heavily boosted Hessian regularization — a degenerate active-set
     /// guess usually just needs a better-conditioned system — before
@@ -546,6 +552,7 @@ impl SqpSolver {
         penalty: f64,
         structure: Option<QpStructure>,
         warm: &mut QpWarmStart,
+        warm_floor: f64,
         warm_restart: &mut Option<usize>,
         ipm: &mut IpmWorkspace,
     ) -> Result<(Vec<f64>, Vec<f64>, Vec<f64>, QpSubproblemStatus, usize), OptimError> {
@@ -564,7 +571,7 @@ impl SqpSolver {
             qp = qp.with_structure(st);
         }
         let origin = vec![0.0; n];
-        let (nominal, restart) = qp_solver.solve_view_seeded(&qp, &origin, warm, ipm);
+        let (nominal, restart) = qp_solver.solve_view_seeded(&qp, &origin, warm, warm_floor, ipm);
         *warm_restart = restart;
         let first = match nominal {
             Ok(sol) => {
@@ -628,6 +635,15 @@ impl SqpSolver {
             e => Err(e),
         }
     }
+}
+
+/// The warm floor of the subproblem that follows the step `d`:
+/// `1e-3·‖d‖∞`, kept within `[1e-5, WARM_FLOOR]`. As the iterates settle
+/// the steps shrink, and so do the slacks of the rows that turn active;
+/// a floor at the step's scale keeps them small instead of lifting them
+/// to 1e-3 (DESIGN.md, "In-solve warm start").
+fn warm_floor_after(d: &[f64]) -> f64 {
+    (1e-3 * vecops::norm_inf(d)).clamp(1e-5, WARM_FLOOR)
 }
 
 /// Second-order correction step: the minimum-norm solution of
@@ -1113,8 +1129,9 @@ mod tests {
     #[test]
     fn jacobian_reuse_matches_the_recompute_path() {
         // Result bits of `SqpSolver::solve` from the implementation that
-        // re-evaluated both Jacobians at the top of every major iteration:
-        // (z, objective, iterations, status, violation).
+        // re-evaluated both Jacobians at the top of every major iteration,
+        // run with the step-scaled warm floor: (z, objective, iterations,
+        // status, violation).
         let h = f64::from_bits;
         let rosenbrock = SqpSolver::new(SqpOptions {
             max_iterations: 300,
@@ -1167,7 +1184,7 @@ mod tests {
                 &default,
                 &BilinearHvacLike,
                 &[0.1, 5.0],
-                &[h(0x3fc6_aa6e_ace4_79d8), h(0x4013_c3fb_b55d_4136)],
+                &[h(0x3fc6_aa6e_ace4_72f0), h(0x4013_c3fb_b55d_455e)],
                 h(0x3fee_0000_0003_4e97),
                 4,
                 SqpStatus::Converged,

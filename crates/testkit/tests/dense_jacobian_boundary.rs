@@ -8,12 +8,17 @@
 //! the SQP the same numbers densely, must solve to the same bits: the
 //! condensed MPC at production settings, and every solvable generated QP
 //! family, banded structure and equality rows included.
+//!
+//! The same production solves also pin how many interior-point
+//! iterations they take, so a change to where a warm QP starts shows.
 
 use ev_control::{ControlContext, MpcController, PreviewSample};
 use ev_core::EvParams;
 use ev_hvac::HvacState;
 use ev_linalg::{Matrix, SparseMatrix};
-use ev_optim::{NlpProblem, QpStructure, SqpOptions, SqpResult, SqpSolver};
+use ev_optim::{
+    NlpProblem, QpStructure, SqpIterationRecord, SqpObserver, SqpOptions, SqpResult, SqpSolver,
+};
 use ev_testkit::qpgen::{generate_family, QpAsNlp, QpFamily};
 use ev_units::{Celsius, Percent, Seconds, Watts};
 
@@ -154,33 +159,40 @@ fn shifted(z: &[f64]) -> Vec<f64> {
     next
 }
 
+/// (ambient, cabin, motor kW): hot and cold soaks and cabins near the
+/// target, under low and high motor power.
+const CONTEXTS: [(f64, f64, f64); 4] = [
+    (38.0, 38.0, 3.0),
+    (38.0, 26.0, 55.0),
+    (-8.0, -8.0, 55.0),
+    (-8.0, 22.0, 3.0),
+];
+
+/// A control step at `ambient` with the cabin at `cabin`, one minute into
+/// a drive.
+fn context(ambient: f64, cabin: f64, samples: &[PreviewSample]) -> ControlContext<'_> {
+    ControlContext {
+        state: HvacState::new(Celsius::new(cabin)),
+        ambient: Celsius::new(ambient),
+        solar: Watts::new(350.0),
+        soc: Percent::new(80.0),
+        soc_avg: 81.5,
+        dt: Seconds::new(1.0),
+        elapsed: Seconds::new(60.0),
+        preview: samples,
+    }
+}
+
 #[test]
 fn condensed_mpc_solves_alike_from_dense_jacobians() {
     let params = EvParams::nissan_leaf_like();
     let mpc: MpcController = params.mpc_builder().build().expect("valid mpc config");
     assert_eq!(mpc.horizon(), 8);
     let solver = production_sqp();
-    // (ambient, cabin, motor kW): hot and cold soaks and cabins near the
-    // target, under low and high motor power.
-    let contexts = [
-        (38.0, 38.0, 3.0),
-        (38.0, 26.0, 55.0),
-        (-8.0, -8.0, 55.0),
-        (-8.0, 22.0, 3.0),
-    ];
     for ineq in [DenseIneq::Densified, DenseIneq::Own] {
-        for &(ambient, cabin, motor_kw) in &contexts {
+        for &(ambient, cabin, motor_kw) in &CONTEXTS {
             let samples = preview(motor_kw, ambient);
-            let ctx = ControlContext {
-                state: HvacState::new(Celsius::new(cabin)),
-                ambient: Celsius::new(ambient),
-                solar: Watts::new(350.0),
-                soc: Percent::new(80.0),
-                soc_avg: 81.5,
-                dt: Seconds::new(1.0),
-                elapsed: Seconds::new(60.0),
-                preview: &samples,
-            };
+            let ctx = context(ambient, cabin, &samples);
             let nlp = mpc.nlp(&ctx);
             assert_eq!(nlp.num_eq(), 0);
             let name = format!("ambient {ambient}, cabin {cabin}, motor {motor_kw} kW");
@@ -190,6 +202,43 @@ fn condensed_mpc_solves_alike_from_dense_jacobians() {
             assert_same_solve(&format!("{name}, shifted"), &solver, &nlp, ineq, &warm);
         }
     }
+}
+
+/// A solve's interior-point iterations: each subproblem's reported
+/// count plus those of a warm attempt that was abandoned and re-solved
+/// cold.
+#[derive(Default)]
+struct IpmIterations(usize);
+
+impl SqpObserver for IpmIterations {
+    fn on_iteration(&mut self, record: &SqpIterationRecord) {
+        self.0 += record.qp_iterations + record.qp_warm_restart.unwrap_or(0);
+    }
+}
+
+#[test]
+fn production_solves_take_a_pinned_number_of_ipm_iterations() {
+    // A warm subproblem after the first of a solve lifts its slacks and
+    // duals to a floor scaled to the previous SQP step (DESIGN.md,
+    // "In-solve warm start"). With the fixed 1e-3 floor it replaced,
+    // these eight solves took 381 iterations.
+    let params = EvParams::nissan_leaf_like();
+    let mpc: MpcController = params.mpc_builder().build().expect("valid mpc config");
+    let solver = production_sqp();
+    let mut iterations = IpmIterations::default();
+    for &(ambient, cabin, motor_kw) in &CONTEXTS {
+        let samples = preview(motor_kw, ambient);
+        let ctx = context(ambient, cabin, &samples);
+        let nlp = mpc.nlp(&ctx);
+        let z0 = cold_start(&params, mpc.horizon(), ambient, cabin);
+        let cold = solver
+            .solve_observed(&nlp, &z0, &mut iterations)
+            .expect("the cold start solves");
+        solver
+            .solve_observed(&nlp, &shifted(&cold.z), &mut iterations)
+            .expect("the shifted start solves");
+    }
+    assert_eq!(iterations.0, 363);
 }
 
 #[test]
