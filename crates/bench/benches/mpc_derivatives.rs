@@ -1,10 +1,10 @@
 //! MPC solve benchmarks.
 //!
 //! The MPC NLP supplies an adjoint objective gradient and a
-//! forward-sensitivity inequality Jacobian. `derivative_eval_*` times
-//! them against central differencing (2·n extra rollouts per gradient,
-//! another 2·n per Jacobian), the oracle the derivative tests compare
-//! against. The other arms time the production MPC at the granularities
+//! forward-sensitivity inequality Jacobian in CSR form. `derivative_eval_*`
+//! times them against central differencing (2·n extra rollouts per
+//! gradient, another 2·n per Jacobian), the oracle the derivative tests
+//! compare against. The other arms time the production MPC at the granularities
 //! that matter: one QP subproblem, one `MpcController::control` solve
 //! (with and without observability attached, and at long horizons) and a
 //! whole evaluation-sweep cell, also under the rule-based baselines, whose
@@ -25,7 +25,8 @@ use ev_units::Celsius;
 
 /// One gradient + inequality-Jacobian evaluation of the paper MPC's NLP
 /// (32 variables, 104 constraints): the analytic adjoint/sensitivity
-/// sweeps against the central-difference fallback the solver would
+/// sweeps, the Jacobian written into one reused CSR matrix as the SQP
+/// evaluates it, against the central-difference fallback the solver would
 /// otherwise use. This is where the exact-derivative speedup lives —
 /// end-to-end solves dilute it with QP time.
 fn bench_derivative_eval(c: &mut Criterion) {
@@ -42,15 +43,16 @@ fn bench_derivative_eval(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("mpc_derivatives");
     group.sample_size(20);
-    group.bench_function("derivative_eval_analytic", |b| {
+    group.bench_function("derivative_eval_csr", |b| {
         let mut z = base.clone();
         let mut grad = vec![0.0; n];
+        let mut jac = SparseMatrix::new();
         b.iter(|| {
             // Nudge the iterate so the shared-rollout cache cannot hide
             // the forward pass.
             z[0] += 1e-9;
             nlp.gradient(black_box(&z), &mut grad);
-            black_box(nlp.ineq_jacobian(black_box(&z)));
+            black_box(nlp.ineq_jacobian_sparse_into(black_box(&z), &mut jac));
             black_box(grad[0])
         })
     });

@@ -4,7 +4,7 @@
 use std::cell::{Cell, RefCell};
 
 use ev_hvac::{Hvac, HvacInput, HvacLimits};
-use ev_linalg::{Matrix, SparseMatrix};
+use ev_linalg::SparseMatrix;
 use ev_optim::{
     NlpProblem, NoopSqpObserver, OptimError, QpStructure, QpSubproblemStatus, QpWarmStart,
     SqpIterationRecord, SqpObserver, SqpOptions, SqpResult, SqpSolver, SqpStatus,
@@ -652,8 +652,8 @@ impl MpcController {
     /// single-shooting problem otherwise. The closure shape exists
     /// because the multiple-shooting view borrows the condensed problem
     /// it re-transcribes, so it cannot outlive this call. Public so
-    /// harnesses can cross-check the active transcription's sparse
-    /// derivatives and declared QP structure against dense references.
+    /// harnesses can cross-check the active transcription's CSR
+    /// derivatives and declared QP structure against central differences.
     pub fn with_active_nlp<R>(
         &self,
         ctx: &ControlContext<'_>,
@@ -681,9 +681,7 @@ impl MpcController {
             soc0: ctx.soc.value(),
             soc_avg_ref: ctx.soc_avg,
             preview: self.resample_preview(ctx),
-            cache: RefCell::new(None),
-            cache_hits: Cell::new(0),
-            cache_misses: Cell::new(0),
+            cache: RolloutCache::new(),
         }
     }
 
@@ -766,9 +764,9 @@ impl MpcController {
                 &final_active_set,
             ))
         });
-        let cache_hits = nlp.cache_hits.get() + ms_nlp.as_ref().map_or(0, |ms| ms.cache_hits.get());
+        let cache_hits = nlp.cache.hits.get() + ms_nlp.as_ref().map_or(0, |ms| ms.cache.hits.get());
         let cache_misses =
-            nlp.cache_misses.get() + ms_nlp.as_ref().map_or(0, |ms| ms.cache_misses.get());
+            nlp.cache.misses.get() + ms_nlp.as_ref().map_or(0, |ms| ms.cache.misses.get());
         drop(ms_nlp);
         drop(nlp);
         self.sqp_warm = sqp_warm;
@@ -895,9 +893,9 @@ impl MpcController {
         let mut cost_hvac_power = 0.0;
         let mut cost_soc_deviation = 0.0;
         let mut cost_comfort = 0.0;
-        for k in 0..self.horizon {
-            let (ts, tc, dr, mz) = MpcNlp::decode(&result.z, k);
-            let (ph, pc, pf) = r.powers[k];
+        for (k, s) in r.iter().enumerate() {
+            let (ts, tc, dr, mz) = decode(&result.z, k, VARS_PER_STEP);
+            let (ph, pc, pf) = s.powers;
             let p_hvac = ph + pc + pf;
             plan.push(PlannedStep {
                 ts_c: ts,
@@ -905,23 +903,23 @@ impl MpcController {
                 recirculation: dr,
                 flow_kg_s: mz,
                 hvac_power_w: p_hvac,
-                cabin_c: r.tz[k],
-                soc_pct: r.soc[k],
+                cabin_c: s.tz,
+                soc_pct: s.soc,
             });
             hvac_energy_wh += p_hvac * dt / 3600.0;
             motor_energy_wh +=
                 (nlp.preview[k].motor_power.value() + self.accessory_power.value()) * dt / 3600.0;
             cost_hvac_power += self.weights.w1 * p_hvac / 1000.0;
-            let sdev = r.soc[k] - nlp.soc_avg_ref;
+            let sdev = s.soc - nlp.soc_avg_ref;
             cost_soc_deviation += self.weights.w2 * sdev * sdev;
-            let terr = r.tz[k] - self.target.value();
+            let terr = s.tz - self.target.value();
             cost_comfort += self.weights.w3 * terr * terr;
         }
         let cn_as = self.battery.capacity.value() * 3600.0;
         let soc0 = ctx.soc.value();
         let last = self.horizon - 1;
-        let soc_drop_total_pct = soc0 - r.soc[last];
-        let soc_drop_motor_pct = soc0 - motor_only.soc[last];
+        let soc_drop_total_pct = soc0 - r[last].soc;
+        let soc_drop_motor_pct = soc0 - motor_only[last].soc;
         let soc_drop_hvac_pct = soc_drop_total_pct - soc_drop_motor_pct;
         let attribution = Attribution {
             battery_energy_wh: motor_energy_wh + hvac_energy_wh,
@@ -1010,11 +1008,17 @@ impl ClimateController for MpcController {
 /// the forward rollout records per-step intermediates, an adjoint sweep
 /// through the trapezoidal cabin recursion (Eq. 18–19) and the smoothed
 /// Peukert SoC recursion (Eq. 13–14) produces the objective gradient, and
-/// a forward sensitivity pass produces the sparse inequality Jacobian
-/// (see `DESIGN.md`, "Analytic MPC derivatives"). One rollout per iterate
-/// is shared between the objective, constraints, gradient and Jacobian
-/// through an interior-mutability cache — the SQP solver evaluates all
-/// four at the same `z`.
+/// a forward sensitivity pass produces the CSR inequality Jacobian (see
+/// `DESIGN.md`, "Analytic MPC derivatives"). One rollout per iterate is
+/// shared between the objective, constraints, gradient and Jacobian
+/// through a [`RolloutCache`] — the SQP solver evaluates all four at the
+/// same `z`.
+///
+/// It also holds the one stage model both transcriptions share: the step
+/// and its rollout ([`MpcNlp::rollout_with`]), the objective
+/// ([`MpcNlp::objective_of`]) and the 13 constraint rows
+/// ([`MpcNlp::constraints_of`]), each told the cabin temperature of the
+/// step by its caller.
 struct MpcNlp<'a> {
     hvac: &'a Hvac,
     limits: &'a HvacLimits,
@@ -1028,174 +1032,222 @@ struct MpcNlp<'a> {
     soc0: f64,
     soc_avg_ref: f64,
     preview: Vec<PreviewSample>,
-    /// Last rollout, keyed by the iterate it was computed at.
-    cache: RefCell<Option<(Vec<f64>, Rollout)>>,
-    /// Evaluations served from `cache` without a fresh rollout.
-    cache_hits: Cell<u64>,
-    /// Evaluations that had to run the rollout.
-    cache_misses: Cell<u64>,
+    cache: RolloutCache,
 }
 
-/// The rollout products needed by the objective, the constraints and
-/// their exact derivatives.
-struct Rollout {
-    /// Tz after each step (length N).
-    tz: Vec<f64>,
-    /// SoC after each step (length N).
-    soc: Vec<f64>,
-    /// Unclamped component powers per step (ph, pc, pf).
-    powers: Vec<(f64, f64, f64)>,
-    /// Mix temperature per step.
-    tm: Vec<f64>,
-    /// `∂Tz_k/∂Tz_{k−1} = (Mc/dt − b/2)/(Mc/dt + b/2)` per step.
-    alpha: Vec<f64>,
-    /// `1/(Mc/dt + b/2)` per step.
-    inv_den: Vec<f64>,
-    /// `∂i_eff/∂P_total` per step (A/W), through the smoothed Peukert map.
-    dieff_dp: Vec<f64>,
+/// One prediction step of the model: what the objective, the constraint
+/// rows and their exact derivatives read.
+struct Step {
+    /// Cabin temperature after the step, from the one entering it.
+    tz: f64,
+    /// SoC after the step.
+    soc: f64,
+    /// Unclamped component powers (ph, pc, pf).
+    powers: (f64, f64, f64),
+    /// Mix temperature.
+    tm: f64,
+    /// `∂Tz_k/∂Tz_{k−1} = (Mc/dt − b/2)/(Mc/dt + b/2)`.
+    alpha: f64,
+    /// `1/(Mc/dt + b/2)`.
+    inv_den: f64,
+    /// `∂i_eff/∂P_total` (A/W), through the smoothed Peukert map.
+    dieff_dp: f64,
+}
+
+/// One [`Step`] per horizon step.
+type Rollout = Vec<Step>;
+
+/// The last rollout of an NLP, keyed by the iterate it was computed at,
+/// with the evaluations it served and those that had to roll out afresh.
+struct RolloutCache {
+    last: RefCell<Option<(Vec<f64>, Rollout)>>,
+    hits: Cell<u64>,
+    misses: Cell<u64>,
+}
+
+impl RolloutCache {
+    fn new() -> Self {
+        Self {
+            last: RefCell::new(None),
+            hits: Cell::new(0),
+            misses: Cell::new(0),
+        }
+    }
+
+    /// Runs `f` with the rollout at `z`, calling `roll` only when the
+    /// iterate changed (the SQP solver evaluates the objective,
+    /// constraints, gradient and Jacobians at the same point).
+    fn with<T>(
+        &self,
+        z: &[f64],
+        roll: impl FnOnce(&[f64]) -> Rollout,
+        f: impl FnOnce(&Rollout) -> T,
+    ) -> T {
+        let mut last = self.last.borrow_mut();
+        if matches!(&*last, Some((zc, _)) if zc.as_slice() == z) {
+            self.hits.set(self.hits.get() + 1);
+        } else {
+            self.misses.set(self.misses.get() + 1);
+            *last = Some((z.to_vec(), roll(z)));
+        }
+        let (_, r) = last.as_ref().expect("cache filled above");
+        f(r)
+    }
+}
+
+/// The physical inputs `(ts, tc, dr, mz)` of step `k` of a decision vector
+/// with `stride` variables per step (both layouts lead with the four
+/// scaled inputs).
+fn decode(z: &[f64], k: usize, stride: usize) -> (f64, f64, f64, f64) {
+    let o = k * stride;
+    (
+        z[o] * TS_SCALE,
+        z[o + 1] * TC_SCALE,
+        z[o + 2],
+        z[o + 3] * MZ_SCALE,
+    )
 }
 
 impl MpcNlp<'_> {
-    fn decode(z: &[f64], k: usize) -> (f64, f64, f64, f64) {
-        let o = k * VARS_PER_STEP;
-        (
-            z[o] * TS_SCALE,
-            z[o + 1] * TC_SCALE,
-            z[o + 2],
-            z[o + 3] * MZ_SCALE,
-        )
-    }
-
     /// Cabin temperature entering step `k` (the state the step's mix and
     /// trapezoidal update read).
     fn tz_in(&self, r: &Rollout, k: usize) -> f64 {
         if k == 0 {
             self.tz0
         } else {
-            r.tz[k - 1]
+            r[k - 1].tz
         }
     }
 
-    fn rollout(&self, z: &[f64]) -> Rollout {
+    /// The stage model rolled over the horizon, from a decision vector
+    /// with `stride` variables per step. Step `k` starts from the cabin
+    /// temperature `incoming(k, tz)`, where `tz` is the previous step's
+    /// prediction (`tz0` before the first step): the condensed rollout
+    /// passes it on, multiple shooting reads its lifted `tzv_{k−1}`.
+    fn rollout_with(
+        &self,
+        z: &[f64],
+        stride: usize,
+        incoming: impl Fn(usize, f64) -> f64,
+    ) -> Rollout {
         let cabin = self.hvac.cabin();
         let cp = cabin.air_heat_capacity.value();
-        let mc = cabin.thermal_capacitance.value();
         let cx = cabin.shell_conductance.value();
+        let mc_dt = cabin.thermal_capacitance.value() / self.dt;
         let hp = self.hvac.params();
+        let ch = cp / hp.heater_efficiency;
+        let cc = cp / hp.cooler_efficiency;
+        let kf = hp.fan_coefficient;
         let bat = &self.battery;
         let cn_as = bat.capacity.value() * 3600.0;
         let v = bat.voltage.value();
         let in_a = bat.nominal_current.value();
         let peukert_exp = 0.5 * (bat.peukert - 1.0);
+        let (dt, accessory_power) = (self.dt, self.accessory_power);
 
-        let mut tz = self.tz0;
-        let mut soc = self.soc0;
-        let n = self.horizon;
-        let mut out = Rollout {
-            tz: Vec::with_capacity(n),
-            soc: Vec::with_capacity(n),
-            powers: Vec::with_capacity(n),
-            tm: Vec::with_capacity(n),
-            alpha: Vec::with_capacity(n),
-            inv_den: Vec::with_capacity(n),
-            dieff_dp: Vec::with_capacity(n),
-        };
+        let mut out = Vec::with_capacity(self.horizon);
+        let (mut tz, mut soc) = (self.tz0, self.soc0);
         for k in 0..self.horizon {
-            let (ts, tc, dr, mz) = Self::decode(z, k);
+            let (ts, tc, dr, mz) = decode(z, k, stride);
+            let tz_in = incoming(k, tz);
             let s = &self.preview[k];
             let to = s.ambient.value();
-            let tm = (1.0 - dr) * to + dr * tz;
+            let tm = (1.0 - dr) * to + dr * tz_in;
             // Smooth (unclamped) power model — the constraints keep the
             // spans non-negative at feasible points.
-            let ph = cp / hp.heater_efficiency * mz * (ts - tc);
-            let pc = cp / hp.cooler_efficiency * mz * (tm - tc);
-            let pf = hp.fan_coefficient * mz * mz;
+            let ph = ch * mz * (ts - tc);
+            let pc = cc * mz * (tm - tc);
+            let pf = kf * mz * mz;
             // Trapezoidal cabin update (Eq. 18–19).
             let a = s.solar.value() + cx * to + mz * cp * ts;
             let b = cx + mz * cp;
-            let inv_den = 1.0 / (mc / self.dt + 0.5 * b);
-            let alpha = (mc / self.dt - 0.5 * b) * inv_den;
-            tz = ((mc / self.dt - 0.5 * b) * tz + a) * inv_den;
+            let inv_den = 1.0 / (mc_dt + 0.5 * b);
+            let alpha = (mc_dt - 0.5 * b) * inv_den;
+            tz = ((mc_dt - 0.5 * b) * tz_in + a) * inv_den;
             // SoC update with smoothed Peukert effective current (Eq. 13–14).
-            let total = s.motor_power.value() + self.accessory_power + ph + pc + pf;
+            let total = s.motor_power.value() + accessory_power + ph + pc + pf;
             let i = total / v;
             let u = (i * i + 1.0) / (in_a * in_a);
             let u_pow = u.powf(peukert_exp);
             let i_eff = i * u_pow;
             // d i_eff/dP = (1/V)·uᵉ·(1 + 2e·i²/(i²+1)).
             let dieff_dp = u_pow * (1.0 + 2.0 * peukert_exp * i * i / (i * i + 1.0)) / v;
-            soc -= 100.0 * i_eff * self.dt / cn_as;
-            out.tz.push(tz);
-            out.soc.push(soc);
-            out.powers.push((ph, pc, pf));
-            out.tm.push(tm);
-            out.alpha.push(alpha);
-            out.inv_den.push(inv_den);
-            out.dieff_dp.push(dieff_dp);
+            soc -= 100.0 * i_eff * dt / cn_as;
+            out.push(Step {
+                tz,
+                soc,
+                powers: (ph, pc, pf),
+                tm,
+                alpha,
+                inv_den,
+                dieff_dp,
+            });
         }
         out
     }
 
-    /// Runs `f` with the rollout at `z`, reusing the cached one when the
-    /// iterate is unchanged (the SQP solver evaluates the objective,
-    /// constraints, gradient and Jacobian at the same point).
-    fn with_rollout<T>(&self, z: &[f64], f: impl FnOnce(&Rollout) -> T) -> T {
-        let mut cache = self.cache.borrow_mut();
-        let hit = matches!(&*cache, Some((zc, _)) if zc.as_slice() == z);
-        if hit {
-            self.cache_hits.set(self.cache_hits.get() + 1);
-        } else {
-            self.cache_misses.set(self.cache_misses.get() + 1);
-            *cache = Some((z.to_vec(), self.rollout(z)));
-        }
-        let (_, r) = cache.as_ref().expect("cache filled above");
-        f(r)
+    /// The condensed rollout: each step starts from the previous step's
+    /// predicted cabin temperature.
+    fn rollout(&self, z: &[f64]) -> Rollout {
+        self.rollout_with(z, VARS_PER_STEP, |_, tz| tz)
     }
 
-    /// The objective value from an existing rollout.
-    fn objective_of(&self, r: &Rollout) -> f64 {
+    /// Eq. 21 over a rollout, the comfort term on `tz(k)`, the cabin
+    /// temperature after step `k`.
+    fn objective_of(&self, r: &Rollout, tz: impl Fn(usize) -> f64) -> f64 {
         let w = &self.weights;
         let mut cost = 0.0;
-        for k in 0..self.horizon {
-            let (ph, pc, pf) = r.powers[k];
+        for (k, s) in r.iter().enumerate() {
+            let (ph, pc, pf) = s.powers;
             cost += w.w1 * (ph + pc + pf) / 1000.0;
-            let sdev = r.soc[k] - self.soc_avg_ref;
+            let sdev = s.soc - self.soc_avg_ref;
             cost += w.w2 * sdev * sdev;
-            let terr = r.tz[k] - self.target.value();
+            let terr = tz(k) - self.target.value();
             cost += w.w3 * terr * terr;
         }
         cost
     }
 
-    /// The constraint values from an existing rollout (see
-    /// [`NlpProblem::ineq_constraints`] for the row layout).
-    fn constraints_of(&self, z: &[f64], r: &Rollout, out: &mut [f64]) {
+    /// The 13 rows of every step (see [`CONSTRAINT_ROW_LABELS`]) of a
+    /// decision vector with `stride` variables per step, the C2 rows on
+    /// `tz(k)`, the cabin temperature after step `k`, and the C8–C10 rows
+    /// in units of `power_unit` watts.
+    fn constraints_of(
+        &self,
+        z: &[f64],
+        stride: usize,
+        r: &Rollout,
+        tz: impl Fn(usize) -> f64,
+        power_unit: f64,
+        out: &mut [f64],
+    ) {
         let hp = self.hvac.params();
         let comfort_lo = self.limits.comfort_min.value();
         let comfort_hi = self.limits.comfort_max.value();
-        for k in 0..self.horizon {
+        for (k, s) in r.iter().enumerate() {
             let pull = PULL_RATE_K_PER_S * self.dt * (k + 1) as f64;
             let hi_k = comfort_hi.max(self.tz0 + SOAK_SLACK_K - pull);
             let lo_k = comfort_lo.min(self.tz0 - SOAK_SLACK_K + pull);
-            let (ts, tc, dr, mz) = Self::decode(z, k);
+            let (ts, tc, dr, mz) = decode(z, k, stride);
+            let tz_k = tz(k);
             let o = k * INEQ_PER_STEP;
-            let (ph, pc, pf) = r.powers[k];
+            let (ph, pc, pf) = s.powers;
             // The coil floor binds only for active cooling; allow the coil
             // to track a colder passive mix (winter heating).
-            let tc_floor = hp.min_coil_temp.value().min(r.tm[k]);
+            let tc_floor = hp.min_coil_temp.value().min(s.tm);
             out[o] = hp.min_flow.value() - mz; // C1 lower
             out[o + 1] = mz - hp.max_flow.value(); // C1 upper
             out[o + 2] = -dr; // C7 lower
             out[o + 3] = dr - hp.max_recirculation; // C7 upper
             out[o + 4] = tc_floor - tc; // C5
-            out[o + 5] = tc - r.tm[k]; // C4
+            out[o + 5] = tc - s.tm; // C4
             out[o + 6] = tc - ts; // C3
             out[o + 7] = ts - hp.max_supply_temp.value(); // C6
-            out[o + 8] = lo_k - r.tz[k]; // C2 lower (funnel)
-            out[o + 9] = r.tz[k] - hi_k; // C2 upper (funnel)
-            out[o + 10] = (ph - hp.max_heating_power.value()) / POWER_ROW_SCALE_W; // C8
-            out[o + 11] = (pc - hp.max_cooling_power.value()) / POWER_ROW_SCALE_W; // C9
-            out[o + 12] = (pf - hp.max_fan_power.value()) / POWER_ROW_SCALE_W; // C10
+            out[o + 8] = lo_k - tz_k; // C2 lower (funnel)
+            out[o + 9] = tz_k - hi_k; // C2 upper (funnel)
+            out[o + 10] = (ph - hp.max_heating_power.value()) / power_unit; // C8
+            out[o + 11] = (pc - hp.max_cooling_power.value()) / power_unit; // C9
+            out[o + 12] = (pf - hp.max_fan_power.value()) / power_unit; // C10
         }
     }
 
@@ -1224,141 +1276,38 @@ impl MpcNlp<'_> {
         let mut lam = 0.0; // ∂f/∂Tz_k flowing in from steps > k
         let mut mu = 0.0; // ∂f/∂SoC_k flowing in from steps > k
         for k in (0..self.horizon).rev() {
-            let (ts, tc, dr, mz) = Self::decode(z, k);
+            let (ts, tc, dr, mz) = decode(z, k, VARS_PER_STEP);
             let to = self.preview[k].ambient.value();
             let tz_in = self.tz_in(r, k);
-            let tz_k = r.tz[k];
-            let tm = r.tm[k];
-            let lam_k = lam + 2.0 * w.w3 * (tz_k - self.target.value());
-            let mu_k = mu + 2.0 * w.w2 * (r.soc[k] - self.soc_avg_ref);
+            let s = &r[k];
+            let lam_k = lam + 2.0 * w.w3 * (s.tz - self.target.value());
+            let mu_k = mu + 2.0 * w.w2 * (s.soc - self.soc_avg_ref);
             // ∂f/∂(any power component at step k): the direct w1 term plus
             // the battery-stress path through every later SoC sample.
-            let c_p = w1p - mu_k * s_c * r.dieff_dp[k];
-            let d_tz_d_ts = mz * cp * r.inv_den[k];
-            let d_tz_d_mz = cp * (ts - 0.5 * (tz_in + tz_k)) * r.inv_den[k];
+            let c_p = w1p - mu_k * s_c * s.dieff_dp;
+            let d_tz_d_ts = mz * cp * s.inv_den;
+            let d_tz_d_mz = cp * (ts - 0.5 * (tz_in + s.tz)) * s.inv_den;
             let o = k * VARS_PER_STEP;
             grad[o] = (c_p * ch * mz + lam_k * d_tz_d_ts) * TS_SCALE;
             grad[o + 1] = (c_p * (-ch * mz - cc * mz)) * TC_SCALE;
             grad[o + 2] = c_p * cc * mz * (tz_in - to);
-            grad[o + 3] = (c_p * (ch * (ts - tc) + cc * (tm - tc) + 2.0 * kf * mz)
+            grad[o + 3] = (c_p * (ch * (ts - tc) + cc * (s.tm - tc) + 2.0 * kf * mz)
                 + lam_k * d_tz_d_mz)
                 * MZ_SCALE;
             // Propagate to Tz_{k−1}: the trapezoidal coefficient plus this
             // step's recirculated-mix path (∂tm/∂Tz_{k−1} = dr).
-            lam = lam_k * r.alpha[k] + c_p * cc * mz * dr;
+            lam = lam_k * s.alpha + c_p * cc * mz * dr;
             mu = mu_k;
         }
     }
 
-    /// Exact inequality Jacobian by forward sensitivity accumulation.
-    ///
-    /// `stz` carries `∂Tz_{k−1}/∂z` into step `k` (nonzero only in the
-    /// `ts`/`mz` columns of earlier steps — the cabin recursion never sees
-    /// `tc` or `dr`); each constraint row is assembled from it and the
-    /// step-local partials recorded by the rollout.
-    fn ineq_jacobian_of(&self, z: &[f64], r: &Rollout) -> Matrix {
-        let n = self.horizon * VARS_PER_STEP;
-        let cabin = self.hvac.cabin();
-        let cp = cabin.air_heat_capacity.value();
-        let hp = self.hvac.params();
-        let ch = cp / hp.heater_efficiency;
-        let cc = cp / hp.cooler_efficiency;
-        let kf = hp.fan_coefficient;
-        let min_coil = hp.min_coil_temp.value();
-
-        let mut jac = Matrix::zeros(self.horizon * INEQ_PER_STEP, n);
-        // ∂Tz_{k−1}/∂z entering the step below (zero for k = 0).
-        let mut stz = vec![0.0; n];
-        // ∂tm_k/∂z scratch row.
-        let mut stm = vec![0.0; n];
-        for k in 0..self.horizon {
-            let (ts, tc, dr, mz) = Self::decode(z, k);
-            let to = self.preview[k].ambient.value();
-            let tz_in = self.tz_in(r, k);
-            let tz_k = r.tz[k];
-            let o = k * INEQ_PER_STEP;
-            let c_ts = k * VARS_PER_STEP;
-            let c_tc = c_ts + 1;
-            let c_dr = c_ts + 2;
-            let c_mz = c_ts + 3;
-
-            // tm_k = (1−dr)·To + dr·Tz_{k−1}.
-            for (sm, sz) in stm.iter_mut().zip(&stz) {
-                *sm = dr * sz;
-            }
-            stm[c_dr] += tz_in - to;
-
-            // Rows with only step-local entries.
-            jac.set(o, c_mz, -MZ_SCALE); // C1 lower
-            jac.set(o + 1, c_mz, MZ_SCALE); // C1 upper
-            jac.set(o + 2, c_dr, -1.0); // C7 lower
-            jac.set(o + 3, c_dr, 1.0); // C7 upper
-                                       // C5: floor is the coil minimum (constant) unless the passive
-                                       // mix is colder — then it tracks tm and inherits its
-                                       // sensitivities. Branch matches the value computation.
-            if r.tm[k] < min_coil {
-                let row = jac.row_mut(o + 4);
-                row.copy_from_slice(&stm);
-                row[c_tc] -= TC_SCALE;
-            } else {
-                jac.set(o + 4, c_tc, -TC_SCALE);
-            }
-            // C4: tc − tm.
-            {
-                let row = jac.row_mut(o + 5);
-                for (out, sm) in row.iter_mut().zip(&stm) {
-                    *out = -sm;
-                }
-                row[c_tc] += TC_SCALE;
-            }
-            jac.set(o + 6, c_tc, TC_SCALE); // C3
-            jac.set(o + 6, c_ts, -TS_SCALE);
-            jac.set(o + 7, c_ts, TS_SCALE); // C6
-                                            // Advance the cabin sensitivity to ∂Tz_k/∂z before the C2 rows
-                                            // (they read the post-step state).
-            let d_tz_d_ts = mz * cp * r.inv_den[k];
-            let d_tz_d_mz = cp * (ts - 0.5 * (tz_in + tz_k)) * r.inv_den[k];
-            for s in stz.iter_mut() {
-                *s *= r.alpha[k];
-            }
-            stz[c_ts] += d_tz_d_ts * TS_SCALE;
-            stz[c_mz] += d_tz_d_mz * MZ_SCALE;
-            {
-                let row = jac.row_mut(o + 8); // C2 lower: lo − Tz_k
-                for (out, s) in row.iter_mut().zip(&stz) {
-                    *out = -s;
-                }
-            }
-            {
-                let row = jac.row_mut(o + 9); // C2 upper: Tz_k − hi
-                row.copy_from_slice(&stz);
-            }
-            // C8: ph = ch·mz·(ts − tc). C8–C10 are in hectowatts.
-            jac.set(o + 10, c_ts, ch * mz * TS_SCALE / POWER_ROW_SCALE_W);
-            jac.set(o + 10, c_tc, -ch * mz * TC_SCALE / POWER_ROW_SCALE_W);
-            jac.set(o + 10, c_mz, ch * (ts - tc) * MZ_SCALE / POWER_ROW_SCALE_W);
-            // C9: pc = cc·mz·(tm − tc) — inherits tm's sensitivities.
-            {
-                let row = jac.row_mut(o + 11);
-                for (out, sm) in row.iter_mut().zip(&stm) {
-                    *out = cc * mz * sm / POWER_ROW_SCALE_W;
-                }
-                row[c_tc] -= cc * mz * TC_SCALE / POWER_ROW_SCALE_W;
-                row[c_mz] += cc * (r.tm[k] - tc) * MZ_SCALE / POWER_ROW_SCALE_W;
-            }
-            // C10: pf = kf·mz².
-            jac.set(o + 12, c_mz, 2.0 * kf * mz * MZ_SCALE / POWER_ROW_SCALE_W);
-        }
-        jac
-    }
-
-    /// Exact inequality Jacobian emitted directly in CSR form — no dense
-    /// densification pass. Same forward-sensitivity recursion as
-    /// [`MpcNlp::ineq_jacobian_of`], but the cabin sensitivity is kept as
-    /// two per-step coefficient arrays (`∂Tz/∂ts_j`, `∂Tz/∂mz_j`), so
-    /// each coupling row pushes exactly its prefix of nonzero columns in
-    /// ascending order. The nine step-local rows shrink from `n` dense
-    /// entries to 1–3 stored ones.
+    /// Exact inequality Jacobian in CSR form, by forward sensitivity
+    /// accumulation. The cabin state reaches a row only through `ts` and
+    /// `mz` of earlier steps (the cabin recursion never sees `tc` or
+    /// `dr`), so its sensitivity is kept as two per-step coefficient arrays
+    /// (`∂Tz/∂ts_j`, `∂Tz/∂mz_j`), and each coupling row pushes exactly its
+    /// prefix of nonzero columns in ascending order. The nine step-local
+    /// rows store 1–3 entries each.
     fn ineq_jacobian_sparse_of(&self, z: &[f64], r: &Rollout, out: &mut SparseMatrix) {
         let n = self.horizon * VARS_PER_STEP;
         let cabin = self.hvac.cabin();
@@ -1379,10 +1328,10 @@ impl MpcNlp<'_> {
         let mut stz_ts_next = vec![0.0; self.horizon];
         let mut stz_mz_next = vec![0.0; self.horizon];
         for k in 0..self.horizon {
-            let (ts, tc, dr, mz) = Self::decode(z, k);
+            let (ts, tc, dr, mz) = decode(z, k, VARS_PER_STEP);
             let to = self.preview[k].ambient.value();
             let tz_in = self.tz_in(r, k);
-            let tz_k = r.tz[k];
+            let s = &r[k];
             let c_ts = k * VARS_PER_STEP;
             let c_tc = c_ts + 1;
             let c_dr = c_ts + 2;
@@ -1401,7 +1350,7 @@ impl MpcNlp<'_> {
             // C5: constant coil floor, unless the passive mix is colder —
             // then the row inherits tm's sensitivities
             // (tm = (1−dr)·To + dr·Tz_{k−1}). Branch matches the value.
-            if r.tm[k] < min_coil {
+            if s.tm < min_coil {
                 for j in 0..k {
                     out.push(j * VARS_PER_STEP, dr * stz_ts[j]);
                     out.push(j * VARS_PER_STEP + 3, dr * stz_mz[j]);
@@ -1429,11 +1378,11 @@ impl MpcNlp<'_> {
             out.finish_row();
             // Advance the cabin sensitivity to ∂Tz_k/∂z before the C2
             // rows (they read the post-step state).
-            let d_tz_d_ts = mz * cp * r.inv_den[k];
-            let d_tz_d_mz = cp * (ts - 0.5 * (tz_in + tz_k)) * r.inv_den[k];
+            let d_tz_d_ts = mz * cp * s.inv_den;
+            let d_tz_d_mz = cp * (ts - 0.5 * (tz_in + s.tz)) * s.inv_den;
             for j in 0..k {
-                stz_ts_next[j] = r.alpha[k] * stz_ts[j];
-                stz_mz_next[j] = r.alpha[k] * stz_mz[j];
+                stz_ts_next[j] = s.alpha * stz_ts[j];
+                stz_mz_next[j] = s.alpha * stz_mz[j];
             }
             stz_ts_next[k] = d_tz_d_ts * TS_SCALE;
             stz_mz_next[k] = d_tz_d_mz * MZ_SCALE;
@@ -1455,8 +1404,7 @@ impl MpcNlp<'_> {
             out.push(c_mz, ch * (ts - tc) * MZ_SCALE / POWER_ROW_SCALE_W);
             out.finish_row();
             // C9: pc = cc·mz·(tm − tc) — inherits tm's sensitivities
-            // (via the *incoming* cabin state). Grouping matches the dense
-            // path's `cc·mz·(dr·stz)/100` so both emit identical bits.
+            // (via the *incoming* cabin state).
             for j in 0..k {
                 out.push(
                     j * VARS_PER_STEP,
@@ -1469,7 +1417,7 @@ impl MpcNlp<'_> {
             }
             out.push(c_tc, -cc * mz * TC_SCALE / POWER_ROW_SCALE_W);
             out.push(c_dr, cc * mz * (tz_in - to) / POWER_ROW_SCALE_W);
-            out.push(c_mz, cc * (r.tm[k] - tc) * MZ_SCALE / POWER_ROW_SCALE_W);
+            out.push(c_mz, cc * (s.tm - tc) * MZ_SCALE / POWER_ROW_SCALE_W);
             out.finish_row();
             // C10: pf = kf·mz².
             out.push(c_mz, 2.0 * kf * mz * MZ_SCALE / POWER_ROW_SCALE_W);
@@ -1477,6 +1425,11 @@ impl MpcNlp<'_> {
             std::mem::swap(&mut stz_ts, &mut stz_ts_next);
             std::mem::swap(&mut stz_mz, &mut stz_mz_next);
         }
+    }
+
+    /// Runs `f` with the condensed rollout at `z`, through the cache.
+    fn with_rollout<T>(&self, z: &[f64], f: impl FnOnce(&Rollout) -> T) -> T {
+        self.cache.with(z, |z| self.rollout(z), f)
     }
 }
 
@@ -1486,7 +1439,7 @@ impl NlpProblem for MpcNlp<'_> {
     }
 
     fn objective(&self, z: &[f64]) -> f64 {
-        self.with_rollout(z, |r| self.objective_of(r))
+        self.with_rollout(z, |r| self.objective_of(r, |k| r[k].tz))
     }
 
     fn gradient(&self, z: &[f64], grad: &mut [f64]) {
@@ -1498,11 +1451,10 @@ impl NlpProblem for MpcNlp<'_> {
     }
 
     fn ineq_constraints(&self, z: &[f64], out: &mut [f64]) {
-        self.with_rollout(z, |r| self.constraints_of(z, r, out));
-    }
-
-    fn ineq_jacobian(&self, z: &[f64]) -> Matrix {
-        self.with_rollout(z, |r| self.ineq_jacobian_of(z, r))
+        self.with_rollout(z, |r| {
+            let tz = |k: usize| r[k].tz;
+            self.constraints_of(z, VARS_PER_STEP, r, tz, POWER_ROW_SCALE_W, out);
+        });
     }
 
     fn ineq_jacobian_sparse_into(&self, z: &[f64], out: &mut SparseMatrix) -> bool {
@@ -1534,34 +1486,20 @@ impl NlpProblem for MpcNlp<'_> {
 /// [`QpStructure`], and the SQP factors its KKT systems with the O(N)
 /// banded backend instead of the dense O(N³) path.
 ///
-/// Borrows the condensed [`MpcNlp`] for the model parameters and the
-/// resampled preview, but keeps its *own* rollout cache — the two views
-/// are keyed by different iterate layouts.
+/// Borrows the condensed [`MpcNlp`] for the stage model and the resampled
+/// preview, but keeps its *own* rollout cache — the two views are keyed by
+/// different iterate layouts.
 struct MsMpcNlp<'a, 'b> {
     base: &'b MpcNlp<'a>,
-    cache: RefCell<Option<(Vec<f64>, Rollout)>>,
-    cache_hits: Cell<u64>,
-    cache_misses: Cell<u64>,
+    cache: RolloutCache,
 }
 
 impl<'a, 'b> MsMpcNlp<'a, 'b> {
     fn new(base: &'b MpcNlp<'a>) -> Self {
         Self {
             base,
-            cache: RefCell::new(None),
-            cache_hits: Cell::new(0),
-            cache_misses: Cell::new(0),
+            cache: RolloutCache::new(),
         }
-    }
-
-    fn decode(z: &[f64], k: usize) -> (f64, f64, f64, f64) {
-        let o = k * MS_VARS_PER_STEP;
-        (
-            z[o] * TS_SCALE,
-            z[o + 1] * TC_SCALE,
-            z[o + 2],
-            z[o + 3] * MZ_SCALE,
-        )
     }
 
     /// Cabin temperature entering step `k` — the initial state for the
@@ -1574,78 +1512,22 @@ impl<'a, 'b> MsMpcNlp<'a, 'b> {
         }
     }
 
-    /// Forward pass through the model with the cabin state taken from the
-    /// variables. `Rollout::tz` holds the *one-step prediction* of each
-    /// step (the equality constraints' right-hand side), not a recursive
-    /// trajectory; everything else has the same meaning as in
-    /// [`MpcNlp::rollout`].
-    fn rollout(&self, z: &[f64]) -> Rollout {
-        let b = self.base;
-        let cabin = b.hvac.cabin();
-        let cp = cabin.air_heat_capacity.value();
-        let mc = cabin.thermal_capacitance.value();
-        let cx = cabin.shell_conductance.value();
-        let hp = b.hvac.params();
-        let bat = &b.battery;
-        let cn_as = bat.capacity.value() * 3600.0;
-        let v = bat.voltage.value();
-        let in_a = bat.nominal_current.value();
-        let peukert_exp = 0.5 * (bat.peukert - 1.0);
+    /// The lifted cabin temperature after step `k`.
+    fn tzv(z: &[f64], k: usize) -> f64 {
+        z[k * MS_VARS_PER_STEP + 4] * TZ_SCALE
+    }
 
-        let mut soc = b.soc0;
-        let n = b.horizon;
-        let mut out = Rollout {
-            tz: Vec::with_capacity(n),
-            soc: Vec::with_capacity(n),
-            powers: Vec::with_capacity(n),
-            tm: Vec::with_capacity(n),
-            alpha: Vec::with_capacity(n),
-            inv_den: Vec::with_capacity(n),
-            dieff_dp: Vec::with_capacity(n),
-        };
-        for k in 0..n {
-            let (ts, tc, dr, mz) = Self::decode(z, k);
-            let tz_in = self.tz_in(z, k);
-            let s = &b.preview[k];
-            let to = s.ambient.value();
-            let tm = (1.0 - dr) * to + dr * tz_in;
-            let ph = cp / hp.heater_efficiency * mz * (ts - tc);
-            let pc = cp / hp.cooler_efficiency * mz * (tm - tc);
-            let pf = hp.fan_coefficient * mz * mz;
-            let a = s.solar.value() + cx * to + mz * cp * ts;
-            let bb = cx + mz * cp;
-            let inv_den = 1.0 / (mc / b.dt + 0.5 * bb);
-            let alpha = (mc / b.dt - 0.5 * bb) * inv_den;
-            let pred = ((mc / b.dt - 0.5 * bb) * tz_in + a) * inv_den;
-            let total = s.motor_power.value() + b.accessory_power + ph + pc + pf;
-            let i = total / v;
-            let u = (i * i + 1.0) / (in_a * in_a);
-            let u_pow = u.powf(peukert_exp);
-            let i_eff = i * u_pow;
-            let dieff_dp = u_pow * (1.0 + 2.0 * peukert_exp * i * i / (i * i + 1.0)) / v;
-            soc -= 100.0 * i_eff * b.dt / cn_as;
-            out.tz.push(pred);
-            out.soc.push(soc);
-            out.powers.push((ph, pc, pf));
-            out.tm.push(tm);
-            out.alpha.push(alpha);
-            out.inv_den.push(inv_den);
-            out.dieff_dp.push(dieff_dp);
-        }
-        out
+    /// Forward pass through the model with the cabin state taken from the
+    /// variables: each [`Step::tz`] is the *one-step prediction* from
+    /// `tzv_{k−1}` (the equality constraints' right-hand side), not a
+    /// recursive trajectory.
+    fn rollout(&self, z: &[f64]) -> Rollout {
+        self.base
+            .rollout_with(z, MS_VARS_PER_STEP, |k, _| self.tz_in(z, k))
     }
 
     fn with_rollout<T>(&self, z: &[f64], f: impl FnOnce(&Rollout) -> T) -> T {
-        let mut cache = self.cache.borrow_mut();
-        let hit = matches!(&*cache, Some((zc, _)) if zc.as_slice() == z);
-        if hit {
-            self.cache_hits.set(self.cache_hits.get() + 1);
-        } else {
-            self.cache_misses.set(self.cache_misses.get() + 1);
-            *cache = Some((z.to_vec(), self.rollout(z)));
-        }
-        let (_, r) = cache.as_ref().expect("cache filled above");
-        f(r)
+        self.cache.with(z, |z| self.rollout(z), f)
     }
 }
 
@@ -1658,20 +1540,7 @@ impl NlpProblem for MsMpcNlp<'_, '_> {
     /// from the cabin *variables* — at any point satisfying the dynamics
     /// equalities the two transcriptions agree exactly.
     fn objective(&self, z: &[f64]) -> f64 {
-        self.with_rollout(z, |r| {
-            let b = self.base;
-            let w = &b.weights;
-            let mut cost = 0.0;
-            for k in 0..b.horizon {
-                let (ph, pc, pf) = r.powers[k];
-                cost += w.w1 * (ph + pc + pf) / 1000.0;
-                let sdev = r.soc[k] - b.soc_avg_ref;
-                cost += w.w2 * sdev * sdev;
-                let terr = z[k * MS_VARS_PER_STEP + 4] * TZ_SCALE - b.target.value();
-                cost += w.w3 * terr * terr;
-            }
-            cost
-        })
+        self.with_rollout(z, |r| self.base.objective_of(r, |k| Self::tzv(z, k)))
     }
 
     /// Exact gradient. Without the cabin recursion in the objective the
@@ -1694,20 +1563,20 @@ impl NlpProblem for MsMpcNlp<'_, '_> {
             let mut mu = 0.0; // ∂f/∂SoC_k flowing in from steps > k
             let mut c_p_next = 0.0; // c_p of step k+1 (0 past the horizon)
             for k in (0..b.horizon).rev() {
-                let (ts, tc, _dr, mz) = Self::decode(z, k);
+                let (ts, tc, _dr, mz) = decode(z, k, MS_VARS_PER_STEP);
                 let to = b.preview[k].ambient.value();
                 let tz_in = self.tz_in(z, k);
-                let tm = r.tm[k];
-                let mu_k = mu + 2.0 * w.w2 * (r.soc[k] - b.soc_avg_ref);
-                let c_p = w1p - mu_k * s_c * r.dieff_dp[k];
+                let s = &r[k];
+                let mu_k = mu + 2.0 * w.w2 * (s.soc - b.soc_avg_ref);
+                let c_p = w1p - mu_k * s_c * s.dieff_dp;
                 let o = k * MS_VARS_PER_STEP;
                 grad[o] = c_p * ch * mz * TS_SCALE;
                 grad[o + 1] = c_p * (-ch * mz - cc * mz) * TC_SCALE;
                 grad[o + 2] = c_p * cc * mz * (tz_in - to);
-                grad[o + 3] = c_p * (ch * (ts - tc) + cc * (tm - tc) + 2.0 * kf * mz) * MZ_SCALE;
-                let terr = z[o + 4] * TZ_SCALE - b.target.value();
+                grad[o + 3] = c_p * (ch * (ts - tc) + cc * (s.tm - tc) + 2.0 * kf * mz) * MZ_SCALE;
+                let terr = Self::tzv(z, k) - b.target.value();
                 let (_, _, dr_next, mz_next) = if k + 1 < b.horizon {
-                    Self::decode(z, k + 1)
+                    decode(z, k + 1, MS_VARS_PER_STEP)
                 } else {
                     (0.0, 0.0, 0.0, 0.0)
                 };
@@ -1726,8 +1595,8 @@ impl NlpProblem for MsMpcNlp<'_, '_> {
     /// `c_k = 10·tzv_k − pred_k`.
     fn eq_constraints(&self, z: &[f64], out: &mut [f64]) {
         self.with_rollout(z, |r| {
-            for k in 0..self.base.horizon {
-                out[k] = z[k * MS_VARS_PER_STEP + 4] * TZ_SCALE - r.tz[k];
+            for (k, s) in r.iter().enumerate() {
+                out[k] = Self::tzv(z, k) - s.tz;
             }
         });
     }
@@ -1740,14 +1609,14 @@ impl NlpProblem for MsMpcNlp<'_, '_> {
             let b = self.base;
             let cp = b.hvac.cabin().air_heat_capacity.value();
             out.reset(b.horizon * MS_VARS_PER_STEP);
-            for k in 0..b.horizon {
-                let (ts, _, _, mz) = Self::decode(z, k);
+            for (k, s) in r.iter().enumerate() {
+                let (ts, _, _, mz) = decode(z, k, MS_VARS_PER_STEP);
                 let tz_in = self.tz_in(z, k);
                 let o = k * MS_VARS_PER_STEP;
-                let d_tz_d_ts = mz * cp * r.inv_den[k];
-                let d_tz_d_mz = cp * (ts - 0.5 * (tz_in + r.tz[k])) * r.inv_den[k];
+                let d_tz_d_ts = mz * cp * s.inv_den;
+                let d_tz_d_mz = cp * (ts - 0.5 * (tz_in + s.tz)) * s.inv_den;
                 if k > 0 {
-                    out.push(o - 1, -r.alpha[k] * TZ_SCALE);
+                    out.push(o - 1, -s.alpha * TZ_SCALE);
                 }
                 out.push(o, -d_tz_d_ts * TS_SCALE);
                 out.push(o + 3, -d_tz_d_mz * MZ_SCALE);
@@ -1764,36 +1633,13 @@ impl NlpProblem for MsMpcNlp<'_, '_> {
 
     /// Same 13 rows per step as the condensed transcription (same order,
     /// same [`CONSTRAINT_ROW_LABELS`]), with the comfort rows reading the
-    /// cabin *variable* — the dynamics equalities pin it to the model.
+    /// cabin *variable* — the dynamics equalities pin it to the model —
+    /// and the power caps still in watts.
     fn ineq_constraints(&self, z: &[f64], out: &mut [f64]) {
         self.with_rollout(z, |r| {
-            let b = self.base;
-            let hp = b.hvac.params();
-            let comfort_lo = b.limits.comfort_min.value();
-            let comfort_hi = b.limits.comfort_max.value();
-            for k in 0..b.horizon {
-                let pull = PULL_RATE_K_PER_S * b.dt * (k + 1) as f64;
-                let hi_k = comfort_hi.max(b.tz0 + SOAK_SLACK_K - pull);
-                let lo_k = comfort_lo.min(b.tz0 - SOAK_SLACK_K + pull);
-                let (ts, tc, dr, mz) = Self::decode(z, k);
-                let tzv = z[k * MS_VARS_PER_STEP + 4] * TZ_SCALE;
-                let o = k * INEQ_PER_STEP;
-                let (ph, pc, pf) = r.powers[k];
-                let tc_floor = hp.min_coil_temp.value().min(r.tm[k]);
-                out[o] = hp.min_flow.value() - mz;
-                out[o + 1] = mz - hp.max_flow.value();
-                out[o + 2] = -dr;
-                out[o + 3] = dr - hp.max_recirculation;
-                out[o + 4] = tc_floor - tc;
-                out[o + 5] = tc - r.tm[k];
-                out[o + 6] = tc - ts;
-                out[o + 7] = ts - hp.max_supply_temp.value();
-                out[o + 8] = lo_k - tzv;
-                out[o + 9] = tzv - hi_k;
-                out[o + 10] = ph - hp.max_heating_power.value();
-                out[o + 11] = pc - hp.max_cooling_power.value();
-                out[o + 12] = pf - hp.max_fan_power.value();
-            }
+            let tz = |k: usize| Self::tzv(z, k);
+            self.base
+                .constraints_of(z, MS_VARS_PER_STEP, r, tz, 1.0, out);
         });
     }
 
@@ -1810,8 +1656,8 @@ impl NlpProblem for MsMpcNlp<'_, '_> {
             let kf = hp.fan_coefficient;
             let min_coil = hp.min_coil_temp.value();
             out.reset(b.horizon * MS_VARS_PER_STEP);
-            for k in 0..b.horizon {
-                let (ts, tc, dr, mz) = Self::decode(z, k);
+            for (k, s) in r.iter().enumerate() {
+                let (ts, tc, dr, mz) = decode(z, k, MS_VARS_PER_STEP);
                 let to = b.preview[k].ambient.value();
                 let tz_in = self.tz_in(z, k);
                 let o = k * MS_VARS_PER_STEP;
@@ -1829,7 +1675,7 @@ impl NlpProblem for MsMpcNlp<'_, '_> {
                 out.push(c_dr, 1.0);
                 out.finish_row();
                 // C5: constant coil floor unless the passive mix is colder.
-                if r.tm[k] < min_coil {
+                if s.tm < min_coil {
                     if k > 0 {
                         out.push(o - 1, tm_prev);
                     }
@@ -1869,7 +1715,7 @@ impl NlpProblem for MsMpcNlp<'_, '_> {
                 }
                 out.push(c_tc, -cc * mz * TC_SCALE);
                 out.push(c_dr, cc * mz * (tz_in - to));
-                out.push(c_mz, cc * (r.tm[k] - tc) * MZ_SCALE);
+                out.push(c_mz, cc * (s.tm - tc) * MZ_SCALE);
                 out.finish_row();
                 // C10: pf = kf·mz².
                 out.push(c_mz, 2.0 * kf * mz * MZ_SCALE);
@@ -2158,39 +2004,6 @@ mod tests {
     }
 
     #[test]
-    fn condensed_sparse_jacobian_matches_dense() {
-        // Hot case: constant coil floor; cold case: tm-tracking C5 branch.
-        for (tz0, to, dr) in [(27.0, 35.0, 0.6), (18.0, -15.0, 0.1)] {
-            let c = mpc();
-            let preview = preview_const(9_000.0, to, 24);
-            let context = ctx(tz0, to, &preview);
-            let nlp = c.build_nlp(&context);
-            let mut z = c.cold_start(&context);
-            for (i, zi) in z.iter_mut().enumerate() {
-                *zi += 0.008 * (i as f64 % 5.0 - 2.0);
-            }
-            for k in 0..c.horizon() {
-                z[k * VARS_PER_STEP + 2] = dr;
-            }
-            let r = nlp.rollout(&z);
-            let dense = nlp.ineq_jacobian_of(&z, &r);
-            let mut sparse = SparseMatrix::new();
-            nlp.ineq_jacobian_sparse_of(&z, &r, &mut sparse);
-            assert_eq!(sparse.rows(), dense.rows());
-            let sd = sparse.to_dense();
-            for row in 0..dense.rows() {
-                for col in 0..dense.cols() {
-                    let (a, b) = (dense.get(row, col), sd.get(row, col));
-                    assert!(
-                        a.to_bits() == b.to_bits() || (a == 0.0 && b == 0.0),
-                        "row {row} col {col} (to {to}): dense {a:e} vs sparse {b:e}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn condensed_rows_share_one_scale() {
         // The production configuration (h8, 4-s blocks, the builder's
         // defaults) at a hot soak, a cold soak and a preconditioned hot
@@ -2237,7 +2050,8 @@ mod tests {
                 let mut cons = vec![0.0; nlp.num_ineq()];
                 nlp.ineq_constraints(z, &mut cons);
                 let r = nlp.rollout(z);
-                for (k, &(ph, pc, pf)) in r.powers.iter().enumerate() {
+                for (k, s) in r.iter().enumerate() {
+                    let (ph, pc, pf) = s.powers;
                     for (i, (p, cap)) in [ph, pc, pf].into_iter().zip(caps).enumerate() {
                         let g = cons[k * INEQ_PER_STEP + 10 + i];
                         assert_eq!(
@@ -2625,14 +2439,14 @@ mod tests {
             .unwrap();
         assert_eq!(a.z, b.z);
         assert!(
-            plain_nlp.cache_hits.get() > 0,
+            plain_nlp.cache.hits.get() > 0,
             "solver re-evaluates per iterate"
         );
         assert_eq!(
-            (plain_nlp.cache_hits.get(), plain_nlp.cache_misses.get()),
+            (plain_nlp.cache.hits.get(), plain_nlp.cache.misses.get()),
             (
-                observed_nlp.cache_hits.get(),
-                observed_nlp.cache_misses.get()
+                observed_nlp.cache.hits.get(),
+                observed_nlp.cache.misses.get()
             ),
             "telemetry must not add NLP evaluations"
         );

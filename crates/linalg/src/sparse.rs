@@ -71,6 +71,7 @@ impl SparseMatrix {
     ///
     /// Columns must be pushed in strictly ascending order within a row
     /// (checked in debug builds); zeros may be pushed and are kept.
+    #[inline]
     pub fn push(&mut self, col: usize, value: f64) {
         debug_assert!(col < self.cols, "column {col} out of bounds {}", self.cols);
         debug_assert!(
@@ -83,6 +84,7 @@ impl SparseMatrix {
     }
 
     /// Closes the row currently being built (possibly empty).
+    #[inline]
     pub fn finish_row(&mut self) {
         self.row_ptr.push(self.col_idx.len());
     }

@@ -12,11 +12,16 @@ use crate::{finite_diff, QpStructure};
 ///             c_in(z) ≤ 0
 /// ```
 ///
-/// Implementors must provide the objective and constraint values; gradients
-/// and Jacobians default to central finite differences
-/// ([`crate::finite_diff`]), which is accurate enough for the smooth,
-/// well-scaled MPC problems in this workspace. Override them for speed or
-/// extra precision.
+/// Implementors must provide the objective and constraint values. The
+/// gradient defaults to central finite differences ([`crate::finite_diff`]),
+/// which is accurate enough for the smooth, well-scaled MPC problems in
+/// this workspace. A problem with exact Jacobians supplies them once, in
+/// the CSR form the SQP uses
+/// ([`ineq_jacobian_sparse_into`](NlpProblem::ineq_jacobian_sparse_into),
+/// [`eq_jacobian_sparse_into`](NlpProblem::eq_jacobian_sparse_into)); the
+/// dense [`ineq_jacobian`](NlpProblem::ineq_jacobian) and
+/// [`eq_jacobian`](NlpProblem::eq_jacobian) then default to that form
+/// densified, and to central differences for a problem without it.
 ///
 /// # Examples
 ///
@@ -44,13 +49,12 @@ pub trait NlpProblem {
 
     /// Whether this problem supplies exact (analytic) derivatives.
     ///
-    /// Returns `false` for implementations relying on the default
-    /// central-difference [`gradient`](Self::gradient) /
-    /// [`eq_jacobian`](Self::eq_jacobian) /
-    /// [`ineq_jacobian`](Self::ineq_jacobian) — the documented fallback
-    /// path. Implementations overriding those with exact derivatives
-    /// should also override this to `true` so harnesses (benchmarks,
-    /// derivative cross-checks) can tell the two apart.
+    /// Returns `false` for implementations relying on the central
+    /// differences of the default [`gradient`](Self::gradient) and dense
+    /// Jacobians — the documented fallback path. Implementations
+    /// supplying an exact gradient and exact CSR Jacobians should
+    /// override this to `true` so harnesses (benchmarks, derivative
+    /// cross-checks) can tell the two apart.
     fn has_exact_derivatives(&self) -> bool {
         false
     }
@@ -78,12 +82,19 @@ pub trait NlpProblem {
     }
 
     /// Jacobian of the equality constraints (`num_eq × num_vars`).
-    /// Defaults to central differences. The SQP calls it only when
+    /// Defaults to the CSR Jacobian of
     /// [`eq_jacobian_sparse_into`](Self::eq_jacobian_sparse_into)
-    /// returns `false` (or there are no equality rows), and converts the
-    /// result to the CSR form its QP subproblems take, dropping only
-    /// ±0.0 entries.
+    /// densified when that returns `true`, and to central differences
+    /// otherwise. So `eq_jacobian_sparse_into` must not be built on this
+    /// method: the two defaults would call each other forever. The SQP
+    /// calls it only when `eq_jacobian_sparse_into` returns `false` (or
+    /// there are no equality rows), and converts the result to the CSR
+    /// form its QP subproblems take, dropping only ±0.0 entries.
     fn eq_jacobian(&self, z: &[f64]) -> Matrix {
+        let mut csr = SparseMatrix::new();
+        if self.eq_jacobian_sparse_into(z, &mut csr) {
+            return csr.to_dense();
+        }
         jacobian_matrix(
             &|p: &[f64], out: &mut [f64]| self.eq_constraints(p, out),
             z,
@@ -108,13 +119,17 @@ pub trait NlpProblem {
         );
     }
 
-    /// Jacobian of the inequality constraints (`num_ineq × num_vars`).
-    /// Defaults to central differences. The SQP calls it only when
+    /// Jacobian of the inequality constraints (`num_ineq × num_vars`),
+    /// the CSR Jacobian of
     /// [`ineq_jacobian_sparse_into`](Self::ineq_jacobian_sparse_into)
-    /// returns `false` (or there are no inequality rows), and converts
-    /// the result to the CSR form its QP subproblems take, dropping only
-    /// ±0.0 entries.
+    /// densified or central differences, like
+    /// [`eq_jacobian`](Self::eq_jacobian), and under the same rule:
+    /// `ineq_jacobian_sparse_into` must not be built on this method.
     fn ineq_jacobian(&self, z: &[f64]) -> Matrix {
+        let mut csr = SparseMatrix::new();
+        if self.ineq_jacobian_sparse_into(z, &mut csr) {
+            return csr.to_dense();
+        }
         jacobian_matrix(
             &|p: &[f64], out: &mut [f64]| self.ineq_constraints(p, out),
             z,
@@ -124,17 +139,17 @@ pub trait NlpProblem {
     }
 
     /// Fills `out` with the inequality Jacobian in CSR form and returns
-    /// `true`, or returns `false` (the default) when this problem only
-    /// produces dense Jacobians. Implementations must reuse `out`'s
-    /// storage ([`SparseMatrix::reset`]) so the SQP loop stays
-    /// allocation-free after warm-up.
+    /// `true`, or returns `false` (the default) when this problem has no
+    /// CSR form. Implementations must reuse `out`'s storage
+    /// ([`SparseMatrix::reset`]) so the SQP loop stays allocation-free
+    /// after warm-up.
     fn ineq_jacobian_sparse_into(&self, _z: &[f64], _out: &mut SparseMatrix) -> bool {
         false
     }
 
     /// Fills `out` with the equality Jacobian in CSR form and returns
-    /// `true`, or returns `false` (the default) when this problem only
-    /// produces dense Jacobians.
+    /// `true`, or returns `false` (the default) when this problem has no
+    /// CSR form.
     fn eq_jacobian_sparse_into(&self, _z: &[f64], _out: &mut SparseMatrix) -> bool {
         false
     }
@@ -227,6 +242,54 @@ mod tests {
             }
         }
         assert!(Exact.has_exact_derivatives());
+    }
+
+    #[test]
+    fn dense_jacobian_defaults_densify_the_csr_form() {
+        // CSR Jacobians that are not the constraints' derivatives, so only
+        // densifying them gives these matrices.
+        struct Csr;
+        impl NlpProblem for Csr {
+            fn num_vars(&self) -> usize {
+                2
+            }
+            fn objective(&self, z: &[f64]) -> f64 {
+                z[0]
+            }
+            fn num_eq(&self) -> usize {
+                1
+            }
+            fn eq_constraints(&self, z: &[f64], out: &mut [f64]) {
+                out[0] = z[0] + z[1];
+            }
+            fn eq_jacobian_sparse_into(&self, _z: &[f64], out: &mut SparseMatrix) -> bool {
+                out.reset(2);
+                out.push(1, 3.0);
+                out.finish_row();
+                true
+            }
+            fn num_ineq(&self) -> usize {
+                1
+            }
+            fn ineq_constraints(&self, z: &[f64], out: &mut [f64]) {
+                out[0] = z[0];
+            }
+            fn ineq_jacobian_sparse_into(&self, _z: &[f64], out: &mut SparseMatrix) -> bool {
+                out.reset(2);
+                out.push(0, -0.5);
+                out.finish_row();
+                true
+            }
+        }
+        let z = [1.0, 2.0];
+        assert_eq!(
+            Csr.eq_jacobian(&z),
+            Matrix::from_rows(&[&[0.0, 3.0]]).unwrap()
+        );
+        assert_eq!(
+            Csr.ineq_jacobian(&z),
+            Matrix::from_rows(&[&[-0.5, 0.0]]).unwrap()
+        );
     }
 
     #[test]

@@ -3,11 +3,12 @@
 //! Every QP subproblem takes its constraint rows in CSR form. A problem
 //! that has no CSR Jacobians (`*_jacobian_sparse_into` returns `false`,
 //! as for the finite-difference default) has its dense ones converted at
-//! the NLP boundary, which drops only their ±0.0 entries. So a problem
-//! seen through [`DenseOnly`], which hides its CSR Jacobians and hands
-//! the SQP the same numbers densely, must solve to the same bits: the
-//! condensed MPC at production settings, and every solvable generated QP
-//! family, banded structure and equality rows included.
+//! the NLP boundary, which drops only their ±0.0 entries. A problem seen
+//! through [`DenseOnly`] hides its CSR Jacobians and hands the SQP its
+//! dense views instead, which are those CSR Jacobians densified. So it
+//! must solve to the same bits: the condensed MPC at production settings,
+//! and every solvable generated QP family, banded structure and equality
+//! rows included.
 //!
 //! The same production solves also pin how many interior-point
 //! iterations they take, so a change to where a warm QP starts shows.
@@ -15,80 +16,51 @@
 use ev_control::{ControlContext, MpcController, PreviewSample};
 use ev_core::EvParams;
 use ev_hvac::HvacState;
-use ev_linalg::{Matrix, SparseMatrix};
+use ev_linalg::Matrix;
 use ev_optim::{
     NlpProblem, QpStructure, SqpIterationRecord, SqpObserver, SqpOptions, SqpResult, SqpSolver,
 };
 use ev_testkit::qpgen::{generate_family, QpAsNlp, QpFamily};
 use ev_units::{Celsius, Percent, Seconds, Watts};
 
-/// Which dense inequality Jacobian [`DenseOnly`] hands the SQP.
-#[derive(Clone, Copy, Debug)]
-enum DenseIneq {
-    /// The inner problem's CSR Jacobian, densified.
-    Densified,
-    /// The inner problem's own dense `ineq_jacobian` (the MPC's analytic
-    /// one).
-    Own,
-}
-
-/// Forwards every [`NlpProblem`] method to `inner` except the two CSR
-/// Jacobians, which it does not have, so the SQP converts its dense ones.
-struct DenseOnly<'a> {
-    inner: &'a dyn NlpProblem,
-    ineq: DenseIneq,
-}
-
-/// The CSR Jacobian `fill` writes, densified.
-fn densified(fill: impl FnOnce(&mut SparseMatrix) -> bool) -> Matrix {
-    let mut csr = SparseMatrix::new();
-    assert!(fill(&mut csr), "the inner problem has CSR Jacobians");
-    csr.to_dense()
-}
+/// Forwards every [`NlpProblem`] method to the inner problem except the
+/// two CSR Jacobians, which it does not have, so the SQP converts the
+/// dense ones.
+struct DenseOnly<'a>(&'a dyn NlpProblem);
 
 impl NlpProblem for DenseOnly<'_> {
     fn num_vars(&self) -> usize {
-        self.inner.num_vars()
+        self.0.num_vars()
     }
     fn objective(&self, z: &[f64]) -> f64 {
-        self.inner.objective(z)
+        self.0.objective(z)
     }
     fn has_exact_derivatives(&self) -> bool {
-        self.inner.has_exact_derivatives()
+        self.0.has_exact_derivatives()
     }
     fn gradient(&self, z: &[f64], grad: &mut [f64]) {
-        self.inner.gradient(z, grad);
+        self.0.gradient(z, grad);
     }
     fn num_eq(&self) -> usize {
-        self.inner.num_eq()
+        self.0.num_eq()
     }
     fn eq_constraints(&self, z: &[f64], out: &mut [f64]) {
-        self.inner.eq_constraints(z, out);
+        self.0.eq_constraints(z, out);
     }
     fn eq_jacobian(&self, z: &[f64]) -> Matrix {
-        // Without rows the SQP asks the CSR run for its dense Jacobian too.
-        if self.inner.num_eq() == 0 {
-            return self.inner.eq_jacobian(z);
-        }
-        densified(|out| self.inner.eq_jacobian_sparse_into(z, out))
+        self.0.eq_jacobian(z)
     }
     fn num_ineq(&self) -> usize {
-        self.inner.num_ineq()
+        self.0.num_ineq()
     }
     fn ineq_constraints(&self, z: &[f64], out: &mut [f64]) {
-        self.inner.ineq_constraints(z, out);
+        self.0.ineq_constraints(z, out);
     }
     fn ineq_jacobian(&self, z: &[f64]) -> Matrix {
-        if self.inner.num_ineq() == 0 {
-            return self.inner.ineq_jacobian(z);
-        }
-        match self.ineq {
-            DenseIneq::Densified => densified(|out| self.inner.ineq_jacobian_sparse_into(z, out)),
-            DenseIneq::Own => self.inner.ineq_jacobian(z),
-        }
+        self.0.ineq_jacobian(z)
     }
     fn qp_structure(&self) -> Option<QpStructure> {
-        self.inner.qp_structure()
+        self.0.qp_structure()
     }
 }
 
@@ -99,21 +71,18 @@ fn assert_same_solve(
     name: &str,
     solver: &SqpSolver,
     problem: &dyn NlpProblem,
-    ineq: DenseIneq,
     z0: &[f64],
 ) -> SqpResult {
     let csr = solver.solve(problem, z0).expect("the CSR run solves");
-    let dense_only = DenseOnly {
-        inner: problem,
-        ineq,
-    };
-    let dense = solver.solve(&dense_only, z0).expect("the dense run solves");
+    let dense = solver
+        .solve(&DenseOnly(problem), z0)
+        .expect("the dense run solves");
     let outcome = |r: &SqpResult| {
         let z: Vec<u64> = r.z.iter().map(|v| v.to_bits()).collect();
         let (f, viol) = (r.objective.to_bits(), r.constraint_violation.to_bits());
         (z, f, viol, r.iterations, r.status)
     };
-    assert_eq!(outcome(&dense), outcome(&csr), "{name} ({ineq:?})");
+    assert_eq!(outcome(&dense), outcome(&csr), "{name}");
     csr
 }
 
@@ -189,18 +158,16 @@ fn condensed_mpc_solves_alike_from_dense_jacobians() {
     let mpc: MpcController = params.mpc_builder().build().expect("valid mpc config");
     assert_eq!(mpc.horizon(), 8);
     let solver = production_sqp();
-    for ineq in [DenseIneq::Densified, DenseIneq::Own] {
-        for &(ambient, cabin, motor_kw) in &CONTEXTS {
-            let samples = preview(motor_kw, ambient);
-            let ctx = context(ambient, cabin, &samples);
-            let nlp = mpc.nlp(&ctx);
-            assert_eq!(nlp.num_eq(), 0);
-            let name = format!("ambient {ambient}, cabin {cabin}, motor {motor_kw} kW");
-            let z0 = cold_start(&params, mpc.horizon(), ambient, cabin);
-            let cold = assert_same_solve(&format!("{name}, cold"), &solver, &nlp, ineq, &z0);
-            let warm = shifted(&cold.z);
-            assert_same_solve(&format!("{name}, shifted"), &solver, &nlp, ineq, &warm);
-        }
+    for &(ambient, cabin, motor_kw) in &CONTEXTS {
+        let samples = preview(motor_kw, ambient);
+        let ctx = context(ambient, cabin, &samples);
+        let nlp = mpc.nlp(&ctx);
+        assert_eq!(nlp.num_eq(), 0);
+        let name = format!("ambient {ambient}, cabin {cabin}, motor {motor_kw} kW");
+        let z0 = cold_start(&params, mpc.horizon(), ambient, cabin);
+        let cold = assert_same_solve(&format!("{name}, cold"), &solver, &nlp, &z0);
+        let warm = shifted(&cold.z);
+        assert_same_solve(&format!("{name}, shifted"), &solver, &nlp, &warm);
     }
 }
 
@@ -249,7 +216,7 @@ fn generated_qps_solve_alike_from_dense_jacobians() {
             let nlp = QpAsNlp::new(generate_family(seed, family));
             let z0 = vec![0.0; nlp.num_vars()];
             let name = format!("{family:?} seed {seed}");
-            assert_same_solve(&name, &solver, &nlp, DenseIneq::Densified, &z0);
+            assert_same_solve(&name, &solver, &nlp, &z0);
         }
     }
 }

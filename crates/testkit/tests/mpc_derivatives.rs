@@ -1,21 +1,30 @@
-//! Property test pinning the MPC's analytic derivatives to the
-//! central-difference reference.
+//! Property tests pinning the MPC's exact derivatives, in both of its
+//! transcriptions, at random cabin/ambient/SoC states and random decision
+//! vectors.
 //!
-//! The controller's NLP supplies an adjoint-sweep objective gradient and a
-//! forward-sensitivity inequality Jacobian; the solver's documented
-//! fallback is [`ev_optim::finite_diff`]. The two must agree to ≤1e-5
-//! relative at random cabin/ambient/SoC states and random decision
-//! vectors, otherwise the "exact" derivatives are silently steering the
-//! SQP iterates somewhere else.
+//! Each NLP supplies an adjoint objective gradient and CSR constraint
+//! Jacobians (`NlpProblem::ineq_jacobian_sparse_into` /
+//! `eq_jacobian_sparse_into`), the form the SQP takes; the solver's
+//! documented fallback, [`ev_optim::finite_diff`], is the oracle. Three
+//! things must hold, or the SQP iterates are steered somewhere else:
+//!
+//! 1. The gradient and every CSR Jacobian agree with central differences
+//!    to ≤1e-5 relative.
+//! 2. Every multiple-shooting CSR row respects the one-step-lookback
+//!    locality the NLP declares via `qp_structure()`. That declaration is
+//!    what lets the QP solver pick the banded factorization, so an
+//!    out-of-block entry would be silently dropped from the KKT matrix.
+//! 3. The dense `eq_jacobian` / `ineq_jacobian` views are the CSR
+//!    Jacobians densified, bit for bit: an exact Jacobian exists once.
 
 use ev_control::{ControlContext, MpcController, PreviewSample};
 use ev_hvac::{CabinParams, Hvac, HvacLimits, HvacState};
+use ev_linalg::SparseMatrix;
 use ev_optim::NlpProblem;
 use ev_units::{Celsius, Percent, Seconds, Watts};
 use proptest::prelude::*;
 
 const HORIZON: usize = 6;
-const VARS_PER_STEP: usize = 4;
 const INEQ_PER_STEP: usize = 13;
 /// The C4 row (`tc − tm`), used to recover `tm` from constraint values.
 const C4_ROW: usize = 5;
@@ -25,7 +34,7 @@ const C4_ROW: usize = 5;
 /// rejected rather than asserted on.
 const MIN_COIL_C: f64 = 4.0;
 
-fn controller() -> MpcController {
+fn controller(multiple_shooting: bool) -> MpcController {
     MpcController::builder(
         Hvac::new(CabinParams::default(), ev_hvac::HvacParams::default()),
         HvacLimits::default(),
@@ -33,6 +42,7 @@ fn controller() -> MpcController {
     .horizon(HORIZON)
     .prediction_dt(Seconds::new(4.0))
     .recompute_every(1)
+    .multiple_shooting(multiple_shooting)
     .build()
     .expect("valid mpc config")
 }
@@ -66,11 +76,134 @@ fn close(analytic: f64, fd: f64) -> bool {
     (analytic - fd).abs() <= 1e-5 * fd.abs().max(1.0)
 }
 
+/// Checks the equality (`eq`) or the inequality rows of `nlp` at `z`:
+/// the CSR Jacobian against central differences, the dense view against
+/// the CSR Jacobian densified, bit for bit, and, when the NLP declares a
+/// block structure, every CSR row against the declared lookback.
+fn check_jacobian(nlp: &dyn NlpProblem, z: &[f64], eq: bool) -> Result<(), TestCaseError> {
+    let (what, rows, rows_per_step) = if eq {
+        ("eq", nlp.num_eq(), nlp.num_eq() / HORIZON)
+    } else {
+        ("ineq", nlp.num_ineq(), INEQ_PER_STEP)
+    };
+    let values = |p: &[f64], out: &mut [f64]| {
+        if eq {
+            nlp.eq_constraints(p, out);
+        } else {
+            nlp.ineq_constraints(p, out);
+        }
+    };
+    let mut csr = SparseMatrix::new();
+    let has_csr = if eq {
+        nlp.eq_jacobian_sparse_into(z, &mut csr)
+    } else {
+        nlp.ineq_jacobian_sparse_into(z, &mut csr)
+    };
+    prop_assert!(has_csr, "{} has a CSR Jacobian", what);
+    prop_assert_eq!(csr.rows(), rows);
+    let dense = if eq {
+        nlp.eq_jacobian(z)
+    } else {
+        nlp.ineq_jacobian(z)
+    };
+    let densified = csr.to_dense();
+    prop_assert_eq!(dense.shape(), densified.shape());
+    for r in 0..rows {
+        for col in 0..nlp.num_vars() {
+            let (d, c) = (dense.get(r, col), densified.get(r, col));
+            prop_assert!(
+                d.to_bits() == c.to_bits(),
+                "{}[{},{}]: dense view {:e} vs densified CSR {:e}",
+                what,
+                r,
+                col,
+                d,
+                c
+            );
+        }
+    }
+    if let Some(st) = nlp.qp_structure() {
+        let vb = st.vars_per_block;
+        for r in 0..rows {
+            let k = r / rows_per_step;
+            let (lo, hi) = (k.saturating_sub(st.lookback) * vb, (k + 1) * vb);
+            for &col in csr.row(r).0 {
+                prop_assert!(
+                    (lo..hi).contains(&col),
+                    "{} row {} (step {}) touches column {} outside the declared \
+                     lookback-{} block range {}..{}",
+                    what,
+                    r,
+                    k,
+                    col,
+                    st.lookback,
+                    lo,
+                    hi
+                );
+            }
+        }
+    }
+    let fd = ev_optim::finite_diff::jacobian(&values, z, rows);
+    for (r, fd_row) in fd.iter().enumerate() {
+        for (col, &f) in fd_row.iter().enumerate() {
+            prop_assert!(
+                close(densified.get(r, col), f),
+                "{}[{},{}]: analytic {} vs central-difference {}",
+                what,
+                r,
+                col,
+                densified.get(r, col),
+                f
+            );
+        }
+    }
+    Ok(())
+}
+
+/// Every derivative check of this suite on the NLP the controller solves,
+/// at `z`. Samples near the coil-floor kink are rejected.
+fn check_derivatives(nlp: &dyn NlpProblem, z: &[f64]) -> Result<(), TestCaseError> {
+    prop_assert!(nlp.has_exact_derivatives());
+    let n = nlp.num_vars();
+    prop_assert_eq!(n, z.len());
+    let vars_per_step = n / HORIZON;
+    let (me, m) = (nlp.num_eq(), nlp.num_ineq());
+
+    let mut cons = vec![0.0; m];
+    nlp.ineq_constraints(z, &mut cons);
+    for k in 0..HORIZON {
+        let tc_phys = z[k * vars_per_step + 1] * 10.0;
+        let tm = tc_phys - cons[k * INEQ_PER_STEP + C4_ROW];
+        prop_assume!((tm - MIN_COIL_C).abs() > 0.05);
+    }
+
+    let mut grad = vec![0.0; n];
+    nlp.gradient(z, &mut grad);
+    let fd_grad = ev_optim::finite_diff::gradient(&|p: &[f64]| nlp.objective(p), z);
+    for i in 0..n {
+        prop_assert!(
+            close(grad[i], fd_grad[i]),
+            "grad[{}]: analytic {} vs central-difference {}",
+            i,
+            grad[i],
+            fd_grad[i]
+        );
+    }
+
+    check_jacobian(nlp, z, false)?;
+    if me > 0 {
+        check_jacobian(nlp, z, true)?;
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
+    /// The condensed (production) transcription: four scaled inputs per
+    /// step, the cabin and SoC trajectories rolled out inside.
     #[test]
-    fn analytic_derivatives_match_central_difference(
+    fn condensed_derivatives_are_exact(
         tz in 12.0f64..40.0,
         to in -15.0f64..45.0,
         soc in 25.0f64..95.0,
@@ -80,55 +213,41 @@ proptest! {
             HORIZON,
         ),
     ) {
-        let c = controller();
+        let c = controller(false);
         let samples = preview(motor_kw, to);
         let context = ctx_at(tz, to, soc, &samples);
-        let nlp = c.nlp(&context);
-        prop_assert!(nlp.has_exact_derivatives());
+        let z: Vec<f64> = steps.iter().flat_map(|&(ts, tc, dr, mz)| [ts, tc, dr, mz]).collect();
+        c.with_active_nlp(&context, |nlp| {
+            prop_assert_eq!(nlp.num_eq(), 0);
+            check_derivatives(nlp, &z)
+        })?;
+    }
 
-        let mut z = Vec::with_capacity(HORIZON * VARS_PER_STEP);
-        for &(ts, tc, dr, mz) in &steps {
-            z.extend_from_slice(&[ts, tc, dr, mz]);
-        }
-
-        // Recover tm per step from the C4 row (tc − tm) and reject
-        // samples near the coil-floor kink.
-        let m = nlp.num_ineq();
-        let mut cons = vec![0.0; m];
-        nlp.ineq_constraints(&z, &mut cons);
-        for k in 0..HORIZON {
-            let tc_phys = z[k * VARS_PER_STEP + 1] * 10.0;
-            let tm = tc_phys - cons[k * INEQ_PER_STEP + C4_ROW];
-            prop_assume!((tm - MIN_COIL_C).abs() > 0.05);
-        }
-
-        let n = nlp.num_vars();
-        let mut grad = vec![0.0; n];
-        nlp.gradient(&z, &mut grad);
-        let fd_grad = ev_optim::finite_diff::gradient(&|p: &[f64]| nlp.objective(p), &z);
-        for i in 0..n {
-            prop_assert!(
-                close(grad[i], fd_grad[i]),
-                "grad[{}]: analytic {} vs central-difference {}",
-                i, grad[i], fd_grad[i]
-            );
-        }
-
-        let jac = nlp.ineq_jacobian(&z);
-        let fd_jac = ev_optim::finite_diff::jacobian(
-            &|p: &[f64], out: &mut [f64]| nlp.ineq_constraints(p, out),
-            &z,
-            m,
-        );
-        prop_assert_eq!(m, fd_jac.len());
-        for (r, fd_row) in fd_jac.iter().enumerate() {
-            for (col, &f) in fd_row.iter().enumerate() {
-                prop_assert!(
-                    close(jac.get(r, col), f),
-                    "jac[{},{}]: analytic {} vs central-difference {}",
-                    r, col, jac.get(r, col), f
-                );
-            }
-        }
+    /// The multiple-shooting transcription: a free cabin variable per
+    /// step, tied to the dynamics by one equality row each.
+    #[test]
+    fn multiple_shooting_derivatives_are_exact(
+        tz in 12.0f64..40.0,
+        to in -15.0f64..45.0,
+        soc in 25.0f64..95.0,
+        motor_kw in 0.0f64..60.0,
+        steps in proptest::collection::vec(
+            (1.0f64..4.5, 0.8f64..4.2, 0.0f64..0.7, 0.3f64..2.4, 1.2f64..4.0),
+            HORIZON,
+        ),
+    ) {
+        let c = controller(true);
+        let samples = preview(motor_kw, to);
+        let context = ctx_at(tz, to, soc, &samples);
+        let z: Vec<f64> = steps
+            .iter()
+            .flat_map(|&(ts, tc, dr, mz, tzv)| [ts, tc, dr, mz, tzv])
+            .collect();
+        c.with_active_nlp(&context, |nlp| {
+            let st = nlp.qp_structure().expect("multiple shooting declares structure");
+            prop_assert_eq!(nlp.num_vars(), HORIZON * st.vars_per_block);
+            prop_assert_eq!(nlp.num_eq(), HORIZON * st.eq_per_block);
+            check_derivatives(nlp, &z)
+        })?;
     }
 }
