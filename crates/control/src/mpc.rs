@@ -470,7 +470,7 @@ const TZ_SCALE: f64 = 10.0;
 const MS_VARS_PER_STEP: usize = 5;
 /// Inequality constraints per horizon step.
 const INEQ_PER_STEP: usize = 13;
-/// Unit of the condensed NLP's power-cap rows (C8–C10): they read
+/// Unit of the power-cap rows (C8–C10) of both transcriptions: they read
 /// `(P − P_max)/100 W`, in hectowatts. In watts their Jacobian entries
 /// reach thousands while every other row stays at or below ~17, and the
 /// largest row sets both the SQP's L1 merit penalty and the QP's
@@ -493,7 +493,7 @@ const SOAK_SLACK_K: f64 = 0.5;
 ///
 /// Each row is `g ≤ 0` in its own unit: kg/s for C1, the recirculation
 /// fraction for C7, kelvins for C5/C4/C3/C6/C2, and hectowatts for
-/// C8–C10 (watts in the bench-only multiple-shooting transcription).
+/// C8–C10.
 pub const CONSTRAINT_ROW_LABELS: [&str; INEQ_PER_STEP] = [
     "C1-", "C1+", "C7-", "C7+", "C5", "C4", "C3", "C6", "C2-", "C2+", "C8", "C9", "C10",
 ];
@@ -638,10 +638,13 @@ impl MpcController {
         }
     }
 
-    /// Builds the receding-horizon NLP for the given context without
-    /// solving it. Public so harnesses (benchmarks, derivative
-    /// cross-checks) can evaluate the problem's exact derivatives against
-    /// central differences at arbitrary points.
+    /// Builds the condensed receding-horizon NLP for the given context
+    /// without solving it, whatever [`MpcBuilder::multiple_shooting`]
+    /// says: on a multiple-shooting controller this is not the problem it
+    /// solves, which [`MpcController::with_active_nlp`] hands out. Public
+    /// so harnesses (benchmarks, derivative cross-checks) can evaluate the
+    /// problem's exact derivatives against central differences at
+    /// arbitrary points.
     #[must_use]
     pub fn nlp(&self, ctx: &ControlContext<'_>) -> impl NlpProblem + '_ {
         self.build_nlp(ctx)
@@ -1210,15 +1213,13 @@ impl MpcNlp<'_> {
 
     /// The 13 rows of every step (see [`CONSTRAINT_ROW_LABELS`]) of a
     /// decision vector with `stride` variables per step, the C2 rows on
-    /// `tz(k)`, the cabin temperature after step `k`, and the C8–C10 rows
-    /// in units of `power_unit` watts.
+    /// `tz(k)`, the cabin temperature after step `k`.
     fn constraints_of(
         &self,
         z: &[f64],
         stride: usize,
         r: &Rollout,
         tz: impl Fn(usize) -> f64,
-        power_unit: f64,
         out: &mut [f64],
     ) {
         let hp = self.hvac.params();
@@ -1245,9 +1246,9 @@ impl MpcNlp<'_> {
             out[o + 7] = ts - hp.max_supply_temp.value(); // C6
             out[o + 8] = lo_k - tz_k; // C2 lower (funnel)
             out[o + 9] = tz_k - hi_k; // C2 upper (funnel)
-            out[o + 10] = (ph - hp.max_heating_power.value()) / power_unit; // C8
-            out[o + 11] = (pc - hp.max_cooling_power.value()) / power_unit; // C9
-            out[o + 12] = (pf - hp.max_fan_power.value()) / power_unit; // C10
+            out[o + 10] = (ph - hp.max_heating_power.value()) / POWER_ROW_SCALE_W; // C8
+            out[o + 11] = (pc - hp.max_cooling_power.value()) / POWER_ROW_SCALE_W; // C9
+            out[o + 12] = (pf - hp.max_fan_power.value()) / POWER_ROW_SCALE_W; // C10
         }
     }
 
@@ -1453,7 +1454,7 @@ impl NlpProblem for MpcNlp<'_> {
     fn ineq_constraints(&self, z: &[f64], out: &mut [f64]) {
         self.with_rollout(z, |r| {
             let tz = |k: usize| r[k].tz;
-            self.constraints_of(z, VARS_PER_STEP, r, tz, POWER_ROW_SCALE_W, out);
+            self.constraints_of(z, VARS_PER_STEP, r, tz, out);
         });
     }
 
@@ -1633,13 +1634,11 @@ impl NlpProblem for MsMpcNlp<'_, '_> {
 
     /// Same 13 rows per step as the condensed transcription (same order,
     /// same [`CONSTRAINT_ROW_LABELS`]), with the comfort rows reading the
-    /// cabin *variable* — the dynamics equalities pin it to the model —
-    /// and the power caps still in watts.
+    /// cabin *variable* — the dynamics equalities pin it to the model.
     fn ineq_constraints(&self, z: &[f64], out: &mut [f64]) {
         self.with_rollout(z, |r| {
             let tz = |k: usize| Self::tzv(z, k);
-            self.base
-                .constraints_of(z, MS_VARS_PER_STEP, r, tz, 1.0, out);
+            self.base.constraints_of(z, MS_VARS_PER_STEP, r, tz, out);
         });
     }
 
@@ -1704,21 +1703,21 @@ impl NlpProblem for MsMpcNlp<'_, '_> {
                 out.finish_row();
                 out.push(c_tzv, TZ_SCALE);
                 out.finish_row();
-                // C8: ph = ch·mz·(ts − tc).
-                out.push(c_ts, ch * mz * TS_SCALE);
-                out.push(c_tc, -ch * mz * TC_SCALE);
-                out.push(c_mz, ch * (ts - tc) * MZ_SCALE);
+                // C8: ph = ch·mz·(ts − tc). C8–C10 are in hectowatts.
+                out.push(c_ts, ch * mz * TS_SCALE / POWER_ROW_SCALE_W);
+                out.push(c_tc, -ch * mz * TC_SCALE / POWER_ROW_SCALE_W);
+                out.push(c_mz, ch * (ts - tc) * MZ_SCALE / POWER_ROW_SCALE_W);
                 out.finish_row();
                 // C9: pc = cc·mz·(tm − tc).
                 if k > 0 {
-                    out.push(o - 1, cc * mz * tm_prev);
+                    out.push(o - 1, cc * mz * tm_prev / POWER_ROW_SCALE_W);
                 }
-                out.push(c_tc, -cc * mz * TC_SCALE);
-                out.push(c_dr, cc * mz * (tz_in - to));
-                out.push(c_mz, cc * (s.tm - tc) * MZ_SCALE);
+                out.push(c_tc, -cc * mz * TC_SCALE / POWER_ROW_SCALE_W);
+                out.push(c_dr, cc * mz * (tz_in - to) / POWER_ROW_SCALE_W);
+                out.push(c_mz, cc * (s.tm - tc) * MZ_SCALE / POWER_ROW_SCALE_W);
                 out.finish_row();
                 // C10: pf = kf·mz².
-                out.push(c_mz, 2.0 * kf * mz * MZ_SCALE);
+                out.push(c_mz, 2.0 * kf * mz * MZ_SCALE / POWER_ROW_SCALE_W);
                 out.finish_row();
             }
         });
@@ -2007,8 +2006,9 @@ mod tests {
     fn condensed_rows_share_one_scale() {
         // The production configuration (h8, 4-s blocks, the builder's
         // defaults) at a hot soak, a cold soak and a preconditioned hot
-        // day. In watts the power caps' entries reached thousands, and the
-        // largest row sets the SQP's merit penalty and the QP's tolerance.
+        // day, in both transcriptions. In watts the power caps' entries
+        // reached thousands, and the largest row sets the SQP's merit
+        // penalty and the QP's tolerance.
         let hp = HvacParams::default();
         let c =
             MpcController::builder(Hvac::new(CabinParams::default(), hp), HvacLimits::default())
@@ -2020,10 +2020,43 @@ mod tests {
             hp.max_fan_power.value(),
         ];
         let (mut held, mut broken) = (0, 0);
+        let mut check = |nlp: &dyn NlpProblem, z: &[f64], r: &Rollout, what: &str| {
+            let mut jac = SparseMatrix::new();
+            assert!(nlp.ineq_jacobian_sparse_into(z, &mut jac));
+            for row in 0..jac.rows() {
+                let peak = jac.row(row).1.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
+                assert!(
+                    peak <= 100.0,
+                    "{what}: {} at step {}: |J| reaches {peak:e}",
+                    CONSTRAINT_ROW_LABELS[row % INEQ_PER_STEP],
+                    row / INEQ_PER_STEP
+                );
+            }
+            let mut cons = vec![0.0; nlp.num_ineq()];
+            nlp.ineq_constraints(z, &mut cons);
+            for (k, s) in r.iter().enumerate() {
+                let (ph, pc, pf) = s.powers;
+                for (i, (p, cap)) in [ph, pc, pf].into_iter().zip(caps).enumerate() {
+                    let g = cons[k * INEQ_PER_STEP + 10 + i];
+                    assert_eq!(
+                        g <= 0.0,
+                        p <= cap,
+                        "{what}: {} at step {k}: row {g} vs {p} W against {cap} W",
+                        CONSTRAINT_ROW_LABELS[10 + i]
+                    );
+                    if p <= cap {
+                        held += 1;
+                    } else {
+                        broken += 1;
+                    }
+                }
+            }
+        };
         for (tz0, to) in [(35.0, 35.0), (-10.0, -10.0), (24.0, 35.0)] {
             let preview = preview_const(9_000.0, to, 32);
             let context = ctx(tz0, to, &preview);
             let nlp = c.build_nlp(&context);
+            let ms = MsMpcNlp::new(&nlp);
             let cold = c.cold_start(&context);
             // Mid flow with the supply at its cap and the coil at its
             // floor: where the power rows are steepest at that flow.
@@ -2036,37 +2069,22 @@ mod tests {
             ];
             let mid = step.repeat(c.horizon());
             for z in [&cold, &mid] {
-                let mut jac = SparseMatrix::new();
-                assert!(nlp.ineq_jacobian_sparse_into(z, &mut jac));
-                for row in 0..jac.rows() {
-                    let peak = jac.row(row).1.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
-                    assert!(
-                        peak <= 100.0,
-                        "{} at step {} (cabin {tz0}, ambient {to}): |J| reaches {peak:e}",
-                        CONSTRAINT_ROW_LABELS[row % INEQ_PER_STEP],
-                        row / INEQ_PER_STEP
-                    );
-                }
-                let mut cons = vec![0.0; nlp.num_ineq()];
-                nlp.ineq_constraints(z, &mut cons);
+                let what = format!("cabin {tz0}, ambient {to}");
                 let r = nlp.rollout(z);
-                for (k, s) in r.iter().enumerate() {
-                    let (ph, pc, pf) = s.powers;
-                    for (i, (p, cap)) in [ph, pc, pf].into_iter().zip(caps).enumerate() {
-                        let g = cons[k * INEQ_PER_STEP + 10 + i];
-                        assert_eq!(
-                            g <= 0.0,
-                            p <= cap,
-                            "{} at step {k}: row {g} vs {p} W against {cap} W",
-                            CONSTRAINT_ROW_LABELS[10 + i]
-                        );
-                        if p <= cap {
-                            held += 1;
-                        } else {
-                            broken += 1;
-                        }
-                    }
-                }
+                check(&nlp, z, &r, &format!("condensed, {what}"));
+                // The same plan in the multiple-shooting layout, its cabin
+                // variables on the condensed trajectory.
+                let z_ms: Vec<f64> = z
+                    .chunks(VARS_PER_STEP)
+                    .zip(r.iter())
+                    .flat_map(|(u, s)| u.iter().copied().chain([s.tz / TZ_SCALE]))
+                    .collect();
+                check(
+                    &ms,
+                    &z_ms,
+                    &ms.rollout(&z_ms),
+                    &format!("multiple shooting, {what}"),
+                );
             }
         }
         assert!(held > 0 && broken > 0, "held {held}, broken {broken}");

@@ -63,13 +63,6 @@ impl BandedMatrix {
         self.data.resize((self.w + 1) * n, 0.0);
     }
 
-    /// Dimension of the matrix.
-    #[inline]
-    #[must_use]
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
     /// Number of stored sub-diagonals.
     #[inline]
     #[must_use]
@@ -129,39 +122,6 @@ impl BandedMatrix {
         }
         m
     }
-
-    /// Extracts the lower band of a dense symmetric matrix.
-    ///
-    /// Entries outside the band are ignored; the caller asserts they are
-    /// structurally zero (checked in debug builds).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::NotSquare`] for rectangular input.
-    pub fn from_dense(a: &Matrix, w: usize) -> Result<Self, LinalgError> {
-        if !a.is_square() {
-            return Err(LinalgError::NotSquare {
-                rows: a.rows(),
-                cols: a.cols(),
-            });
-        }
-        let n = a.rows();
-        let mut b = Self::zeros(n, w);
-        for j in 0..n {
-            for i in j..n {
-                let v = a.get(i, j);
-                if i - j <= b.w {
-                    b.data[i * (b.w + 1) + (i - j)] = v;
-                } else {
-                    debug_assert!(
-                        v == 0.0,
-                        "entry ({i}, {j}) = {v} outside declared bandwidth {w}"
-                    );
-                }
-            }
-        }
-        Ok(b)
-    }
 }
 
 /// LDLᵀ factorization of a symmetric [`BandedMatrix`].
@@ -215,20 +175,6 @@ impl BandedCholesky {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Dimension of the factored matrix (zero before the first factor).
-    #[inline]
-    #[must_use]
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
-    /// Bandwidth of the factored matrix.
-    #[inline]
-    #[must_use]
-    pub fn bandwidth(&self) -> usize {
-        self.w
     }
 
     /// Factors `a = L·D·Lᵀ` in `O(n·w²)`, reusing internal storage.
@@ -310,8 +256,9 @@ impl BandedCholesky {
     ///
     /// # Errors
     ///
-    /// Returns [`LinalgError::DimensionMismatch`] if `b.len() != dim()`
-    /// and [`LinalgError::Empty`] if nothing has been factored yet.
+    /// Returns [`LinalgError::DimensionMismatch`] if `b` does not have
+    /// the factored matrix's dimension and [`LinalgError::Empty`] if
+    /// nothing has been factored yet.
     pub fn solve_in_place(&self, b: &mut [f64]) -> Result<(), LinalgError> {
         let (n, w) = (self.n, self.w);
         if n == 0 {
@@ -388,8 +335,6 @@ mod tests {
         assert_eq!(a.get(0, 3), 0.0);
         let d = a.to_dense();
         assert!(d.is_symmetric(0.0));
-        let back = BandedMatrix::from_dense(&d, 1).unwrap();
-        assert_eq!(back, a);
     }
 
     #[test]

@@ -42,12 +42,9 @@ pub struct Cholesky {
 }
 
 impl Cholesky {
-    /// Factors a symmetric positive-definite matrix.
-    ///
-    /// Only the lower triangle of `a` is read; symmetry of the upper
-    /// triangle is the caller's responsibility (checked loosely in debug
-    /// builds). Callers that fill only the lower triangle use
-    /// [`Cholesky::factor_lower`].
+    /// Factors the symmetric positive-definite matrix whose lower
+    /// triangle (diagonal included) is that of `a`. The strict upper
+    /// triangle is never read and may hold anything.
     ///
     /// # Errors
     ///
@@ -55,26 +52,14 @@ impl Cholesky {
     /// [`LinalgError::NotPositiveDefinite`] if a diagonal pivot is not
     /// strictly positive.
     pub fn factor(a: &Matrix) -> Result<Self, LinalgError> {
-        debug_assert_symmetric(a);
-        Self::factor_lower(a)
-    }
-
-    /// Factors the symmetric positive-definite matrix whose lower
-    /// triangle (diagonal included) is that of `a`. The strict upper
-    /// triangle is never read and may hold anything, so this makes no
-    /// symmetry check.
-    ///
-    /// # Errors
-    ///
-    /// As [`Cholesky::factor`].
-    pub fn factor_lower(a: &Matrix) -> Result<Self, LinalgError> {
         let mut u = Matrix::zeros(a.rows().max(1), a.cols().max(1));
         factor_into(a, &mut u)?;
         Ok(Self { u })
     }
 
     /// Refactors a matrix of the same dimension in place, reusing the
-    /// existing factor storage (no allocation).
+    /// existing factor storage (no allocation). Like [`Cholesky::factor`]
+    /// it reads only the lower triangle of `a`.
     ///
     /// # Errors
     ///
@@ -82,17 +67,6 @@ impl Cholesky {
     /// if `a` does not match the current [`Cholesky::dim`]. On error the
     /// factor contents are unspecified; discard this instance.
     pub fn refactor(&mut self, a: &Matrix) -> Result<(), LinalgError> {
-        debug_assert_symmetric(a);
-        self.refactor_lower(a)
-    }
-
-    /// [`Cholesky::refactor`] reading only the lower triangle of `a`, as
-    /// [`Cholesky::factor_lower`] does.
-    ///
-    /// # Errors
-    ///
-    /// As [`Cholesky::refactor`].
-    pub fn refactor_lower(&mut self, a: &Matrix) -> Result<(), LinalgError> {
         if a.shape() != self.u.shape() {
             return Err(LinalgError::DimensionMismatch {
                 expected: self.u.shape(),
@@ -163,26 +137,6 @@ impl Cholesky {
         }
         Ok(())
     }
-
-    /// Determinant of the factored matrix (product of squared pivots).
-    #[must_use]
-    pub fn det(&self) -> f64 {
-        let mut d = 1.0;
-        for i in 0..self.dim() {
-            let l = self.u.get(i, i);
-            d *= l * l;
-        }
-        d
-    }
-}
-
-/// Loose symmetry check for the full-matrix entry points (debug builds
-/// only); shape errors are left to the factorization to report.
-fn debug_assert_symmetric(a: &Matrix) {
-    debug_assert!(
-        !a.is_square() || a.is_symmetric(1e-8 * a.norm_max().max(1.0)),
-        "Cholesky::factor called with an asymmetric matrix"
-    );
 }
 
 /// Rows finished together before their products update the trailing
@@ -285,7 +239,6 @@ mod tests {
         let expected =
             Matrix::from_rows(&[&[5.0, 0.0, 0.0], &[3.0, 3.0, 0.0], &[-1.0, 1.0, 3.0]]).unwrap();
         assert!(ch.l().sub(&expected).unwrap().norm_max() < 1e-12);
-        assert!((ch.det() - 2025.0).abs() < 1e-9);
     }
 
     #[test]
@@ -418,7 +371,7 @@ mod tests {
     }
 
     /// `a` with its strict upper triangle overwritten by garbage, which
-    /// the lower-triangle entry points must never read.
+    /// the factorization must never read.
     fn lower_only(a: &Matrix) -> Matrix {
         Matrix::from_fn(a.rows(), a.cols(), |r, c| {
             if c > r {
@@ -433,29 +386,22 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// Factor, refactor and solve agree with the scalar oracle bit for
-    /// bit, or reject the same leading pivot; so do the lower-triangle
-    /// entry points on a copy whose upper triangle is garbage.
+    /// Factor, refactor and both solves agree with the scalar oracle bit
+    /// for bit, or reject the same leading pivot, on `a` and on a copy
+    /// whose upper triangle is garbage.
     fn assert_matches_oracle(a: &Matrix, seed: &mut u64) {
         let n = a.rows();
         let b: Vec<f64> = (0..n).map(|_| uniform(seed)).collect();
         let lower = lower_only(a);
         let fresh = Cholesky::factor(a);
-        let fresh_lower = Cholesky::factor_lower(&lower);
+        let fresh_lower = Cholesky::factor(&lower);
         // Refactor over a different same-shaped factor, so stale state
         // would show.
         let mut reused = Cholesky::factor(&gram(n, n, 1.0, seed)).unwrap();
-        let refactored = reused.refactor(a);
-        let mut reused_lower = Cholesky::factor(&gram(n, n, 1.0, seed)).unwrap();
-        let refactored_lower = reused_lower.refactor_lower(&lower);
+        let refactored = reused.refactor(&lower);
         match oracle_factor(a) {
             Err(pivot) => {
-                for result in [
-                    fresh.map(drop),
-                    fresh_lower.map(drop),
-                    refactored,
-                    refactored_lower,
-                ] {
+                for result in [fresh.map(drop), fresh_lower.map(drop), refactored] {
                     assert_eq!(result.unwrap_err(), LinalgError::NotPositiveDefinite);
                 }
                 // Same pivot: the leading block up to it factors (bit for
@@ -475,8 +421,7 @@ mod tests {
             Ok(l) => {
                 let expected = oracle_solve(&l, &b);
                 refactored.unwrap();
-                refactored_lower.unwrap();
-                for got in [fresh.unwrap(), fresh_lower.unwrap(), reused, reused_lower] {
+                for got in [fresh.unwrap(), fresh_lower.unwrap(), reused] {
                     assert_eq!(bits(got.l().as_slice()), bits(l.as_slice()));
                     assert_eq!(bits(&got.solve(&b).unwrap()), bits(&expected));
                     let mut x = b.clone();

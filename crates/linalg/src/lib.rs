@@ -49,6 +49,6 @@ pub mod vecops;
 pub use banded::{BandedCholesky, BandedMatrix};
 pub use cholesky::Cholesky;
 pub use error::LinalgError;
-pub use lu::{solve, Lu};
+pub use lu::Lu;
 pub use matrix::Matrix;
 pub use sparse::SparseMatrix;

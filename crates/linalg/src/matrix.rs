@@ -190,17 +190,6 @@ impl Matrix {
         &mut self.data[r * cols..(r + 1) * cols]
     }
 
-    /// Copies column `c` into a new vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c >= cols`.
-    #[must_use]
-    pub fn col(&self, c: usize) -> Vec<f64> {
-        assert!(c < self.cols, "column index out of bounds");
-        (0..self.rows).map(|r| self.get(r, c)).collect()
-    }
-
     /// Borrows the underlying row-major storage.
     #[inline]
     #[must_use]
@@ -302,31 +291,6 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Elementwise sum `self + other`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if shapes differ.
-    pub fn add(&self, other: &Self) -> Result<Self, LinalgError> {
-        if self.shape() != other.shape() {
-            return Err(LinalgError::DimensionMismatch {
-                expected: self.shape(),
-                actual: other.shape(),
-            });
-        }
-        let data = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| a + b)
-            .collect();
-        Ok(Self {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        })
-    }
-
     /// Elementwise difference `self − other`.
     ///
     /// # Errors
@@ -350,16 +314,6 @@ impl Matrix {
             cols: self.cols,
             data,
         })
-    }
-
-    /// Returns `self` scaled by `s`.
-    #[must_use]
-    pub fn scale(&self, s: f64) -> Self {
-        Self {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|v| v * s).collect(),
-        }
     }
 
     /// Adds `s · I` to a square matrix in place (Levenberg regularization).
@@ -428,7 +382,6 @@ mod tests {
         assert_eq!(m.get(0, 2), 3.0);
         assert_eq!(m.get(1, 0), 4.0);
         assert_eq!(m.row(1), &[4.0, 5.0, 6.0]);
-        assert_eq!(m.col(1), vec![2.0, 5.0]);
     }
 
     #[test]
@@ -488,12 +441,12 @@ mod tests {
     }
 
     #[test]
-    fn add_sub_scale() {
+    fn sub_elementwise() {
         let a = sample();
-        let s = a.add(&a).unwrap();
-        assert_eq!(s, a.scale(2.0));
-        let z = s.sub(&a).unwrap().sub(&a).unwrap();
-        assert_eq!(z.norm_max(), 0.0);
+        assert_eq!(a.sub(&a).unwrap().norm_max(), 0.0);
+        let d = a.sub(&Matrix::zeros(2, 3)).unwrap();
+        assert_eq!(d, a);
+        assert!(a.sub(&a.transpose()).is_err());
     }
 
     #[test]

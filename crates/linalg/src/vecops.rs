@@ -60,31 +60,10 @@ pub fn sub(x: &[f64], y: &[f64]) -> Vec<f64> {
     x.iter().zip(y).map(|(a, b)| a - b).collect()
 }
 
-/// Elementwise sum `x + y` as a new vector.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-#[must_use]
-pub fn add(x: &[f64], y: &[f64]) -> Vec<f64> {
-    assert_eq!(x.len(), y.len(), "add: length mismatch");
-    x.iter().zip(y).map(|(a, b)| a + b).collect()
-}
-
 /// Scaled copy `a·x` as a new vector.
 #[must_use]
 pub fn scale(a: f64, x: &[f64]) -> Vec<f64> {
     x.iter().map(|v| a * v).collect()
-}
-
-/// Arithmetic mean of the entries; `0.0` for an empty slice.
-#[must_use]
-pub fn mean(x: &[f64]) -> f64 {
-    if x.is_empty() {
-        0.0
-    } else {
-        x.iter().sum::<f64>() / x.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -107,12 +86,9 @@ mod tests {
     }
 
     #[test]
-    fn add_sub_scale_mean() {
-        assert_eq!(add(&[1.0, 2.0], &[3.0, 4.0]), vec![4.0, 6.0]);
+    fn sub_and_scale() {
         assert_eq!(sub(&[1.0, 2.0], &[3.0, 4.0]), vec![-2.0, -2.0]);
         assert_eq!(scale(0.5, &[2.0, 4.0]), vec![1.0, 2.0]);
-        assert_eq!(mean(&[1.0, 2.0, 3.0]), 2.0);
-        assert_eq!(mean(&[]), 0.0);
     }
 
     #[test]

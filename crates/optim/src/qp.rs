@@ -1056,44 +1056,11 @@ impl Stall {
     }
 }
 
-/// `out = M·x` for a dense matrix without allocating, bit-identical to
-/// `out[r] = vecops::dot(M.row(r), x)`.
+/// `out = M·x` for a dense matrix without allocating, one row dot at a
+/// time.
 fn matvec_into(m: &Matrix, x: &[f64], out: &mut [f64]) {
-    dot_rows(|r| m.row(r), x, &mut out[..m.rows()]);
-}
-
-/// `out[r] = vecops::dot(row(r), x)` for every `r < out.len()`, bit for
-/// bit.
-///
-/// Four rows at a time share each load of `x`, but every row keeps its
-/// own accumulator, started from the value `f64`'s `Sum` starts from and
-/// fed its products left to right, so each entry is the same sequence of
-/// IEEE operations as the iterator sum.
-///
-/// # Panics
-///
-/// Panics if a row's length differs from `x.len()`, as `vecops::dot`
-/// does.
-pub(crate) fn dot_rows<'a>(row: impl Fn(usize) -> &'a [f64], x: &[f64], out: &mut [f64]) {
-    let start: f64 = std::iter::empty::<f64>().sum();
-    let quads = out.len() - out.len() % 4;
-    for (r, o) in (0..quads).step_by(4).zip(out.chunks_exact_mut(4)) {
-        let (r0, r1, r2, r3) = (row(r), row(r + 1), row(r + 2), row(r + 3));
-        assert!(
-            [r0.len(), r1.len(), r2.len(), r3.len()] == [x.len(); 4],
-            "dot_rows: length mismatch"
-        );
-        let (mut s0, mut s1, mut s2, mut s3) = (start, start, start, start);
-        for ((((xc, a0), a1), a2), a3) in x.iter().zip(r0).zip(r1).zip(r2).zip(r3) {
-            s0 += a0 * xc;
-            s1 += a1 * xc;
-            s2 += a2 * xc;
-            s3 += a3 * xc;
-        }
-        o.copy_from_slice(&[s0, s1, s2, s3]);
-    }
-    for (r, o) in out.iter_mut().enumerate().skip(quads) {
-        *o = vecops::dot(row(r), x);
+    for (r, o) in out[..m.rows()].iter_mut().enumerate() {
+        *o = vecops::dot(m.row(r), x);
     }
 }
 
@@ -1127,9 +1094,10 @@ fn hess_matvec(h: &Matrix, h_block: Option<usize>, x: &[f64], out: &mut [f64]) {
 /// [`crate::SqpSolver`] keeps one for a whole solve and hands it to every
 /// QP it solves there (warm attempts, cold retries, boosted-regularization
 /// and elastic retries), so the subproblems of a solve allocate none of
-/// it. Each QP solve resizes it to its own dimensions and overwrites every
-/// entry before reading it, so a reused workspace yields exactly the bits
-/// of a fresh one.
+/// it except a dense LU, factored afresh where one is needed. Each QP
+/// solve resizes it to its own dimensions and overwrites every entry
+/// before reading it, so a reused workspace yields exactly the bits of a
+/// fresh one.
 #[derive(Debug, Default)]
 pub(crate) struct IpmWorkspace {
     kkt: KktWorkspace,
@@ -1307,8 +1275,10 @@ fn newton_step(
 /// pivoted LU is always the last resort, except in a warm attempt, which
 /// returns a Cholesky rejection at once: in measured traffic the LU never
 /// succeeded there, and the cold retry that follows converged. One dense
-/// matrix and one factor per backend serve every iteration of a solve,
-/// and every later solve through the same [`IpmWorkspace`].
+/// matrix, one Cholesky factor and one banded factor serve every
+/// iteration of a solve, and every later solve through the same
+/// [`IpmWorkspace`]; the LU, which only equality blocks and that last
+/// resort reach, is factored afresh each time.
 #[derive(Debug)]
 struct KktWorkspace {
     n: usize,
@@ -1506,8 +1476,8 @@ impl KktWorkspace {
         if self.use_cholesky {
             let kkt = &self.dense;
             let factored = match self.cholesky.as_mut() {
-                Some(c) if c.dim() == dim => c.refactor_lower(kkt),
-                _ => Cholesky::factor_lower(kkt).map(|c| self.cholesky = Some(c)),
+                Some(c) if c.dim() == dim => c.refactor(kkt),
+                _ => Cholesky::factor(kkt).map(|c| self.cholesky = Some(c)),
             };
             match factored {
                 Ok(()) => {
@@ -1533,16 +1503,7 @@ impl KktWorkspace {
                 data[c * dim + r] = data[r * dim + c];
             }
         }
-        let kkt = &self.dense;
-        match self.lu.as_mut() {
-            Some(lu) if lu.dim() == dim => {
-                if let Err(e) = lu.refactor(kkt) {
-                    self.lu = None;
-                    return Err(e.into());
-                }
-            }
-            _ => self.lu = Some(Lu::factor(kkt)?),
-        }
+        self.lu = Some(Lu::factor(&self.dense)?);
         self.backend = QpKktBackend::DenseLu;
         Ok(())
     }
@@ -1567,11 +1528,8 @@ impl KktWorkspace {
                     .solve_in_place(x)?;
             }
             QpKktBackend::DenseLu => {
-                self.lu
-                    .as_ref()
-                    .expect("backend implies factor")
-                    .solve_into(x, &mut self.perm_rhs)?;
-                x.copy_from_slice(&self.perm_rhs);
+                let lu = self.lu.as_ref().expect("backend implies factor");
+                x.copy_from_slice(&lu.solve(x)?);
             }
         }
         Ok(())
@@ -2261,42 +2219,6 @@ mod tests {
             let a = mixed_csr(m, n, &mut seed);
             let w = weights(m, &mut seed);
             assert_gram_is_lower_triangle(&a, n, &w, &mut seed);
-        }
-    }
-
-    #[test]
-    fn interleaved_matvec_matches_row_dots_bitwise() {
-        let mut seed = 9u64;
-        for rows in [0, 1, 3, 4, 5, 7, 8, 9, 13, 32] {
-            for cols in [0, 1, 2, 5, 32] {
-                let mut m = Matrix::from_fn(rows, cols, |_, _| uniform(&mut seed));
-                // An all-zero row, a row of negative zeros (which sums to
-                // the start value of `f64`'s `Sum`) and a stray −0.0.
-                if rows > 1 {
-                    m.row_mut(1).fill(0.0);
-                }
-                if rows > 2 {
-                    m.row_mut(2).fill(-0.0);
-                }
-                if rows > 4 && cols > 0 {
-                    m.set(4, 0, -0.0);
-                }
-                let x: Vec<f64> = (0..cols)
-                    .map(|j| {
-                        if j % 4 == 3 {
-                            -0.0
-                        } else {
-                            uniform(&mut seed).abs()
-                        }
-                    })
-                    .collect();
-                let mut out = vec![f64::NAN; rows];
-                matvec_into(&m, &x, &mut out);
-                for (r, got) in out.iter().enumerate() {
-                    let want = vecops::dot(m.row(r), &x);
-                    assert_eq!(got.to_bits(), want.to_bits(), "{rows}×{cols}, row {r}");
-                }
-            }
         }
     }
 

@@ -3,7 +3,7 @@
 use ev_linalg::{vecops, Matrix, SparseMatrix};
 
 use crate::observer::{NoopSqpObserver, QpSubproblemStatus, SqpIterationRecord, SqpObserver};
-use crate::qp::{dot_rows, IpmWorkspace, WARM_FLOOR};
+use crate::qp::{IpmWorkspace, WARM_FLOOR};
 use crate::{NlpProblem, OptimError, QpSolver, QpSolverOptions, QpStructure, QpView, QpWarmStart};
 
 /// Evaluates the equality Jacobian at `z` into `out`, the CSR form every
@@ -702,7 +702,9 @@ fn bfgs_update_block(
     r: &mut [f64],
 ) {
     let block = lo..lo + s.len();
-    dot_rows(|i| &b.row(lo + i)[block.clone()], s, bs);
+    for (i, bsi) in bs.iter_mut().enumerate() {
+        *bsi = vecops::dot(&b.row(lo + i)[block.clone()], s);
+    }
     let sbs = vecops::dot(s, bs);
     if sbs <= 1e-14 || vecops::norm2(s) < 1e-14 {
         return;

@@ -3,7 +3,7 @@
 //! Property-based tests for the QP and SQP solvers: KKT conditions,
 //! feasibility and invariance properties on random problems.
 
-use ev_linalg::{vecops, Matrix, SparseMatrix};
+use ev_linalg::{vecops, Lu, Matrix, SparseMatrix};
 use ev_optim::{NlpProblem, QpSolver, QpView, SqpSolver};
 use proptest::prelude::*;
 
@@ -44,7 +44,10 @@ proptest! {
         // min ½zᵀHz + gᵀz ⇒ Hz* = −g.
         let p = QpView::new(&h, &g).expect("valid");
         let sol = QpSolver::default().solve_view(&p).expect("solves");
-        let direct = ev_linalg::solve(&h, &vecops::scale(-1.0, &g)).expect("spd");
+        let direct = Lu::factor(&h)
+            .expect("spd")
+            .solve(&vecops::scale(-1.0, &g))
+            .expect("dims");
         for k in 0..4 {
             prop_assert!((sol.z[k] - direct[k]).abs() < 1e-5,
                 "ipm {} vs direct {}", sol.z[k], direct[k]);

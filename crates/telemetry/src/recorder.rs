@@ -163,8 +163,7 @@ pub struct DecisionRecord {
     pub objective: f64,
     /// L1 constraint violation at the returned iterate, summed over rows
     /// in their own units: kg/s (C1), recirculation fraction (C7),
-    /// kelvins (C2–C6) and hectowatts (C8–C10; watts when the controller
-    /// runs the multiple-shooting transcription).
+    /// kelvins (C2–C6) and hectowatts (C8–C10).
     pub constraint_violation: f64,
     /// Provenance of the starting point.
     pub warm_start: WarmStart,

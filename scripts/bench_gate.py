@@ -10,7 +10,10 @@ look like
 and compares each median against the committed baseline in
 ``BENCH_mpc.json``. Exits non-zero if any benchmark's median regresses by
 more than the threshold (default 20%), printing a per-benchmark table
-either way.
+either way. An arm whose median is more than the threshold *below* its
+baseline is printed as a "stale baseline" line without failing the gate:
+left in place, such a baseline lets that arm regress unnoticed by the gain
+plus the threshold, so it should be refreshed.
 
 Benchmarks present in the run but absent from the baseline are reported
 as "new" and do not fail the gate (commit an updated BENCH_mpc.json to
@@ -120,6 +123,11 @@ def main() -> int:
             f"{bench_id:<{width}}  {fmt_us(run[bench_id]):>10} vs baseline "
             f"{fmt_us(baseline[bench_id]):>10}  ({ratio - 1.0:+.1%})  {status}"
         )
+        if ratio < 1.0 - args.threshold:
+            print(
+                f"{bench_id:<{width}}  stale baseline: the median is "
+                f"{1.0 - ratio:.1%} below it; refresh it in {args.baseline}"
+            )
 
     if failures:
         print(
