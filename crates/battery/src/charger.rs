@@ -37,17 +37,6 @@ impl Charger {
         }
     }
 
-    /// A 46 kW DC fast charger (≈125 A).
-    #[must_use]
-    pub fn dc_fast_46kw() -> Self {
-        Self {
-            cc_current: Amperes::new(125.0),
-            cv_voltage: Volts::new(403.0),
-            cutoff_current: Amperes::new(10.0),
-            efficiency: 0.94,
-        }
-    }
-
     /// Validates the configuration.
     ///
     /// # Panics
@@ -190,30 +179,6 @@ mod tests {
             session.grid_energy_kwh > 13.0,
             "{}",
             session.grid_energy_kwh
-        );
-    }
-
-    #[test]
-    fn dc_fast_charges_much_faster() {
-        let mut slow_b = depleted_battery();
-        let slow = charge_to(
-            &mut slow_b,
-            &Charger::level2_6kw(),
-            Percent::new(80.0),
-            Seconds::new(10.0),
-        );
-        let mut fast_b = depleted_battery();
-        let fast = charge_to(
-            &mut fast_b,
-            &Charger::dc_fast_46kw(),
-            Percent::new(80.0),
-            Seconds::new(10.0),
-        );
-        assert!(
-            fast.duration.value() < slow.duration.value() / 3.0,
-            "fast {} vs slow {}",
-            fast.duration.value(),
-            slow.duration.value()
         );
     }
 

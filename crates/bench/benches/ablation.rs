@@ -40,7 +40,7 @@ fn run_mpc(
         .weights(weights)
         .build()
         .expect("valid config");
-    let r = sim.run(&mut mpc).expect("runs");
+    let r = sim.run(&mut mpc);
     (
         r.metrics().delta_soh_milli_percent,
         r.metrics().avg_hvac_power.value(),

@@ -29,7 +29,7 @@ pub fn run_cell(cycle: &DriveCycle, ambient_c: f64, kind: ControllerKind) -> Sim
     let sim =
         Simulation::new(params.clone(), profile_at(cycle, ambient_c)).expect("profile non-empty");
     let mut controller = kind.instantiate(&params).expect("controller instantiates");
-    sim.run(controller.as_mut()).expect("simulation runs")
+    sim.run(controller.as_mut())
 }
 
 /// A representative hot-day control context for single-step controller

@@ -18,7 +18,7 @@ pub struct PreviewSample {
 
 /// Everything a controller may observe at one control instant.
 ///
-/// Reactive controllers (On/Off, PID, fuzzy) read only the measured state
+/// Reactive controllers (On/Off, fuzzy) read only the measured state
 /// and current ambient; the battery-lifetime-aware MPC additionally uses
 /// the [`preview`](Self::preview) of future motor power and ambient
 /// temperature, and the BMS feedback (`soc`, `soc_avg`).

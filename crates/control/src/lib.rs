@@ -9,7 +9,6 @@
 //! | Controller | Strategy | Paper role |
 //! |---|---|---|
 //! | [`OnOffController`] | bang-bang thermostat at full capacity | baseline \[8, 9\] |
-//! | [`PidController`] | classical PID on temperature error | building block |
 //! | [`FuzzyController`] | Mamdani fuzzy logic on (error, error rate) | baseline \[10\] |
 //! | [`MpcController`] | receding-horizon SQP over the drive preview | the contribution |
 //!
@@ -45,7 +44,6 @@ mod diagnostics;
 pub mod fuzzy;
 mod mpc;
 mod onoff;
-mod pid;
 
 pub use context::{ControlContext, PreviewSample};
 pub use diagnostics::MpcDiagnostics;
@@ -54,7 +52,6 @@ pub use mpc::{
     MpcBatteryModel, MpcBuilder, MpcConfigError, MpcController, MpcWeights, CONSTRAINT_ROW_LABELS,
 };
 pub use onoff::OnOffController;
-pub use pid::PidController;
 
 use ev_hvac::{Hvac, HvacInput, HvacLimits};
 use ev_units::{Celsius, KgPerSecond};
@@ -63,7 +60,7 @@ use ev_units::{Celsius, KgPerSecond};
 /// per control period.
 ///
 /// Implementations are stateful (`&mut self`): thermostats track their
-/// switch state, PID its integral, the MPC its warm start.
+/// switch state, the MPC its warm start.
 pub trait ClimateController {
     /// A short, stable identifier (used in experiment tables).
     fn name(&self) -> &'static str;
@@ -79,7 +76,7 @@ pub trait ClimateController {
 
     /// Clears all per-drive state so the controller can be handed to a
     /// *new vehicle session* without re-instantiation: thermostat switch
-    /// state, PID integral/derivative memory, and — critically — the
+    /// state, the fuzzy controller's error memory and — critically — the
     /// MPC's warm start and interior-point multiplier cache, which
     /// anchor the solver to the previous vehicle's trajectory and must
     /// never leak across vehicle ids. Cumulative observability
@@ -93,8 +90,7 @@ pub trait ClimateController {
 }
 
 /// Maps a signed actuation duty (−1 = full heating, +1 = full cooling)
-/// onto a feasible [`HvacInput`], shared by the PID and fuzzy
-/// controllers.
+/// onto a feasible [`HvacInput`], the fuzzy controller's actuation map.
 ///
 /// The duty scales the fan flow between its limits and drives the active
 /// coil up to the span its power cap allows at that flow.

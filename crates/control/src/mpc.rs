@@ -685,6 +685,7 @@ impl MpcController {
             soc_avg_ref: ctx.soc_avg,
             preview: self.resample_preview(ctx),
             cache: RolloutCache::new(),
+            jac_scratch: RefCell::new(Vec::new()),
         }
     }
 
@@ -1036,6 +1037,9 @@ struct MpcNlp<'a> {
     soc_avg_ref: f64,
     preview: Vec<PreviewSample>,
     cache: RolloutCache,
+    /// The condensed Jacobian's four cabin-sensitivity arrays, one after
+    /// another, kept so that an evaluation does not allocate.
+    jac_scratch: RefCell<Vec<f64>>,
 }
 
 /// One prediction step of the model: what the objective, the constraint
@@ -1062,8 +1066,12 @@ type Rollout = Vec<Step>;
 
 /// The last rollout of an NLP, keyed by the iterate it was computed at,
 /// with the evaluations it served and those that had to roll out afresh.
+/// A miss overwrites both buffers in place, so only the first evaluation
+/// allocates.
 struct RolloutCache {
-    last: RefCell<Option<(Vec<f64>, Rollout)>>,
+    /// The iterate and its rollout, both empty before the first
+    /// evaluation.
+    last: RefCell<(Vec<f64>, Rollout)>,
     hits: Cell<u64>,
     misses: Cell<u64>,
 }
@@ -1071,29 +1079,32 @@ struct RolloutCache {
 impl RolloutCache {
     fn new() -> Self {
         Self {
-            last: RefCell::new(None),
+            last: RefCell::new((Vec::new(), Vec::new())),
             hits: Cell::new(0),
             misses: Cell::new(0),
         }
     }
 
-    /// Runs `f` with the rollout at `z`, calling `roll` only when the
-    /// iterate changed (the SQP solver evaluates the objective,
-    /// constraints, gradient and Jacobians at the same point).
+    /// Runs `f` with the rollout at `z`, calling `roll` to refill the
+    /// cached rollout only when the iterate changed (the SQP solver
+    /// evaluates the objective, constraints, gradient and Jacobians at
+    /// the same point).
     fn with<T>(
         &self,
         z: &[f64],
-        roll: impl FnOnce(&[f64]) -> Rollout,
+        roll: impl FnOnce(&[f64], &mut Rollout),
         f: impl FnOnce(&Rollout) -> T,
     ) -> T {
         let mut last = self.last.borrow_mut();
-        if matches!(&*last, Some((zc, _)) if zc.as_slice() == z) {
+        let (zc, r) = &mut *last;
+        if zc.as_slice() == z {
             self.hits.set(self.hits.get() + 1);
         } else {
             self.misses.set(self.misses.get() + 1);
-            *last = Some((z.to_vec(), roll(z)));
+            zc.clear();
+            zc.extend_from_slice(z);
+            roll(z, r);
         }
-        let (_, r) = last.as_ref().expect("cache filled above");
         f(r)
     }
 }
@@ -1122,17 +1133,19 @@ impl MpcNlp<'_> {
         }
     }
 
-    /// The stage model rolled over the horizon, from a decision vector
-    /// with `stride` variables per step. Step `k` starts from the cabin
-    /// temperature `incoming(k, tz)`, where `tz` is the previous step's
-    /// prediction (`tz0` before the first step): the condensed rollout
-    /// passes it on, multiple shooting reads its lifted `tzv_{k−1}`.
+    /// The stage model rolled over the horizon into `out`, from a
+    /// decision vector with `stride` variables per step. Step `k` starts
+    /// from the cabin temperature `incoming(k, tz)`, where `tz` is the
+    /// previous step's prediction (`tz0` before the first step): the
+    /// condensed rollout passes it on, multiple shooting reads its lifted
+    /// `tzv_{k−1}`.
     fn rollout_with(
         &self,
         z: &[f64],
         stride: usize,
         incoming: impl Fn(usize, f64) -> f64,
-    ) -> Rollout {
+        out: &mut Rollout,
+    ) {
         let cabin = self.hvac.cabin();
         let cp = cabin.air_heat_capacity.value();
         let cx = cabin.shell_conductance.value();
@@ -1148,7 +1161,7 @@ impl MpcNlp<'_> {
         let peukert_exp = 0.5 * (bat.peukert - 1.0);
         let (dt, accessory_power) = (self.dt, self.accessory_power);
 
-        let mut out = Vec::with_capacity(self.horizon);
+        out.clear();
         let (mut tz, mut soc) = (self.tz0, self.soc0);
         for k in 0..self.horizon {
             let (ts, tc, dr, mz) = decode(z, k, stride);
@@ -1186,13 +1199,19 @@ impl MpcNlp<'_> {
                 dieff_dp,
             });
         }
-        out
     }
 
-    /// The condensed rollout: each step starts from the previous step's
-    /// predicted cabin temperature.
+    /// The condensed rollout into `out`: each step starts from the
+    /// previous step's predicted cabin temperature.
+    fn rollout_into(&self, z: &[f64], out: &mut Rollout) {
+        self.rollout_with(z, VARS_PER_STEP, |_, tz| tz, out);
+    }
+
+    /// [`MpcNlp::rollout_into`] into a new vector, outside the cache.
     fn rollout(&self, z: &[f64]) -> Rollout {
-        self.rollout_with(z, VARS_PER_STEP, |_, tz| tz)
+        let mut out = Vec::with_capacity(self.horizon);
+        self.rollout_into(z, &mut out);
+        out
     }
 
     /// Eq. 21 over a rollout, the comfort term on `tz(k)`, the cabin
@@ -1324,10 +1343,12 @@ impl MpcNlp<'_> {
         // ∂Tz_k/∂(ts_j, mz_j) after the step's trapezoidal update — both
         // kept because the C4/C5/C9 rows read the incoming state while the
         // C2 rows read the outgoing one.
-        let mut stz_ts = vec![0.0; self.horizon];
-        let mut stz_mz = vec![0.0; self.horizon];
-        let mut stz_ts_next = vec![0.0; self.horizon];
-        let mut stz_mz_next = vec![0.0; self.horizon];
+        let mut scratch = self.jac_scratch.borrow_mut();
+        scratch.clear();
+        scratch.resize(4 * self.horizon, 0.0);
+        let (stz, stz_next) = scratch.split_at_mut(2 * self.horizon);
+        let (mut stz_ts, mut stz_mz) = stz.split_at_mut(self.horizon);
+        let (mut stz_ts_next, mut stz_mz_next) = stz_next.split_at_mut(self.horizon);
         for k in 0..self.horizon {
             let (ts, tc, dr, mz) = decode(z, k, VARS_PER_STEP);
             let to = self.preview[k].ambient.value();
@@ -1430,7 +1451,7 @@ impl MpcNlp<'_> {
 
     /// Runs `f` with the condensed rollout at `z`, through the cache.
     fn with_rollout<T>(&self, z: &[f64], f: impl FnOnce(&Rollout) -> T) -> T {
-        self.cache.with(z, |z| self.rollout(z), f)
+        self.cache.with(z, |z, out| self.rollout_into(z, out), f)
     }
 }
 
@@ -1518,17 +1539,17 @@ impl<'a, 'b> MsMpcNlp<'a, 'b> {
         z[k * MS_VARS_PER_STEP + 4] * TZ_SCALE
     }
 
-    /// Forward pass through the model with the cabin state taken from the
-    /// variables: each [`Step::tz`] is the *one-step prediction* from
-    /// `tzv_{k−1}` (the equality constraints' right-hand side), not a
-    /// recursive trajectory.
-    fn rollout(&self, z: &[f64]) -> Rollout {
+    /// Forward pass through the model into `out`, with the cabin state
+    /// taken from the variables: each [`Step::tz`] is the *one-step
+    /// prediction* from `tzv_{k−1}` (the equality constraints' right-hand
+    /// side), not a recursive trajectory.
+    fn rollout_into(&self, z: &[f64], out: &mut Rollout) {
         self.base
-            .rollout_with(z, MS_VARS_PER_STEP, |k, _| self.tz_in(z, k))
+            .rollout_with(z, MS_VARS_PER_STEP, |k, _| self.tz_in(z, k), out);
     }
 
     fn with_rollout<T>(&self, z: &[f64], f: impl FnOnce(&Rollout) -> T) -> T {
-        self.cache.with(z, |z| self.rollout(z), f)
+        self.cache.with(z, |z, out| self.rollout_into(z, out), f)
     }
 }
 
@@ -2079,12 +2100,9 @@ mod tests {
                     .zip(r.iter())
                     .flat_map(|(u, s)| u.iter().copied().chain([s.tz / TZ_SCALE]))
                     .collect();
-                check(
-                    &ms,
-                    &z_ms,
-                    &ms.rollout(&z_ms),
-                    &format!("multiple shooting, {what}"),
-                );
+                let mut r_ms = Vec::new();
+                ms.rollout_into(&z_ms, &mut r_ms);
+                check(&ms, &z_ms, &r_ms, &format!("multiple shooting, {what}"));
             }
         }
         assert!(held > 0 && broken > 0, "held {held}, broken {broken}");
@@ -2468,6 +2486,74 @@ mod tests {
             ),
             "telemetry must not add NLP evaluations"
         );
+    }
+
+    #[test]
+    fn a_rollout_cache_miss_refills_the_cached_buffers_in_place() {
+        let c = mpc();
+        let preview = preview_const(10_000.0, 35.0, 24);
+        let context = ctx(26.5, 35.0, &preview);
+        let nlp = c.build_nlp(&context);
+        let buffers = |nlp: &MpcNlp<'_>| {
+            let last = nlp.cache.last.borrow();
+            (last.0.as_ptr(), last.1.as_ptr())
+        };
+        let mut z = c.cold_start(&context);
+        let first = nlp.objective(&z);
+        let filled = buffers(&nlp);
+        z[0] += 1e-3;
+        let second = nlp.objective(&z);
+        assert_ne!(first, second);
+        assert_eq!(nlp.cache.misses.get(), 2);
+        assert_eq!(buffers(&nlp), filled, "a miss reuses the buffers");
+        assert_eq!(nlp.cache.last.borrow().0, z);
+    }
+
+    /// 30 consecutive solves of an h8 controller, one per context, with
+    /// the cabin climbing from 20 to 32 °C and the ambient stepping from
+    /// 35 to 40 °C halfway, on the bench arms' SoC, solar load and
+    /// peak/lull preview: solves away from the one settled context the
+    /// bench arms re-solve. Every solve must converge, under either
+    /// transcription.
+    #[test]
+    fn every_solve_of_a_moving_context_sequence_converges() {
+        for ms in [false, true] {
+            let mut c = MpcController::builder(
+                Hvac::new(CabinParams::default(), HvacParams::default()),
+                HvacLimits::default(),
+            )
+            .horizon(8)
+            .recompute_every(1)
+            .multiple_shooting(ms)
+            .build()
+            .expect("valid config");
+            for i in 0..30 {
+                let tz = 20.0 + 12.0 * f64::from(i) / 29.0;
+                let to = Celsius::new(if i < 15 { 35.0 } else { 40.0 });
+                let solar = Watts::new(350.0);
+                let preview: Vec<PreviewSample> = (0..64)
+                    .map(|k| PreviewSample {
+                        motor_power: Watts::new(if (k / 8) % 2 == 0 { 2_000.0 } else { 45_000.0 }),
+                        ambient: to,
+                        solar,
+                    })
+                    .collect();
+                c.control(&ControlContext {
+                    state: HvacState::new(Celsius::new(tz)),
+                    ambient: to,
+                    solar,
+                    soc: Percent::new(88.0),
+                    soc_avg: 91.0,
+                    dt: Seconds::new(1.0),
+                    elapsed: Seconds::new(120.0),
+                    preview: &preview,
+                });
+            }
+            let d = c.diagnostics();
+            assert_eq!(d.solves, 30, "multiple shooting {ms}: {d:?}");
+            assert_eq!(d.converged, 30, "multiple shooting {ms}: {d:?}");
+            assert_eq!(d.solver_errors, 0, "multiple shooting {ms}: {d:?}");
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use ev_control::fuzzy::{FuzzyEngine, MembershipFunction, Rule, Term};
 use ev_control::{
     duty_to_input, ClimateController, ControlContext, FuzzyController, OnOffController,
-    PidController, PreviewSample,
+    PreviewSample,
 };
 use ev_hvac::{CabinParams, Hvac, HvacLimits, HvacParams, HvacState};
 use ev_units::{Celsius, Percent, Seconds, Watts};
@@ -73,18 +73,6 @@ proptest! {
     ) {
         let h = hvac();
         let mut c = FuzzyController::new(h.clone(), HvacLimits::default(), Celsius::new(24.0));
-        let ctx = ctx_at(tz, to, 80.0);
-        let input = c.control(&ctx);
-        assert_static_feasible(&h, &input, ctx.state, ctx.ambient)?;
-    }
-
-    #[test]
-    fn pid_inputs_are_statically_feasible(
-        tz in 10.0f64..45.0,
-        to in -20.0f64..48.0,
-    ) {
-        let h = hvac();
-        let mut c = PidController::new(h.clone(), HvacLimits::default(), Celsius::new(24.0));
         let ctx = ctx_at(tz, to, 80.0);
         let input = c.control(&ctx);
         assert_static_feasible(&h, &input, ctx.state, ctx.ambient)?;

@@ -41,7 +41,7 @@ fn run(config: &str, horizon: usize, weights: MpcWeights) -> AblationRow {
         .weights(weights)
         .build()
         .expect("valid config");
-    let r = sim.run(&mut mpc).expect("runs");
+    let r = sim.run(&mut mpc);
     let m = r.metrics();
     AblationRow {
         config: config.to_owned(),

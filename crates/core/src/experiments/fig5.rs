@@ -43,7 +43,7 @@ pub fn fig5() -> Vec<Fig5Series> {
         .into_iter()
         .map(|kind| {
             let mut controller = kind.instantiate(&params).expect("instantiates");
-            let result = sim.run(controller.as_mut()).expect("runs");
+            let result = sim.run(controller.as_mut());
             let n = WINDOW_S.min(result.series.t.len());
             let t = result.series.t[..n].to_vec();
             let cabin = result.series.cabin[..n].to_vec();

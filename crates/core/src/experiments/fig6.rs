@@ -42,7 +42,7 @@ pub fn fig6() -> Fig6Data {
     let mut mpc = ControllerKind::Mpc
         .instantiate(&params)
         .expect("instantiates");
-    let result = sim.run(mpc.as_mut()).expect("runs");
+    let result = sim.run(mpc.as_mut());
 
     let n = 1000.min(result.series.t.len());
     let t = result.series.t[..n].to_vec();

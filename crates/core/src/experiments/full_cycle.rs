@@ -51,7 +51,7 @@ pub fn full_cycle() -> Vec<FullCycleRow> {
         .into_iter()
         .map(|kind| {
             let mut controller = kind.instantiate(&params).expect("instantiates");
-            let result = sim.run(controller.as_mut()).expect("runs");
+            let result = sim.run(controller.as_mut());
             let drive_trace = result.series.soc.clone();
             let drive_only = soh.degradation(SocStats::from_trace(&drive_trace)) * 1000.0;
 

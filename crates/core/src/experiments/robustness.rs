@@ -116,7 +116,7 @@ pub fn robustness_sweep() -> Vec<RobustnessRow> {
                 .instantiate(&params)
                 .expect("instantiates");
             let mut noisy = NoisyPreview::new(BoxedController(inner), sigma);
-            let r = sim.run(&mut noisy).expect("runs");
+            let r = sim.run(&mut noisy);
             let m = r.metrics();
             RobustnessRow {
                 sigma,

@@ -1,13 +1,11 @@
 //! The shared drive-profile × controller sweep behind Figs. 7 and 8.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
 
 use ev_control::MpcDiagnostics;
 use ev_drive::DriveCycle;
-use ev_telemetry::{FlightRecorder, Registry, Snapshot};
+use ev_telemetry::{Registry, Snapshot};
 
-use crate::flight::FlightRecorderObserver;
 use crate::telemetry::TelemetryObserver;
 use crate::{ControllerKind, ControllerSetup, EvParams, Simulation, SimulationResult};
 
@@ -95,7 +93,7 @@ fn claim_order(cells: &[(&str, &Simulation, ControllerKind)]) -> Vec<usize> {
     let kind_rank = |kind: ControllerKind| match kind {
         ControllerKind::Mpc => 0,
         ControllerKind::Fuzzy => 1,
-        ControllerKind::Pid | ControllerKind::OnOff => 2,
+        ControllerKind::OnOff => 2,
     };
     let mut order: Vec<usize> = (0..cells.len()).collect();
     order.sort_by_key(|&i| {
@@ -110,8 +108,8 @@ fn claim_order(cells: &[(&str, &Simulation, ControllerKind)]) -> Vec<usize> {
 pub enum SweepOutcome {
     /// The simulation ran to the end of its profile.
     Completed(Box<SimulationResult>),
-    /// The cell failed — a simulation error or a worker panic — with a
-    /// human-readable reason. The rest of the sweep is unaffected.
+    /// The cell's worker panicked, with a human-readable reason. The
+    /// rest of the sweep is unaffected.
     Failed(String),
 }
 
@@ -123,12 +121,6 @@ impl SweepOutcome {
             Self::Completed(r) => Some(r),
             Self::Failed(_) => None,
         }
-    }
-
-    /// Whether the cell completed.
-    #[must_use]
-    pub fn is_completed(&self) -> bool {
-        matches!(self, Self::Completed(_))
     }
 }
 
@@ -149,9 +141,6 @@ pub struct SweepCellResult {
     pub telemetry: Snapshot,
     /// Wall-clock time the cell took (s).
     pub wall_seconds: f64,
-    /// Path of the flight-recorder post-mortem dump written for this
-    /// cell, if it failed during a recorded sweep.
-    pub postmortem: Option<PathBuf>,
 }
 
 /// A full instrumented sweep: every cell, even the failed ones.
@@ -233,9 +222,9 @@ impl SweepResult {
 /// [`DriveCycle::paper_evaluation_set`], and each Table I row at its
 /// ambient over ECE_EUDC.
 ///
-/// Every cell is isolated behind [`catch_unwind`], so one diverging
-/// solve or panicking worker yields a [`SweepOutcome::Failed`] row
-/// instead of poisoning the whole sweep.
+/// Every cell is isolated behind [`catch_unwind`], so one panicking
+/// worker yields a [`SweepOutcome::Failed`] row instead of poisoning the
+/// whole sweep.
 /// With `telemetry` on, each cell gets its own [`Registry`] capturing the
 /// controller's solver metrics (via
 /// [`ControllerKind::instantiate_configured`]) and the plant-side
@@ -243,23 +232,6 @@ impl SweepResult {
 /// paths stay on their uninstrumented code.
 #[must_use]
 pub fn evaluation_sweep_run(ambient_c: f64, cycles: &[DriveCycle], telemetry: bool) -> SweepResult {
-    evaluation_sweep_run_recorded(ambient_c, cycles, telemetry, None)
-}
-
-/// [`evaluation_sweep_run`] with a flight recorder on every cell. When
-/// `postmortem_dir` is `Some`, each cell records its MPC decisions and
-/// realized plant steps into a bounded ring buffer, and any cell that
-/// fails — simulation error or worker panic — writes its last recorded
-/// window to `<dir>/<profile>_<controller>.jsonl` (readable with
-/// `evsim explain`). With `postmortem_dir = None` the recorders stay
-/// disabled and this is exactly [`evaluation_sweep_run`].
-#[must_use]
-pub fn evaluation_sweep_run_recorded(
-    ambient_c: f64,
-    cycles: &[DriveCycle],
-    telemetry: bool,
-    postmortem_dir: Option<&Path>,
-) -> SweepResult {
     let mut params = experiment_params();
     // The paper compares the steady *regulation* behavior of the three
     // methodologies (its Fig. 5 traces start settled); start from a
@@ -269,28 +241,22 @@ pub fn evaluation_sweep_run_recorded(
     let sims = matrix_sims(&params, ambient_c, cycles);
     let cells = run_matrix(&sims, |_, sim, kind| {
         let registry = Registry::with_enabled(telemetry);
-        let recorder = FlightRecorder::with_enabled(postmortem_dir.is_some());
         let t0 = std::time::Instant::now();
         let mut controller = kind
             .instantiate_configured(
                 &params,
                 &ControllerSetup {
                     telemetry: registry.clone(),
-                    recorder: recorder.clone(),
                     ..ControllerSetup::default()
                 },
             )
             .expect("controller instantiates");
-        let mut observer = (
-            TelemetryObserver::new(&registry),
-            FlightRecorderObserver::new(&recorder),
-        );
+        let mut observer = TelemetryObserver::new(&registry);
         let run = catch_unwind(AssertUnwindSafe(|| {
             sim.run_observed(controller.as_mut(), &mut observer)
         }));
         let outcome = match run {
-            Ok(Ok(result)) => SweepOutcome::Completed(Box::new(result)),
-            Ok(Err(err)) => SweepOutcome::Failed(err.to_string()),
+            Ok(result) => SweepOutcome::Completed(Box::new(result)),
             Err(payload) => SweepOutcome::Failed(panic_message(payload.as_ref())),
         };
         (
@@ -298,29 +264,20 @@ pub fn evaluation_sweep_run_recorded(
             controller.solver_diagnostics(),
             registry.snapshot(),
             t0.elapsed().as_secs_f64(),
-            recorder,
         )
     })
     .into_iter()
     .map(|(profile, controller, worker)| {
         // The job caught run-time panics itself; an Err slot means
         // something outside the guarded region blew up (instantiation).
-        let (outcome, diagnostics, telemetry, wall_seconds, recorder) =
-            worker.unwrap_or_else(|payload| {
-                (
-                    SweepOutcome::Failed(panic_message(payload.as_ref())),
-                    None,
-                    Snapshot::default(),
-                    0.0,
-                    FlightRecorder::disabled(),
-                )
-            });
-        let postmortem = match (&outcome, postmortem_dir) {
-            (SweepOutcome::Failed(reason), Some(dir)) => {
-                write_cell_postmortem(dir, profile, controller, reason, &recorder)
-            }
-            _ => None,
-        };
+        let (outcome, diagnostics, telemetry, wall_seconds) = worker.unwrap_or_else(|payload| {
+            (
+                SweepOutcome::Failed(panic_message(payload.as_ref())),
+                None,
+                Snapshot::default(),
+                0.0,
+            )
+        });
         SweepCellResult {
             profile: profile.to_owned(),
             controller,
@@ -328,34 +285,10 @@ pub fn evaluation_sweep_run_recorded(
             diagnostics,
             telemetry,
             wall_seconds,
-            postmortem,
         }
     })
     .collect();
     SweepResult { ambient_c, cells }
-}
-
-/// Dumps a failed cell's flight-recorder window to
-/// `<dir>/<profile>_<controller>.jsonl`, returning the path on success.
-/// A disabled recorder (or a dump that cannot be written) yields `None`;
-/// the sweep itself is never failed by post-mortem I/O.
-fn write_cell_postmortem(
-    dir: &Path,
-    profile: &str,
-    controller: ControllerKind,
-    reason: &str,
-    recorder: &FlightRecorder,
-) -> Option<PathBuf> {
-    if !recorder.is_enabled() {
-        return None;
-    }
-    let stem: String = profile
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
-        .collect();
-    let path = dir.join(format!("{stem}_{controller:?}.jsonl"));
-    let why = format!("sweep cell {profile} x {controller:?} failed: {reason}");
-    recorder.dump_to(&path, &why).ok().map(|()| path)
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -374,7 +307,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// latencies from the cell's telemetry snapshot. Timings are redacted
 /// with `include_timings = false` so the report is deterministic (the
 /// golden-snapshot tests rely on this). Failed cells repeat their reason
-/// below the table, naming the post-mortem dump when one was written.
+/// below the table.
 #[must_use]
 pub fn render_sweep_report(sweep: &SweepResult, include_timings: bool) -> String {
     let dash = || "-".to_owned();
@@ -451,14 +384,10 @@ pub fn render_sweep_report(sweep: &SweepResult, include_timings: bool) -> String
     for cell in &sweep.cells {
         if let SweepOutcome::Failed(reason) = &cell.outcome {
             out.push_str(&format!(
-                "FAILED {} x {}: {reason}",
+                "FAILED {} x {}: {reason}\n",
                 cell.profile,
                 short_name(cell.controller)
             ));
-            if let Some(path) = &cell.postmortem {
-                out.push_str(&format!(" (post-mortem: {})", path.display()));
-            }
-            out.push('\n');
         }
     }
     out
@@ -468,7 +397,6 @@ fn short_name(kind: ControllerKind) -> &'static str {
     match kind {
         ControllerKind::OnOff => "On/Off",
         ControllerKind::Fuzzy => "Fuzzy",
-        ControllerKind::Pid => "PID",
         ControllerKind::Mpc => "MPC",
     }
 }
@@ -496,7 +424,6 @@ mod tests {
         assert!(find(&cells, "ECE-15", ControllerKind::OnOff).is_some());
         assert!(find(&cells, "ECE-15", ControllerKind::Fuzzy).is_some());
         assert!(find(&cells, "ECE-15", ControllerKind::Mpc).is_some());
-        assert!(find(&cells, "ECE-15", ControllerKind::Pid).is_none());
     }
 
     #[test]
@@ -506,7 +433,7 @@ mod tests {
         assert!(sweep.failures().is_empty());
         assert_eq!(sweep.completed().len(), 3);
         for cell in &sweep.cells {
-            assert!(cell.outcome.is_completed());
+            assert!(cell.outcome.result().is_some());
             assert!(cell.wall_seconds > 0.0);
             let steps = cell.telemetry.counter("sim_steps_total").unwrap();
             assert!(steps > 0, "{steps}");
@@ -566,11 +493,11 @@ mod tests {
     }
 
     #[test]
-    fn mixed_outcome_report_lists_failures_and_postmortems() {
+    fn mixed_outcome_report_lists_failures() {
         let mut sweep = evaluation_sweep_run(35.0, &[DriveCycle::ece15()], false);
         // Append synthetic failed cells: a panicked rule-based worker
-        // (no diagnostics, no dump) and an errored MPC cell whose
-        // post-mortem was written.
+        // (no diagnostics) and a panicked MPC cell with partial
+        // diagnostics.
         sweep.cells.push(SweepCellResult {
             profile: "ECE-15".to_owned(),
             controller: ControllerKind::OnOff,
@@ -578,7 +505,6 @@ mod tests {
             diagnostics: None,
             telemetry: Snapshot::default(),
             wall_seconds: 0.0,
-            postmortem: None,
         });
         sweep.cells.push(SweepCellResult {
             profile: "ECE-15".to_owned(),
@@ -595,14 +521,12 @@ mod tests {
             }),
             telemetry: Snapshot::default(),
             wall_seconds: 0.1,
-            postmortem: Some(PathBuf::from("target/flight/ECE-15_Mpc.jsonl")),
         });
         let report = render_sweep_report(&sweep, false);
         // Header block + one row per cell + one trailing line per failure.
         assert_eq!(report.lines().count(), 3 + sweep.cells.len() + 2);
         assert!(report.contains("FAILED ECE-15 x On/Off: worker panicked: boom"));
         assert!(report.contains("FAILED ECE-15 x MPC: solver error: non-finite data"));
-        assert!(report.contains("(post-mortem: target/flight/ECE-15_Mpc.jsonl)"));
         // The failed MPC row still surfaces its partial diagnostics.
         let mpc_failed = report
             .lines()
@@ -627,7 +551,6 @@ mod tests {
             diagnostics: None,
             telemetry: Snapshot::default(),
             wall_seconds: 0.0,
-            postmortem: None,
         };
         let sweep = SweepResult {
             ambient_c: 35.0,
@@ -682,63 +605,5 @@ mod tests {
             assert_eq!((*name, *kind), (*cell_name, *cell_kind));
             assert_eq!(outcome.as_ref().unwrap(), &format!("{name} x {kind:?}"));
         }
-    }
-
-    #[test]
-    fn healthy_recorded_sweep_writes_no_postmortems() {
-        let dir = std::env::temp_dir().join(format!(
-            "ev-sweep-postmortem-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let sweep = evaluation_sweep_run_recorded(35.0, &[DriveCycle::ece15()], false, Some(&dir));
-        assert!(sweep.failures().is_empty());
-        assert!(sweep.cells.iter().all(|c| c.postmortem.is_none()));
-        // No dump means the directory is never created.
-        assert!(!dir.exists());
-    }
-
-    #[test]
-    fn cell_postmortem_dump_is_written_and_readable() {
-        let dir = std::env::temp_dir().join(format!(
-            "ev-sweep-dump-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let recorder = FlightRecorder::enabled(8);
-        recorder.record_step(ev_telemetry::StepSummary {
-            step: 7,
-            t_s: 7.0,
-            motor_power_w: 5_000.0,
-            hvac_power_w: 1_500.0,
-            battery_power_w: 6_800.0,
-            soc_pct: 90.0,
-            cabin_c: 24.9,
-            ambient_c: 35.0,
-        });
-        let path = write_cell_postmortem(
-            &dir,
-            "ECE-15",
-            ControllerKind::Mpc,
-            "cabin temperature diverged",
-            &recorder,
-        )
-        .expect("dump written");
-        assert_eq!(path, dir.join("ECE-15_Mpc.jsonl"));
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("sweep cell ECE-15 x Mpc failed: cabin temperature diverged"));
-        assert!(text.contains("\"kind\":\"step\""));
-        // Disabled recorders never write anything.
-        assert!(write_cell_postmortem(
-            &dir,
-            "ECE-15",
-            ControllerKind::OnOff,
-            "boom",
-            &FlightRecorder::disabled()
-        )
-        .is_none());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -106,10 +106,6 @@ enum Command {
         vehicle_id: u64,
         steps: usize,
     },
-    /// Run the vehicle's current drive to the end of its profile.
-    Drain {
-        vehicle_id: u64,
-    },
     Reset {
         vehicle_id: u64,
         sim: Arc<Simulation>,
@@ -122,7 +118,9 @@ enum Command {
         vehicle_id: u64,
         reply: mpsc::Sender<Result<SessionSummary, FleetError>>,
     },
-    /// Barrier: the shard replies once every earlier command has run.
+    /// Test-only barrier: the shard replies once every earlier command
+    /// has run.
+    #[cfg(test)]
     Sync {
         reply: mpsc::Sender<()>,
     },
@@ -313,11 +311,11 @@ impl FleetEngine {
     }
 
     /// Commands submitted and not yet taken by a worker, summed over
-    /// all shards (racy, diagnostics only). A submission parked on a
-    /// full queue counts as queued, so while callers park the sum can
-    /// exceed `shards × queue_capacity`.
-    #[must_use]
-    pub fn queue_depth(&self) -> usize {
+    /// all shards (racy). A submission parked on a full queue counts as
+    /// queued, so while callers park the sum can exceed
+    /// `shards × queue_capacity`.
+    #[cfg(test)]
+    fn queue_depth(&self) -> usize {
         self.shards
             .iter()
             .map(|s| s.depth.count.load(Ordering::Relaxed))
@@ -387,15 +385,6 @@ impl FleetEngine {
             .send(Command::Step { vehicle_id, steps }, false)
     }
 
-    /// Runs `vehicle_id`'s current drive to the end of its profile.
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::ShuttingDown`] if the home shard's worker stopped.
-    pub fn drain(&self, vehicle_id: u64) -> Result<(), FleetError> {
-        self.submit(vehicle_id, Command::Drain { vehicle_id })
-    }
-
     /// Hands `vehicle_id`'s session to a new drive on `sim`,
     /// invalidating all controller state tied to the previous
     /// trajectory.
@@ -438,7 +427,8 @@ impl FleetEngine {
 
     /// Barrier: returns once every command submitted before this call
     /// has been executed on every shard whose worker is running.
-    pub fn sync(&self) {
+    #[cfg(test)]
+    fn sync(&self) {
         let receivers: Vec<mpsc::Receiver<()>> = self
             .shards
             .iter()
@@ -507,14 +497,12 @@ fn shard_main(
     };
     let open_seconds = cmd_seconds("open");
     let step_seconds = cmd_seconds("step");
-    let drain_seconds = cmd_seconds("drain");
     let reset_seconds = cmd_seconds("reset");
     let close_seconds = cmd_seconds("close");
     let query_seconds = cmd_seconds("query");
     // Trace span names (ids resolve to 0 on a disabled ring).
     let t_session = setup.trace.intern("session");
     let t_step = setup.trace.intern("step");
-    let t_drain = setup.trace.intern("drain");
 
     for (queued, cmd) in commands {
         drop(queued);
@@ -572,22 +560,6 @@ fn shard_main(
                     stats.finished_drives += 1;
                 }
             }
-            Command::Drain { vehicle_id } => {
-                let lat = drain_seconds.start_span();
-                let Some(session) = sessions.get_mut(&vehicle_id) else {
-                    stats.rejected += 1;
-                    continue;
-                };
-                let trace_span = session.trace().span(t_drain);
-                let was_finished = session.finished();
-                let ran = session.step_many(usize::MAX);
-                lat.finish_with_exemplar(trace_span.finish_id());
-                stats.steps += ran as u64;
-                steps_total.add(ran as u64);
-                if !was_finished {
-                    stats.finished_drives += 1;
-                }
-            }
             Command::Reset { vehicle_id, sim } => {
                 let _lat = reset_seconds.start_span();
                 let Some(session) = sessions.get_mut(&vehicle_id) else {
@@ -626,6 +598,7 @@ fn shard_main(
                 }
                 let _ = reply.send(result);
             }
+            #[cfg(test)]
             Command::Sync { reply } => {
                 let _ = reply.send(());
             }
@@ -716,32 +689,16 @@ mod tests {
         let sim = small_sim();
         assert_eq!(fleet.close(1), Err(FleetError::UnknownSession(1)));
         fleet
-            .open(1, Arc::clone(&sim), ControllerKind::Pid)
+            .open(1, Arc::clone(&sim), ControllerKind::OnOff)
             .unwrap();
         fleet
-            .open(1, Arc::clone(&sim), ControllerKind::Pid)
+            .open(1, Arc::clone(&sim), ControllerKind::OnOff)
             .unwrap();
         fleet.sync();
         assert!(fleet.query(1).is_ok());
         let stats = fleet.shutdown();
         assert_eq!(stats.total.opened, 1);
         assert_eq!(stats.total.rejected, 2, "one unknown close, one dup open");
-    }
-
-    #[test]
-    fn drain_runs_to_profile_end_and_counts_finished_drive() {
-        let fleet = engine(1, 64);
-        let sim = small_sim();
-        let len = sim.profile().len() as u64;
-        fleet
-            .open(3, Arc::clone(&sim), ControllerKind::OnOff)
-            .unwrap();
-        fleet.drain(3).unwrap();
-        let summary = fleet.close(3).unwrap();
-        assert!(summary.finished);
-        assert_eq!(summary.steps, len);
-        let stats = fleet.shutdown();
-        assert_eq!(stats.total.finished_drives, 1);
     }
 
     #[test]

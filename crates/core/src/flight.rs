@@ -35,7 +35,7 @@ use crate::observe::{StepObserver, StepRecord};
 /// let sim = Simulation::new(params.clone(), profile)?;
 /// let mut controller = ControllerKind::OnOff.instantiate(&params)?;
 /// let mut observer = FlightRecorderObserver::new(&recorder);
-/// sim.run_observed(controller.as_mut(), &mut observer)?;
+/// sim.run_observed(controller.as_mut(), &mut observer);
 /// assert!(!recorder.is_empty());
 /// # Ok(())
 /// # }

@@ -33,7 +33,7 @@
 //! );
 //! let sim = Simulation::new(params.clone(), profile)?;
 //! let mut controller = ControllerKind::Mpc.instantiate(&params)?;
-//! let result = sim.run(controller.as_mut())?;
+//! let result = sim.run(controller.as_mut());
 //! println!("ΔSoH = {:.3} m%", result.metrics().delta_soh_milli_percent);
 //! # Ok(())
 //! # }

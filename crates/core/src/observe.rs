@@ -35,7 +35,7 @@
 //! let sim = Simulation::new(params.clone(), profile)?;
 //! let mut controller = ControllerKind::Mpc.instantiate(&params)?;
 //! let mut trace = TraceRecorder::new();
-//! let result = sim.run_observed(controller.as_mut(), &mut trace)?;
+//! let result = sim.run_observed(controller.as_mut(), &mut trace);
 //! assert_eq!(trace.records().len(), result.series.t.len());
 //! # Ok(())
 //! # }

@@ -7,10 +7,10 @@ use ev_units::Seconds;
 use crate::observe::{ControllerMode, NoopObserver, StepObserver, StepRecord};
 use crate::{ElectricVehicle, EvParams, SimulationResult, TimeSeries};
 
-/// Errors from constructing or running a simulation.
+/// Errors from constructing a simulation.
 ///
-/// Marked non-exhaustive: future variants (plant fault injection,
-/// observer-requested aborts) must not break downstream matches.
+/// Marked non-exhaustive: future variants must not break downstream
+/// matches.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum SimError {
@@ -71,7 +71,7 @@ impl std::error::Error for SimError {}
 /// );
 /// let sim = Simulation::new(params.clone(), profile)?;
 /// let mut onoff = ControllerKind::OnOff.instantiate(&params)?;
-/// let result = sim.run(onoff.as_mut())?;
+/// let result = sim.run(onoff.as_mut());
 /// assert!(result.metrics().avg_hvac_power.value() >= 0.0);
 /// # Ok(())
 /// # }
@@ -158,15 +158,7 @@ impl Simulation {
 
     /// Runs the closed loop with the given controller and returns the
     /// recorded result.
-    ///
-    /// # Errors
-    ///
-    /// Currently infallible after construction; the `Result` is kept for
-    /// forward compatibility (plant fault injection).
-    pub fn run(
-        &self,
-        controller: &mut dyn ClimateController,
-    ) -> Result<SimulationResult, SimError> {
+    pub fn run(&self, controller: &mut dyn ClimateController) -> SimulationResult {
         self.run_observed(controller, &mut NoopObserver)
     }
 
@@ -180,16 +172,11 @@ impl Simulation {
     /// [`advance`](Self::advance) until the profile is exhausted — so a
     /// batch run and a step-at-a-time fleet session take bitwise-identical
     /// trajectories.
-    ///
-    /// # Errors
-    ///
-    /// Currently infallible after construction; the `Result` is kept for
-    /// forward compatibility (plant fault injection).
     pub fn run_observed<O: StepObserver>(
         &self,
         controller: &mut dyn ClimateController,
         observer: &mut O,
-    ) -> Result<SimulationResult, SimError> {
+    ) -> SimulationResult {
         let dt = self.profile.dt();
         let n = self.profile.len();
         let mut session = self.start_session();
@@ -233,7 +220,7 @@ impl Simulation {
         )
         .with_distance(self.profile.distance());
         observer.on_finish(&result);
-        Ok(result)
+        result
     }
 
     /// Borrows the integrated parameter set this simulation runs with.
@@ -500,7 +487,7 @@ mod tests {
         let mut c = ControllerKind::OnOff
             .instantiate(&EvParams::nissan_leaf_like())
             .unwrap();
-        let r = sim.run(c.as_mut()).unwrap();
+        let r = sim.run(c.as_mut());
         assert_eq!(r.series.t.len(), sim.profile().len());
         let m = r.metrics();
         assert!(m.avg_hvac_power.value() > 0.0);
@@ -515,7 +502,7 @@ mod tests {
         let mut c = ControllerKind::Fuzzy
             .instantiate(&EvParams::nissan_leaf_like())
             .unwrap();
-        let r = sim.run(c.as_mut()).unwrap();
+        let r = sim.run(c.as_mut());
         let last = *r.series.cabin.last().unwrap();
         assert!(last < 32.0, "cabin should cool from 35 °C soak: {last}");
     }
@@ -529,7 +516,7 @@ mod tests {
         let mut c = ControllerKind::OnOff
             .instantiate(&EvParams::nissan_leaf_like())
             .unwrap();
-        let r = sim.run(c.as_mut()).unwrap();
+        let r = sim.run(c.as_mut());
         let socs = &r.series.soc;
         assert!(socs.first().unwrap() >= socs.last().unwrap());
         assert!(socs.iter().all(|&s| (10.0..=100.0).contains(&s)));
@@ -604,7 +591,7 @@ mod tests {
             .instantiate(&EvParams::nissan_leaf_like())
             .unwrap();
         let mut trace = TraceRecorder::new();
-        let r = sim.run_observed(c.as_mut(), &mut trace).unwrap();
+        let r = sim.run_observed(c.as_mut(), &mut trace);
         assert_eq!(trace.records().len(), r.series.t.len());
         assert_eq!(trace.profile(), r.profile);
         assert_eq!(trace.controller(), r.controller);
@@ -642,9 +629,9 @@ mod tests {
         let sim = Simulation::new(params.clone(), profile).expect("profile non-empty");
         let mut c1 = ControllerKind::Fuzzy.instantiate(&params).unwrap();
         let mut c2 = ControllerKind::Fuzzy.instantiate(&params).unwrap();
-        let plain = sim.run(c1.as_mut()).unwrap();
+        let plain = sim.run(c1.as_mut());
         let mut trace = crate::observe::TraceRecorder::new();
-        let observed = sim.run_observed(c2.as_mut(), &mut trace).unwrap();
+        let observed = sim.run_observed(c2.as_mut(), &mut trace);
         assert_eq!(plain, observed, "observation must not perturb the physics");
     }
 
@@ -654,7 +641,7 @@ mod tests {
         let mut c = ControllerKind::OnOff
             .instantiate(&EvParams::nissan_leaf_like())
             .unwrap();
-        let r = sim.run(c.as_mut()).unwrap();
+        let r = sim.run(c.as_mut());
         assert!((r.series.pack_temp[0] - 35.0).abs() < 0.1);
         // Sustained discharge generates I²R heat faster than a 35 °C
         // ambient removes it.
@@ -675,7 +662,7 @@ mod tests {
         params.initial_cabin = Some(Celsius::new(24.0));
         let sim = Simulation::new(params.clone(), profile).unwrap();
         let mut c = ControllerKind::OnOff.instantiate(&params).unwrap();
-        let r = sim.run(c.as_mut()).unwrap();
+        let r = sim.run(c.as_mut());
         // Starting inside the band, comfort accounting begins at once.
         assert!(r.series.cabin[0] < 27.0);
     }

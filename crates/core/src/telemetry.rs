@@ -44,7 +44,7 @@ use crate::observe::{ControllerMode, StepObserver, StepRecord};
 /// let sim = Simulation::new(params.clone(), profile)?;
 /// let mut controller = ControllerKind::OnOff.instantiate(&params)?;
 /// let mut observer = TelemetryObserver::new(&registry);
-/// sim.run_observed(controller.as_mut(), &mut observer)?;
+/// sim.run_observed(controller.as_mut(), &mut observer);
 /// let snapshot = registry.snapshot();
 /// assert!(snapshot.counter("sim_steps_total").unwrap() > 0);
 /// # Ok(())

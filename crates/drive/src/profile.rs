@@ -33,12 +33,11 @@ pub struct DriveSample {
 ///
 /// ```
 /// use ev_drive::AmbientConditions;
-/// use ev_units::{Celsius, Seconds, Watts};
+/// use ev_units::{Celsius, Seconds};
 ///
 /// let hot = AmbientConditions::constant(Celsius::new(43.0));
 /// assert_eq!(hot.temperature_at(Seconds::new(100.0)).value(), 43.0);
-/// let with_sun = hot.with_solar(Watts::new(700.0));
-/// assert_eq!(with_sun.solar_at(Seconds::new(0.0)).value(), 700.0);
+/// assert_eq!(hot.solar_at(Seconds::new(0.0)).value(), 350.0);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AmbientConditions {
@@ -79,13 +78,6 @@ impl AmbientConditions {
             temperature: points.to_vec(),
             solar: Self::DEFAULT_SOLAR_W,
         }
-    }
-
-    /// Sets the constant solar load.
-    #[must_use]
-    pub fn with_solar(mut self, solar: Watts) -> Self {
-        self.solar = solar.value();
-        self
     }
 
     /// Outside temperature at time `t` (linearly interpolated, clamped).
@@ -417,11 +409,9 @@ mod tests {
     }
 
     #[test]
-    fn solar_default_and_custom() {
+    fn solar_default() {
         let a = AmbientConditions::constant(Celsius::new(20.0));
         assert_eq!(a.solar_at(Seconds::ZERO).value(), 350.0);
-        let b = a.with_solar(Watts::new(750.0));
-        assert_eq!(b.solar_at(Seconds::new(10.0)).value(), 750.0);
     }
 
     #[test]

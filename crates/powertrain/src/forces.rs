@@ -93,9 +93,10 @@ mod tests {
 
     #[test]
     fn aero_drag_includes_head_wind() {
-        let params = VehicleParams::builder()
-            .wind(MetersPerSecond::new(5.0))
-            .build();
+        let params = VehicleParams {
+            wind_speed: MetersPerSecond::new(5.0),
+            ..leaf()
+        };
         let with_wind = RoadLoad::at(&params, MetersPerSecond::new(20.0), 0.0, 0.0);
         let calm = RoadLoad::at(&leaf(), MetersPerSecond::new(20.0), 0.0, 0.0);
         assert!(with_wind.aero.value() > calm.aero.value());

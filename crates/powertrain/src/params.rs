@@ -138,48 +138,6 @@ impl VehicleParamsBuilder {
         self
     }
 
-    /// Sets the head-wind speed.
-    #[must_use]
-    pub fn wind(mut self, wind: MetersPerSecond) -> Self {
-        self.params.wind_speed = wind;
-        self
-    }
-
-    /// Sets the rolling-resistance coefficients `(c0, c1)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either coefficient is negative.
-    #[must_use]
-    pub fn rolling_resistance(mut self, c0: f64, c1: f64) -> Self {
-        assert!(
-            c0 >= 0.0 && c1 >= 0.0,
-            "rolling coefficients must be non-negative"
-        );
-        self.params.rolling_c0 = c0;
-        self.params.rolling_c1 = c1;
-        self
-    }
-
-    /// Replaces the motor efficiency map.
-    #[must_use]
-    pub fn efficiency(mut self, map: EfficiencyMap) -> Self {
-        self.params.efficiency = map;
-        self
-    }
-
-    /// Sets the maximum regenerative power in kW.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `kw < 0`.
-    #[must_use]
-    pub fn max_regen_kw(mut self, kw: f64) -> Self {
-        assert!(kw >= 0.0, "regen power must be non-negative");
-        self.params.max_regen_power = Kilowatts::new(kw);
-        self
-    }
-
     /// Finishes the builder.
     #[must_use]
     pub fn build(self) -> VehicleParams {
@@ -206,27 +164,15 @@ mod tests {
             .mass_kg(2000.0)
             .drag_coefficient(0.35)
             .frontal_area_m2(2.5)
-            .wind(MetersPerSecond::new(3.0))
-            .rolling_resistance(0.012, 0.0)
-            .max_regen_kw(50.0)
             .build();
         assert_eq!(p.mass.value(), 2000.0);
         assert_eq!(p.drag_coefficient, 0.35);
         assert_eq!(p.frontal_area, 2.5);
-        assert_eq!(p.wind_speed.value(), 3.0);
-        assert_eq!(p.rolling_c0, 0.012);
-        assert_eq!(p.max_regen_power.value(), 50.0);
     }
 
     #[test]
     #[should_panic(expected = "mass must be positive")]
     fn rejects_zero_mass() {
         let _ = VehicleParams::builder().mass_kg(0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-negative")]
-    fn rejects_negative_rolling() {
-        let _ = VehicleParams::builder().rolling_resistance(-0.01, 0.0);
     }
 }

@@ -107,6 +107,7 @@ impl PowerTrain {
 mod tests {
     use super::*;
     use crate::EfficiencyMap;
+    use ev_units::Kilowatts;
 
     fn pt() -> PowerTrain {
         PowerTrain::new(VehicleParams::nissan_leaf())
@@ -119,9 +120,10 @@ mod tests {
 
     #[test]
     fn cruise_power_matches_hand_calculation_with_constant_eta() {
-        let params = VehicleParams::builder()
-            .efficiency(EfficiencyMap::constant(0.9))
-            .build();
+        let params = VehicleParams {
+            efficiency: EfficiencyMap::constant(0.9),
+            ..VehicleParams::nissan_leaf()
+        };
         let pt = PowerTrain::new(params);
         let v = 25.0;
         let aero = 0.5 * 1.2041 * 0.28 * 2.27 * v * v;
@@ -172,10 +174,11 @@ mod tests {
     #[test]
     fn regen_recovers_less_than_mech_energy() {
         // Moderate braking below the cap: battery receives mech · η < mech.
-        let params = VehicleParams::builder()
-            .efficiency(EfficiencyMap::constant(0.9))
-            .max_regen_kw(1000.0)
-            .build();
+        let params = VehicleParams {
+            efficiency: EfficiencyMap::constant(0.9),
+            max_regen_power: Kilowatts::new(1000.0),
+            ..VehicleParams::nissan_leaf()
+        };
         let pt = PowerTrain::new(params);
         let v = MetersPerSecond::new(20.0);
         let load = pt.road_load(v, -1.0, 0.0);
@@ -211,16 +214,13 @@ mod tests {
 
     #[test]
     fn efficiency_map_affects_power() {
-        let good = PowerTrain::new(
-            VehicleParams::builder()
-                .efficiency(EfficiencyMap::constant(0.95))
-                .build(),
-        );
-        let bad = PowerTrain::new(
-            VehicleParams::builder()
-                .efficiency(EfficiencyMap::constant(0.70))
-                .build(),
-        );
+        let with_eta = |eta| {
+            PowerTrain::new(VehicleParams {
+                efficiency: EfficiencyMap::constant(eta),
+                ..VehicleParams::nissan_leaf()
+            })
+        };
+        let (good, bad) = (with_eta(0.95), with_eta(0.70));
         let v = MetersPerSecond::new(20.0);
         assert!(bad.power(v, 0.5, 0.0).value() > good.power(v, 0.5, 0.0).value());
     }

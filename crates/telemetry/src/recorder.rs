@@ -267,16 +267,6 @@ impl FlightRecorder {
         }
     }
 
-    /// Enabled at [`Self::DEFAULT_CAPACITY`] or disabled, from a flag.
-    #[must_use]
-    pub fn with_enabled(enabled: bool) -> Self {
-        if enabled {
-            Self::enabled(Self::DEFAULT_CAPACITY)
-        } else {
-            Self::disabled()
-        }
-    }
-
     /// Whether records pushed into this handle are kept anywhere.
     #[must_use]
     pub fn is_enabled(&self) -> bool {

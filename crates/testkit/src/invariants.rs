@@ -176,24 +176,6 @@ pub enum InvariantViolation {
     },
 }
 
-impl InvariantViolation {
-    /// The simulated step the violation occurred at. `None` for the
-    /// whole-trace checks ([`Self::EnergyBookkeeping`],
-    /// [`Self::ResultMismatch`]), which have no single offending step.
-    #[must_use]
-    pub fn step(&self) -> Option<usize> {
-        match self {
-            Self::SocOutOfBounds { step, .. }
-            | Self::SocRoseWithoutRegen { step, .. }
-            | Self::PowerDecomposition { step, .. }
-            | Self::CabinUnreachable { step, .. }
-            | Self::HvacEnvelope { step, .. }
-            | Self::NonUniformTime { step, .. } => Some(*step),
-            Self::EnergyBookkeeping { .. } | Self::ResultMismatch { .. } => None,
-        }
-    }
-}
-
 impl core::fmt::Display for InvariantViolation {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {

@@ -674,25 +674,6 @@ impl From<Ratio> for Percent {
     }
 }
 
-impl Newtons {
-    /// Returns the mechanical power needed to sustain this force at speed
-    /// `v`: `P = F · v`.
-    #[inline]
-    #[must_use]
-    pub fn power_at(self, v: MetersPerSecond) -> Watts {
-        Watts::new(self.value() * v.value())
-    }
-}
-
-impl Amperes {
-    /// Returns the charge moved by this constant current over `dt`.
-    #[inline]
-    #[must_use]
-    pub fn charge_over(self, dt: Seconds) -> AmpereHours {
-        AmpereHours::new(self.value() * dt.value() / 3600.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -749,20 +730,6 @@ mod tests {
         let w = Watts::new(1500.0);
         assert!((w.to_kilowatts().value() - 1.5).abs() < 1e-12);
         assert!((w.to_kilowatts().to_watts().value() - 1500.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn force_power() {
-        let f = Newtons::new(400.0);
-        let p = f.power_at(MetersPerSecond::new(25.0));
-        assert_eq!(p.value(), 10_000.0);
-    }
-
-    #[test]
-    fn charge_over_time() {
-        let i = Amperes::new(20.0);
-        let q = i.charge_over(Seconds::new(1800.0));
-        assert!((q.value() - 10.0).abs() < 1e-12);
     }
 
     #[test]

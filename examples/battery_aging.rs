@@ -38,7 +38,7 @@ fn per_cycle_soh(kind: ControllerKind, ambient_c: f64) -> Result<f64, Box<dyn st
     let sim = Simulation::new(params.clone(), profile)?;
     let mut controller = kind.instantiate(&params)?;
     Ok(sim
-        .run(controller.as_mut())?
+        .run(controller.as_mut())
         .metrics()
         .delta_soh_milli_percent
         / 1000.0)

@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut onoff_soh = None;
     for kind in ControllerKind::paper_lineup() {
         let mut controller = kind.instantiate(&params)?;
-        let result = sim.run(controller.as_mut())?;
+        let result = sim.run(controller.as_mut());
         let m = result.metrics();
         if kind == ControllerKind::OnOff {
             onoff_soh = Some(m.delta_soh_milli_percent);

@@ -43,9 +43,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The two power traces: reactive On/Off and the lifetime-aware MPC.
     let mut onoff = ControllerKind::OnOff.instantiate(&params)?;
-    let onoff_run = sim.run(onoff.as_mut())?;
+    let onoff_run = sim.run(onoff.as_mut());
     let mut mpc = ControllerKind::Mpc.instantiate(&params)?;
-    let mpc_run = sim.run(mpc.as_mut())?;
+    let mpc_run = sim.run(mpc.as_mut());
 
     let shave = SplitPolicy::PeakShave {
         battery_ceiling_w: 30_000.0,

@@ -19,7 +19,7 @@ fn run_weights(
     weights: MpcWeights,
 ) -> Result<(f64, f64, f64), Box<dyn std::error::Error>> {
     let mut mpc = params.mpc_builder().weights(weights).build()?;
-    let r = sim.run(&mut mpc)?;
+    let r = sim.run(&mut mpc);
     let m = r.metrics();
     Ok((
         m.delta_soh_milli_percent,

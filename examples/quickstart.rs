@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for kind in ControllerKind::paper_lineup() {
         let mut controller = kind.instantiate(&params)?;
-        let result = sim.run(controller.as_mut())?;
+        let result = sim.run(controller.as_mut());
         let m = result.metrics();
         println!(
             "{:<28} {:>9.3} {:>12.3} {:>10.3} {:>12.2} {:>9.0}c",

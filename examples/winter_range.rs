@@ -23,7 +23,7 @@ fn range_km(kind: ControllerKind, ambient_c: f64) -> Result<f64, Box<dyn std::er
     params.initial_cabin = Some(params.target);
     let sim = Simulation::new(params.clone(), profile)?;
     let mut controller = kind.instantiate(&params)?;
-    let result = sim.run(controller.as_mut())?;
+    let result = sim.run(controller.as_mut());
     // 21 kWh usable from the 24 kWh pack.
     Ok(result.range_estimate(KilowattHours::new(21.0)).value())
 }

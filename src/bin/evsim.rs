@@ -33,7 +33,7 @@ use history::{cmd_query, cmd_record, cmd_slo};
 use simulate::{cmd_compare, cmd_cycles, cmd_simulate};
 
 fn usage() -> &'static str {
-    "usage:\n  evsim cycles\n  evsim simulate --cycle <name> --controller <onoff|fuzzy|pid|mpc> \
+    "usage:\n  evsim cycles\n  evsim simulate --cycle <name> --controller <onoff|fuzzy|mpc> \
      [--ambient <°C>] [--target <°C>] [--precondition] [--json <path>] \
      [--telemetry <path.prom>] [--flight-recorder <path.jsonl>] \
      [--max-sqp-iterations <n>]\n  \
@@ -61,7 +61,6 @@ fn controller_by_name(name: &str) -> Option<ControllerKind> {
     match name.to_ascii_lowercase().as_str() {
         "onoff" | "on-off" => Some(ControllerKind::OnOff),
         "fuzzy" => Some(ControllerKind::Fuzzy),
-        "pid" => Some(ControllerKind::Pid),
         "mpc" | "lifetime" => Some(ControllerKind::Mpc),
         _ => None,
     }

@@ -132,9 +132,7 @@ pub(super) fn cmd_simulate(args: &Args) -> Result<(), String> {
         TelemetryObserver::new(&registry),
         FlightRecorderObserver::new(&recorder),
     );
-    let result = sim
-        .run_observed(controller.as_mut(), &mut observer)
-        .map_err(|e| e.to_string())?;
+    let result = sim.run_observed(controller.as_mut(), &mut observer);
     print_metrics(&result);
     if let Some(path) = args.get("json") {
         let json = serde_json::to_string_pretty(&result).map_err(|e| e.to_string())?;
@@ -187,7 +185,7 @@ pub(super) fn cmd_compare(args: &Args) -> Result<(), String> {
     );
     for kind in ControllerKind::paper_lineup() {
         let mut controller = kind.instantiate(&params).map_err(|e| e.to_string())?;
-        let result = sim.run(controller.as_mut()).map_err(|e| e.to_string())?;
+        let result = sim.run(controller.as_mut());
         let m = result.metrics();
         println!(
             "{:<28} {:>9.3} {:>12.3} {:>10.3} {:>11.2}",

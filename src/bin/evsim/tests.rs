@@ -384,6 +384,7 @@ fn controller_lookup_accepts_aliases() {
         Some(ControllerKind::OnOff)
     ));
     assert!(controller_by_name("thermostat").is_none());
+    assert!(controller_by_name("pid").is_none());
 }
 
 #[test]

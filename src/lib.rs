@@ -30,7 +30,7 @@
 //! let ev = EvParams::nissan_leaf_like();
 //! let sim = Simulation::new(ev.clone(), profile)?;
 //! let mut controller = ControllerKind::Mpc.instantiate(&ev)?;
-//! let result = sim.run(controller.as_mut())?;
+//! let result = sim.run(controller.as_mut());
 //! println!("ΔSoH: {:.4} m%, HVAC avg: {}",
 //!          result.metrics().delta_soh_milli_percent,
 //!          result.metrics().avg_hvac_power);
@@ -80,7 +80,6 @@ pub mod prelude {
     pub use ev_battery::{Battery, BatteryParams, Bms, SocStats, SohModel};
     pub use ev_control::{
         ClimateController, ControlContext, FuzzyController, MpcController, OnOffController,
-        PidController,
     };
     pub use ev_core::{
         ControllerKind, ElectricVehicle, EvParams, Metrics, Simulation, SimulationResult,

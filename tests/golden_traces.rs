@@ -83,8 +83,7 @@ fn mpc_goldens_solve_every_qp_subproblem_nominally() {
             .expect("controller instantiates");
         Simulation::new(params.clone(), profile_at(&cycle, AMBIENT_C))
             .expect("profile non-empty")
-            .run(controller.as_mut())
-            .expect("simulation runs");
+            .run(controller.as_mut());
         let snapshot = setup.telemetry.snapshot();
         assert!(snapshot.counter("mpc_solves_total").unwrap_or(0) > 0);
         for name in ["sqp_qp_elastic_total", "sqp_qp_fallback_total"] {

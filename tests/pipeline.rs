@@ -14,9 +14,7 @@ fn run(kind: ControllerKind, profile: DriveProfile) -> SimulationResult {
     let sim = Simulation::new(params.clone(), profile).expect("profile non-empty");
     let mut controller = kind.instantiate(&params).expect("instantiates");
     let mut invariants = InvariantObserver::for_params(&params);
-    let result = sim
-        .run_observed(controller.as_mut(), &mut invariants)
-        .expect("runs");
+    let result = sim.run_observed(controller.as_mut(), &mut invariants);
     invariants.report().assert_clean();
     result
 }
